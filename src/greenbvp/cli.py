@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 
 import numpy as np
@@ -107,8 +106,7 @@ def _cmd_green(args) -> int:
     G = build_greens(problem)
     m = args.grid
     pts = np.linspace(0.0, G.length, m)
-    workers = _worker_count()
-    grid = G.sample_grid(m, workers=workers)
+    grid = G.sample_grid(m)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("t,s,value\n")
         for i, t in enumerate(pts):
@@ -116,16 +114,6 @@ def _cmd_green(args) -> int:
                 fh.write(f"{_fmt(t)},{_fmt(s)},{_fmt(grid[i, j])}\n")
     print(f"wrote {m}x{m} kernel grid to {args.out}")
     return EXIT_OK
-
-
-def _worker_count() -> int | None:
-    raw = os.environ.get("GREEN_KERNEL_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def _cmd_verify(args) -> int:

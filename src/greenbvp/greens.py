@@ -3,20 +3,22 @@
 For a nonresonant problem the kernel is represented semi-analytically: the
 impulse (Cauchy) kernel carries the diagonal jump, and per integration
 segment a combination of fundamental solutions enforces the boundary and
-continuity conditions.  The combination coefficients solve one block linear
-system whose matrix is independent of the source point s, so a single LU
-factorization serves every evaluation.
+continuity conditions.  The combination coefficients solve one sparse
+block-bidiagonal system (plus the boundary rows) whose matrix is independent
+of the source point s, so a single sparse LU factorization serves every
+evaluation.  Resonance is judged by the smallest singular value of the
+boundary functionals on an orthonormal basis of the solution graph
+{(x, Phi(T) x)}, which does not depend on the segment count.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from .integrate import DEFAULT_TOL, FundamentalSystem, integrate_fundamental, \
     integrate_fundamental_batch
@@ -192,14 +194,40 @@ def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_T
     return _normalized_det(B, scales)
 
 
+def _boundary_coeffs(functionals, d: int) -> np.ndarray:
+    """The d x 2d matrix C = [left | right] of the functionals' coefficients
+    on the states at 0 and at the right end."""
+    C = np.zeros((len(functionals), 2 * d))
+    for r, f in enumerate(functionals):
+        C[r, f.order] = f.left_coeff
+        C[r, d + f.order] = f.right_coeff
+    return C
+
+
+def _graph_margin(C: np.ndarray, ends: np.ndarray) -> float:
+    """sigma_min(C W) / ||C||_2 for an orthonormal basis W of the solution
+    graph {(x, Phi(T) x)}, marched segment by segment with one QR step each
+    so that Phi(T) itself is never formed."""
+    d = ends.shape[1]
+    X = Y = np.eye(d) / np.sqrt(2.0)
+    for end in ends:
+        W, _ = np.linalg.qr(np.vstack([X, end @ Y]))
+        X, Y = W[:d], W[d:]
+    return float(np.linalg.norm(C @ np.vstack([X, Y]), -2) / np.linalg.norm(C, 2))
+
+
 class GreensEvaluator:
     """Callable kernel G(t, s) of one nonresonant boundary value problem.
 
-    resonance_margin is the relative smallest singular value of the segment
-    block system (continuity plus boundary rows).  Unlike the row-normalized
-    boundary determinant, whose amplitude decays exponentially with interval
-    length for strongly growing problems, the block system stays well scaled
-    and its margin collapses only at genuine eigenvalues.
+    resonance_margin is the smallest singular value of the boundary
+    functionals restricted to an orthonormal basis of the solution graph
+    {(x, Phi(T) x)}, relative to the functionals' norm.  It vanishes exactly
+    at eigenvalues, stays well scaled for strongly growing problems (unlike
+    the row-normalized boundary determinant), and depends only on the
+    problem, not on the number of integration segments.
+
+    The node states solve the block-bidiagonal continuity system plus the
+    boundary rows, stored sparse with O(N d^2) nonzeros and factored once.
     """
 
     def __init__(self, problem: ProblemSpec, fs: FundamentalSystem, det: float):
@@ -210,32 +238,32 @@ class GreensEvaluator:
         self.length = float(fs.nodes[-1])
         self.nodes = fs.nodes
         self.nseg = len(fs.segments)
-        M = self._block_matrix()
-        svals = np.linalg.svd(M, compute_uv=False)
-        self.resonance_margin = float(svals[-1] / max(svals[0], 1e-300))
+        self._ends = np.stack([seg.end_matrix()[0] for seg in fs.segments])
+        C = _boundary_coeffs(boundary_functionals(problem.kind, problem.operator.n), self.d)
+        self.resonance_margin = _graph_margin(C, self._ends)
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
-        self._lu = lu_factor(M)
+        self._lu = splu(self._block_matrix(C))
 
     @property
     def interval(self) -> tuple[float, float]:
         return (0.0, self.length)
 
-    def _block_matrix(self) -> np.ndarray:
+    def _block_matrix(self, C: np.ndarray) -> csc_array:
+        """Rows i*d.. : Y_{i+1} - E_i Y_i (continuity); last d rows: the
+        boundary functionals on Y_0 and Y_N."""
         d, N = self.d, self.nseg
         dim = (N + 1) * d
-        M = np.zeros((dim, dim))
-        for i in range(N):
-            end = self.fs.segments[i].end_matrix()[0]
-            rows = slice(i * d, (i + 1) * d)
-            M[rows, i * d:(i + 1) * d] = -end
-            M[rows, (i + 1) * d:(i + 2) * d] = np.eye(d)
-        functionals = boundary_functionals(self.problem.kind, self.problem.operator.n)
-        base = N * d
-        for r, f in enumerate(functionals):
-            M[base + r, f.order] += f.left_coeff
-            M[base + r, N * d + f.order] += f.right_coeff
-        return M
+        starts = np.arange(N)[:, None, None] * d
+        rows = np.broadcast_to(starts + np.arange(d)[:, None], (N, d, d))
+        cols = np.broadcast_to(starts + np.arange(d), (N, d, d))
+        diag = np.arange(N * d)
+        bc_rows, bc_cols = np.nonzero(C)
+        data = np.concatenate([-self._ends.ravel(), np.ones(N * d), C[bc_rows, bc_cols]])
+        row_idx = np.concatenate([rows.ravel(), diag, N * d + bc_rows])
+        col_idx = np.concatenate([cols.ravel(), diag + d,
+                                  bc_cols + (bc_cols >= d) * (N - 1) * d])
+        return csc_array((data, (row_idx, col_idx)), shape=(dim, dim))
 
     def _impulse_states(self, ss: np.ndarray, seg_s: np.ndarray) -> np.ndarray:
         """x_s = Phi_local(s)^-1 e_last for every source point, shape (d, ns)."""
@@ -251,15 +279,10 @@ class GreensEvaluator:
 
     def _node_states(self, ss: np.ndarray, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Solve the block system for every s: result (N+1, d, ns)."""
-        d, N = self.d, self.nseg
-        dim = (N + 1) * d
-        rhs = np.zeros((dim, len(ss)))
-        for seg in np.unique(seg_s):
-            mask = seg_s == seg
-            end = self.fs.segments[seg].end_matrix()[0]
-            rhs[seg * d:(seg + 1) * d, mask] = end @ xs[:, mask]
-        sol = lu_solve(self._lu, rhs)
-        return sol.reshape(N + 1, d, len(ss))
+        d, N, ns = self.d, self.nseg, len(ss)
+        rhs = np.zeros((N + 1, d, ns))
+        rhs[seg_s, :, np.arange(ns)] = np.einsum("nij,jn->ni", self._ends[seg_s], xs)
+        return self._lu.solve(rhs.reshape((N + 1) * d, ns)).reshape(N + 1, d, ns)
 
     def _source_segments(self, ss: np.ndarray) -> np.ndarray:
         return self.fs.segment_index(ss)
@@ -311,32 +334,17 @@ class GreensEvaluator:
     def __call__(self, t: float, s: float) -> float:
         return float(self.eval_grid(np.array([t]), np.array([s]))[0, 0])
 
-    def sample_grid(self, m: int, workers: int | None = None) -> np.ndarray:
+    def sample_grid(self, m: int) -> np.ndarray:
         """Values on the uniform m x m grid (rows indexed by t, columns by s)."""
         if m < 2:
             raise ValueError("grid size must be at least 2")
         pts = np.linspace(0.0, self.length, m)
-        if workers is None:
-            workers = _env_workers()
-        if workers <= 1 or m < 8:
-            return self.eval_grid(pts, pts)
-        chunks = np.array_split(np.arange(m), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda idx: self.eval_grid(pts, pts[idx]), chunks))
-        return np.hstack(parts)
-
-
-def _env_workers() -> int:
-    raw = os.environ.get("GREEN_KERNEL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return self.eval_grid(pts, pts)
 
 
 def build_greens(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> GreensEvaluator:
     """Assemble the kernel of the problem; refuses resonant lambda values
-    (relative block-system margin below the resonance threshold)."""
+    (graph margin below the resonance threshold)."""
     fs = integrate_fundamental(problem.operator, problem.lam, tol=tol, dense=True)
     B, scales = _boundary_matrix_from_end(
         boundary_functionals(problem.kind, problem.operator.n), fs.phi_end())
@@ -349,5 +357,5 @@ def eval_greens(G: GreensEvaluator, t: float, s: float) -> float:
     return G(t, s)
 
 
-def sample_grid(G: GreensEvaluator, m: int, workers: int | None = None) -> np.ndarray:
-    return G.sample_grid(m, workers=workers)
+def sample_grid(G: GreensEvaluator, m: int) -> np.ndarray:
+    return G.sample_grid(m)

@@ -32,8 +32,10 @@ __all__ = [
     "SKIP_DET_THRESHOLD",
 ]
 
-# Identities presuppose nonresonance; kernels whose block-system margin is
-# within two orders of the build refusal threshold are skipped, not failed.
+# Identities presuppose nonresonance; kernels whose resonance margin (the
+# smallest singular value of the boundary functionals on the orthonormal
+# solution graph, independent of the segment count) is within two orders of
+# the build refusal threshold are skipped, not failed.
 SKIP_MARGIN = 1e-8
 SKIP_DET_THRESHOLD = SKIP_MARGIN
 DEFAULT_GRID = 41
@@ -216,7 +218,9 @@ def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_G
     """Run the requested identity checks (default: all applicable) for the
     base operator at one lambda, sharing kernel builds across identities.
 
-    Problems that fail to build or whose resonance margin falls below
+    Problems that fail to build or whose resonance margin (the smallest
+    singular value of the boundary functionals on the orthonormal solution
+    graph, which does not depend on the segment count) falls below
     SKIP_MARGIN are treated as resonant: identities touching them produce
     skipped reports.
     """

@@ -82,9 +82,13 @@ class _ExpmSegment:
     t0: float
     t1: float
     A: np.ndarray  # (K, d, d)
+    _end: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._end = expm(self.A * (self.t1 - self.t0))
 
     def end_matrix(self) -> np.ndarray:
-        return expm(self.A * (self.t1 - self.t0))
+        return self._end
 
     def local_phi(self, ts: np.ndarray) -> np.ndarray:
         dt = np.asarray(ts, dtype=float) - self.t0

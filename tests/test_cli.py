@@ -170,12 +170,3 @@ def test_paper_examples_subprocess():
     lines = [ln for ln in result.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) >= 20
     assert all(ln.startswith("PASS") for ln in lines)
-
-
-def test_worker_env_variable(tmp_path, monkeypatch):
-    config = write_config(tmp_path, kind="dirichlet", n=1, coefficients=["0", "0"])
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["green", "--config", config, "--grid", "17", "--out", str(out1)])
-    monkeypatch.setenv("GREEN_KERNEL_THREADS", "4")
-    main(["green", "--config", config, "--grid", "17", "--out", str(out2)])
-    assert out1.read_text() == out2.read_text()

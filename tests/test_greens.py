@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,11 @@ from greenbvp import (
     char_det,
     eval_greens,
     extend_to_double,
+    extend_to_quadruple,
     integrate_fundamental,
     sample_grid,
 )
+from greenbvp import integrate as integrate_module
 from greenbvp.expressions import compile_expr, parse_expression
 from greenbvp.operators import coeff_values
 
@@ -160,9 +163,10 @@ def test_sample_grid_sign(second_order_op):
     assert (G.sample_grid(41) <= 1e-15).all()
 
 
-def test_sample_grid_workers_agree(const_fourth_op):
-    G = build_greens(ProblemSpec(const_fourth_op, BCKind.MIXED2, 3.0))
-    assert np.array_equal(G.sample_grid(33, workers=1), G.sample_grid(33, workers=4))
+def test_sample_grid_matches_eval_grid(quartic_weight_op):
+    G = build_greens(ProblemSpec(extend_to_quadruple(quartic_weight_op), BCKind.PERIODIC, 2.0))
+    pts = np.linspace(0.0, G.length, 101)
+    assert np.array_equal(G.sample_grid(101), G.eval_grid(pts, pts))
 
 
 def test_jump_condition_by_one_sided_differences(const_fourth_op):
@@ -257,3 +261,50 @@ def test_doubled_interval_kernel_symmetry(quartic_weight_op):
     ts = np.linspace(0, 4, 41)
     diff = G.eval_grid(ts, ts) - G.eval_grid(4 - ts, 4 - ts)
     assert np.abs(diff).max() < 1e-7
+
+
+@pytest.mark.parametrize("n,kind,lam", [
+    # midway between the Dirichlet eigenvalues (100 pi)^2 and (101 pi)^2 of u''
+    (1, BCKind.DIRICHLET, 0.5 * ((100 * math.pi) ** 2 + (101 * math.pi) ** 2)),
+    # midway between the Neumann eigenvalues -(10 pi)^4 and -(11 pi)^4 of u''''
+    (2, BCKind.NEUMANN, -0.5 * ((10 * math.pi) ** 4 + (11 * math.pi) ** 4)),
+])
+def test_margin_independent_of_segment_count(monkeypatch, n, kind, lam):
+    op = LinearOperator.from_exprs(n, 1.0, ["0"] * (2 * n))
+    coarse = build_greens(ProblemSpec(op, kind, lam))
+    monkeypatch.setattr(integrate_module, "_GROWTH_PER_SEGMENT", 0.3)
+    fine = build_greens(ProblemSpec(op, kind, lam))
+    assert fine.nseg >= 9 * coarse.nseg
+    assert 0.1 < fine.resonance_margin / coarse.resonance_margin < 10.0
+
+
+@pytest.mark.parametrize("kind,lam", [
+    # midway between consecutive eigenvalues: -(k pi)^4 for Neumann and
+    # -(2 k pi)^4 for periodic conditions on [0, 1]
+    (BCKind.NEUMANN, -0.5 * ((11 * math.pi) ** 4 + (12 * math.pi) ** 4)),
+    (BCKind.NEUMANN, -0.5 * ((13 * math.pi) ** 4 + (14 * math.pi) ** 4)),
+    (BCKind.PERIODIC, -0.5 * ((10 * math.pi) ** 4 + (12 * math.pi) ** 4)),
+    (BCKind.PERIODIC, -0.5 * ((12 * math.pi) ** 4 + (14 * math.pi) ** 4)),
+])
+def test_stiff_fourth_order_kernels_symmetric(const_fourth_op, kind, lam):
+    G = build_greens(ProblemSpec(const_fourth_op, kind, lam))
+    values = G.sample_grid(41)
+    assert np.abs(values - values.T).max() <= 1e-10 * np.abs(values).max()
+
+
+def test_long_interval_kernel_closed_form():
+    # u'' + u on [0, 1e4] with Dirichlet conditions at lam = 0.25: about
+    # 3 700 segments.  CPU time, so that load from other processes does not
+    # count against the 10 s budget.
+    T, lam = 1e4, 0.25
+    op = LinearOperator.from_exprs(1, T, ["1", "0"])
+    start = time.process_time()
+    G = build_greens(ProblemSpec(op, BCKind.DIRICHLET, lam))
+    values = G.sample_grid(101)
+    elapsed = time.process_time() - start
+    w = math.sqrt(1.0 + lam)
+    pts = np.linspace(0.0, T, 101)
+    lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
+    exact = np.sin(w * lo) * np.sin(w * (hi - T)) / (w * math.sin(w * T))
+    assert np.abs(values - exact).max() < 1e-8 * np.abs(exact).max()
+    assert elapsed < 10.0
