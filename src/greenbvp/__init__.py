@@ -13,8 +13,6 @@ from .greens import (
     build_greens,
     char_det,
     char_det_scan,
-    eval_greens,
-    sample_grid,
 )
 from .integrate import (
     FundamentalSystem,

@@ -6,9 +6,14 @@ segment a combination of fundamental solutions enforces the boundary and
 continuity conditions.  The combination coefficients solve one sparse
 block-bidiagonal system (plus the boundary rows) whose matrix is independent
 of the source point s, so a single sparse LU factorization serves every
-evaluation.  Resonance is judged by the smallest singular value of the
-boundary functionals on an orthonormal basis of the solution graph
-{(x, Phi(T) x)}, which does not depend on the segment count.
+evaluation.
+
+Spectra and kernels share one resonance criterion: the d x d matrix
+M = C W / ||C||_2 of the boundary functionals C on an orthonormal basis W of
+the solution graph {(x, Phi(T) x)}, marched over the segments so that Phi(T)
+is never formed.  det M is the characteristic function whose zeros are the
+eigenvalues, and sigma_min(M) is the resonance margin of a kernel; both are
+bounded by one and do not depend on the segment count.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ __all__ = [
     "char_det",
     "char_det_scan",
     "build_greens",
-    "eval_greens",
-    "sample_grid",
     "GreensEvaluator",
 ]
 
@@ -132,88 +135,63 @@ class ResonantProblemError(ArithmeticError):
     def __init__(self, kind: BCKind, lam: float, det: float):
         super().__init__(
             f"{kind.value} problem is resonant at lambda={lam:.12g} "
-            f"(normalized boundary determinant {det:.3e})"
+            f"(resonance margin {det:.3e})"
         )
         self.kind = kind
         self.lam = lam
         self.det = det
 
 
-def _boundary_matrix_from_end(functionals, phi_end: np.ndarray):
-    """Rows of the boundary matrix from Phi(end); Phi(0) is the identity.
-    Batched: phi_end has shape (K, d, d); returns (B, row input scales)."""
-    K, d, _ = phi_end.shape
-    B = np.zeros((K, d, d))
-    scales = np.zeros((K, d))
-    eye = np.eye(d)
-    for i, f in enumerate(functionals):
-        row = f.left_coeff * eye[f.order][None, :] + f.right_coeff * phi_end[:, f.order, :]
-        B[:, i, :] = row
-        scales[:, i] = (abs(f.left_coeff)
-                        + abs(f.right_coeff) * np.linalg.norm(phi_end[:, f.order, :], axis=1))
-    return B, scales
-
-
-# A boundary row whose norm falls this far below its input scale is treated
-# as a vanished row: at such lambdas the row is pure cancellation noise, and
-# normalizing it to unit length would hide a genuine resonance (a periodic
-# problem whose whole boundary matrix cancels) or erase the determinant zero.
-ROW_FLOOR_REL = 1e-8
-
-
-def _normalized_det(B: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Determinant after scaling every row to (floored) unit 2-norm."""
-    norms = np.linalg.norm(B, axis=2)
-    floor = ROW_FLOOR_REL * np.maximum(scales, 1e-300)
-    eff = np.maximum(norms, floor)
-    return np.linalg.det(B / eff[:, :, None])
-
-
-def boundary_matrix(problem: ProblemSpec, fs: FundamentalSystem) -> np.ndarray:
-    """Functionals applied to the fundamental columns; det vanishes exactly
-    at the eigenvalues of the problem."""
-    functionals = boundary_functionals(problem.kind, problem.operator.n)
-    B, _ = _boundary_matrix_from_end(functionals, fs.phi_end())
-    return B[0]
-
-
-def char_det(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> float:
-    """Row-normalized boundary determinant at the problem's lambda."""
-    fs = integrate_fundamental(problem.operator, problem.lam, tol=tol, dense=False)
-    B, scales = _boundary_matrix_from_end(
-        boundary_functionals(problem.kind, problem.operator.n), fs.phi_end())
-    return float(_normalized_det(B, scales)[0])
-
-
-def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Row-normalized boundary determinants for a vector of lambda values,
-    sharing a single batched integration sweep."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    fs = integrate_fundamental_batch(op, lams, tol=tol, dense=False)
-    B, scales = _boundary_matrix_from_end(boundary_functionals(kind, op.n), fs.phi_end())
-    return _normalized_det(B, scales)
-
-
-def _boundary_coeffs(functionals, d: int) -> np.ndarray:
+def _boundary_coeffs(kind: BCKind, n: int) -> np.ndarray:
     """The d x 2d matrix C = [left | right] of the functionals' coefficients
-    on the states at 0 and at the right end."""
-    C = np.zeros((len(functionals), 2 * d))
-    for r, f in enumerate(functionals):
+    on the states at 0 and at the right end (d = 2n)."""
+    d = 2 * n
+    C = np.zeros((d, 2 * d))
+    for r, f in enumerate(boundary_functionals(kind, n)):
         C[r, f.order] = f.left_coeff
         C[r, d + f.order] = f.right_coeff
     return C
 
 
-def _graph_margin(C: np.ndarray, ends: np.ndarray) -> float:
-    """sigma_min(C W) / ||C||_2 for an orthonormal basis W of the solution
-    graph {(x, Phi(T) x)}, marched segment by segment with one QR step each
-    so that Phi(T) itself is never formed."""
-    d = ends.shape[1]
-    X = Y = np.eye(d) / np.sqrt(2.0)
-    for end in ends:
-        W, _ = np.linalg.qr(np.vstack([X, end @ Y]))
-        X, Y = W[:d], W[d:]
-    return float(np.linalg.norm(C @ np.vstack([X, Y]), -2) / np.linalg.norm(C, 2))
+def boundary_matrix(problem: ProblemSpec, fs: FundamentalSystem) -> np.ndarray:
+    """Functionals applied to the fundamental columns, C[:, :d] + C[:, d:] Phi(T);
+    det vanishes exactly at the eigenvalues of the problem."""
+    d = fs.d
+    C = _boundary_coeffs(problem.kind, problem.operator.n)
+    return C[:, :d] + C[:, d:] @ fs.phi_end()[0]
+
+
+def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
+    """M = C W / ||C||_2 for every lambda of the batch, shape (K, d, d).
+
+    W is an orthonormal basis of the solution graph {(x, Phi(T) x)}, marched
+    segment by segment with one QR step each.  The columns of every Q are
+    signed so that R has a positive diagonal; W is then [I; Phi(T)] times an
+    upper triangular matrix with positive diagonal, so det M is
+    det(C [I; Phi(T)]) times a positive factor and changes sign exactly where
+    the boundary determinant does.  |det M| <= sigma_min(M) <= 1.
+    """
+    d = fs.d
+    X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
+    for seg in fs.segments:
+        W, R = np.linalg.qr(np.concatenate([X, seg.end_matrix() @ Y], axis=1))
+        W = W * np.copysign(1.0, np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        X, Y = W[:, :d], W[:, d:]
+    return C @ np.concatenate([X, Y], axis=1) / np.linalg.norm(C, 2)
+
+
+def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """det(C W) / ||C||_2^d for a vector of lambda values, sharing a single
+    batched integration sweep.  It has the sign changes of the boundary
+    determinant, vanishes exactly at eigenvalues and is bounded by one in
+    magnitude (see _graph_matrix)."""
+    fs = integrate_fundamental_batch(op, lams, tol=tol, dense=False)
+    return np.linalg.det(_graph_matrix(_boundary_coeffs(kind, op.n), fs))
+
+
+def char_det(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> float:
+    """The characteristic function of char_det_scan at the problem's lambda."""
+    return float(char_det_scan(problem.operator, problem.kind, [problem.lam], tol)[0])
 
 
 class GreensEvaluator:
@@ -221,26 +199,25 @@ class GreensEvaluator:
 
     resonance_margin is the smallest singular value of the boundary
     functionals restricted to an orthonormal basis of the solution graph
-    {(x, Phi(T) x)}, relative to the functionals' norm.  It vanishes exactly
-    at eigenvalues, stays well scaled for strongly growing problems (unlike
-    the row-normalized boundary determinant), and depends only on the
+    {(x, Phi(T) x)}, relative to the functionals' norm (the matrix whose
+    determinant char_det_scan returns).  It vanishes exactly at eigenvalues,
+    stays well scaled for strongly growing problems, and depends only on the
     problem, not on the number of integration segments.
 
     The node states solve the block-bidiagonal continuity system plus the
     boundary rows, stored sparse with O(N d^2) nonzeros and factored once.
     """
 
-    def __init__(self, problem: ProblemSpec, fs: FundamentalSystem, det: float):
+    def __init__(self, problem: ProblemSpec, fs: FundamentalSystem):
         self.problem = problem
         self.fs = fs
-        self.char_det = det
         self.d = fs.d
         self.length = float(fs.nodes[-1])
         self.nodes = fs.nodes
         self.nseg = len(fs.segments)
         self._ends = np.stack([seg.end_matrix()[0] for seg in fs.segments])
-        C = _boundary_coeffs(boundary_functionals(problem.kind, problem.operator.n), self.d)
-        self.resonance_margin = _graph_margin(C, self._ends)
+        C = _boundary_coeffs(problem.kind, problem.operator.n)
+        self.resonance_margin = float(np.linalg.norm(_graph_matrix(C, fs)[0], -2))
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
         self._lu = splu(self._block_matrix(C))
@@ -344,18 +321,6 @@ class GreensEvaluator:
 
 def build_greens(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> GreensEvaluator:
     """Assemble the kernel of the problem; refuses resonant lambda values
-    (graph margin below the resonance threshold)."""
+    (resonance margin below the resonance threshold)."""
     fs = integrate_fundamental(problem.operator, problem.lam, tol=tol, dense=True)
-    B, scales = _boundary_matrix_from_end(
-        boundary_functionals(problem.kind, problem.operator.n), fs.phi_end())
-    det = float(_normalized_det(B, scales)[0])
-    return GreensEvaluator(problem, fs, det)
-
-
-def eval_greens(G: GreensEvaluator, t: float, s: float) -> float:
-    """Point value of the kernel (the continuous limit on the diagonal)."""
-    return G(t, s)
-
-
-def sample_grid(G: GreensEvaluator, m: int) -> np.ndarray:
-    return G.sample_grid(m)
+    return GreensEvaluator(problem, fs)

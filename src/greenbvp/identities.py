@@ -29,7 +29,6 @@ __all__ = [
     "DECOMPOSITION_TAGS",
     "CONNECTING_TAGS",
     "ALL_TAGS",
-    "SKIP_DET_THRESHOLD",
 ]
 
 # Identities presuppose nonresonance; kernels whose resonance margin (the
@@ -37,7 +36,6 @@ __all__ = [
 # solution graph, independent of the segment count) is within two orders of
 # the build refusal threshold are skipped, not failed.
 SKIP_MARGIN = 1e-8
-SKIP_DET_THRESHOLD = SKIP_MARGIN
 DEFAULT_GRID = 41
 DEFAULT_TOLERANCE = 1e-6
 

@@ -1,11 +1,14 @@
 """Eigenvalue location and spectral identity verification.
 
-Eigenvalues are the zeros of the row-normalized characteristic determinant.
-A scan over a lambda window finds sign-change brackets (refined by bisection
-plus a short secant polish) and also dips of |det| that touch zero without a
-sign change; the latter are flagged as suspected even-multiplicity roots,
-which really occur (periodic and antiperiodic problems carry double
-eigenvalues inherited from two two-point problems at once).
+Eigenvalues are the zeros of the characteristic function det(C W) of
+char_det_scan: the boundary functionals C on an orthonormal basis W of the
+solution graph, the same matrix whose smallest singular value is a kernel's
+resonance margin.  A scan over a lambda window finds sign-change brackets
+(refined by bisection plus a short secant polish) and also dips of |det|
+that touch zero without a sign change; the latter are flagged as suspected
+even-multiplicity roots, which really occur (periodic and antiperiodic
+problems carry double eigenvalues inherited from two two-point problems at
+once).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .greens import BCKind, _boundary_matrix_from_end, boundary_functionals, char_det_scan
+from .greens import BCKind, ProblemSpec, boundary_matrix, char_det_scan
 from .integrate import DEFAULT_TOL, integrate_fundamental
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple, reflect
 
@@ -31,17 +34,17 @@ __all__ = [
     "verify_first_eigenvalue_relations",
 ]
 
-ROOT_TOL = 1e-8          # |normalized det| accepted as an eigenvalue
 NULL_SPACE_TOL = 1e-6    # singular value regarded as part of the null space
 
-# The row-normalized determinant of strongly growing systems (periodic
-# families at very negative lambda) decays exponentially in |lambda|, so
-# root and dip detection compare against the local determinant amplitude
-# instead of absolute thresholds.
-EXACT_HIT_REL = 1e-9     # scan value counted as sitting exactly on a root
-DIP_PREFILTER_REL = 1e-2  # parabola-vertex depth that triggers a dip refinement
-DIP_CONFIRM_REL = 1e-6   # refined dip depth accepted as a double root
-ENDPOINT_REL = 1e-6      # endpoint treated as nearly resonant
+# The characteristic function is det(C W) / ||C||_2^d on an orthonormal
+# solution-graph basis W: its magnitude is bounded by the smallest singular
+# value, which is at most one, for every problem and lambda (no exponential
+# growth or decay with |lambda|), so root and dip detection use absolute
+# thresholds.
+EXACT_HIT_TOL = 1e-9      # scan value counted as sitting exactly on a root
+DIP_PREFILTER_TOL = 1e-2  # parabola-vertex depth that triggers a dip refinement
+DIP_CONFIRM_TOL = 1e-6    # refined dip depth accepted as a double root
+ENDPOINT_TOL = 1e-6       # endpoint treated as nearly resonant
 
 
 class MultiplicityError(ValueError):
@@ -75,19 +78,6 @@ class Spectrum:
                 for e in self.eigenvalues
             ],
         }
-
-
-def _bisect_root(det_fn, a, b, fa, fb, lam_tol):
-    while b - a > lam_tol:
-        mid = 0.5 * (a + b)
-        fm = det_fn(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b), b - a
 
 
 def _refine_brackets(det_batch, brackets, lam_tol):
@@ -124,16 +114,6 @@ def _refine_brackets(det_batch, brackets, lam_tol):
     return [(float(x), float(w)) for x, w in zip(best_x, widths)]
 
 
-def _local_amplitude(absdet: np.ndarray, halo: int = 3) -> np.ndarray:
-    """Max of |det| over a small neighborhood excluding the point itself."""
-    n = len(absdet)
-    out = np.zeros(n)
-    for shift in range(1, halo + 1):
-        out[shift:] = np.maximum(out[shift:], absdet[:-shift])
-        out[:-shift] = np.maximum(out[:-shift], absdet[shift:])
-    return out
-
-
 def _parabola_vertex(f0, f1, f2):
     """Vertex value of the parabola through three equally spaced samples;
     None when the samples are not convex."""
@@ -147,11 +127,11 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
                      lam_tol: float = 1e-6, tol: float = DEFAULT_TOL) -> Spectrum:
     """All eigenvalues in the window located to lam_tol.
 
-    Sign changes of the determinant bracket simple (odd-multiplicity) roots;
-    dips of |det| that fall many orders below the local determinant
-    amplitude without a sign change are refined and flagged as suspected
-    even-multiplicity roots.  Resonant window endpoints are shrunk inward
-    with a warning.
+    Sign changes of the characteristic function det(C W) (char_det_scan)
+    bracket simple (odd-multiplicity) roots; dips of |det| that fall below
+    DIP_CONFIRM_TOL without a sign change are refined and flagged as
+    suspected even-multiplicity roots.  Resonant window endpoints are shrunk
+    inward with a warning.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -164,18 +144,16 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     grid = np.linspace(lo, hi, npts)
     dets = char_det_scan(op, kind, grid, tol)
     absdet = np.abs(dets)
-    local_amp = _local_amplitude(absdet)
 
     # nearly resonant endpoints: drop them (shrinking the window) and warn
     start, stop = 0, len(grid)
-    if absdet[0] <= ENDPOINT_REL * local_amp[0]:
+    if absdet[0] <= ENDPOINT_TOL:
         warnings.warn(f"window endpoint {grid[0]:.6g} is nearly resonant; shrinking")
         start = 1
-    if absdet[-1] <= ENDPOINT_REL * local_amp[-1]:
+    if absdet[-1] <= ENDPOINT_TOL:
         warnings.warn(f"window endpoint {grid[-1]:.6g} is nearly resonant; shrinking")
         stop = len(grid) - 1
-    grid, dets = grid[start:stop], dets[start:stop]
-    absdet, local_amp = absdet[start:stop], local_amp[start:stop]
+    grid, dets, absdet = grid[start:stop], dets[start:stop], absdet[start:stop]
 
     def det_fn(x):
         return float(char_det_scan(op, kind, [x], tol)[0])
@@ -185,7 +163,7 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
 
     roots: list[tuple[float, float, bool]] = []  # (lam, bracket_width, even_mult)
 
-    exact = absdet <= EXACT_HIT_REL * local_amp
+    exact = absdet <= EXACT_HIT_TOL
     for i in np.nonzero(exact)[0]:
         left = dets[i - 1] if i > 0 else None
         right = dets[i + 1] if i + 1 < len(dets) else None
@@ -209,25 +187,24 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
                 and signs[i - 1] == signs[i + 1] and signs[i - 1] != 0):
             continue
         vertex = _parabola_vertex(absdet[i - 1], absdet[i], absdet[i + 1])
-        if vertex is None or vertex > DIP_PREFILTER_REL * local_amp[i]:
+        if vertex is None or vertex > DIP_PREFILTER_TOL:
             continue
         res = minimize_scalar(lambda x: abs(det_fn(x)), bounds=(grid[i - 1], grid[i + 1]),
                               method="bounded", options={"xatol": lam_tol / 10})
-        if res.fun > DIP_CONFIRM_REL * local_amp[i]:
+        if res.fun > DIP_CONFIRM_TOL:
             continue
         x = float(res.x)
         delta = max(4 * lam_tol, step * 1e-3)
         dm, dp = det_fn(x - delta), det_fn(x + delta)
-        noise = DIP_CONFIRM_REL * local_amp[i]
-        if np.sign(dm) != np.sign(dp) and abs(dm) > noise and abs(dp) > noise:
+        if (np.sign(dm) != np.sign(dp) and abs(dm) > DIP_CONFIRM_TOL
+                and abs(dp) > DIP_CONFIRM_TOL):
             # a pair of close simple roots hiding inside one scan cell
-            r1, w1 = _bisect_root(det_fn, x - delta, x + delta, dm, dp, lam_tol)
-            roots.append((float(r1), float(max(w1, lam_tol)), False))
-            for a, b, fa, fb in ((grid[i - 1], x - delta, dets[i - 1], dm),
-                                 (x + delta, grid[i + 1], dp, dets[i + 1])):
-                if np.sign(fa) != np.sign(fb):
-                    r2, w2 = _bisect_root(det_fn, a, b, fa, fb, lam_tol)
-                    roots.append((float(r2), float(max(w2, lam_tol)), False))
+            close = [(a, b, fa) for a, b, fa, fb in (
+                (x - delta, x + delta, dm, dp),
+                (grid[i - 1], x - delta, dets[i - 1], dm),
+                (x + delta, grid[i + 1], dp, dets[i + 1])) if np.sign(fa) != np.sign(fb)]
+            for r, w in _refine_brackets(det_batch, close, lam_tol):
+                roots.append((r, w, False))
         else:
             roots.append((x, lam_tol, True))
 
@@ -254,13 +231,11 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
 
 
 def _null_space(op: LinearOperator, kind: BCKind, lam_star: float, tol: float):
-    """SVD of the raw boundary matrix.  Row normalization is deliberately
-    avoided here: a boundary row can vanish identically at an eigenvalue
-    (the periodic u''' row of u'''' at lambda 0 does), and normalizing it
-    destroys the near-singularity the null vector is extracted from."""
+    """SVD of the boundary matrix C[:, :d] + C[:, d:] Phi(T), whose null
+    vectors are the coefficients of the eigenfunctions on the fundamental
+    columns."""
     fs = integrate_fundamental(op, lam_star, tol=tol, dense=True)
-    B, _ = _boundary_matrix_from_end(boundary_functionals(kind, op.n), fs.phi_end())
-    _, svals, vt = np.linalg.svd(B[0])
+    _, svals, vt = np.linalg.svd(boundary_matrix(ProblemSpec(op, kind, lam_star), fs))
     return fs, svals, vt
 
 

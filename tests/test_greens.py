@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,9 @@ from greenbvp import (
     boundary_matrix,
     build_greens,
     char_det,
-    eval_greens,
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
-    sample_grid,
 )
 from greenbvp import integrate as integrate_module
 from greenbvp.expressions import compile_expr, parse_expression
@@ -143,14 +142,14 @@ def test_boundary_conditions_satisfied(const_fourth_op):
 
 def test_eval_greens_wrapper(second_order_op):
     G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET))
-    assert eval_greens(G, 0.5, 0.25) == G(0.5, 0.25)
+    assert G(0.5, 0.25) == G.eval_grid([0.5], [0.25])[0, 0]
     with pytest.raises(ValueError):
         G(1.5, 0.5)
 
 
 def test_sample_grid_corners_and_determinism(second_order_op):
     G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET))
-    corners = sample_grid(G, 2)
+    corners = G.sample_grid(2)
     assert corners.shape == (2, 2)
     assert corners == pytest.approx(np.zeros((2, 2)), abs=1e-12)
     a = G.sample_grid(17)
@@ -235,6 +234,17 @@ def test_char_det_zero_mixed2(const_fourth_op):
 
 def test_char_det_nonzero_off_eigenvalue(const_fourth_op):
     assert abs(char_det(ProblemSpec(const_fourth_op, BCKind.MIXED2, -5.0))) > 1e-4
+
+
+def test_strongly_growing_problem_stays_finite(second_order_op):
+    # u'' Neumann far below the spectrum: Phi(T) overflows, but neither the
+    # characteristic function nor the kernel forms it
+    problem = ProblemSpec(second_order_op, BCKind.NEUMANN, -1e8 - 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = char_det(problem)
+        build_greens(problem).sample_grid(41)
+    assert math.isfinite(value) and abs(value) <= 1.0
 
 
 def test_resonance_consistency_with_char_det():

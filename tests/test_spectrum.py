@@ -17,6 +17,8 @@ from greenbvp import (
     verify_first_eigenvalue_relations,
     verify_spectrum_unions,
 )
+from greenbvp.expressions import parse_expression
+from greenbvp.operators import CoeffSegment
 
 
 def test_second_order_dirichlet_eigenvalues():
@@ -115,13 +117,47 @@ def test_window_validation(const_fourth_op):
         find_eigenvalues(const_fourth_op, BCKind.NEUMANN, (0.0, 1.0), scan_step=-1.0)
 
 
-def test_spectrum_unions_constant(const_fourth_op):
+@pytest.mark.parametrize("n,window", [(2, (-110.0, 1.0)), (1, (-5.0, 100.0))],
+                         ids=["fourth", "second"])
+def test_spectrum_unions_constant(n, window):
+    op = LinearOperator.from_exprs(n, 1.0, ["0"] * (2 * n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        checks = verify_spectrum_unions(const_fourth_op, (-110.0, 1.0), lam_tol=1e-6)
+        checks = verify_spectrum_unions(op, window, lam_tol=1e-6)
     assert all(c.passed for c in checks), [c.tag for c in checks if not c.passed]
     tags = {c.tag for c in checks}
     assert "M1=M2 (reflection-symmetric coefficients)" in tags
+
+
+@pytest.mark.parametrize("kind,expected", [
+    (BCKind.PERIODIC, [(0, False), (4, True), (16, True)]),
+    (BCKind.ANTIPERIODIC, [(1, True), (9, True)]),
+], ids=["periodic", "antiperiodic"])
+def test_second_order_periodic_double_roots(second_order_op, kind, expected):
+    # u'' on [0, 1]: periodic eigenvalues (2 k pi)^2 and antiperiodic ones
+    # ((2 k + 1) pi)^2, all double except lambda = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = find_eigenvalues(second_order_op, kind, (-5.0, 200.0))
+    assert [(e.lam, e.even_multiplicity) for e in spec.eigenvalues] == \
+        [(pytest.approx(k * math.pi ** 2, abs=1e-5), even) for k, even in expected]
+
+
+def test_close_pairs_in_one_scan_cell():
+    # u'' + a0 u with a0 = 0 on [0, 0.3) and 10 on [0.3, 1]: the periodic
+    # spectrum on [0, 2] is the union of the Neumann and Dirichlet spectra,
+    # whose pairs near 32.6 and 81.9 each fall inside one unit scan cell
+    zero, ten = parse_expression("0"), parse_expression("10")
+    op = LinearOperator(n=1, length=1.0, coeffs=(
+        (CoeffSegment(0.0, 0.3, zero), CoeffSegment(0.3, 1.0, ten)),
+        (CoeffSegment(0.0, 1.0, zero),)))
+    window = (-5.0, 100.0)
+    expected = sorted(find_eigenvalues(op, BCKind.NEUMANN, window).lams()
+                      + find_eigenvalues(op, BCKind.DIRICHLET, window).lams())
+    spec = find_eigenvalues(extend_to_double(op), BCKind.PERIODIC, window, scan_step=1.0)
+    assert len(expected) == 6
+    assert spec.lams() == pytest.approx(expected, abs=1e-5)
+    assert not any(e.even_multiplicity for e in spec.eigenvalues)
 
 
 def test_union_identity_values(const_fourth_op):
