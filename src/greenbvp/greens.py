@@ -194,6 +194,15 @@ def char_det(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> float:
     return float(char_det_scan(problem.operator, problem.kind, [problem.lam], tol)[0])
 
 
+@dataclass(frozen=True)
+class _GridFactor:
+    """Points of one grid axis, their segments and local Phi (n, d, d)."""
+
+    pts: np.ndarray
+    seg: np.ndarray
+    phi: np.ndarray
+
+
 class GreensEvaluator:
     """Callable kernel G(t, s) of one nonresonant boundary value problem.
 
@@ -242,55 +251,47 @@ class GreensEvaluator:
                                   bc_cols + (bc_cols >= d) * (N - 1) * d])
         return csc_array((data, (row_idx, col_idx)), shape=(dim, dim))
 
-    def _impulse_states(self, ss: np.ndarray, seg_s: np.ndarray) -> np.ndarray:
-        """x_s = Phi_local(s)^-1 e_last for every source point, shape (d, ns)."""
-        d = self.d
-        out = np.empty((d, len(ss)))
-        e = np.zeros(d)
-        e[d - 1] = 1.0
-        for seg in np.unique(seg_s):
-            mask = seg_s == seg
-            local = self.fs.local_phi(seg, ss[mask])[:, 0]  # (m, d, d)
-            out[:, mask] = np.linalg.solve(local, np.broadcast_to(e, (mask.sum(), d))[..., None])[..., 0].T
-        return out
+    def _factor(self, pts) -> _GridFactor:
+        """Segment indices and local Phi of one point set, for either axis of
+        eval_grid, so a set shared by several grids is integrated once."""
+        pts = np.atleast_1d(np.asarray(pts, dtype=float))
+        eps = 1e-12 * max(1.0, self.length)
+        if pts.size and (pts.min() < -eps or pts.max() > self.length + eps):
+            raise ValueError("grid points outside the problem interval")
+        pts = np.clip(pts, 0.0, self.length)
+        seg = self.fs.segment_index(pts)
+        phi = np.empty((len(pts), self.d, self.d))
+        for k in np.unique(seg):
+            mask = seg == k
+            phi[mask] = self.fs.local_phi(k, pts[mask])[:, 0]
+        return _GridFactor(pts, seg, phi)
 
-    def _node_states(self, ss: np.ndarray, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def _node_states(self, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Solve the block system for every s: result (N+1, d, ns)."""
-        d, N, ns = self.d, self.nseg, len(ss)
+        d, N, ns = self.d, self.nseg, len(seg_s)
         rhs = np.zeros((N + 1, d, ns))
         rhs[seg_s, :, np.arange(ns)] = np.einsum("nij,jn->ni", self._ends[seg_s], xs)
         return self._lu.solve(rhs.reshape((N + 1) * d, ns)).reshape(N + 1, d, ns)
 
-    def _source_segments(self, ss: np.ndarray) -> np.ndarray:
-        return self.fs.segment_index(ss)
-
     def eval_grid(self, ts, ss, component: int = 0) -> np.ndarray:
         """Kernel values on the tensor grid, shape (len(ts), len(ss)).
 
-        component selects a t-derivative order (state row): component=d
-        gives the exact d-th t-derivative of G for d < 2n.
+        ts and ss are point arrays or factors from _factor.  component
+        selects a t-derivative order (state row): component=d gives the
+        exact d-th t-derivative of G for d < 2n.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ss = np.atleast_1d(np.asarray(ss, dtype=float))
-        eps = 1e-12 * max(1.0, self.length)
-        if ts.size and (ts.min() < -eps or ts.max() > self.length + eps):
-            raise ValueError("t outside the problem interval")
-        if ss.size and (ss.min() < -eps or ss.max() > self.length + eps):
-            raise ValueError("s outside the problem interval")
         if not 0 <= component < self.d:
             raise ValueError(f"component must lie in [0, {self.d})")
-        ts = np.clip(ts, 0.0, self.length)
-        ss = np.clip(ss, 0.0, self.length)
+        ft = ts if isinstance(ts, _GridFactor) else self._factor(ts)
+        fsrc = ft if ss is ts else ss if isinstance(ss, _GridFactor) else self._factor(ss)
+        ts, seg_t, ss, seg_s = ft.pts, ft.seg, fsrc.pts, fsrc.seg
 
-        seg_t = self.fs.segment_index(ts)
-        seg_s = self._source_segments(ss)
-        xs = self._impulse_states(ss, seg_s)
-        Y = self._node_states(ss, seg_s, xs)
-
-        rows = np.empty((len(ts), self.d))
-        for seg in np.unique(seg_t):
-            mask = seg_t == seg
-            rows[mask] = self.fs.local_phi(seg, ts[mask])[:, 0, component, :]
+        # impulse states x_s = Phi_local(s)^-1 e_last, shape (d, ns)
+        e = np.zeros((len(ss), self.d, 1))
+        e[:, -1] = 1.0
+        xs = np.linalg.solve(fsrc.phi, e)[..., 0].T
+        Y = self._node_states(seg_s, xs)
+        rows = ft.phi[:, component, :]
 
         G = np.empty((len(ts), len(ss)))
         for seg in np.unique(seg_t):

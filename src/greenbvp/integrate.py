@@ -14,7 +14,7 @@ which makes characteristic-determinant scans cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -82,13 +82,17 @@ class _ExpmSegment:
     t0: float
     t1: float
     A: np.ndarray  # (K, d, d)
-    _end: np.ndarray = field(init=False, repr=False)
+    _end: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self._end = expm(self.A * (self.t1 - self.t0))
+        if self._end is None:
+            self._end = expm(self.A * (self.t1 - self.t0))
 
     def end_matrix(self) -> np.ndarray:
         return self._end
+
+    def member(self, k: int) -> "_ExpmSegment":
+        return _ExpmSegment(self.t0, self.t1, self.A[k:k + 1], self._end[k:k + 1])
 
     def local_phi(self, ts: np.ndarray) -> np.ndarray:
         dt = np.asarray(ts, dtype=float) - self.t0
@@ -111,6 +115,11 @@ class _RkSegment:
 
     def end_matrix(self) -> np.ndarray:
         return self._end
+
+    def member(self, k: int) -> "_RkSegment":
+        rows = slice(k * self.d * self.d, (k + 1) * self.d * self.d)
+        sol = None if self.sol is None else (lambda ts, sol=self.sol: sol(ts)[rows])
+        return _RkSegment(self.t0, self.t1, 1, self.d, sol, self._end[k:k + 1])
 
     def local_phi(self, ts: np.ndarray) -> np.ndarray:
         if self.sol is None:
@@ -150,8 +159,7 @@ def _integrate_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.nda
         U = y.reshape(K, d, d)
         dU = np.empty_like(U)
         dU[:, : d - 1, :] = U[:, 1:, :]
-        a0 = np.broadcast_to(np.asarray(closures[0](t, lam_eff), dtype=float), (K,))
-        acc = -(a0[:, None] + lam_col) * U[:, 0, :]
+        acc = -(np.reshape(closures[0](t, lam_eff), (-1, 1)) + lam_col) * U[:, 0, :]
         for k in range(1, d):
             ak = np.asarray(closures[k](t, lam_eff), dtype=float)
             if ak.ndim == 0:
@@ -238,6 +246,11 @@ class FundamentalSystem:
     def phi_end(self) -> np.ndarray:
         """Phi at the right endpoint, shape (K, d, d)."""
         return self.prefixes[-1]
+
+    def member(self, k: int) -> "FundamentalSystem":
+        """View of the k-th lambda of the batch as a single-lambda system."""
+        return replace(self, lams=self.lams[k:k + 1], prefixes=self.prefixes[:, k:k + 1],
+                       segments=[seg.member(k) for seg in self.segments])
 
 
 def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,

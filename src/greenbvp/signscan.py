@@ -7,7 +7,8 @@ the endpoint live in thin strips or corners (scaling like t*s) that a uniform
 grid resolves far too late.  Values inside a relative zero band count as
 zero, since kernels legitimately vanish along boundary lines.  The interval
 search walks outward from the principal eigenvalue until the classification
-flips and then bisects the flip point.
+flips and then locates the flip point by 16-section: one batched integration
+per round, whose members give the kernels of a binary search.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator
 from .integrate import DEFAULT_TOL, integrate_fundamental_batch
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
-from .spectrum import principal_eigenvalue
+from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue
 
 __all__ = [
     "NONNEGATIVE",
@@ -93,7 +94,8 @@ def classify_sign(G: GreensEvaluator, m: int = 101, zero_band: float = 1e-9) -> 
     if m < 41:
         raise ValueError("classification grid must have at least 41 points per side")
     pts = _sample_points(G.length, m)
-    values = G.eval_grid(pts, pts)
+    grid = G._factor(pts)
+    values = G.eval_grid(grid, grid)
     scale = float(np.abs(values).max())
     if scale == 0.0:
         zero = (0.0, 0.0)
@@ -112,11 +114,13 @@ def classify_sign(G: GreensEvaluator, m: int = 101, zero_band: float = 1e-9) -> 
 
     clouds = [(pts, pts, values)]
     if mid_t.size:
-        clouds.append((mid_t, pts, G.eval_grid(mid_t, pts)))
+        grid_t = G._factor(mid_t)
+        clouds.append((mid_t, pts, G.eval_grid(grid_t, grid)))
     if mid_s.size:
-        clouds.append((pts, mid_s, G.eval_grid(pts, mid_s)))
+        grid_s = G._factor(mid_s)
+        clouds.append((pts, mid_s, G.eval_grid(grid, grid_s)))
     if mid_t.size and mid_s.size:
-        clouds.append((mid_t, mid_s, G.eval_grid(mid_t, mid_s)))
+        clouds.append((mid_t, mid_s, G.eval_grid(grid_t, grid_s)))
 
     vmin, vmax = np.inf, -np.inf
     argmin = argmax = (0.0, 0.0)
@@ -191,7 +195,9 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     Scans outward from the principal eigenvalue in steps of one percent of
     the window width until the classification flips (to sign-changing,
-    the opposite sign, or a resonance), then bisects the flip to lam_tol.
+    the opposite sign, or a resonance), then locates the flip to lam_tol by
+    16-section: each round integrates its 15 dyadic probes as one lambda
+    batch and classifies at most four of them.
     """
     side = _SIDES.get(side)
     if side is None:
@@ -209,9 +215,29 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         raise ValueError("principal eigenvalue lies outside the search window")
     step = (hi_w - lo_w) / 100.0
 
+    accepted = (want, ZERO_ON_GRID)
+
     def ok(lam: float) -> bool:
-        c = classify_problem(op, kind, lam, m=m, tol=tol)
-        return c == want or c == ZERO_ON_GRID
+        return classify_problem(op, kind, lam, m=m, tol=tol) in accepted
+
+    def ok_member(fs) -> bool:
+        try:
+            G = GreensEvaluator(ProblemSpec(op, kind, fs.lam), fs)
+        except ResonantProblemError:
+            return False
+        return classify_sign(G, m=m).classification in accepted
+
+    def flip(good: float, bad: float) -> float:
+        # the binary search visits the lambdas bisection would visit
+        while abs(bad - good) > lam_tol:
+            x = dyadic_points(good, bad)
+            fs = integrate_fundamental_batch(op, x[1:-1], tol=tol, dense=True)
+            lo, hi = 0, SECTIONS
+            while hi - lo > 1 and abs(x[hi] - x[lo]) > lam_tol:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if ok_member(fs.member(mid - 1)) else (lo, mid)
+            good, bad = x[lo], x[hi]
+        return float(0.5 * (good + bad))
 
     good = principal
     probe = principal
@@ -225,13 +251,13 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                 found = probe
                 break
             # flip sits between the last good probe and the window edge
-            found = _bisect_flip(ok, good, probe, lam_tol)
+            found = flip(good, probe)
             status = "threshold-found"
             break
         if ok(probe):
             good = probe
             continue
-        found = _bisect_flip(ok, good, probe, lam_tol)
+        found = flip(good, probe)
         break
 
     if status == "threshold-found" and abs(found - principal) <= 2 * lam_tol:
@@ -240,16 +266,6 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
             f"{principal:.8g} of the {kind.value} problem")
     lam_lo, lam_hi = (found, principal) if direction < 0 else (principal, found)
     return SignIntervalResult(kind, side, lam_lo, lam_hi, status, lam_tol, principal)
-
-
-def _bisect_flip(ok, good: float, bad: float, lam_tol: float) -> float:
-    while abs(bad - good) > lam_tol:
-        mid = 0.5 * (good + bad)
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return 0.5 * (good + bad)
 
 
 _COROLLARY_CASES = [

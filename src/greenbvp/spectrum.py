@@ -4,11 +4,11 @@ Eigenvalues are the zeros of the characteristic function det(C W) of
 char_det_scan: the boundary functionals C on an orthonormal basis W of the
 solution graph, the same matrix whose smallest singular value is a kernel's
 resonance margin.  A scan over a lambda window finds sign-change brackets
-(refined by bisection plus a short secant polish) and also dips of |det|
-that touch zero without a sign change; the latter are flagged as suspected
-even-multiplicity roots, which really occur (periodic and antiperiodic
-problems carry double eigenvalues inherited from two two-point problems at
-once).
+(refined by 16-section, one batched sweep per round, plus a short secant
+polish) and also dips of |det| that touch zero without a sign change; the
+latter are flagged as suspected even-multiplicity roots, which really occur
+(periodic and antiperiodic problems carry double eigenvalues inherited from
+two two-point problems at once).
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ DIP_PREFILTER_TOL = 1e-2  # parabola-vertex depth that triggers a dip refinement
 DIP_CONFIRM_TOL = 1e-6    # refined dip depth accepted as a double root
 ENDPOINT_TOL = 1e-6       # endpoint treated as nearly resonant
 
+# Cells per k-section round: a lambda batch costs about as much as a single
+# lambda, so one batched sweep does the work of four bisection steps.
+SECTIONS = 16
+
 
 class MultiplicityError(ValueError):
     """The null space at this lambda has dimension >= 2."""
@@ -80,21 +84,36 @@ class Spectrum:
         }
 
 
+def dyadic_points(a, b) -> np.ndarray:
+    """a, b and the SECTIONS - 1 points between them that log2(SECTIONS)
+    bisection steps on [a, b] can visit, each computed as the midpoint of
+    its two parents as bisection computes it; shape (..., SECTIONS + 1)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x = np.empty(a.shape + (SECTIONS + 1,))
+    x[..., 0], x[..., -1] = a, b
+    step = SECTIONS
+    while step > 1:
+        x[..., step // 2::step] = 0.5 * (x[..., :-1:step] + x[..., step::step])
+        step //= 2
+    return x
+
+
 def _refine_brackets(det_batch, brackets, lam_tol):
-    """Bisect all brackets in lockstep (one batched determinant sweep per
-    iteration), then a short secant polish, also batched."""
+    """k-section of all brackets in lockstep: each round evaluates the
+    SECTIONS - 1 dyadic probes of every bracket wider than lam_tol in one
+    batched determinant sweep and keeps the first sub-cell whose ends differ
+    in sign; then a short secant polish, also batched."""
     if not brackets:
         return []
-    a = np.array([b[0] for b in brackets])
-    b = np.array([b2[1] for b2 in brackets])
-    fa = np.array([b3[2] for b3 in brackets])
-    while np.max(b - a) > lam_tol:
-        mid = 0.5 * (a + b)
-        fm = det_batch(mid)
-        same = np.sign(fm) == np.sign(fa)
-        a = np.where(same, mid, a)
-        fa = np.where(same, fm, fa)
-        b = np.where(same, b, mid)
+    a, b, fa = (np.array(col, dtype=float) for col in zip(*brackets))
+    while (live := b - a > lam_tol).any():
+        x = dyadic_points(a[live], b[live])
+        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
+        f = np.concatenate([fa[live, None], f], axis=1)
+        flip = np.sign(f[:, 1:]) != np.sign(f[:, :1])
+        j = np.where(flip.any(axis=1), flip.argmax(axis=1), SECTIONS - 1)
+        rows = np.arange(len(x))
+        a[live], b[live], fa[live] = x[rows, j], x[rows, j + 1], f[rows, j]
     x0, x1 = a.copy(), b.copy()
     f0, f1 = fa, det_batch(b)
     best_x = 0.5 * (a + b)

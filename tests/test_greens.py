@@ -1,5 +1,7 @@
 import math
-import time
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from greenbvp import (
     BCKind,
+    GreensEvaluator,
     LinearOperator,
     ProblemSpec,
     ResonantProblemError,
@@ -18,6 +21,7 @@ from greenbvp import (
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
+    integrate_fundamental_batch,
 )
 from greenbvp import integrate as integrate_module
 from greenbvp.expressions import compile_expr, parse_expression
@@ -302,19 +306,52 @@ def test_stiff_fourth_order_kernels_symmetric(const_fourth_op, kind, lam):
     assert np.abs(values - values.T).max() <= 1e-10 * np.abs(values).max()
 
 
-def test_long_interval_kernel_closed_form():
+_LONG_INTERVAL_CHILD = """
+import sys, time
+import numpy as np
+from greenbvp import BCKind, LinearOperator, ProblemSpec, build_greens
+op = LinearOperator.from_exprs(1, 1e4, ["1", "0"])
+start = time.process_time()
+values = build_greens(ProblemSpec(op, BCKind.DIRICHLET, 0.25)).sample_grid(101)
+elapsed = time.process_time() - start
+np.save(sys.argv[1], values)
+print(elapsed)
+"""
+
+
+def test_long_interval_kernel_closed_form(tmp_path):
     # u'' + u on [0, 1e4] with Dirichlet conditions at lam = 0.25: about
-    # 3 700 segments.  CPU time, so that load from other processes does not
-    # count against the 10 s budget.
+    # 3 700 segments.  The build and the grid run in a child process with one
+    # BLAS thread and are timed in its CPU time, so load from other processes
+    # does not count against the 10 s budget: idle OpenBLAS threads spin, and
+    # on a busy machine they charged the same work over twice the CPU time.
     T, lam = 1e4, 0.25
-    op = LinearOperator.from_exprs(1, T, ["1", "0"])
-    start = time.process_time()
-    G = build_greens(ProblemSpec(op, BCKind.DIRICHLET, lam))
-    values = G.sample_grid(101)
-    elapsed = time.process_time() - start
+    out = tmp_path / "values.npy"
+    result = subprocess.run([sys.executable, "-c", _LONG_INTERVAL_CHILD, str(out)],
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    elapsed = float(result.stdout)
+    values = np.load(out)
     w = math.sqrt(1.0 + lam)
     pts = np.linspace(0.0, T, 101)
     lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
     exact = np.sin(w * lo) * np.sin(w * (hi - T)) / (w * math.sin(w * T))
     assert np.abs(values - exact).max() < 1e-8 * np.abs(exact).max()
     assert elapsed < 10.0
+
+
+def test_batch_member_kernels_match_single_builds(quartic_weight_op, const_fourth_op):
+    # kernels built on the members of one lambda batch equal separate
+    # builds: to RK tolerance where the batch shares its adaptive steps, and
+    # bit for bit on matrix-exponential segments
+    for op, kind, lo, hi, rel in [
+        (extend_to_double(quartic_weight_op), BCKind.PERIODIC, -1.7, 8.3, 1e-9),
+        (const_fourth_op, BCKind.MIXED2, -31.4, -6.1, 0.0),
+    ]:
+        lams = np.linspace(lo, hi, 17)[1:-1]
+        batch = integrate_fundamental_batch(op, lams, dense=True)
+        for k, lam in enumerate(lams):
+            member = GreensEvaluator(ProblemSpec(op, kind, lam), batch.member(k)).sample_grid(41)
+            single = build_greens(ProblemSpec(op, kind, lam)).sample_grid(41)
+            assert np.abs(member - single).max() <= rel * np.abs(single).max()

@@ -17,6 +17,8 @@ from greenbvp import (
     sweep_extrema,
     verify_sign_corollary,
 )
+from greenbvp import integrate as integrate_module
+from greenbvp.integrate import FundamentalSystem
 from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, resolve_kernel
 
 
@@ -154,3 +156,40 @@ def test_reproduction_suite_passes():
     assert len(report.rows) >= 20
     failures = [r for r in report.rows if not r["pass"]]
     assert not failures, failures
+
+
+def test_classify_sign_integrates_each_point_set_once(second_order_op, monkeypatch):
+    # the Dirichlet kernel vanishes on the boundary, so the refinement pass
+    # adds midpoints in t and in s: three point sets, one local Phi each
+    G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET))
+    assert G.nseg == 1
+    calls = []
+    original = FundamentalSystem.local_phi
+
+    def counted(self, seg, ts):
+        calls.append(len(ts))
+        return original(self, seg, ts)
+
+    monkeypatch.setattr(FundamentalSystem, "local_phi", counted)
+    assert classify_sign(G).classification == NONPOSITIVE
+    assert len(calls) <= 3
+
+
+def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
+    # thresholds of the serial bisection search, reached with less than
+    # half of its 42 integrations
+    calls = []
+    original = integrate_module._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "_integrate", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
+                            principal_window=(-10.0, 2.0))
+    assert res.lam_lo == pytest.approx(-31.361620130543123, rel=1e-9)
+    assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
+    assert len(calls) < 21

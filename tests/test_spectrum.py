@@ -19,6 +19,7 @@ from greenbvp import (
 )
 from greenbvp.expressions import parse_expression
 from greenbvp.operators import CoeffSegment
+from greenbvp.spectrum import _refine_brackets
 
 
 def test_second_order_dirichlet_eigenvalues():
@@ -215,3 +216,22 @@ def test_resonant_window_endpoint_shrinks_and_warns(const_fourth_op):
     with pytest.warns(UserWarning, match="nearly resonant"):
         spec = find_eigenvalues(const_fourth_op, BCKind.NEUMANN, (-100.0, 0.0))
     assert any(abs(e.lam + math.pi ** 4) < 1e-4 for e in spec.eigenvalues)
+
+
+def test_refine_brackets_k_section_rounds():
+    # three simple roots, one of them on a bisection midpoint, located to
+    # lam_tol in ceil(log16(w0 / lam_tol)) rounds plus the five polish sweeps
+    roots = np.array([0.123456789, math.sqrt(3.0), 2.5])
+    calls = []
+
+    def det_batch(xs):
+        xs = np.asarray(xs, dtype=float)
+        calls.append(len(xs))
+        return np.prod(xs[:, None] - roots, axis=1)
+
+    lam_tol, w0 = 1e-6, 0.1
+    brackets = [(r0, r0 + w0, det_batch([r0])[0]) for r0 in (0.1, 1.7, 2.45)]
+    calls.clear()
+    found = _refine_brackets(det_batch, brackets, lam_tol)
+    assert np.abs(np.array([x for x, _ in found]) - roots).max() <= lam_tol
+    assert len(calls) <= math.ceil(math.log(w0 / lam_tol, 16)) + 5
