@@ -260,11 +260,7 @@ class GreensEvaluator:
             raise ValueError("grid points outside the problem interval")
         pts = np.clip(pts, 0.0, self.length)
         seg = self.fs.segment_index(pts)
-        phi = np.empty((len(pts), self.d, self.d))
-        for k in np.unique(seg):
-            mask = seg == k
-            phi[mask] = self.fs.local_phi(k, pts[mask])[:, 0]
-        return _GridFactor(pts, seg, phi)
+        return _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
 
     def _node_states(self, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Solve the block system for every s: result (N+1, d, ns)."""

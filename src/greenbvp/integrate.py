@@ -5,10 +5,18 @@ whose state is (u, u', ..., u^(2n-1)).  Integration proceeds segment by
 segment: segment boundaries are the coefficient breakpoints (where odd
 reflection extensions may jump) plus extra subdivisions that cap the solution
 growth per segment, so downstream boundary solves stay well conditioned.
-Within a segment, piecewise-constant coefficients are propagated exactly by
-the matrix exponential; otherwise an adaptive Dormand-Prince 5(4) pair with
-dense output is used.  Everything is batched over a vector of lambda values,
-which makes characteristic-determinant scans cheap.
+
+Within a segment the propagator is a product of sixth-order Magnus cells
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): each cell samples
+A at three Gauss-Legendre nodes, forms the commutator generator Omega and
+takes its exponential.  Piecewise-constant coefficients are the one-cell
+case, where Omega = h A and the step is exact.  The cell count follows the
+tolerance and the segment's frequency scale, and cells whose coefficients
+the Gauss rule does not resolve are halved.  Everything is batched over a
+vector of lambda values (real or complex), which makes characteristic
+determinant scans cheap; the coefficient samples are shared by the whole
+batch.  An adaptive Dormand-Prince 5(4) integration is kept as an
+independent reference (force_rk=True).
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
+from .expressions import uses_lambda
 from .operators import LinearOperator
 
 __all__ = [
@@ -36,9 +44,86 @@ DEFAULT_TOL = 1e-10
 # Maximum allowed e-folding of the solution across one integration segment.
 _GROWTH_PER_SEGMENT = 3.0
 
+# Integration budget: the most Magnus cells one integration may use.  A
+# constant-coefficient segment is one cell, so this also bounds the segment
+# count, which is checked before anything is allocated: capping the growth
+# per segment needs about length * rate / 3 segments, so u'' at lambda 1e12
+# on [0, 1] (3.3e5 segments) or a0 = exp(exp(5t)) is refused, while u'' + u
+# on [0, 1e4] needs 3 727.
+MAX_CELLS = 200_000
+
+# Magnus cells per unit of rate * length, times tol^(-1/6): the local error of
+# a sixth-order cell of width h scales as (h * rate)^7.  The rate counts as at
+# least one over the piece length.
+_CELLS_PER_RATE = 0.35
+
+# Halvings of a cell whose coefficients the Gauss rule does not resolve.
+_MAX_SPLITS = 40
+
+# Cells of one block, times the batch size: bounds the d x d temporaries.
+_BLOCK_MATRICES = 2048
+
+# Gauss-Legendre nodes and weights of [0, 1] for the three samples of a
+# Magnus cell; _CHECK_NODES adds the nodes of the cell's two halves.
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+_CHECK_NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
+
+# Taylor coefficients 1/k!, k = 0..10, as Paterson-Stockmeyer blocks in X^4:
+# row j holds the coefficients of X^(4j), ..., X^(4j+3).
+_TAYLOR = np.array([1.0 / math.factorial(k) if k <= 10 else 0.0
+                    for k in range(12)]).reshape(3, 4)
+
 
 class IntegrationError(RuntimeError):
-    """Integrator failure (step-size underflow, singular state matrix, ...)."""
+    """Integrator failure: over the cell budget, unresolved or non-finite
+    coefficients, an ill-conditioned state matrix or an RK45 failure."""
+
+
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...ij,...ij->...", A, A.conj()).real)
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """exp of every matrix of a stack (..., d, d).
+
+    Scaling and squaring around the degree-10 Taylor polynomial, evaluated
+    by Paterson-Stockmeyer in powers of X^4.  Each matrix is scaled by its
+    own power of two, so that alpha = max(||A^3||^(1/3), ||A^4||^(1/4)) in
+    the Frobenius norm falls below 1/8 (Al-Mohy & Higham 2009): that bounds
+    the truncated tail by 8^-11 / 11! ~ 3e-18, and for companion-like
+    matrices alpha is far below ||A||; Magnus cells need no squaring.  A
+    matrix gets the same result alone as inside a stack.
+    """
+    A = np.asarray(A)
+    norm = _frobenius(A)
+    if not np.all(np.isfinite(norm)):
+        raise IntegrationError("non-finite generator: a coefficient sample overflowed")
+    # first scale below 1 in norm, so the powers cannot overflow
+    first = np.maximum(np.frexp(norm)[1], 0)
+    X = A * np.exp2(-first)[..., None, None]
+    X2 = X @ X
+    X3 = X2 @ X
+    X4 = X2 @ X2
+    alpha = np.maximum(_frobenius(X3) ** (1.0 / 3.0), _frobenius(X4) ** 0.25) * np.exp2(first)
+    squarings = np.maximum(np.frexp(alpha)[1] + 3, 0)
+    undo = np.exp2(first - squarings)[..., None, None]
+    X = X * undo
+    X2 = X2 * undo ** 2
+    X4 = X4 * undo ** 4
+    eye = np.broadcast_to(np.eye(A.shape[-1]), X.shape)
+    powers = np.stack([eye, X, X2, X3 * undo ** 3])
+    blocks = (_TAYLOR @ powers.reshape(4, -1)).reshape((len(_TAYLOR),) + X.shape)
+    X = blocks[-1]
+    for block in blocks[-2::-1]:
+        X = X @ X4 + block
+    for j in range(int(squarings.max(initial=0))):
+        sel = squarings > j
+        if sel.all():
+            X = X @ X
+        else:
+            X[sel] = X[sel] @ X[sel]
+    return X
 
 
 def _coeff_closures(op: LinearOperator, lo: float, hi: float):
@@ -66,45 +151,230 @@ def _growth_rate(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray) 
     return rate
 
 
-def _segment_nodes(op: LinearOperator, lam_eff: np.ndarray) -> np.ndarray:
-    nodes = [0.0]
-    for lo, hi in zip(op.breakpoints()[:-1], op.breakpoints()[1:]):
-        rate = _growth_rate(op, lo, hi, lam_eff)
-        nsub = max(1, math.ceil((hi - lo) * rate / _GROWTH_PER_SEGMENT))
-        nodes.extend(np.linspace(lo, hi, nsub + 1)[1:])
-    return np.array(nodes)
+def _over_budget(cells: float) -> IntegrationError:
+    return IntegrationError(f"{cells:.3g} integration cells needed, more than the budget "
+                            f"of {MAX_CELLS} (coefficients or lambda too large, or too rough)")
+
+
+def _segment_nodes(op: LinearOperator, lam_eff: np.ndarray) -> list:
+    """Segment boundaries and frequency scale of each breakpoint interval,
+    [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments."""
+    bps = op.breakpoints()
+    rates = [_growth_rate(op, lo, hi, lam_eff) for lo, hi in zip(bps[:-1], bps[1:])]
+    nsub = np.diff(bps) * np.array(rates) / _GROWTH_PER_SEGMENT
+    if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
+        raise _over_budget(nsub.sum())
+    return [(lo, hi, np.linspace(lo, hi, max(1, math.ceil(n)) + 1), rate)
+            for lo, hi, n, rate in zip(bps[:-1], bps[1:], nsub, rates)]
+
+
+def _companion_rows(vals: list, lam_eff: np.ndarray) -> np.ndarray:
+    """Last companion rows -(a_0 + lam, a_1, ..., a_{d-1}), shape (..., K, d)."""
+    return -np.stack(np.broadcast_arrays(vals[0] + lam_eff, *vals[1:]), axis=-1)
+
+
+def _unresolved(vals: list, tol: float) -> np.ndarray:
+    """Cells whose three-node Gauss mean of some coefficient differs from the
+    mean of the rules on its two halves by more than tol times that
+    coefficient's size; vals are sampled at _CHECK_NODES, shape (9, C, .)."""
+    bad = np.zeros(vals[0].shape[1], dtype=bool)
+    for v in vals:
+        full = _WEIGHTS @ v[:3].reshape(3, -1)
+        halves = 0.5 * (_WEIGHTS @ v[3:6].reshape(3, -1) + _WEIGHTS @ v[6:].reshape(3, -1))
+        miss = np.abs(full - halves).reshape(v.shape[1:]) > tol * np.abs(v).max(initial=0.0)
+        bad |= miss.any(axis=-1)
+    return bad
+
+
+def _companion(rows: np.ndarray) -> np.ndarray:
+    """Companion matrices with the given last rows, shape rows.shape + (d,)."""
+    d = rows.shape[-1]
+    A = np.zeros(rows.shape + (d,), dtype=rows.dtype)
+    A[..., np.arange(d - 1), np.arange(1, d)] = 1.0
+    A[..., d - 1, :] = rows
+    return A
+
+
+def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return X @ Y - Y @ X
+
+
+def _magnus_generator(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus generator of cells of width h (shape S) from the
+    companion rows at their three Gauss nodes (shape (3,) + S + (K, d)), in
+    the commutator form of Blanes, Casas & Ros (2000)."""
+    A1, A2, A3 = _companion(rows)
+    h = h[..., None, None, None]
+    a1 = h * A2
+    a2 = (h * (math.sqrt(15.0) / 3.0)) * (A3 - A1)
+    a3 = (h * (10.0 / 3.0)) * (A3 - 2.0 * A2 + A1)
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """The coefficients of one breakpoint interval [lo, hi] for a lambda batch."""
+
+    op: LinearOperator
+    lo: float
+    hi: float
+    lam_eff: np.ndarray
+    constant: bool
+
+    def member(self, k: int) -> "_Piece":
+        return replace(self, lam_eff=self.lam_eff[k:k + 1])
+
+    def values(self, ts: np.ndarray) -> list:
+        """a_0, ..., a_{d-1} at the times ts, each of shape ts.shape + (1,),
+        or ts.shape + (K,) when its expression uses lambda: one evaluation
+        per coefficient serves the whole batch."""
+        mid = 0.5 * (self.lo + self.hi)
+        vals = []
+        for k in range(self.op.order):
+            seg = self.op.coeff_segment_at(k, mid)
+            lam = self.lam_eff if uses_lambda(seg.expr) else 0.0
+            vals.append(np.broadcast_to(seg.evaluate(ts[..., None], lam),
+                                        ts.shape + (np.size(lam),)))
+        return vals
+
+    def sample(self, t0: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Companion rows the generators of the steps [t0, t0 + h] need: at
+        the midpoint of a constant piece, else at every step's Gauss nodes."""
+        if self.constant:
+            ts = np.array(0.5 * (self.lo + self.hi))
+        else:
+            ts = t0 + h * _GAUSS.reshape((3,) + (1,) * np.ndim(h))
+        return _companion_rows(self.values(ts), self.lam_eff)
+
+    def generators(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Omega of steps of width h (shape S) from their samples, S + (K, d, d)."""
+        if self.constant:
+            return h[..., None, None, None] * _companion(rows)
+        return _magnus_generator(rows, h)
+
+    def cells(self, nodes: np.ndarray, rate: float, tol: float, spare: int):
+        """Cells (t0, h, segment index) of the segments between the nodes and
+        their companion rows: a uniform count per segment from rate and tol,
+        then halvings of every cell whose coefficients the Gauss rule does
+        not resolve to tol."""
+        nseg = len(nodes) - 1
+        if self.constant:
+            return nodes[:-1], np.diff(nodes), np.arange(nseg), self.sample(None, None)
+        scale = max(rate, 1.0 / (self.hi - self.lo)) * (nodes[1] - nodes[0])
+        m = max(1, math.ceil(_CELLS_PER_RATE * scale * tol ** (-1.0 / 6.0)))
+        edges = nodes[:-1, None] + np.diff(nodes)[:, None] * (np.arange(m + 1) / m)
+        edges[:, -1] = nodes[1:]
+        t0, h = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
+        seg = np.repeat(np.arange(nseg), m)
+        check_tol = max(tol, 64 * np.finfo(float).eps)
+        for _ in range(_MAX_SPLITS + 1):
+            if len(t0) > spare:
+                raise _over_budget(len(t0))
+            vals = self.values(t0 + h * _CHECK_NODES[:, None])
+            bad = _unresolved(vals, check_tol)
+            if not bad.any():
+                return t0, h, seg, _companion_rows([v[:3] for v in vals], self.lam_eff)
+            idx = np.repeat(np.arange(len(t0)), 1 + bad)
+            second = np.zeros(len(idx), dtype=bool)
+            second[1:] = idx[1:] == idx[:-1]
+            h = h[idx] / (1 + bad[idx])
+            t0 = t0[idx] + second * h
+            seg = seg[idx]
+        raise IntegrationError(f"coefficients not resolved on [{self.lo:g}, {self.hi:g}] "
+                               f"after {_MAX_SPLITS} cell halvings")
 
 
 @dataclass
-class _ExpmSegment:
-    """Constant-coefficient segment: Phi_local(t) = expm(A (t - t0))."""
+class _MagnusSegment:
+    """One segment as a product of Magnus cells with boundaries edges (m+1,).
 
-    t0: float
-    t1: float
-    A: np.ndarray  # (K, d, d)
-    _end: np.ndarray = field(default=None, repr=False)
+    prefixes[i] (m, K, d, d) is the propagator from the segment start to the
+    end of cell i, kept only with dense output.
+    """
 
-    def __post_init__(self):
-        if self._end is None:
-            self._end = expm(self.A * (self.t1 - self.t0))
+    piece: _Piece
+    edges: np.ndarray
+    _end: np.ndarray            # (K, d, d)
+    prefixes: np.ndarray = None
 
     def end_matrix(self) -> np.ndarray:
         return self._end
 
-    def member(self, k: int) -> "_ExpmSegment":
-        return _ExpmSegment(self.t0, self.t1, self.A[k:k + 1], self._end[k:k + 1])
+    def member(self, k: int) -> "_MagnusSegment":
+        prefixes = None if self.prefixes is None else self.prefixes[:, k:k + 1]
+        return _MagnusSegment(self.piece.member(k), self.edges, self._end[k:k + 1], prefixes)
 
-    def local_phi(self, ts: np.ndarray) -> np.ndarray:
-        dt = np.asarray(ts, dtype=float) - self.t0
-        stacked = self.A[None, :, :, :] * dt[:, None, None, None]
-        K, d = self.A.shape[0], self.A.shape[1]
-        out = expm(stacked.reshape(-1, d, d))
-        return out.reshape(len(dt), K, d, d)
+
+def _partial_steps(segments: list, parts: list, ts: np.ndarray) -> np.ndarray:
+    """Phi relative to each point's segment start, shape (nt, K, d, d): one
+    partial Magnus step from the start of the cell that holds t, times the
+    propagator up to that cell.  parts pairs segment indices with the masks
+    of their points; the points of one breakpoint interval share one
+    exponential call."""
+    cell = np.empty(len(ts), dtype=int)
+    t0 = np.empty(len(ts))
+    piece_of = np.empty(len(ts), dtype=int)
+    pieces = []
+    for k, mask in parts:
+        edges, piece = segments[k].edges, segments[k].piece
+        cell[mask] = np.clip(np.searchsorted(edges, ts[mask], side="right") - 1, 0, len(edges) - 2)
+        t0[mask] = edges[cell[mask]]
+        if not pieces or pieces[-1].lo != piece.lo:
+            pieces.append(piece)
+        piece_of[mask] = len(pieces) - 1
+    h = ts - t0
+    K, d = len(pieces[0].lam_eff), pieces[0].op.order
+    out = np.empty((len(ts), K, d, d), dtype=pieces[0].lam_eff.dtype)
+    for i, piece in enumerate(pieces):
+        sel = piece_of == i
+        out[sel] = expm(piece.generators(piece.sample(t0[sel], h[sel]), h[sel]))
+    for k, mask in parts:
+        inner = mask & (cell > 0)
+        out[inner] = out[inner] @ segments[k].prefixes[cell[inner] - 1]
+    return out
+
+
+def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
+                     dense: bool, spare: int) -> list:
+    """Propagate every segment of one piece: blocks of cells for the
+    generators and their exponentials, multiplied into each segment's end
+    matrix (and, dense, its per-cell prefixes).  A segment with fewer cells
+    than the most is padded with zero-width cells, whose propagator is I."""
+    t0, h, seg, rows = piece.cells(nodes, rate, tol, spare)
+    nseg, K, d = len(nodes) - 1, len(piece.lam_eff), rows.shape[-1]
+    counts = np.bincount(seg, minlength=nseg)
+    first = np.cumsum(counts) - counts
+    rank = np.arange(counts.max())
+    pad = rank >= counts[:, None]
+    table = np.where(pad, first[:, None], first[:, None] + rank)
+    width = np.where(pad, 0.0, h[table])
+    ends = np.empty((nseg, K, d, d), dtype=rows.dtype)
+    prefixes = np.empty((nseg, len(rank), K, d, d), dtype=rows.dtype) if dense else None
+    cells = max(1, _BLOCK_MATRICES // K)
+    chunk = min(len(rank), cells)
+    group = max(1, cells // chunk)
+    for g0 in range(0, nseg, group):
+        segs = slice(g0, g0 + group)
+        P = None
+        for c0 in range(0, len(rank), chunk):
+            span = slice(c0, c0 + chunk)
+            block = rows if piece.constant else rows[:, table[segs, span]]
+            E = expm(piece.generators(block, width[segs, span]))
+            for i in range(E.shape[1]):
+                P = E[:, i] if P is None else E[:, i] @ P
+                if dense:
+                    prefixes[segs, c0 + i] = P
+        ends[segs] = P
+    return [_MagnusSegment(piece, np.append(t0[first[j]:first[j] + counts[j]], nodes[j + 1]),
+                           ends[j], None if prefixes is None else prefixes[j, :counts[j]])
+            for j in range(nseg)]
 
 
 @dataclass
 class _RkSegment:
-    """Variable-coefficient segment solved by an adaptive RK 5(4) pair."""
+    """Segment solved by an adaptive RK 5(4) pair (the reference path)."""
 
     t0: float
     t1: float
@@ -122,36 +392,14 @@ class _RkSegment:
         return _RkSegment(self.t0, self.t1, 1, self.d, sol, self._end[k:k + 1])
 
     def local_phi(self, ts: np.ndarray) -> np.ndarray:
-        if self.sol is None:
-            raise IntegrationError("fundamental system was integrated without dense output")
-        ts = np.asarray(ts, dtype=float)
         vals = self.sol(ts)  # (K*d*d, nt)
         return vals.T.reshape(len(ts), self.K, self.d, self.d)
 
 
-def _companion_batch(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
-                     t: float) -> np.ndarray:
-    """Companion matrices A(t) for every lambda in the batch, shape (K, d, d)."""
+def _rk_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
+                tol: float, dense: bool) -> _RkSegment:
     d = op.order
     K = len(lam_eff)
-    A = np.zeros((K, d, d))
-    idx = np.arange(d - 1)
-    A[:, idx, idx + 1] = 1.0
-    for k, f in enumerate(_coeff_closures(op, lo, hi)):
-        vals = np.broadcast_to(np.asarray(f(t, lam_eff), dtype=float), (K,)).copy()
-        if k == 0:
-            vals += lam_eff
-        A[:, d - 1, k] = -vals
-    return A
-
-
-def _integrate_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
-                       tol: float, dense: bool, force_rk: bool = False):
-    d = op.order
-    K = len(lam_eff)
-    if op.is_t_constant_on(lo, hi) and not force_rk:
-        return _ExpmSegment(lo, hi, _companion_batch(op, lo, hi, lam_eff, 0.5 * (lo + hi)))
-
     closures = _coeff_closures(op, lo, hi)
     lam_col = lam_eff[:, None]
 
@@ -161,16 +409,16 @@ def _integrate_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.nda
         dU[:, : d - 1, :] = U[:, 1:, :]
         acc = -(np.reshape(closures[0](t, lam_eff), (-1, 1)) + lam_col) * U[:, 0, :]
         for k in range(1, d):
-            ak = np.asarray(closures[k](t, lam_eff), dtype=float)
+            ak = np.asarray(closures[k](t, lam_eff))
             if ak.ndim == 0:
                 if ak != 0.0:
-                    acc -= float(ak) * U[:, k, :]
+                    acc -= ak * U[:, k, :]
             else:
                 acc -= ak[:, None] * U[:, k, :]
         dU[:, d - 1, :] = acc
         return dU.ravel()
 
-    y0 = np.broadcast_to(np.eye(d), (K, d, d)).ravel().copy()
+    y0 = np.broadcast_to(np.eye(d, dtype=lam_eff.dtype), (K, d, d)).ravel().copy()
     result = solve_ivp(
         rhs,
         (lo, hi),
@@ -210,32 +458,38 @@ class FundamentalSystem:
         return len(self.lams)
 
     @property
-    def lam(self) -> float:
+    def lam(self) -> float | complex:
         if self.K != 1:
             raise ValueError("fundamental system holds a lambda batch; index it first")
-        return float(self.lams[0])
+        return self.lams[0].item()
 
     def segment_index(self, t) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.searchsorted(self.nodes[1:-1], ts, side="right")
         return idx
 
-    def local_phi(self, seg: int, ts: np.ndarray) -> np.ndarray:
-        """Phi relative to the segment start, shape (nt, K, d, d)."""
-        return self.segments[seg].local_phi(np.asarray(ts, dtype=float))
+    def local_phi(self, seg, ts) -> np.ndarray:
+        """Phi relative to the start of segment seg (one index, or one per
+        t), shape (nt, K, d, d)."""
+        if not self.dense:
+            raise IntegrationError("fundamental system was integrated without dense output")
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        seg = np.broadcast_to(seg, ts.shape)
+        parts = [(k, seg == k) for k in np.unique(seg)]
+        if parts and isinstance(self.segments[0], _MagnusSegment):
+            return _partial_steps(self.segments, parts, ts)
+        out = np.empty((len(ts), self.K, self.d, self.d), dtype=self.prefixes.dtype)
+        for k, mask in parts:
+            out[mask] = self.segments[k].local_phi(ts[mask])
+        return out
 
     def phi_all(self, ts) -> np.ndarray:
         """Global Phi(t) for an array of times, shape (nt, K, d, d)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if np.any(ts < self.nodes[0] - 1e-12) or np.any(ts > self.nodes[-1] + 1e-12):
             raise ValueError("time outside the integration interval")
-        out = np.empty((len(ts), self.K, self.d, self.d))
         idx = self.segment_index(ts)
-        for seg in np.unique(idx):
-            mask = idx == seg
-            local = self.local_phi(seg, ts[mask])
-            out[mask] = np.einsum("nkij,kjl->nkil", local, self.prefixes[seg])
-        return out
+        return self.local_phi(idx, ts) @ self.prefixes[idx]
 
     def phi(self, ts) -> np.ndarray:
         """Single-lambda convenience: shape (nt, d, d)."""
@@ -257,20 +511,31 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
                force_rk: bool = False) -> FundamentalSystem:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lam_eff = np.asarray(lams, dtype=float) + op.lam
-    nodes = _segment_nodes(op, lam_eff)
-    d = op.order
-    K = len(lam_eff)
+    lams = np.asarray(lams)
+    lams = lams.astype(np.result_type(lams, float))
+    lam_eff = lams + op.lam
+    plan = _segment_nodes(op, lam_eff)
     segments = []
-    prefixes = np.empty((len(nodes), K, d, d))
+    for lo, hi, nodes, rate in plan:
+        if force_rk:
+            segments += [_rk_segment(op, a, b, lam_eff, tol, dense)
+                         for a, b in zip(nodes[:-1], nodes[1:])]
+        else:
+            piece = _Piece(op, lo, hi, lam_eff, op.is_t_constant_on(lo, hi))
+            spare = MAX_CELLS - sum(len(seg.edges) - 1 for seg in segments)
+            segments += _magnus_segments(piece, nodes, rate, tol, dense, spare)
+    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
+    d = op.order
+    prefixes = np.empty((len(nodes), len(lams), d, d), dtype=lam_eff.dtype)
     prefixes[0] = np.eye(d)
-    for i, (lo, hi) in enumerate(zip(nodes[:-1], nodes[1:])):
-        seg = _integrate_segment(op, lo, hi, lam_eff, tol, dense, force_rk)
-        segments.append(seg)
-        prefixes[i + 1] = np.einsum("kij,kjl->kil", seg.end_matrix(), prefixes[i])
+    # Phi(t) may overflow on strongly growing problems; kernels and char_det
+    # use only the segment propagators
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, seg in enumerate(segments):
+            prefixes[i + 1] = seg.end_matrix() @ prefixes[i]
     return FundamentalSystem(
         op=op,
-        lams=np.asarray(lams, dtype=float),
+        lams=lams,
         tol=tol,
         nodes=nodes,
         segments=segments,
@@ -283,18 +548,17 @@ def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEF
                           dense: bool = True, force_rk: bool = False) -> FundamentalSystem:
     """Fundamental system of L[lam] u = 0 with canonical initial data at t=0.
 
-    force_rk disables the exact matrix-exponential fast path for
-    piecewise-constant coefficients (used to exercise the adaptive
-    integrator against closed forms).
+    force_rk selects the RK45 reference path: an adaptive Dormand-Prince
+    integration on every segment, constant ones included, independent of
+    the Magnus propagator (used to check it against closed forms).
     """
-    return _integrate(op, np.array([float(lam)]), tol, dense, force_rk)
+    return _integrate(op, np.array([lam]), tol, dense, force_rk)
 
 
 def integrate_fundamental_batch(op: LinearOperator, lams, tol: float = DEFAULT_TOL,
                                 dense: bool = False, force_rk: bool = False) -> FundamentalSystem:
     """One integration sweep shared by a whole vector of lambda values."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return _integrate(op, lams, tol, dense, force_rk)
+    return _integrate(op, np.atleast_1d(np.asarray(lams)), tol, dense, force_rk)
 
 
 _COND_LIMIT = 1e13

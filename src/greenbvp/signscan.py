@@ -22,7 +22,7 @@ import numpy as np
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator
 from .integrate import DEFAULT_TOL, integrate_fundamental_batch
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
-from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue
+from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue, splittable
 
 __all__ = [
     "NONNEGATIVE",
@@ -229,7 +229,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     def flip(good: float, bad: float) -> float:
         # the binary search visits the lambdas bisection would visit
-        while abs(bad - good) > lam_tol:
+        while splittable(good, bad, lam_tol):
             x = dyadic_points(good, bad)
             fs = integrate_fundamental_batch(op, x[1:-1], tol=tol, dense=True)
             lo, hi = 0, SECTIONS

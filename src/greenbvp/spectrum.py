@@ -98,15 +98,23 @@ def dyadic_points(a, b) -> np.ndarray:
     return x
 
 
+def splittable(a, b, lam_tol):
+    """Brackets wider than lam_tol whose midpoint lies strictly inside them.
+    Below the float spacing at a root the dyadic points collapse onto the
+    ends and another k-section round would not shrink the bracket."""
+    mid = 0.5 * (a + b)
+    return (np.abs(b - a) > lam_tol) & (np.minimum(a, b) < mid) & (mid < np.maximum(a, b))
+
+
 def _refine_brackets(det_batch, brackets, lam_tol):
     """k-section of all brackets in lockstep: each round evaluates the
-    SECTIONS - 1 dyadic probes of every bracket wider than lam_tol in one
-    batched determinant sweep and keeps the first sub-cell whose ends differ
-    in sign; then a short secant polish, also batched."""
+    SECTIONS - 1 dyadic probes of every splittable bracket in one batched
+    determinant sweep and keeps the first sub-cell whose ends differ in
+    sign; then a short secant polish, also batched."""
     if not brackets:
         return []
     a, b, fa = (np.array(col, dtype=float) for col in zip(*brackets))
-    while (live := b - a > lam_tol).any():
+    while (live := splittable(a, b, lam_tol)).any():
         x = dyadic_points(a[live], b[live])
         f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
         f = np.concatenate([fa[live, None], f], axis=1)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,22 @@ def test_green_resonant_exits_3(tmp_path, capsys):
     code = main(["green", "--config", config, "--grid", "5", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "resonant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n": 1, "coefficients": ["0", "0"], "kind": "dirichlet", "lambda": 1e12},
+    {"coefficients": ["exp(exp(5*t))", "0", "0", "0"]},
+], ids=["lambda-1e12", "exp-exp"])
+def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
+    # both need far more segments than the integration budget (MAX_CELLS):
+    # refused before any allocation, in bounded time
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "grid.csv"
+    t0 = time.perf_counter()
+    code = main(["green", "--config", config, "--grid", "21", "--out", str(out)])
+    assert time.perf_counter() - t0 < 10.0
+    assert code == EXIT_NUMERICAL
+    assert "integration cells needed" in capsys.readouterr().err
 
 
 def test_spectrum_reports_mixed2_eigenvalue(tmp_path, capsys):

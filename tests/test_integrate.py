@@ -1,13 +1,23 @@
+import cmath
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from greenbvp import (
+    BCKind,
     LinearOperator,
+    ProblemSpec,
+    boundary_matrix,
     cauchy_value,
+    extend_to_double,
+    extend_to_quadruple,
     integrate_fundamental,
     integrate_fundamental_batch,
     transition,
 )
+from greenbvp.integrate import expm
 
 
 def test_double_integrator_fundamental(second_order_op):
@@ -131,3 +141,86 @@ def test_invalid_tolerance():
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     with pytest.raises(ValueError):
         integrate_fundamental(op, tol=0.0)
+
+
+def _mp_fundamental_end(pieces, lam):
+    """Phi at the end of u'''' + (a0(t) + lam) u = 0 from mpmath's Taylor
+    series integrator (20 digits), restarted at every piece boundary."""
+    with mpmath.workdps(20):
+        phi = mpmath.eye(4)
+        for lo, hi, a0 in pieces:
+            cols = []
+            for j in range(4):
+                sol = mpmath.odefun(lambda t, y: [y[1], y[2], y[3], -(a0(t) + lam) * y[0]],
+                                    lo, [phi[i, j] for i in range(4)])
+                cols.append(sol(hi))
+            phi = mpmath.matrix([[cols[j][i] for j in range(4)] for i in range(4)])
+        return np.array(phi.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("case", ["quartic N[T]", "parabolic P[4T]"])
+def test_magnus_matches_mpmath_reference(quartic_weight_op, parabolic_weight_op, case):
+    # the coefficient pieces are written out here, independent of the
+    # package's reflection code: t(t-3) is even about 3/2, so its quadruple
+    # extension is s(s-3) with s = t mod 3
+    if case == "quartic N[T]":
+        op, lam, pieces = quartic_weight_op, 0.5, [(0, 2, lambda t: (t - 2) ** 4)]
+    else:
+        op, lam = extend_to_quadruple(parabolic_weight_op), 2.0
+        pieces = [(0, 3, lambda t: t * (t - 3)), (3, 6, lambda t: (t - 3) * (t - 6))]
+    ref = _mp_fundamental_end(pieces, lam)
+    phi = integrate_fundamental(op, lam, dense=False).phi_end()[0]
+    assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_large_batch_members_match_single_runs(quartic_weight_op):
+    op = extend_to_double(quartic_weight_op)
+    lams = np.linspace(-110.0, 1.0, 401)
+    ends = integrate_fundamental_batch(op, lams).phi_end()
+    for k in (0, 100, 200, 321, 400):
+        single = integrate_fundamental(op, lams[k], dense=False).phi_end()[0]
+        assert np.abs(ends[k] - single).max() <= 1e-10 * np.abs(single).max()
+
+
+def test_complex_lambda_closed_form():
+    # u'' + lam u: Phi = [[cos wt, sin(wt)/w], [-w sin wt, cos wt]], w = sqrt(lam),
+    # and the Dirichlet determinant is sin(w)/w
+    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    lam = 30.0 + 7.5j
+    w = cmath.sqrt(lam)
+    for force_rk in (False, True):
+        fs = integrate_fundamental(op, lam, tol=1e-12, force_rk=force_rk)
+        assert fs.lam == lam
+        for t in (0.3, 1.0):
+            exact = np.array([[cmath.cos(w * t), cmath.sin(w * t) / w],
+                              [-w * cmath.sin(w * t), cmath.cos(w * t)]])
+            assert np.abs(fs.phi([t])[0] - exact).max() < 1e-10 * np.abs(exact).max()
+        det = np.linalg.det(boundary_matrix(ProblemSpec(op, BCKind.DIRICHLET, lam), fs))
+        assert abs(det - cmath.sin(w) / w) < 1e-10
+
+
+@pytest.mark.parametrize("a0", ["sin(50*t)", "abs(t-0.3)", "1/(t+0.01)"])
+def test_rough_coefficients_are_refined(a0):
+    # oscillating, kinked and steep coefficients: cells are halved until the
+    # Gauss rule resolves them, so Phi(T) meets the RK45 reference
+    op = LinearOperator.from_exprs(1, 1.0, [a0, "0"])
+    ref = integrate_fundamental(op, 0.0, tol=1e-12, dense=False, force_rk=True).phi_end()[0]
+    phi = integrate_fundamental(op, 0.0, dense=False).phi_end()[0]
+    assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_cell_exponential_per_matrix_scaling():
+    # stiff companion generators of widely different norms: each agrees with
+    # scipy's expm, and a matrix gets bit for bit the same result alone as
+    # inside the stack
+    stack = []
+    for lam, h in [(4e6, 0.067), (1e3, 0.3), (-2.0, 0.05), (0.0, 1e-3)]:
+        A = np.diag(np.ones(3), 1)
+        A[3, 0] = -lam
+        stack.append(h * A)
+    stack = np.array(stack)
+    together = expm(stack)
+    for k, X in enumerate(stack):
+        ref = scipy_expm(X)
+        assert np.abs(together[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(expm(X[None])[0], together[k])

@@ -235,3 +235,37 @@ def test_refine_brackets_k_section_rounds():
     found = _refine_brackets(det_batch, brackets, lam_tol)
     assert np.abs(np.array([x for x, _ in found]) - roots).max() <= lam_tol
     assert len(calls) <= math.ceil(math.log(w0 / lam_tol, 16)) + 5
+
+
+def test_refine_brackets_stops_at_float_spacing():
+    # lam_tol below the float spacing at pi^2 (1.8e-15): the bracket ends on
+    # neighbouring floats and k-section stops instead of spinning
+    calls = []
+
+    def det_batch(xs):
+        calls.append(len(xs))
+        if len(calls) > 30:
+            raise AssertionError("k-section does not terminate")
+        return np.sin(np.sqrt(np.asarray(xs, dtype=float)))
+
+    [(x, width)] = _refine_brackets(det_batch, [(5.0, 15.0, det_batch([5.0])[0])], 1e-16)
+    assert x == pytest.approx(math.pi ** 2, rel=1e-14)
+    assert width <= 4 * np.spacing(math.pi ** 2)
+
+
+def test_find_eigenvalues_lam_tol_below_float_spacing(monkeypatch):
+    import greenbvp.spectrum as spectrum
+
+    scans = []
+    scan = spectrum.char_det_scan
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        if len(scans) > 60:
+            raise AssertionError("search does not terminate")
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "char_det_scan", counted)
+    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    spec = find_eigenvalues(op, BCKind.DIRICHLET, (5.0, 15.0), lam_tol=1e-16)
+    assert [e.lam for e in spec.eigenvalues] == [pytest.approx(math.pi ** 2, rel=1e-12)]
