@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprAst, compile_expr, parse_expression
-from .greens import BCKind, GreensEvaluator, ProblemSpec, build_greens
+from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source
 from .integrate import DEFAULT_TOL
 from .operators import LinearOperator, extend_to_double
 from .signscan import NONNEGATIVE, NONPOSITIVE, ZERO_ON_GRID, classify_sign
@@ -140,16 +140,17 @@ def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41,
     premise >= 0 gives A >= |B|, premise <= 0 gives A <= -|B| on the base
     square, for the pairs (N, D), (N, M1) and (M2, D)."""
     op2 = extend_to_double(op)
+    kernel = kernel_source(lam, tol)
     ts = np.linspace(0.0, op.length, m)
     rows = []
     for tag, (premise_kind, primary, secondary) in THEOREM_TAGS.items():
-        premise_class = _premise_classification(op2, premise_kind, lam, tol)
+        premise_class = _premise_classification(kernel, op2, premise_kind)
         name = f"{tag}: {premise_kind.value}[2T] {premise_class}"
         if premise_class not in (NONNEGATIVE, NONPOSITIVE):
             rows.append(DominationRow(name, premise_class, False, True, 0.0, (0.0, 0.0)))
             continue
-        A = build_greens(ProblemSpec(op, primary, lam), tol=tol).eval_grid(ts, ts)
-        B = build_greens(ProblemSpec(op, secondary, lam), tol=tol).eval_grid(ts, ts)
+        A = kernel(op, primary).eval_grid(ts, ts)
+        B = kernel(op, secondary).eval_grid(ts, ts)
         scale = max(np.abs(A).max(), np.abs(B).max())
         if premise_class == NONNEGATIVE:
             diff = A - np.abs(B)
@@ -160,10 +161,9 @@ def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41,
     return rows
 
 
-def _premise_classification(op2, kind, lam, tol):
-    from .greens import ResonantProblemError
+def _premise_classification(kernel, op2, kind):
     try:
-        GP = build_greens(ProblemSpec(op2, kind, lam), tol=tol)
+        GP = kernel(op2, kind)
     except ResonantProblemError:
         return "resonant"
     return classify_sign(GP).classification
@@ -223,14 +223,14 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
         if not (np.all(s2 <= htol) and np.all(s1 <= s2 + htol)):
             raise HypothesisError("case 3 needs sigma1 <= sigma2 <= 0 on the interval")
 
-    op2 = extend_to_double(op)
-    premise_class = _premise_classification(op2, premise_kind, lam, tol)
+    kernel = kernel_source(lam, tol)
+    premise_class = _premise_classification(kernel, extend_to_double(op), premise_kind)
     required = NONNEGATIVE if case == 1 else NONPOSITIVE
     if premise_class not in (required, ZERO_ON_GRID):
         return ComparisonReport(tag, case, False, premise_class, True, [])
 
-    u1 = solve_bvp(build_greens(ProblemSpec(op, primary_kind, lam), tol=tol), sigma1, m)
-    u2 = solve_bvp(build_greens(ProblemSpec(op, secondary_kind, lam), tol=tol), sigma2, m)
+    u1 = solve_bvp(kernel(op, primary_kind), sigma1, m)
+    u2 = solve_bvp(kernel(op, secondary_kind), sigma2, m)
     scale = max(np.abs(u1.values).max(), np.abs(u2.values).max(), 1e-300)
     slack = SLACK_REL * scale
 

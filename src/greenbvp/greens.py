@@ -14,6 +14,11 @@ the solution graph {(x, Phi(T) x)}, marched over the segments so that Phi(T)
 is never formed.  det M is the characteristic function whose zeros are the
 eigenvalues, and sigma_min(M) is the resonance margin of a kernel; both are
 bounded by one and do not depend on the segment count.
+
+All boundary families of one operator and lambda solve the same equation:
+their kernels share one fundamental system, whose segment end matrices,
+graph basis W and grid factors (segment indices and local Phi of a point
+set) are computed once.  Only C, the margin and the sparse LU are per family.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "char_det",
     "char_det_scan",
     "build_greens",
+    "kernel_source",
     "GreensEvaluator",
 ]
 
@@ -165,19 +171,22 @@ def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
     """M = C W / ||C||_2 for every lambda of the batch, shape (K, d, d).
 
     W is an orthonormal basis of the solution graph {(x, Phi(T) x)}, marched
-    segment by segment with one QR step each.  The columns of every Q are
-    signed so that R has a positive diagonal; W is then [I; Phi(T)] times an
-    upper triangular matrix with positive diagonal, so det M is
-    det(C [I; Phi(T)]) times a positive factor and changes sign exactly where
-    the boundary determinant does.  |det M| <= sigma_min(M) <= 1.
+    segment by segment with one QR step each and kept on the system.  Each Q
+    column is scaled by conj(r_jj)/|r_jj| (1 if r_jj = 0), so W is [I; Phi(T)]
+    times an upper triangular matrix with positive diagonal and det M is
+    det(C [I; Phi(T)]) times a positive factor: it has the argument (for real
+    lambda, the sign) of the boundary determinant.  |det M| <= sigma_min(M) <= 1.
     """
-    d = fs.d
-    X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
-    for seg in fs.segments:
-        W, R = np.linalg.qr(np.concatenate([X, seg.end_matrix() @ Y], axis=1))
-        W = W * np.copysign(1.0, np.diagonal(R, axis1=1, axis2=2))[:, None, :]
-        X, Y = W[:, :d], W[:, d:]
-    return C @ np.concatenate([X, Y], axis=1) / np.linalg.norm(C, 2)
+    if "graph" not in fs.memo:
+        d = fs.d
+        X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
+        for seg in fs.segments:
+            W, R = np.linalg.qr(np.concatenate([X, seg.end_matrix() @ Y], axis=1))
+            r = R.diagonal(axis1=1, axis2=2)
+            W = W * ((r.conj() + (r == 0)) / (abs(r) + (r == 0)))[:, None, :]
+            X, Y = W[:, :d], W[:, d:]
+        fs.memo["graph"] = np.concatenate([X, Y], axis=1)
+    return C @ fs.memo["graph"] / np.linalg.norm(C, 2)
 
 
 def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -224,7 +233,9 @@ class GreensEvaluator:
         self.length = float(fs.nodes[-1])
         self.nodes = fs.nodes
         self.nseg = len(fs.segments)
-        self._ends = np.stack([seg.end_matrix()[0] for seg in fs.segments])
+        if "ends" not in fs.memo:
+            fs.memo["ends"] = np.stack([seg.end_matrix()[0] for seg in fs.segments])
+        self._ends = fs.memo["ends"]
         C = _boundary_coeffs(problem.kind, problem.operator.n)
         self.resonance_margin = float(np.linalg.norm(_graph_matrix(C, fs)[0], -2))
         if self.resonance_margin < RESONANCE_THRESHOLD:
@@ -253,14 +264,23 @@ class GreensEvaluator:
 
     def _factor(self, pts) -> _GridFactor:
         """Segment indices and local Phi of one point set, for either axis of
-        eval_grid, so a set shared by several grids is integrated once."""
+        eval_grid; the last eight sets of over one point stay on the system."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         eps = 1e-12 * max(1.0, self.length)
         if pts.size and (pts.min() < -eps or pts.max() > self.length + eps):
             raise ValueError("grid points outside the problem interval")
         pts = np.clip(pts, 0.0, self.length)
+        factors = self.fs.memo.setdefault("factors", {})
+        key = pts.tobytes()
+        if key in factors:
+            return factors[key]
         seg = self.fs.segment_index(pts)
-        return _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
+        factor = _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
+        if pts.size > 1:
+            if len(factors) >= 8:
+                del factors[next(iter(factors))]
+            factors[key] = factor
+        return factor
 
     def _node_states(self, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Solve the block system for every s: result (N+1, d, ns)."""
@@ -321,3 +341,20 @@ def build_greens(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> GreensEvalua
     (resonance margin below the resonance threshold)."""
     fs = integrate_fundamental(problem.operator, problem.lam, tol=tol, dense=True)
     return GreensEvaluator(problem, fs)
+
+
+def kernel_source(lam: float, tol: float = DEFAULT_TOL):
+    """kernel(op, kind) -> the kernel of (op, kind) at lam, kept for repeated
+    requests.  Each distinct operator is integrated once, on first use, and its
+    kernels share that system; a resonant problem raises on every request."""
+    systems, kernels = {}, {}
+
+    def kernel(op: LinearOperator, kind: BCKind) -> GreensEvaluator:
+        G = kernels.get((op, kind))
+        if G is None:
+            if op not in systems:
+                systems[op] = integrate_fundamental(op, lam, tol=tol, dense=True)
+            G = kernels[op, kind] = GreensEvaluator(ProblemSpec(op, kind, lam), systems[op])
+        return G
+
+    return kernel

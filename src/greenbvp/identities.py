@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import BCKind, GreensEvaluator, ProblemSpec, ResonantProblemError, build_greens
+from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source
 from .integrate import DEFAULT_TOL
-from .operators import LinearOperator, extend_to_double, extend_to_quadruple, reflect
+from .operators import LinearOperator, reflect
+from .signscan import kernel_table
 
 __all__ = [
     "IdentityReport",
@@ -171,12 +172,16 @@ def check_mixed_reflection(op: LinearOperator, lam: float, m: int = DEFAULT_GRID
     """Residuals of the two mixed-problem reflection identities:
     G_M1(T-t, T-s) equals the mixed-2 kernel of the reflected operator
     (and vice versa)."""
+    return _mixed_reflection(kernel_source(lam, build_tol), op, lam, m, tol)
+
+
+def _mixed_reflection(kernel, op, lam, m, tol) -> list[IdentityReport]:
     ref = reflect(op)
     T = op.length
-    GM1 = build_greens(ProblemSpec(op, BCKind.MIXED1, lam), tol=build_tol)
-    GM2 = build_greens(ProblemSpec(op, BCKind.MIXED2, lam), tol=build_tol)
-    GM1r = build_greens(ProblemSpec(ref, BCKind.MIXED1, lam), tol=build_tol)
-    GM2r = build_greens(ProblemSpec(ref, BCKind.MIXED2, lam), tol=build_tol)
+    GM1 = kernel(op, BCKind.MIXED1)
+    GM2 = kernel(op, BCKind.MIXED2)
+    GM1r = kernel(ref, BCKind.MIXED1)
+    GM2r = kernel(ref, BCKind.MIXED2)
     ts = np.linspace(0.0, T, m)
     reports = []
     diff = GM1.eval_grid(T - ts, T - ts) - GM2r.eval_grid(ts, ts)
@@ -205,16 +210,14 @@ def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID,
 ALL_TAGS = (list(DECOMPOSITION_TAGS) + list(CONNECTING_TAGS)
             + ["symmetry", "mixed-reflection", "slope-one"])
 
-_BASE_KINDS = {"N": BCKind.NEUMANN, "D": BCKind.DIRICHLET,
-               "M1": BCKind.MIXED1, "M2": BCKind.MIXED2}
-_BIG_KINDS = {"P2T": BCKind.PERIODIC, "A2T": BCKind.ANTIPERIODIC,
-              "N2T": BCKind.NEUMANN, "D2T": BCKind.DIRICHLET}
-
 
 def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_GRID,
                    tol: float = DEFAULT_TOLERANCE, build_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the requested identity checks (default: all applicable) for the
     base operator at one lambda, sharing kernel builds across identities.
+    Each operator (the base one, its extensions and its reflection) is
+    integrated once, and its kernels share that system, its graph basis and
+    its grid factors.
 
     Problems that fail to build or whose resonance margin (the smallest
     singular value of the boundary functionals on the orthonormal solution
@@ -223,27 +226,16 @@ def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_G
     skipped reports.
     """
     tags = list(tags) if tags else list(ALL_TAGS)
-    op2 = extend_to_double(op)
-    op4 = extend_to_quadruple(op)
-
-    cache: dict[str, GreensEvaluator | None] = {}
+    table = kernel_table(op)
+    op2 = table["P2T"][0]
+    kernels = kernel_source(lam, build_tol)
 
     def kernel(code: str) -> GreensEvaluator | None:
-        if code in cache:
-            return cache[code]
-        if code in _BASE_KINDS:
-            problem = ProblemSpec(op, _BASE_KINDS[code], lam)
-        elif code in _BIG_KINDS:
-            problem = ProblemSpec(op2, _BIG_KINDS[code], lam)
-        else:
-            problem = ProblemSpec(op4, BCKind.PERIODIC, lam)
         try:
-            G = build_greens(problem, tol=build_tol)
+            G = kernels(*table[code])
         except ResonantProblemError:
-            cache[code] = None
             return None
-        cache[code] = None if G.resonance_margin < SKIP_MARGIN else G
-        return cache[code]
+        return None if G.resonance_margin < SKIP_MARGIN else G
 
     def skip(tag, codes):
         missing = [c for c in codes if kernel(c) is None]
@@ -271,7 +263,7 @@ def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_G
                 reports.append(row or check_symmetry(kernel(code), m, tol=max(tol, 1e-7)))
         elif tag == "mixed-reflection":
             try:
-                reports.extend(check_mixed_reflection(op, lam, m, tol, build_tol))
+                reports.extend(_mixed_reflection(kernels, op, lam, m, tol))
             except Exception as exc:  # resonance in the reflected problems
                 reports.append(IdentityReport("mixed-reflection", lam, m, 0.0,
                                               (0.0, 0.0), True, tol, skipped=True,

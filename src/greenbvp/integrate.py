@@ -448,6 +448,8 @@ class FundamentalSystem:
     segments: list = field(default_factory=list)
     prefixes: np.ndarray = None  # (N+1, K, d, d); prefixes[i] = Phi(nodes[i])
     dense: bool = True
+    # kernel work that depends on the system alone (see greens); members start empty
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:

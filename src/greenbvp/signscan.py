@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator
+from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
+    kernel_source
 from .integrate import DEFAULT_TOL, integrate_fundamental_batch
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
 from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue, splittable
@@ -38,6 +39,7 @@ __all__ = [
     "verify_sign_corollary",
     "reproduce_counterexamples",
     "sweep_extrema",
+    "kernel_table",
     "resolve_kernel",
 ]
 
@@ -278,20 +280,26 @@ _COROLLARY_CASES = [
 ]
 
 
-def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKind]:
-    """Map a kernel code (N, D, M1, M2, P2T, A2T, N2T, D2T, P4T) to the
-    operator on the right interval and its boundary family."""
-    table = {
+def kernel_table(op: LinearOperator) -> dict[str, tuple[LinearOperator, BCKind]]:
+    """Kernel code (N, D, M1, M2, P2T, A2T, N2T, D2T, P4T) -> (operator on its
+    interval, boundary family); the codes of one interval share one operator."""
+    op2 = extend_to_double(op)
+    return {
         "N": (op, BCKind.NEUMANN),
         "D": (op, BCKind.DIRICHLET),
         "M1": (op, BCKind.MIXED1),
         "M2": (op, BCKind.MIXED2),
-        "P2T": (extend_to_double(op), BCKind.PERIODIC),
-        "A2T": (extend_to_double(op), BCKind.ANTIPERIODIC),
-        "N2T": (extend_to_double(op), BCKind.NEUMANN),
-        "D2T": (extend_to_double(op), BCKind.DIRICHLET),
+        "P2T": (op2, BCKind.PERIODIC),
+        "A2T": (op2, BCKind.ANTIPERIODIC),
+        "N2T": (op2, BCKind.NEUMANN),
+        "D2T": (op2, BCKind.DIRICHLET),
         "P4T": (extend_to_quadruple(op), BCKind.PERIODIC),
     }
+
+
+def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKind]:
+    """One entry of kernel_table."""
+    table = kernel_table(op)
     if code not in table:
         raise ValueError(f"unknown kernel code {code!r}")
     return table[code]
@@ -303,14 +311,15 @@ def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101,
     implied sign of the conclusion kernel; violating rows carry the location
     of the offending extremum."""
     rows = []
+    table = kernel_table(op)
     for lam in lam_samples:
+        kernel = kernel_source(lam, tol)
         cache: dict[str, SignReport | str] = {}
 
         def rep(code):
             if code not in cache:
-                o, kind = resolve_kernel(op, code)
                 try:
-                    G = build_greens(ProblemSpec(o, kind, lam), tol=tol)
+                    G = kernel(*table[code])
                 except ResonantProblemError:
                     cache[code] = "resonant"
                 else:

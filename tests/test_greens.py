@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from greenbvp import (
     boundary_matrix,
     build_greens,
     char_det,
+    char_det_scan,
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
@@ -355,3 +357,41 @@ def test_batch_member_kernels_match_single_builds(quartic_weight_op, const_fourt
             member = GreensEvaluator(ProblemSpec(op, kind, lam), batch.member(k)).sample_grid(41)
             single = build_greens(ProblemSpec(op, kind, lam)).sample_grid(41)
             assert np.abs(member - single).max() <= rel * np.abs(single).max()
+
+
+def test_complex_lambda_char_det_has_boundary_determinant_argument(second_order_op):
+    # the graph basis signs its QR columns by conj(r_jj)/|r_jj|, so det M is
+    # the Dirichlet determinant sin(w)/w times a positive factor
+    lam = 30.0 + 7.5j
+    w = cmath.sqrt(lam)
+    det = char_det_scan(second_order_op, BCKind.DIRICHLET, [lam])[0]
+    assert abs(cmath.phase(det / (cmath.sin(w) / w))) < 1e-9
+
+
+def test_shared_system_kernels_equal_separate_builds(quartic_weight_op):
+    # every family built on one fundamental system (sharing its end matrices,
+    # graph basis and grid factors) equals its own build_greens, bit for bit
+    lam = 0.7
+    for op, kinds in [
+        (quartic_weight_op, [BCKind.NEUMANN, BCKind.DIRICHLET, BCKind.MIXED1, BCKind.MIXED2]),
+        (extend_to_double(quartic_weight_op),
+         [BCKind.PERIODIC, BCKind.ANTIPERIODIC, BCKind.NEUMANN, BCKind.DIRICHLET]),
+    ]:
+        fs = integrate_fundamental(op, lam)
+        for kind in kinds:
+            shared = GreensEvaluator(ProblemSpec(op, kind, lam), fs)
+            single = build_greens(ProblemSpec(op, kind, lam))
+            assert np.array_equal(shared.sample_grid(41), single.sample_grid(41))
+            assert shared.resonance_margin == single.resonance_margin
+
+
+def test_pointwise_calls_retain_bounded_factors(second_order_op):
+    # G(t, s) evaluates one-point sets, which are not kept; distinct larger
+    # sets are kept only up to a fixed count
+    G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET, 2.0))
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (10_000, 3))
+    for i, (t, s, r) in enumerate(pts):
+        G(t, s)
+        if i % 100 == 0:
+            G.eval_grid([t, s, r], [s, r])
+        assert len(G.fs.memo.get("factors", ())) <= 8

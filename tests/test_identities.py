@@ -193,3 +193,32 @@ def test_residual_symmetric_under_side_swap(quartic_kernels):
     direct = np.abs(base.eval_grid(ts, ts) - combo).max()
     swapped = np.abs(combo - base.eval_grid(ts, ts)).max()
     assert direct == swapped
+
+
+def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weight_op):
+    # op, its doubled and quadrupled extensions and its reflection: one
+    # fundamental system each, shared by all their kernels and grid factors
+    from greenbvp import comparison, greens, identities, integrate, signscan
+
+    calls = {"integrate": 0, "local_phi": 0}
+    original = integrate.integrate_fundamental
+    local_phi = integrate.FundamentalSystem.local_phi
+
+    def counted(*args, **kwargs):
+        calls["integrate"] += 1
+        return original(*args, **kwargs)
+
+    def counted_local_phi(self, *args, **kwargs):
+        calls["local_phi"] += 1
+        return local_phi(self, *args, **kwargs)
+
+    for module in (integrate, greens, identities, comparison, signscan):
+        if hasattr(module, "integrate_fundamental"):
+            monkeypatch.setattr(module, "integrate_fundamental", counted)
+    monkeypatch.setattr(integrate.FundamentalSystem, "local_phi", counted_local_phi)
+    reports = run_identities(quartic_weight_op, 0.7, m=41)
+    assert len(reports) == 24 and all(r.passed for r in reports)
+    assert calls["integrate"] == 4
+    # one local Phi per distinct point set of a system: t and T - t on op,
+    # four sets on each extension and one on the reflection
+    assert calls["local_phi"] <= 11
