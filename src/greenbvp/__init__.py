@@ -24,11 +24,9 @@ from .integrate import (
 )
 from .operators import (
     LinearOperator,
-    coeff_value,
     extend_to_double,
     extend_to_quadruple,
     reflect,
-    shift_lambda,
 )
 from .identities import (
     IdentityReport,

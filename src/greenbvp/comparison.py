@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprAst, compile_expr, parse_expression
-from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source
+from .greens import BCKind, GreensEvaluator, kernel_source
 from .integrate import DEFAULT_TOL
 from .operators import LinearOperator, extend_to_double
-from .signscan import NONNEGATIVE, NONPOSITIVE, ZERO_ON_GRID, classify_sign
+from .signscan import NONNEGATIVE, NONPOSITIVE, ZERO_ON_GRID, _classify
 
 __all__ = [
     "SampledSolution",
@@ -144,7 +144,7 @@ def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41,
     ts = np.linspace(0.0, op.length, m)
     rows = []
     for tag, (premise_kind, primary, secondary) in THEOREM_TAGS.items():
-        premise_class = _premise_classification(kernel, op2, premise_kind)
+        premise_class = _classify(kernel, op2, premise_kind)[0]
         name = f"{tag}: {premise_kind.value}[2T] {premise_class}"
         if premise_class not in (NONNEGATIVE, NONPOSITIVE):
             rows.append(DominationRow(name, premise_class, False, True, 0.0, (0.0, 0.0)))
@@ -159,14 +159,6 @@ def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41,
         passed, worst, loc = _check_pointwise(diff, ts, scale)
         rows.append(DominationRow(name, premise_class, True, passed, worst, loc))
     return rows
-
-
-def _premise_classification(kernel, op2, kind):
-    try:
-        GP = kernel(op2, kind)
-    except ResonantProblemError:
-        return "resonant"
-    return classify_sign(GP).classification
 
 
 @dataclass
@@ -224,7 +216,7 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
             raise HypothesisError("case 3 needs sigma1 <= sigma2 <= 0 on the interval")
 
     kernel = kernel_source(lam, tol)
-    premise_class = _premise_classification(kernel, extend_to_double(op), premise_kind)
+    premise_class = _classify(kernel, extend_to_double(op), premise_kind)[0]
     required = NONNEGATIVE if case == 1 else NONPOSITIVE
     if premise_class not in (required, ZERO_ON_GRID):
         return ComparisonReport(tag, case, False, premise_class, True, [])

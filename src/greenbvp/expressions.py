@@ -232,6 +232,8 @@ def eval_expr(ast: ExprAst, t: float, lam: float) -> float:
     """Evaluate the tree at ``(t, lambda)`` in double precision.
 
     Division by zero and non-finite intermediates raise :class:`EvalError`.
+    The package evaluates coefficients through :func:`compile_expr`; this
+    tree walk is kept as the reference the tests compare it with.
     """
     value = _eval(ast, float(t), float(lam))
     if not math.isfinite(value):

@@ -567,7 +567,8 @@ _COND_LIMIT = 1e13
 
 
 def transition(fs: FundamentalSystem, s: float, t: float) -> np.ndarray:
-    """State-transition matrix Phi(t) Phi(s)^-1 from time s to time t."""
+    """State-transition matrix Phi(t) Phi(s)^-1 from time s to time t; kept
+    as a reference for the tests of the propagator's dense output."""
     phi_s = fs.phi([s])[0]
     cond = np.linalg.cond(phi_s)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -578,7 +579,8 @@ def transition(fs: FundamentalSystem, s: float, t: float) -> np.ndarray:
 
 def cauchy_value(fs: FundamentalSystem, t: float, s: float) -> float:
     """Impulse-response kernel k(t, s): the solution with u^(i)(s)=0 for
-    i < 2n-1 and u^(2n-1)(s)=1, evaluated at t (requires s <= t)."""
+    i < 2n-1 and u^(2n-1)(s)=1, evaluated at t (requires s <= t); a test
+    reference like transition."""
     if s > t:
         raise ValueError("cauchy_value requires s <= t")
     return float(transition(fs, s, t)[0, fs.d - 1])

@@ -13,7 +13,7 @@ nonvanishing coefficients jump there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,9 @@ from .expressions import ExprAst, compile_expr, parse_expression, to_string, use
 __all__ = [
     "CoeffSegment",
     "LinearOperator",
-    "shift_lambda",
     "extend_to_double",
     "extend_to_quadruple",
     "reflect",
-    "coeff_value",
 ]
 
 
@@ -134,11 +132,6 @@ class LinearOperator:
         return [" | ".join(to_string(seg.expr) for seg in segs) for segs in self.coeffs]
 
 
-def shift_lambda(op: LinearOperator, lam: float) -> LinearOperator:
-    """The operator with a_0 replaced by a_0 + lam; composes additively."""
-    return replace(op, lam=op.lam + float(lam))
-
-
 def extend_to_double(op: LinearOperator) -> LinearOperator:
     """Extend to [0, 2L]: even-index coefficients reflect evenly about L,
     odd-index ones oddly (value -a(2L - t) on the new half)."""
@@ -170,19 +163,6 @@ def reflect(op: LinearOperator) -> LinearOperator:
             )
         )
     return LinearOperator(n=op.n, length=L, coeffs=tuple(new_coeffs), lam=op.lam)
-
-
-def coeff_value(op: LinearOperator, k: int, t: float, lam: float = 0.0) -> float:
-    """Value of a_k(t); ``lam`` (plus the operator's own offset) is added when k=0."""
-    if not 0 <= k < op.order:
-        raise IndexError(f"coefficient index {k} out of range for order {op.order}")
-    if t < -1e-12 or t > op.length + 1e-12:
-        raise ValueError(f"t={t} outside the operator interval [0, {op.length}]")
-    seg = op.coeff_segment_at(k, min(max(t, 0.0), op.length))
-    value = float(seg.evaluate(t, lam))
-    if k == 0:
-        value += op.lam + lam
-    return value
 
 
 def coeff_values(op: LinearOperator, k: int, ts: np.ndarray, lam: float = 0.0) -> np.ndarray:

@@ -13,6 +13,7 @@ per round, whose members give the kernels of a binary search.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass, field
@@ -147,14 +148,23 @@ def classify_sign(G: GreensEvaluator, m: int = 101, zero_band: float = 1e-9) -> 
     return SignReport(classification, m, vmin, argmin, vmax, argmax, zero_band)
 
 
+def _classify(kernel, op: LinearOperator, kind: BCKind, m: int = 101,
+              zero_band: float = 1e-9) -> tuple[str, SignReport | None]:
+    """(classification, report) of the kernel(op, kind) of a kernel source;
+    ('resonant', None) when that kernel does not exist."""
+    try:
+        G = kernel(op, kind)
+    except ResonantProblemError:
+        return "resonant", None
+    report = classify_sign(G, m=m, zero_band=zero_band)
+    return report.classification, report
+
+
 def classify_problem(op: LinearOperator, kind: BCKind, lam: float, m: int = 101,
                      zero_band: float = 1e-9, tol: float = DEFAULT_TOL) -> str:
     """Classification string for one problem; 'resonant' when G does not exist."""
-    try:
-        G = build_greens(ProblemSpec(op, kind, lam), tol=tol)
-    except ResonantProblemError:
-        return "resonant"
-    return classify_sign(G, m=m, zero_band=zero_band).classification
+    return _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam), tol=tol),
+                     op, kind, m, zero_band)[0]
 
 
 @dataclass
@@ -314,36 +324,24 @@ def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101,
     table = kernel_table(op)
     for lam in lam_samples:
         kernel = kernel_source(lam, tol)
-        cache: dict[str, SignReport | str] = {}
 
-        def rep(code):
-            if code not in cache:
-                try:
-                    G = kernel(*table[code])
-                except ResonantProblemError:
-                    cache[code] = "resonant"
-                else:
-                    cache[code] = classify_sign(G, m=m)
-            return cache[code]
-
-        def cls(code):
-            r = rep(code)
-            return r if isinstance(r, str) else r.classification
+        @functools.cache
+        def classify(code):
+            return _classify(kernel, *table[code], m=m)
 
         for tag, premise_code, premise_sign, conclusion_code in _COROLLARY_CASES:
-            premise = cls(premise_code)
+            premise = classify(premise_code)[0]
             if premise != premise_sign:
                 rows.append({"tag": tag, "lambda": lam, "applicable": False,
                              "premise": premise, "conclusion": None, "pass": True})
                 continue
-            conclusion = cls(conclusion_code)
+            conclusion, report = classify(conclusion_code)
             ok = conclusion in (premise_sign, ZERO_ON_GRID)
             row = {"tag": tag, "lambda": lam, "applicable": True,
                    "premise": premise, "conclusion": conclusion, "pass": ok}
-            if not ok and not isinstance(rep(conclusion_code), str):
-                r = rep(conclusion_code)
+            if not ok and report is not None:
                 row["violation_location"] = list(
-                    r.argmin if premise_sign == NONNEGATIVE else r.argmax)
+                    report.argmin if premise_sign == NONNEGATIVE else report.argmax)
             rows.append(row)
     return rows
 
@@ -388,12 +386,14 @@ def reproduce_counterexamples(fixtures: dict | None = None, m: int = 101,
     data = fixtures if fixtures is not None else _load_fixtures()
     report = ReproductionReport()
 
+    # kernels of one lambda share their fundamental systems across scenarios
+    sources = {}
     for scenario in data.get("classification_scenarios", []):
         op = _operator_from_fixture(scenario["operator"])
         lam = float(scenario["lambda"])
+        kernel = sources.setdefault(lam, kernel_source(lam, tol))
         for code, expected in scenario["expected"].items():
-            o, kind = resolve_kernel(op, code)
-            observed = classify_problem(o, kind, lam, m=m, tol=tol)
+            observed = _classify(kernel, *resolve_kernel(op, code), m=m)[0]
             report.rows.append({
                 "scenario": scenario["name"],
                 "lambda": lam,

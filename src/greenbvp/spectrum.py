@@ -5,10 +5,11 @@ char_det_scan: the boundary functionals C on an orthonormal basis W of the
 solution graph, the same matrix whose smallest singular value is a kernel's
 resonance margin.  A scan over a lambda window finds sign-change brackets
 (refined by 16-section, one batched sweep per round, plus a short secant
-polish) and also dips of |det| that touch zero without a sign change; the
-latter are flagged as suspected even-multiplicity roots, which really occur
-(periodic and antiperiodic problems carry double eigenvalues inherited from
-two two-point problems at once).
+polish).  Where |det| dips between scan points of one sign, the roots near
+the dip are counted by the argument principle (det is entire in lambda): the
+dip is zoomed until it shows a sign change or closes on a root of even
+multiplicity, which really occur (periodic and antiperiodic problems carry
+double eigenvalues inherited from two two-point problems at once).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from scipy.optimize import minimize_scalar
 
 from .greens import BCKind, ProblemSpec, boundary_matrix, char_det_scan
 from .integrate import DEFAULT_TOL, integrate_fundamental
-from .operators import LinearOperator, extend_to_double, extend_to_quadruple, reflect
+from .operators import LinearOperator, coeff_values, extend_to_double, extend_to_quadruple, \
+    reflect
 
 __all__ = [
     "EigenvalueHit",
@@ -39,12 +41,14 @@ NULL_SPACE_TOL = 1e-6    # singular value regarded as part of the null space
 # The characteristic function is det(C W) / ||C||_2^d on an orthonormal
 # solution-graph basis W: its magnitude is bounded by the smallest singular
 # value, which is at most one, for every problem and lambda (no exponential
-# growth or decay with |lambda|), so root and dip detection use absolute
-# thresholds.
+# growth or decay with |lambda|), so exact hits and resonant endpoints use
+# absolute thresholds.
 EXACT_HIT_TOL = 1e-9      # scan value counted as sitting exactly on a root
-DIP_PREFILTER_TOL = 1e-2  # parabola-vertex depth that triggers a dip refinement
-DIP_CONFIRM_TOL = 1e-6    # refined dip depth accepted as a double root
 ENDPOINT_TOL = 1e-6       # endpoint treated as nearly resonant
+
+# Intervals of the half perimeter of a root-count box, first and at most.
+COUNT_NODES = 32
+COUNT_NODES_MAX = 2048
 
 # Cells per k-section round: a lambda batch costs about as much as a single
 # lambda, so one batched sweep does the work of four bisection steps.
@@ -141,13 +145,61 @@ def _refine_brackets(det_batch, brackets, lam_tol):
     return [(float(x), float(w)) for x, w in zip(best_x, widths)]
 
 
-def _parabola_vertex(f0, f1, f2):
-    """Vertex value of the parabola through three equally spaced samples;
-    None when the samples are not convex."""
-    curv = f0 - 2 * f1 + f2
-    if curv <= 0:
-        return None
-    return f1 - (f2 - f0) ** 2 / (8 * curv)
+def _root_counts(det_batch, a, b) -> np.ndarray:
+    """Roots of det in the square boxes [a, b] x [-h, h], h = (b - a) / 2, by
+    the argument principle.  det(conj z) = conj det(z), so the count is the
+    change of arg det along the upper half of the perimeter (b, b + ih,
+    a + ih, a) over pi.  All boxes share one batched call per round; their
+    nodes double until every phase step is below pi / 2."""
+    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+
+    def det_on_path(s):
+        # s in [0, 4]: right half side on [0, 1], top on [1, 3], left on [3, 4]
+        z = (b + (a - b) * np.clip((s - 1) / 2, 0, 1)
+             + 0.5j * (b - a) * np.minimum(np.minimum(s, 4 - s), 1))
+        return det_batch(z.ravel()).reshape(z.shape)
+
+    s = np.linspace(0, 4, COUNT_NODES + 1)
+    f = det_on_path(s)
+    while True:
+        steps = np.angle(f[:, 1:] * f[:, :-1].conj())
+        if np.abs(steps).max() < np.pi / 2 or len(s) > COUNT_NODES_MAX:
+            return np.rint(steps.sum(axis=1) / np.pi).astype(int)
+        s = np.linspace(0, 4, 2 * len(s) - 1)
+        f = np.insert(f, np.arange(1, f.shape[1]), det_on_path(s[1::2]), axis=1)
+
+
+def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
+    """(sign-change brackets, flagged roots) in dip cells [a, b] whose ends
+    share a sign.  Cells that hold roots are zoomed in lockstep, one batched
+    sweep of their dyadic probes per round keeping the two sub-cells around
+    the smallest |det|, until the probes change sign or the cell is narrower
+    than lam_tol / 10 (or a few float spacings).  Then a nonzero count (even,
+    as the ends share a sign) is one flagged root; zero is a non-real pair
+    or a near miss."""
+    keep = _root_counts(det_batch, a, b) != 0
+    a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
+    brackets, narrow = [], []
+    while True:
+        floor = SECTIONS * np.spacing(np.maximum(abs(a), abs(b)))
+        live = splittable(a, b, np.maximum(lam_tol / 10, floor))
+        narrow += zip(a[~live], b[~live])
+        if not live.any():
+            break
+        x = dyadic_points(a[live], b[live])
+        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
+        f = np.concatenate([fa[live, None], f, fb[live, None]], axis=1)
+        flip = np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0
+        brackets += [(x[r, j], x[r, j + 1], f[r, j]) for r, j in zip(*np.nonzero(flip))]
+        rows = np.nonzero(~flip.any(axis=1))[0]
+        j = 1 + np.argmin(np.abs(f[rows, 1:-1]), axis=1)
+        a, b, fa, fb = x[rows, j - 1], x[rows, j + 1], f[rows, j - 1], f[rows, j + 1]
+    if not narrow:
+        return brackets, []
+    a, b = np.array(narrow).T
+    counts = _root_counts(det_batch, a, b)
+    return brackets, [(float(0.5 * (lo + hi)), float(max(hi - lo, lam_tol)), True)
+                      for lo, hi, c in zip(a, b, counts) if c]
 
 
 def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float | None = None,
@@ -155,10 +207,11 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     """All eigenvalues in the window located to lam_tol.
 
     Sign changes of the characteristic function det(C W) (char_det_scan)
-    bracket simple (odd-multiplicity) roots; dips of |det| that fall below
-    DIP_CONFIRM_TOL without a sign change are refined and flagged as
-    suspected even-multiplicity roots.  Resonant window endpoints are shrunk
-    inward with a warning.
+    bracket simple (odd-multiplicity) roots.  A dip cell, a local minimum of
+    |det| between two scan points of its sign, holds an even number of roots
+    (counted by the argument principle, see _dip_roots): it yields brackets
+    or roots flagged as suspected even multiplicity.  Resonant window
+    endpoints are shrunk inward with a warning.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -182,58 +235,28 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
         stop = len(grid) - 1
     grid, dets, absdet = grid[start:stop], dets[start:stop], absdet[start:stop]
 
-    def det_fn(x):
-        return float(char_det_scan(op, kind, [x], tol)[0])
-
     def det_batch(xs):
         return char_det_scan(op, kind, xs, tol)
 
     roots: list[tuple[float, float, bool]] = []  # (lam, bracket_width, even_mult)
-
+    signs = np.sign(dets)
     exact = absdet <= EXACT_HIT_TOL
     for i in np.nonzero(exact)[0]:
-        left = dets[i - 1] if i > 0 else None
-        right = dets[i + 1] if i + 1 < len(dets) else None
-        even = left is not None and right is not None and np.sign(left) == np.sign(right)
+        even = 0 < i < len(dets) - 1 and signs[i - 1] == signs[i + 1]
         roots.append((float(grid[i]), 0.0, bool(even)))
 
-    signs = np.sign(dets)
-    brackets = []
-    for i in range(len(grid) - 1):
-        if exact[i] or exact[i + 1]:
-            continue
-        if signs[i] * signs[i + 1] < 0:
-            brackets.append((grid[i], grid[i + 1], dets[i]))
+    cut = np.nonzero((signs[:-1] * signs[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
+    brackets = list(zip(grid[cut], grid[cut + 1], dets[cut]))
+    dip = 1 + np.nonzero((absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:])
+                         & (signs[:-2] == signs[1:-1]) & (signs[1:-1] == signs[2:])
+                         & ~(exact[:-2] | exact[1:-1] | exact[2:]))[0]
+    if dip.size:
+        zoomed, doubles = _dip_roots(det_batch, grid[dip - 1], grid[dip + 1],
+                                     dets[dip - 1], dets[dip + 1], lam_tol)
+        brackets += zoomed
+        roots += doubles
     for x, w in _refine_brackets(det_batch, brackets, lam_tol):
         roots.append((x, max(w, lam_tol), False))
-
-    for i in range(1, len(grid) - 1):
-        if exact[i - 1] or exact[i] or exact[i + 1]:
-            continue
-        if not (absdet[i] < absdet[i - 1] and absdet[i] < absdet[i + 1]
-                and signs[i - 1] == signs[i + 1] and signs[i - 1] != 0):
-            continue
-        vertex = _parabola_vertex(absdet[i - 1], absdet[i], absdet[i + 1])
-        if vertex is None or vertex > DIP_PREFILTER_TOL:
-            continue
-        res = minimize_scalar(lambda x: abs(det_fn(x)), bounds=(grid[i - 1], grid[i + 1]),
-                              method="bounded", options={"xatol": lam_tol / 10})
-        if res.fun > DIP_CONFIRM_TOL:
-            continue
-        x = float(res.x)
-        delta = max(4 * lam_tol, step * 1e-3)
-        dm, dp = det_fn(x - delta), det_fn(x + delta)
-        if (np.sign(dm) != np.sign(dp) and abs(dm) > DIP_CONFIRM_TOL
-                and abs(dp) > DIP_CONFIRM_TOL):
-            # a pair of close simple roots hiding inside one scan cell
-            close = [(a, b, fa) for a, b, fa, fb in (
-                (x - delta, x + delta, dm, dp),
-                (grid[i - 1], x - delta, dets[i - 1], dm),
-                (x + delta, grid[i + 1], dp, dets[i + 1])) if np.sign(fa) != np.sign(fb)]
-            for r, w in _refine_brackets(det_batch, close, lam_tol):
-                roots.append((r, w, False))
-        else:
-            roots.append((x, lam_tol, True))
 
     # deduplicate within 10 * lam_tol, preferring the narrower bracket
     roots.sort()
@@ -373,7 +396,6 @@ def _match_sets(a: list[float], b: list[float], tol: float) -> list[float]:
 
 def _is_reflection_symmetric(op: LinearOperator) -> bool:
     """a_k(t) == (-1)^k a_k(L - t) sampled on a grid."""
-    from .operators import coeff_values
     ts = np.linspace(0.0, op.length, 257)
     ref = reflect(op)
     for k in range(op.order):

@@ -19,7 +19,8 @@ from greenbvp import (
 )
 from greenbvp import integrate as integrate_module
 from greenbvp.integrate import FundamentalSystem
-from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, resolve_kernel
+from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, _load_fixtures, \
+    _operator_from_fixture, resolve_kernel
 
 
 def test_string_kernel_is_nonpositive(second_order_op):
@@ -193,3 +194,48 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
     assert res.lam_lo == pytest.approx(-31.361620130543123, rel=1e-9)
     assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
     assert len(calls) < 21
+
+
+def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch):
+    # the codes of one scenario, and scenarios of one lambda, share their
+    # fundamental systems: one integration per distinct (operator, lambda)
+    fixtures = _load_fixtures()
+    scenarios = fixtures["classification_scenarios"]
+    pairs = {(resolve_kernel(_operator_from_fixture(s["operator"]), code)[0], s["lambda"])
+             for s in scenarios for code in s["expected"]}
+    calls = []
+    original = integrate_module._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "_integrate", counted)
+    report = reproduce_counterexamples({"classification_scenarios": scenarios, "thresholds": []})
+    assert len(report.rows) == 20 and report.all_passed
+    assert len(pairs) == 9
+    assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("name", ["lambda_1", "lambda_3", "lambda_4", "lambda_5",
+                                  "lambda_6", "lambda_7"])
+def test_neumann_threshold_rows_flip_at_a_corner(name):
+    # the Neumann constant-sign intervals end where G(0, 0) or G(0, T)
+    # changes sign: both corners keep the side's sign lam_tol inside the
+    # returned threshold, and one of them has lost it lam_tol outside
+    [row] = [r for r in _load_fixtures()["thresholds"] if r["name"] == name]
+    assert row["kernel"] == "N"
+    op = _operator_from_fixture(row["operator"])
+    side = "neg" if row["type"] == "nonpositive" else "pos"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sign_interval(op, BCKind.NEUMANN, side,
+                            principal_window=tuple(row["principal_window"]))
+    d = -1.0 if side == "neg" else 1.0
+
+    def corners(lam):
+        G = build_greens(ProblemSpec(op, BCKind.NEUMANN, lam))
+        return d * np.array([G(0.0, 0.0), G(0.0, op.length)])
+
+    assert (corners(res.threshold() - d * res.lam_tol) > 0).all()
+    assert (corners(res.threshold() + d * res.lam_tol) < 0).any()

@@ -253,7 +253,7 @@ def test_refine_brackets_stops_at_float_spacing():
     assert width <= 4 * np.spacing(math.pi ** 2)
 
 
-def test_find_eigenvalues_lam_tol_below_float_spacing(monkeypatch):
+def _count_scans(monkeypatch, limit=None):
     import greenbvp.spectrum as spectrum
 
     scans = []
@@ -261,11 +261,70 @@ def test_find_eigenvalues_lam_tol_below_float_spacing(monkeypatch):
 
     def counted(*args, **kwargs):
         scans.append(1)
-        if len(scans) > 60:
+        if limit is not None and len(scans) > limit:
             raise AssertionError("search does not terminate")
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "char_det_scan", counted)
+    return scans
+
+
+def test_find_eigenvalues_lam_tol_below_float_spacing(monkeypatch):
+    _count_scans(monkeypatch, limit=60)
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     spec = find_eigenvalues(op, BCKind.DIRICHLET, (5.0, 15.0), lam_tol=1e-16)
     assert [e.lam for e in spec.eigenvalues] == [pytest.approx(math.pi ** 2, rel=1e-12)]
+
+
+def test_periodic_close_pairs_match_neumann_dirichlet_union():
+    # u'' + 10 t^2 u on [0, 1]: P[2T] = N[T] u D[T] holds the pairs
+    # 85.468/85.569, 154.565/154.624, 243.396/243.435 and 351.965/351.992,
+    # each inside one scan cell without a sign change between scan points
+    op = LinearOperator.from_exprs(1, 1.0, ["10*t^2", "0"])
+    window = (-5.0, 400.0)
+    expected = sorted(find_eigenvalues(op, BCKind.NEUMANN, window).lams()
+                      + find_eigenvalues(op, BCKind.DIRICHLET, window).lams())
+    spec = find_eigenvalues(extend_to_double(op), BCKind.PERIODIC, window)
+    assert len(expected) == 13
+    assert spec.lams() == pytest.approx(expected, abs=1e-5)
+    assert not any(e.even_multiplicity for e in spec.eigenvalues)
+
+
+def test_coarse_scan_finds_double_root():
+    # u'' + 0.5 u' on [0, 1] doubled: pi^2 + 1/16 is a Neumann and a
+    # Dirichlet eigenvalue, so a double periodic root; the scan points of a
+    # step of 2 sit one to two units from it
+    op = extend_to_double(LinearOperator.from_exprs(1, 1.0, ["0", "0.5"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = find_eigenvalues(op, BCKind.PERIODIC, (-5.0, 100.0), scan_step=2.0)
+    [hit] = [e for e in spec.eigenvalues if abs(e.lam - 9.9) < 1.0]
+    assert hit.lam == pytest.approx(math.pi ** 2 + 1 / 16, abs=1e-6)
+    assert hit.even_multiplicity
+
+
+def test_dip_zoom_lam_tol_below_float_spacing(monkeypatch, second_order_op):
+    # the dip cell around the double root 4 pi^2 is zoomed to the float
+    # spacing and counted there; at that width det is below its rounding
+    # level, so the closing count may drop the root but never misplaces it
+    _count_scans(monkeypatch, limit=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = find_eigenvalues(second_order_op, BCKind.PERIODIC, (5.0, 50.0), lam_tol=1e-16)
+    assert all(abs(lam - 4 * math.pi ** 2) < 1e-6 for lam in spec.lams())
+
+
+def test_dip_scans_do_not_grow_with_dip_cells(monkeypatch, second_order_op):
+    # u'' on [0, 1], periodic: one double root in (5, 50), five in (5, 1000);
+    # every dip cell shares the count and zoom sweeps of its search
+    scans = _count_scans(monkeypatch)
+    calls = []
+    for window, doubles in (((5.0, 50.0), [4]), ((5.0, 1000.0), [4, 16, 36, 64, 100])):
+        scans.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = find_eigenvalues(second_order_op, BCKind.PERIODIC, window, scan_step=0.5)
+        assert [(e.lam, e.even_multiplicity) for e in spec.eigenvalues] == \
+            [(pytest.approx(k * math.pi ** 2, abs=1e-6), True) for k in doubles]
+        calls.append(len(scans))
+    assert calls[1] == calls[0]
