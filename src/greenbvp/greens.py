@@ -10,15 +10,17 @@ evaluation.
 
 Spectra and kernels share one resonance criterion: the d x d matrix
 M = C W / ||C||_2 of the boundary functionals C on an orthonormal basis W of
-the solution graph {(x, Phi(T) x)}, marched over the segments so that Phi(T)
-is never formed.  det M is the characteristic function whose zeros are the
-eigenvalues, and sigma_min(M) is the resonance margin of a kernel; both are
-bounded by one and do not depend on the segment count.
+the solution graph {(x, Phi(T) x)}.  det M is the characteristic function
+whose zeros are the eigenvalues, and sigma_min(M) is the resonance margin of
+a kernel; both are bounded by one and do not depend on the segment count.
+char_det_scan marches W over the segments, so that Phi(T) is never formed;
+a kernel reads sigma_min(M) off the sparse LU it factors anyway, and no step
+of its construction or grid evaluation loops over the segments.
 
 All boundary families of one operator and lambda solve the same equation:
-their kernels share one fundamental system, whose segment end matrices,
-graph basis W and grid factors (segment indices and local Phi of a point
-set) are computed once.  Only C, the margin and the sparse LU are per family.
+their kernels share one fundamental system, whose segment end matrices and
+grid factors (segment indices and local Phi of a point set) are computed
+once.  Only C, the sparse LU and the margin are per family.
 """
 
 from __future__ import annotations
@@ -171,22 +173,21 @@ def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
     """M = C W / ||C||_2 for every lambda of the batch, shape (K, d, d).
 
     W is an orthonormal basis of the solution graph {(x, Phi(T) x)}, marched
-    segment by segment with one QR step each and kept on the system.  Each Q
-    column is scaled by conj(r_jj)/|r_jj| (1 if r_jj = 0), so W is [I; Phi(T)]
-    times an upper triangular matrix with positive diagonal and det M is
-    det(C [I; Phi(T)]) times a positive factor: it has the argument (for real
-    lambda, the sign) of the boundary determinant.  |det M| <= sigma_min(M) <= 1.
+    segment by segment with one QR step each.  Each Q column is scaled by
+    conj(r_jj)/|r_jj| (1 if r_jj = 0), so W is [I; Phi(T)] times an upper
+    triangular matrix with positive diagonal and det M is det(C [I; Phi(T)])
+    times a positive factor: it has the argument (for real lambda, the sign)
+    of the boundary determinant.  |det M| <= sigma_min(M) <= 1.  Kernels
+    read sigma_min(M) off their block LU instead (GreensEvaluator._factorize).
     """
-    if "graph" not in fs.memo:
-        d = fs.d
-        X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
-        for seg in fs.segments:
-            W, R = np.linalg.qr(np.concatenate([X, seg.end_matrix() @ Y], axis=1))
-            r = R.diagonal(axis1=1, axis2=2)
-            W = W * ((r.conj() + (r == 0)) / (abs(r) + (r == 0)))[:, None, :]
-            X, Y = W[:, :d], W[:, d:]
-        fs.memo["graph"] = np.concatenate([X, Y], axis=1)
-    return C @ fs.memo["graph"] / np.linalg.norm(C, 2)
+    d = fs.d
+    X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
+    for end in fs.segments:
+        W, R = np.linalg.qr(np.concatenate([X, end @ Y], axis=1))
+        r = R.diagonal(axis1=1, axis2=2)
+        W = W * ((r.conj() + (r == 0)) / (abs(r) + (r == 0)))[:, None, :]
+        X, Y = W[:, :d], W[:, d:]
+    return C @ np.concatenate([X, Y], axis=1) / np.linalg.norm(C, 2)
 
 
 def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -211,19 +212,22 @@ class _GridFactor:
     seg: np.ndarray
     phi: np.ndarray
 
+    def __getitem__(self, i) -> "_GridFactor":
+        return _GridFactor(self.pts[i], self.seg[i], self.phi[i])
+
 
 class GreensEvaluator:
     """Callable kernel G(t, s) of one nonresonant boundary value problem.
 
+    The node states solve the block-bidiagonal continuity system plus the
+    boundary rows, stored sparse with O(N d^2) nonzeros and factored once.
+
     resonance_margin is the smallest singular value of the boundary
     functionals restricted to an orthonormal basis of the solution graph
     {(x, Phi(T) x)}, relative to the functionals' norm (the matrix whose
-    determinant char_det_scan returns).  It vanishes exactly at eigenvalues,
-    stays well scaled for strongly growing problems, and depends only on the
-    problem, not on the number of integration segments.
-
-    The node states solve the block-bidiagonal continuity system plus the
-    boundary rows, stored sparse with O(N d^2) nonzeros and factored once.
+    determinant char_det_scan returns), read off that factor.  It vanishes
+    exactly at eigenvalues, stays well scaled for strongly growing problems,
+    and depends only on the problem, not on the number of segments.
     """
 
     def __init__(self, problem: ProblemSpec, fs: FundamentalSystem):
@@ -232,15 +236,11 @@ class GreensEvaluator:
         self.d = fs.d
         self.length = float(fs.nodes[-1])
         self.nodes = fs.nodes
-        self.nseg = len(fs.segments)
-        if "ends" not in fs.memo:
-            fs.memo["ends"] = np.stack([seg.end_matrix()[0] for seg in fs.segments])
-        self._ends = fs.memo["ends"]
-        C = _boundary_coeffs(problem.kind, problem.operator.n)
-        self.resonance_margin = float(np.linalg.norm(_graph_matrix(C, fs)[0], -2))
+        self._ends = fs.segments[:, 0]
+        self.nseg = len(self._ends)
+        self.resonance_margin = self._factorize(_boundary_coeffs(problem.kind, problem.operator.n))
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
-        self._lu = splu(self._block_matrix(C))
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -262,20 +262,40 @@ class GreensEvaluator:
                                   bc_cols + (bc_cols >= d) * (N - 1) * d])
         return csc_array((data, (row_idx, col_idx)), shape=(dim, dim))
 
-    def _factor(self, pts) -> _GridFactor:
-        """Segment indices and local Phi of one point set, for either axis of
-        eval_grid; the last eight sets of over one point stay on the system."""
+    def _factorize(self, C: np.ndarray) -> float:
+        """Factor the block system and return the resonance margin (0.0 for an
+        exactly singular factor).  The homogeneous solutions with C [Y_0; Y_N]
+        = I have end states Z = [Y_0; Y_N] = W S for the orthonormal graph
+        basis W, so C W = S^-1 and sigma_min(C W) = 1 / ||Z||_2."""
+        d, N = self.d, self.nseg
+        try:
+            self._lu = splu(self._block_matrix(C))
+        except RuntimeError:  # "Factor is exactly singular"
+            return 0.0
+        Z = self._lu.solve(np.eye((N + 1) * d, d, -N * d))[np.r_[:d, N * d:(N + 1) * d]]
+        if not np.isfinite(Z).all():
+            return 0.0
+        return float(1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(Z, 2)))
+
+    def _locate(self, pts) -> _GridFactor:
+        """Segment indices and local Phi of one point set, not kept."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         eps = 1e-12 * max(1.0, self.length)
         if pts.size and (pts.min() < -eps or pts.max() > self.length + eps):
             raise ValueError("grid points outside the problem interval")
         pts = np.clip(pts, 0.0, self.length)
+        seg = self.fs.segment_index(pts)
+        return _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
+
+    def _factor(self, pts) -> _GridFactor:
+        """_locate for either axis of eval_grid; the last eight sets of over
+        one point stay on the system."""
+        pts = np.atleast_1d(np.asarray(pts, dtype=float))
         factors = self.fs.memo.setdefault("factors", {})
         key = pts.tobytes()
         if key in factors:
             return factors[key]
-        seg = self.fs.segment_index(pts)
-        factor = _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
+        factor = self._locate(pts)
         if pts.size > 1:
             if len(factors) >= 8:
                 del factors[next(iter(factors))]
@@ -309,24 +329,16 @@ class GreensEvaluator:
         Y = self._node_states(seg_s, xs)
         rows = ft.phi[:, component, :]
 
-        G = np.empty((len(ts), len(ss)))
-        for seg in np.unique(seg_t):
-            mask = seg_t == seg
-            G[mask, :] = rows[mask] @ Y[seg]
-
-        # same-segment impulse contribution for t >= s
-        for seg in np.unique(seg_t):
-            tmask = np.nonzero(seg_t == seg)[0]
-            smask = np.nonzero(seg_s == seg)[0]
-            if tmask.size == 0 or smask.size == 0:
-                continue
-            block = rows[tmask] @ xs[:, smask]
-            indicator = ts[tmask][:, None] >= ss[smask][None, :]
-            G[np.ix_(tmask, smask)] += block * indicator
-        return G
+        # homogeneous part: each t's row times the node states of its segment
+        G = sum(rows[:, j, None] * Y[seg_t, j] for j in range(self.d))
+        # impulse part, where t and s share a segment and t >= s
+        same = (seg_t[:, None] == seg_s) & (ts[:, None] >= ss)
+        return G + np.where(same, rows @ xs, 0.0)
 
     def __call__(self, t: float, s: float) -> float:
-        return float(self.eval_grid(np.array([t]), np.array([s]))[0, 0])
+        """G(t, s): both points share one local Phi evaluation, not kept."""
+        both = self._locate([t, s])
+        return float(self.eval_grid(both[:1], both[1:])[0, 0])
 
     def sample_grid(self, m: int) -> np.ndarray:
         """Values on the uniform m x m grid (rows indexed by t, columns by s)."""

@@ -286,62 +286,53 @@ class _Piece:
                                f"after {_MAX_SPLITS} cell halvings")
 
 
-@dataclass
-class _MagnusSegment:
-    """One segment as a product of Magnus cells with boundaries edges (m+1,).
+@dataclass(frozen=True)
+class _Cells:
+    """Dense output of a Magnus integration: the cells of every segment in
+    time order.  starts (C,) are the cell start times, first (N+1,) the index
+    of each segment's first cell (first[N] = C), piece (C,) the index into
+    pieces of each cell's piece, and prefixes (C, K, d, d) the propagator
+    from the segment start to the end of each cell."""
 
-    prefixes[i] (m, K, d, d) is the propagator from the segment start to the
-    end of cell i, kept only with dense output.
-    """
+    starts: np.ndarray
+    first: np.ndarray
+    piece: np.ndarray
+    pieces: list
+    prefixes: np.ndarray
 
-    piece: _Piece
-    edges: np.ndarray
-    _end: np.ndarray            # (K, d, d)
-    prefixes: np.ndarray = None
+    def member(self, k: int) -> "_Cells":
+        return replace(self, pieces=[piece.member(k) for piece in self.pieces],
+                       prefixes=self.prefixes[:, k:k + 1])
 
-    def end_matrix(self) -> np.ndarray:
-        return self._end
-
-    def member(self, k: int) -> "_MagnusSegment":
-        prefixes = None if self.prefixes is None else self.prefixes[:, k:k + 1]
-        return _MagnusSegment(self.piece.member(k), self.edges, self._end[k:k + 1], prefixes)
-
-
-def _partial_steps(segments: list, parts: list, ts: np.ndarray) -> np.ndarray:
-    """Phi relative to each point's segment start, shape (nt, K, d, d): one
-    partial Magnus step from the start of the cell that holds t, times the
-    propagator up to that cell.  parts pairs segment indices with the masks
-    of their points; the points of one breakpoint interval share one
-    exponential call."""
-    cell = np.empty(len(ts), dtype=int)
-    t0 = np.empty(len(ts))
-    piece_of = np.empty(len(ts), dtype=int)
-    pieces = []
-    for k, mask in parts:
-        edges, piece = segments[k].edges, segments[k].piece
-        cell[mask] = np.clip(np.searchsorted(edges, ts[mask], side="right") - 1, 0, len(edges) - 2)
-        t0[mask] = edges[cell[mask]]
-        if not pieces or pieces[-1].lo != piece.lo:
-            pieces.append(piece)
-        piece_of[mask] = len(pieces) - 1
-    h = ts - t0
-    K, d = len(pieces[0].lam_eff), pieces[0].op.order
-    out = np.empty((len(ts), K, d, d), dtype=pieces[0].lam_eff.dtype)
-    for i, piece in enumerate(pieces):
-        sel = piece_of == i
-        out[sel] = expm(piece.generators(piece.sample(t0[sel], h[sel]), h[sel]))
-    for k, mask in parts:
-        inner = mask & (cell > 0)
-        out[inner] = out[inner] @ segments[k].prefixes[cell[inner] - 1]
-    return out
+    def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Phi relative to each point's segment start, shape (nt, K, d, d):
+        one partial Magnus step from the start of the cell that holds t,
+        times the propagator up to that cell.  The points of one piece share
+        one exponential call."""
+        cell = np.clip(np.searchsorted(self.starts, ts, side="right") - 1,
+                       self.first[seg], self.first[seg + 1] - 1)
+        t0 = self.starts[cell]
+        h = ts - t0
+        piece_of = self.piece[cell]
+        out = np.empty((len(ts),) + self.prefixes.shape[1:], dtype=self.prefixes.dtype)
+        for i in np.unique(piece_of):
+            sel = piece_of == i
+            piece = self.pieces[i]
+            out[sel] = expm(piece.generators(piece.sample(t0[sel], h[sel]), h[sel]))
+        inner = cell > self.first[seg]
+        out[inner] = out[inner] @ self.prefixes[cell[inner] - 1]
+        return out
 
 
 def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
-                     dense: bool, spare: int) -> list:
+                     dense: bool, spare: int) -> tuple:
     """Propagate every segment of one piece: blocks of cells for the
     generators and their exponentials, multiplied into each segment's end
     matrix (and, dense, its per-cell prefixes).  A segment with fewer cells
-    than the most is padded with zero-width cells, whose propagator is I."""
+    than the most is padded with zero-width cells, whose propagator is I.
+    Returns the end matrices (nseg, K, d, d), the cell starts, the cell count
+    of each segment and (dense, else None) the prefixes of the cells in time
+    order, (cells, K, d, d)."""
     t0, h, seg, rows = piece.cells(nodes, rate, tol, spare)
     nseg, K, d = len(nodes) - 1, len(piece.lam_eff), rows.shape[-1]
     counts = np.bincount(seg, minlength=nseg)
@@ -367,37 +358,29 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
                 if dense:
                     prefixes[segs, c0 + i] = P
         ends[segs] = P
-    return [_MagnusSegment(piece, np.append(t0[first[j]:first[j] + counts[j]], nodes[j + 1]),
-                           ends[j], None if prefixes is None else prefixes[j, :counts[j]])
-            for j in range(nseg)]
+    return ends, t0, counts, prefixes[~pad] if dense else None
 
 
 @dataclass
 class _RkSegment:
-    """Segment solved by an adaptive RK 5(4) pair (the reference path)."""
+    """Dense output of one segment solved by an adaptive RK 5(4) pair (the
+    reference path): sol maps times to the K flattened d x d matrices."""
 
-    t0: float
-    t1: float
     K: int
     d: int
-    sol: object = None          # OdeSolution when dense output was kept
-    _end: np.ndarray = None     # (K, d, d)
-
-    def end_matrix(self) -> np.ndarray:
-        return self._end
+    sol: object
 
     def member(self, k: int) -> "_RkSegment":
         rows = slice(k * self.d * self.d, (k + 1) * self.d * self.d)
-        sol = None if self.sol is None else (lambda ts, sol=self.sol: sol(ts)[rows])
-        return _RkSegment(self.t0, self.t1, 1, self.d, sol, self._end[k:k + 1])
+        return _RkSegment(1, self.d, lambda ts, sol=self.sol: sol(ts)[rows])
 
     def local_phi(self, ts: np.ndarray) -> np.ndarray:
-        vals = self.sol(ts)  # (K*d*d, nt)
-        return vals.T.reshape(len(ts), self.K, self.d, self.d)
+        return self.sol(ts).T.reshape(len(ts), self.K, self.d, self.d)
 
 
 def _rk_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
-                tol: float, dense: bool) -> _RkSegment:
+                tol: float, dense: bool) -> tuple:
+    """The segment's end matrices (K, d, d) and (dense, else None) its output."""
     d = op.order
     K = len(lam_eff)
     closures = _coeff_closures(op, lo, hi)
@@ -430,11 +413,7 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
     )
     if not result.success:
         raise IntegrationError(f"integration failed on [{lo}, {hi}]: {result.message}")
-    seg = _RkSegment(lo, hi, K, d)
-    seg._end = result.y[:, -1].reshape(K, d, d)
-    if dense:
-        seg.sol = result.sol
-    return seg
+    return result.y[:, -1].reshape(K, d, d), _RkSegment(K, d, result.sol) if dense else None
 
 
 @dataclass
@@ -445,10 +424,12 @@ class FundamentalSystem:
     lams: np.ndarray            # (K,) problem lambda values (before the op's own offset)
     tol: float
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
-    segments: list = field(default_factory=list)
-    prefixes: np.ndarray = None  # (N+1, K, d, d); prefixes[i] = Phi(nodes[i])
+    segments: np.ndarray        # (N, K, d, d) propagator across each segment
+    prefixes: np.ndarray        # (N+1, K, d, d); prefixes[i] = Phi(nodes[i])
     dense: bool = True
-    # kernel work that depends on the system alone (see greens); members start empty
+    cells: _Cells = None        # dense output of the Magnus path
+    rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
+    # the grid factors of the kernels on this system (see greens); members start empty
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -477,12 +458,12 @@ class FundamentalSystem:
             raise IntegrationError("fundamental system was integrated without dense output")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         seg = np.broadcast_to(seg, ts.shape)
-        parts = [(k, seg == k) for k in np.unique(seg)]
-        if parts and isinstance(self.segments[0], _MagnusSegment):
-            return _partial_steps(self.segments, parts, ts)
+        if self.cells is not None:
+            return self.cells.local_phi(seg, ts)
         out = np.empty((len(ts), self.K, self.d, self.d), dtype=self.prefixes.dtype)
-        for k, mask in parts:
-            out[mask] = self.segments[k].local_phi(ts[mask])
+        for k in np.unique(seg):
+            mask = seg == k
+            out[mask] = self.rk[k].local_phi(ts[mask])
         return out
 
     def phi_all(self, ts) -> np.ndarray:
@@ -505,8 +486,10 @@ class FundamentalSystem:
 
     def member(self, k: int) -> "FundamentalSystem":
         """View of the k-th lambda of the batch as a single-lambda system."""
-        return replace(self, lams=self.lams[k:k + 1], prefixes=self.prefixes[:, k:k + 1],
-                       segments=[seg.member(k) for seg in self.segments])
+        return replace(self, lams=self.lams[k:k + 1], segments=self.segments[:, k:k + 1],
+                       prefixes=self.prefixes[:, k:k + 1],
+                       cells=None if self.cells is None else self.cells.member(k),
+                       rk=None if self.rk is None else [seg.member(k) for seg in self.rk])
 
 
 def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
@@ -517,15 +500,20 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
     lams = lams.astype(np.result_type(lams, float))
     lam_eff = lams + op.lam
     plan = _segment_nodes(op, lam_eff)
-    segments = []
+    ends, rk, pieces, piece_cells = [], [], [], []
     for lo, hi, nodes, rate in plan:
         if force_rk:
-            segments += [_rk_segment(op, a, b, lam_eff, tol, dense)
-                         for a, b in zip(nodes[:-1], nodes[1:])]
+            for a, b in zip(nodes[:-1], nodes[1:]):
+                end, seg = _rk_segment(op, a, b, lam_eff, tol, dense)
+                ends.append(end[None])
+                rk.append(seg)
         else:
-            piece = _Piece(op, lo, hi, lam_eff, op.is_t_constant_on(lo, hi))
-            spare = MAX_CELLS - sum(len(seg.edges) - 1 for seg in segments)
-            segments += _magnus_segments(piece, nodes, rate, tol, dense, spare)
+            pieces.append(_Piece(op, lo, hi, lam_eff, op.is_t_constant_on(lo, hi)))
+            spare = MAX_CELLS - sum(len(starts) for starts, _, _ in piece_cells)
+            end, *cells = _magnus_segments(pieces[-1], nodes, rate, tol, dense, spare)
+            ends.append(end)
+            piece_cells.append(cells)
+    segments = np.concatenate(ends)
     nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
     d = op.order
     prefixes = np.empty((len(nodes), len(lams), d, d), dtype=lam_eff.dtype)
@@ -533,17 +521,17 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
     # Phi(t) may overflow on strongly growing problems; kernels and char_det
     # use only the segment propagators
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, seg in enumerate(segments):
-            prefixes[i + 1] = seg.end_matrix() @ prefixes[i]
-    return FundamentalSystem(
-        op=op,
-        lams=lams,
-        tol=tol,
-        nodes=nodes,
-        segments=segments,
-        prefixes=prefixes,
-        dense=dense,
-    )
+        for i, end in enumerate(segments):
+            prefixes[i + 1] = end @ prefixes[i]
+    cells = None
+    if dense and not force_rk:
+        starts, counts, cell_prefixes = zip(*piece_cells)
+        piece = np.repeat(np.arange(len(pieces)), [len(c) for c in starts])
+        cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
+                       piece, pieces, np.concatenate(cell_prefixes))
+    return FundamentalSystem(op=op, lams=lams, tol=tol, nodes=nodes, segments=segments,
+                             prefixes=prefixes, dense=dense, cells=cells,
+                             rk=rk if dense and force_rk else None)
 
 
 def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEFAULT_TOL,

@@ -2,12 +2,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
+from greenbvp.expressions import Binary, Call, Const, Neg, Power, Var, to_string
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -94,6 +99,47 @@ def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
     assert time.perf_counter() - t0 < 10.0
     assert code == EXIT_NUMERICAL
     assert "integration cells needed" in capsys.readouterr().err
+
+
+def _coefficients():
+    """Random coefficient expression trees in t, printed as config strings."""
+    leaf = st.one_of(st.builds(Const, st.floats(min_value=-50.0, max_value=50.0)),
+                     st.just(Var("t")))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+            st.builds(Power, children, st.integers(min_value=0, max_value=4)),
+            st.builds(Call, st.sampled_from(["sin", "cos", "exp", "abs"]), children),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8).map(to_string)
+
+
+_LAMBDAS = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                                             st.sampled_from([-1.0, 1.0]),
+                                             st.floats(min_value=-3.0, max_value=14.0)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.sampled_from([1, 2]), data=st.data(), T=st.floats(min_value=0.05, max_value=20.0),
+       kind=st.sampled_from(["neumann", "dirichlet", "mixed1", "mixed2", "periodic",
+                             "antiperiodic"]),
+       extension=st.sampled_from(["none", "double", "quadruple"]), lam=_LAMBDAS)
+def test_green_command_ends_in_a_documented_exit_code(n, data, T, kind, extension, lam):
+    # any operator, interval, family and lambda up to 1e14 ends in exit code
+    # 0-3: resonant or over-budget problems are refused, nothing raises
+    coefficients = data.draw(st.lists(_coefficients(), min_size=2 * n, max_size=2 * n))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # a user expression such as t/t warns at t = 0 on stderr and is then
+        # refused; the suite's error filter would raise the warning instead
+        warnings.simplefilter("ignore", RuntimeWarning)
+        config = write_config(Path(tmp), n=n, T=T, coefficients=coefficients, kind=kind,
+                              extension=extension, **{"lambda": lam})
+        code = main(["green", "--config", config, "--grid", "5",
+                     "--out", str(Path(tmp) / "grid.csv")])
+    assert code in (0, 1, 2, 3)
 
 
 def test_spectrum_reports_mixed2_eigenvalue(tmp_path, capsys):

@@ -25,8 +25,11 @@ from greenbvp import (
     integrate_fundamental,
     integrate_fundamental_batch,
 )
+from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
 from greenbvp.expressions import compile_expr, parse_expression
+from greenbvp.greens import RESONANCE_THRESHOLD, _boundary_coeffs, _graph_matrix, kernel_source
+from greenbvp.integrate import FundamentalSystem
 from greenbvp.operators import coeff_values
 
 from conftest import fd_stencil
@@ -395,3 +398,114 @@ def test_pointwise_calls_retain_bounded_factors(second_order_op):
         if i % 100 == 0:
             G.eval_grid([t, s, r], [s, r])
         assert len(G.fs.memo.get("factors", ())) <= 8
+
+
+def test_pointwise_call_makes_one_local_phi_call(monkeypatch, second_order_op):
+    # G(t, s) locates both points with one local Phi evaluation and keeps
+    # neither; a one-point set per axis would take two
+    G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET, 2.0))
+    calls = []
+    local_phi = FundamentalSystem.local_phi
+    monkeypatch.setattr(FundamentalSystem, "local_phi",
+                        lambda self, *args: calls.append(args) or local_phi(self, *args))
+    points = [(0.2, 0.7), (0.7, 0.2), (0.5, 0.5), (1.0, 0.0)]
+    values = [G(t, s) for t, s in points]
+    assert len(calls) == len(points)
+    assert not G.fs.memo.get("factors")
+    assert values == [G.eval_grid([t], [s])[0, 0] for t, s in points]
+
+
+# mu L / pi of the first root and the spacing of the roots, per family, for
+# u'' + lam u (lam = mu^2) and u'''' + lam u (lam = -mu^4) on [0, L]
+_ROOT_STEPS = {BCKind.NEUMANN: (1.0, 1.0), BCKind.DIRICHLET: (1.0, 1.0),
+               BCKind.MIXED1: (0.5, 1.0), BCKind.MIXED2: (0.5, 1.0),
+               BCKind.PERIODIC: (2.0, 2.0), BCKind.ANTIPERIODIC: (1.0, 2.0)}
+
+
+def _constant_root(op, kind, k):
+    first, step = _ROOT_STEPS[kind]
+    mu = (first + k * step) * math.pi / op.length
+    return mu ** 2 if op.n == 1 else -mu ** 4
+
+
+def _margins(op, kind, lam):
+    """The kernel's resonance margin (None where it refuses) and sigma_min
+    of the QR-marched graph matrix C W / ||C||_2, on one system."""
+    fs = integrate_fundamental(op, lam)
+    graph = np.linalg.norm(_graph_matrix(_boundary_coeffs(kind, op.n), fs)[0], -2)
+    try:
+        return GreensEvaluator(ProblemSpec(op, kind, lam), fs).resonance_margin, graph
+    except ResonantProblemError:
+        return None, graph
+
+
+def test_block_lu_margin_matches_graph_march(second_order_op, const_fourth_op,
+                                             quartic_weight_op):
+    # the margin read off the block LU, 1 / (||C|| ||Z||), is sigma_min of the
+    # graph matrix, and the two refuse the same problems: six families, T, 2T
+    # and 4T, lambda = root + delta down to delta = 0, and stiff lambda
+    cases = []
+    for base in (second_order_op, const_fourth_op):
+        for op in (base, extend_to_double(base), extend_to_quadruple(base)):
+            for kind in BCKind:
+                for root in (_constant_root(op, kind, 0), _constant_root(op, kind, 3)):
+                    cases += [(op, kind, root + delta * abs(root))
+                              for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0)]
+    for op in (quartic_weight_op, extend_to_double(quartic_weight_op)):
+        cases += [(op, kind, lam) for kind in BCKind for lam in (-37.3, 0.7, 60.1)]
+    cases += [
+        (second_order_op, BCKind.DIRICHLET, 0.5 * ((636 * math.pi) ** 2 + (637 * math.pi) ** 2)),
+        (const_fourth_op, BCKind.NEUMANN, -0.5 * ((13 * math.pi) ** 4 + (14 * math.pi) ** 4)),
+        (const_fourth_op, BCKind.PERIODIC, -0.5 * ((12 * math.pi) ** 4 + (14 * math.pi) ** 4)),
+    ]
+    refused = 0
+    for op, kind, lam in cases:
+        margin, graph = _margins(op, kind, lam)
+        assert (margin is None) == (graph < RESONANCE_THRESHOLD), (op.length, kind, lam, graph)
+        if margin is None:
+            refused += 1
+        else:
+            # both are rounded at about 1e-15 absolute: relative above 1e-8
+            assert abs(margin - graph) <= 1e-6 * max(graph, 1e-8), (op.length, kind, lam)
+    assert 100 < refused < len(cases) - 100
+
+
+def test_kernels_never_march_the_graph(monkeypatch, second_order_op):
+    # a kernel reads its margin off the block LU it factors anyway; the QR
+    # march over the segments is left to char_det_scan
+    def march(*args):
+        raise AssertionError("a kernel marched the solution graph")
+
+    monkeypatch.setattr(greens_module, "_graph_matrix", march)
+    lam = 0.5 * ((100 * math.pi) ** 2 + (101 * math.pi) ** 2)
+    w = math.sqrt(lam)
+    pts = np.linspace(0.0, 1.0, 41)
+    lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
+    exact = np.sin(w * lo) * np.sin(w * (hi - 1.0)) / (w * math.sin(w))
+    for G in (build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET, lam)),
+              kernel_source(lam)(second_order_op, BCKind.DIRICHLET)):
+        assert np.abs(G.sample_grid(41) - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+def test_eval_grid_matches_segment_loop(second_order_op, quartic_weight_op):
+    # eval_grid has no loop over segments; a loop over the segments of t is
+    # the reference, equal up to the order of the d-term sums
+    for op, kind, lam in [
+        (second_order_op, BCKind.DIRICHLET, 0.5 * ((60 * math.pi) ** 2 + (61 * math.pi) ** 2)),
+        (extend_to_quadruple(quartic_weight_op), BCKind.PERIODIC, 0.7),
+    ]:
+        G = build_greens(ProblemSpec(op, kind, lam))
+        ts, ss = np.linspace(0.0, G.length, 53), np.linspace(0.0, G.length, 47)
+        ft, fsrc = G._factor(ts), G._factor(ss)
+        xs = np.linalg.solve(fsrc.phi, np.eye(G.d)[:, -1:])[..., 0].T
+        Y = G._node_states(fsrc.seg, xs)
+        rows = ft.phi[:, 0, :]
+        reference = np.empty((len(ts), len(ss)))
+        for seg in np.unique(ft.seg):
+            t_in, s_in = ft.seg == seg, fsrc.seg == seg
+            reference[t_in] = rows[t_in] @ Y[seg]
+            impulse = (rows[t_in] @ xs[:, s_in]) * (ts[t_in, None] >= ss[s_in])
+            reference[np.ix_(t_in, s_in)] += impulse
+        assert G.nseg > 5
+        scale = np.abs(reference).max()
+        assert np.abs(G.eval_grid(ft, fsrc) - reference).max() <= 1e-14 * scale
