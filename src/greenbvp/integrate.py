@@ -15,8 +15,9 @@ tolerance and the segment's frequency scale, and cells whose coefficients
 the Gauss rule does not resolve are halved.  Everything is batched over a
 vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap; the coefficient samples are shared by the whole
-batch.  An adaptive Dormand-Prince 5(4) integration is kept as an
-independent reference (force_rk=True).
+batch, and so are the generators where no coefficient uses lambda (see
+_magnus_polynomial).  An adaptive Dormand-Prince 5(4) integration is kept as
+an independent reference (force_rk=True).
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ _MAX_SPLITS = 40
 
 # Cells of one block, times the batch size: bounds the d x d temporaries.
 _BLOCK_MATRICES = 2048
+
+# Lambda batches larger than this form generators by _magnus_polynomial: 9
+# commutators per cell, against 5 per cell and lambda.
+_POLYNOMIAL_BATCH = 4
 
 # Gauss-Legendre nodes and weights of [0, 1] for the three samples of a
 # Magnus cell; _CHECK_NODES adds the nodes of the cell's two halves.
@@ -126,14 +131,9 @@ def expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
-def _coeff_closures(op: LinearOperator, lo: float, hi: float):
-    """Per-coefficient fast evaluators valid on [lo, hi]: f(t, lam_eff)."""
-    mid = 0.5 * (lo + hi)
-    closures = []
-    for k in range(op.order):
-        seg = op.coeff_segment_at(k, mid)
-        closures.append(seg.evaluate)
-    return closures
+def _coeff_segments(op: LinearOperator, lo: float, hi: float) -> list:
+    """The segments of a_0, ..., a_{d-1} on the breakpoint interval [lo, hi]."""
+    return [op.coeff_segment_at(k, 0.5 * (lo + hi)) for k in range(op.order)]
 
 
 def _growth_rate(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray) -> float:
@@ -142,8 +142,8 @@ def _growth_rate(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray) 
     lam_ref = float(np.max(np.abs(lam_eff))) if lam_eff.size else 0.0
     d = op.order
     rate = 0.0
-    for k, f in enumerate(_coeff_closures(op, lo, hi)):
-        sup = float(np.max(np.abs(np.broadcast_to(np.asarray(f(ts, lam_ref)), ts.shape))))
+    for k, a in enumerate(_coeff_segments(op, lo, hi)):
+        sup = float(np.max(np.abs(np.broadcast_to(np.asarray(a.evaluate(ts, lam_ref)), ts.shape))))
         if k == 0:
             sup += lam_ref + abs(op.lam)
         if sup > 0.0:
@@ -213,15 +213,48 @@ def _magnus_generator(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
     return a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
 
 
+def _magnus_polynomial(rows: np.ndarray, h: np.ndarray) -> tuple:
+    """_magnus_generator as Omega_0 + lam Omega_1 + lam^2 Omega_2 from rows
+    sampled at lam = 0 (shape (3,) + S + (1, d)): lam enters only a1 =
+    h (A2 + lam E), E = -e_d e_1^T.  The lam^3 term, [E, [E, a2]], is zero as
+    E^2 = 0 and a2's first row is zero; for d > 2 so is Omega_2."""
+    A1, A2, A3 = _companion(rows)
+    h = h[..., None, None, None]
+    b = h * -np.eye(rows.shape[-1], k=1 - rows.shape[-1])  # h E
+    a1 = h * A2
+    a2 = (h * (math.sqrt(15.0) / 3.0)) * (A3 - A1)
+    a3 = (h * (10.0 / 3.0)) * (A3 - 2.0 * A2 + A1)
+    c1, c1_1 = _commutator(a1, a2), _commutator(b, a2)
+    w = 2.0 * a3 + c1
+    # c1 - 20 a1 - a3 = x + lam x1 and a2 + c2 = y + lam y1
+    x, x1 = c1 - 20.0 * a1 - a3, c1_1 - 20.0 * b
+    y = a2 + _commutator(a1, w) / -60.0
+    y1 = (_commutator(b, w) + _commutator(a1, c1_1)) / -60.0
+    return (a1 + a3 / 12.0 + _commutator(x, y) / 240.0,
+            b + (_commutator(x, y1) + _commutator(x1, y)) / 240.0,
+            _commutator(x1, y1) / 240.0)
+
+
 @dataclass(frozen=True)
 class _Piece:
     """The coefficients of one breakpoint interval [lo, hi] for a lambda batch."""
 
-    op: LinearOperator
     lo: float
     hi: float
     lam_eff: np.ndarray
     constant: bool
+    coeffs: tuple   # (segment, whether its expression uses lambda) per coefficient
+
+    @classmethod
+    def of(cls, op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray) -> "_Piece":
+        return cls(lo, hi, lam_eff, op.is_t_constant_on(lo, hi), tuple(
+            (seg, uses_lambda(seg.expr)) for seg in _coeff_segments(op, lo, hi)))
+
+    @property
+    def polynomial(self) -> bool:
+        """Whether the generators are polynomials in lambda (_POLYNOMIAL_BATCH)."""
+        return (len(self.lam_eff) > _POLYNOMIAL_BATCH and not self.constant
+                and not any(lam for _, lam in self.coeffs))
 
     def member(self, k: int) -> "_Piece":
         return replace(self, lam_eff=self.lam_eff[k:k + 1])
@@ -230,14 +263,16 @@ class _Piece:
         """a_0, ..., a_{d-1} at the times ts, each of shape ts.shape + (1,),
         or ts.shape + (K,) when its expression uses lambda: one evaluation
         per coefficient serves the whole batch."""
-        mid = 0.5 * (self.lo + self.hi)
         vals = []
-        for k in range(self.op.order):
-            seg = self.op.coeff_segment_at(k, mid)
-            lam = self.lam_eff if uses_lambda(seg.expr) else 0.0
+        for seg, lam in self.coeffs:
+            lam = self.lam_eff if lam else 0.0
             vals.append(np.broadcast_to(seg.evaluate(ts[..., None], lam),
                                         ts.shape + (np.size(lam),)))
         return vals
+
+    def rows(self, vals: list) -> np.ndarray:
+        """Companion rows of the samples, at lam = 0 for polynomial generators."""
+        return _companion_rows(vals, 0.0 if self.polynomial else self.lam_eff)
 
     def sample(self, t0: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Companion rows the generators of the steps [t0, t0 + h] need: at
@@ -246,12 +281,16 @@ class _Piece:
             ts = np.array(0.5 * (self.lo + self.hi))
         else:
             ts = t0 + h * _GAUSS.reshape((3,) + (1,) * np.ndim(h))
-        return _companion_rows(self.values(ts), self.lam_eff)
+        return self.rows(self.values(ts))
 
     def generators(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Omega of steps of width h (shape S) from their samples, S + (K, d, d)."""
         if self.constant:
             return h[..., None, None, None] * _companion(rows)
+        if self.polynomial:
+            lam = self.lam_eff[:, None, None]
+            o0, o1, o2 = _magnus_polynomial(rows, h)
+            return (o2 * lam + o1) * lam + o0
         return _magnus_generator(rows, h)
 
     def cells(self, nodes: np.ndarray, rate: float, tol: float, spare: int):
@@ -275,7 +314,7 @@ class _Piece:
             vals = self.values(t0 + h * _CHECK_NODES[:, None])
             bad = _unresolved(vals, check_tol)
             if not bad.any():
-                return t0, h, seg, _companion_rows([v[:3] for v in vals], self.lam_eff)
+                return t0, h, seg, self.rows([v[:3] for v in vals])
             idx = np.repeat(np.arange(len(t0)), 1 + bad)
             second = np.zeros(len(idx), dtype=bool)
             second[1:] = idx[1:] == idx[:-1]
@@ -341,8 +380,8 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
     pad = rank >= counts[:, None]
     table = np.where(pad, first[:, None], first[:, None] + rank)
     width = np.where(pad, 0.0, h[table])
-    ends = np.empty((nseg, K, d, d), dtype=rows.dtype)
-    prefixes = np.empty((nseg, len(rank), K, d, d), dtype=rows.dtype) if dense else None
+    ends = np.empty((nseg, K, d, d), dtype=np.result_type(rows, piece.lam_eff))
+    prefixes = np.empty((nseg, len(rank), K, d, d), dtype=ends.dtype) if dense else None
     cells = max(1, _BLOCK_MATRICES // K)
     chunk = min(len(rank), cells)
     group = max(1, cells // chunk)
@@ -383,7 +422,7 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
     """The segment's end matrices (K, d, d) and (dense, else None) its output."""
     d = op.order
     K = len(lam_eff)
-    closures = _coeff_closures(op, lo, hi)
+    closures = [seg.evaluate for seg in _coeff_segments(op, lo, hi)]
     lam_col = lam_eff[:, None]
 
     def rhs(t, y):
@@ -508,7 +547,7 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
                 ends.append(end[None])
                 rk.append(seg)
         else:
-            pieces.append(_Piece(op, lo, hi, lam_eff, op.is_t_constant_on(lo, hi)))
+            pieces.append(_Piece.of(op, lo, hi, lam_eff))
             spare = MAX_CELLS - sum(len(starts) for starts, _, _ in piece_cells)
             end, *cells = _magnus_segments(pieces[-1], nodes, rate, tol, dense, spare)
             ends.append(end)

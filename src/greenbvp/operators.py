@@ -41,7 +41,8 @@ class CoeffSegment:
 
     def evaluate(self, t, lam: float = 0.0):
         f = compile_expr(self.expr)
-        return self.sign * f(self.shift + self.scale * np.asarray(t, dtype=float), lam)
+        with np.errstate(all="ignore"):  # nan and inf are refused by finiteness checks
+            return self.sign * f(self.shift + self.scale * np.asarray(t, dtype=float), lam)
 
     def mapped(self, new_lo: float, new_hi: float, about: float, flip_sign: bool) -> "CoeffSegment":
         """Segment for the reflection t -> about - t, relocated to [new_lo, new_hi]."""

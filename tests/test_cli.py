@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +100,24 @@ def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
     assert "integration cells needed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a1, code, message", [
+    ("t / t", EXIT_CONFIG, "non-finite values"),
+    ("(t / t)^0", EXIT_NUMERICAL, "resonant"),
+])
+def test_green_zero_over_zero_coefficient_prints_no_numpy_warning(tmp_path, a1, code, message):
+    # t / t is 0/0 at t = 0 and refused; (t / t)^0 is 1 everywhere, and u'' + u'
+    # is resonant under Neumann conditions.  Either way the program's own
+    # message is all that reaches stderr (run as a user would, outside the
+    # suite's warnings-as-errors filter)
+    config = write_config(tmp_path, n=1, T=1, coefficients=["0", a1], kind="neumann")
+    result = subprocess.run([sys.executable, "-m", "greenbvp.cli", "green", "--config", config,
+                             "--grid", "5", "--out", str(tmp_path / "grid.csv")],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == code
+    assert message in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
 def _coefficients():
     """Random coefficient expression trees in t, printed as config strings."""
     leaf = st.one_of(st.builds(Const, st.floats(min_value=-50.0, max_value=50.0)),
@@ -131,10 +148,7 @@ def test_green_command_ends_in_a_documented_exit_code(n, data, T, kind, extensio
     # any operator, interval, family and lambda up to 1e14 ends in exit code
     # 0-3: resonant or over-budget problems are refused, nothing raises
     coefficients = data.draw(st.lists(_coefficients(), min_size=2 * n, max_size=2 * n))
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # a user expression such as t/t warns at t = 0 on stderr and is then
-        # refused; the suite's error filter would raise the warning instead
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), n=n, T=T, coefficients=coefficients, kind=kind,
                               extension=extension, **{"lambda": lam})
         code = main(["green", "--config", config, "--grid", "5",

@@ -17,7 +17,8 @@ from greenbvp import (
     integrate_fundamental_batch,
     transition,
 )
-from greenbvp.integrate import expm
+from greenbvp import integrate
+from greenbvp.integrate import DEFAULT_TOL, MAX_CELLS, expm
 
 
 def test_double_integrator_fundamental(second_order_op):
@@ -224,3 +225,79 @@ def test_cell_exponential_per_matrix_scaling():
         ref = scipy_expm(X)
         assert np.abs(together[k] - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(expm(X[None])[0], together[k])
+
+
+def _rows_at(rows0, lam):
+    """Companion rows of the samples rows0 (taken at lambda 0) at lambda."""
+    rows = np.array(rows0, dtype=np.result_type(rows0, lam))
+    rows[..., 0] -= lam
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_polynomial_generator_matches_direct_form(d):
+    # Omega_0 + lam Omega_1 + lam^2 Omega_2 by Horner against the commutator
+    # form on the rows at lam, for cells as narrow as the integrator makes
+    # them: h |lam|^(1/d) at most 1
+    rng = np.random.default_rng(d)
+    rows0 = rng.normal(size=(3, 40, 1, d))
+    for lam in [0.0, 0.5, -7.0, 1e3, -1e4, 1e6, -1e6, 3.0 + 4.0j, -1e5 + 2e3j]:
+        h = rng.uniform(0.05, 1.0, size=40) / max(1.0, abs(lam)) ** (1.0 / d)
+        o0, o1, o2 = integrate._magnus_polynomial(rows0, h)
+        poly = (o2 * lam + o1) * lam + o0
+        direct = integrate._magnus_generator(_rows_at(rows0, lam), h)
+        err = np.linalg.norm(poly - direct, axis=(-2, -1))
+        assert np.all(err <= 1e-13 * np.linalg.norm(direct, axis=(-2, -1)))
+
+
+def _members_on_batch_cells(op, lams):
+    """Segment propagators of each lambda of a batch integrated alone, on the
+    segments and cells the whole batch uses, shape (N, K, d, d)."""
+    lam_eff = lams + op.lam
+    ends = []
+    for lo, hi, nodes, rate in integrate._segment_nodes(op, lam_eff):
+        piece = integrate._Piece.of(op, lo, hi, lam_eff)
+        assert piece.polynomial and not piece.member(0).polynomial
+        ends.append(np.concatenate([
+            integrate._magnus_segments(piece.member(k), nodes, rate, DEFAULT_TOL, False,
+                                       MAX_CELLS)[0] for k in range(len(lams))], axis=1))
+    return np.concatenate(ends)
+
+
+@pytest.mark.parametrize("case", ["T", "2T", "4T", "2T complex"])
+def test_polynomial_batch_matches_members_on_same_cells(quartic_weight_op, case):
+    op = {"T": quartic_weight_op, "4T": extend_to_quadruple(quartic_weight_op)}.get(
+        case, extend_to_double(quartic_weight_op))
+    lams = np.linspace(-110.0, 10.0, 41)
+    if case == "2T complex":
+        lams = lams + 1j * np.linspace(-3.0, 3.0, 41)
+    fs = integrate_fundamental_batch(op, lams, dense=True)
+    # a complex batch of real coefficient rows must stay complex
+    assert fs.segments.dtype == lams.dtype and fs.cells.prefixes.dtype == lams.dtype
+    ref = _members_on_batch_cells(op, lams)
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(fs.segments - ref) <= 1e-13 * scale)
+
+
+def test_polynomial_generators_only_for_lambda_free_batches(monkeypatch, quartic_weight_op):
+    # a coefficient that uses lambda, constant coefficients and a single
+    # lambda keep the direct generator, bit for bit
+    lams = np.linspace(-50.0, 10.0, 15)
+    cases = [(LinearOperator.from_exprs(2, 2.0, ["lambda*t", "0", "0", "0"]), lams),
+             (LinearOperator.from_exprs(2, 2.0, ["3", "0", "1", "0"]), lams),
+             (quartic_weight_op, lams[:1])]
+    calls, polynomial = [], integrate._magnus_polynomial
+    monkeypatch.setattr(integrate, "_magnus_polynomial",
+                        lambda rows, h: calls.append(h) or polynomial(rows, h))
+    for op, batch in cases:
+        for lo, hi, nodes, rate in integrate._segment_nodes(op, batch + op.lam):
+            piece = integrate._Piece.of(op, lo, hi, batch + op.lam)
+            assert not piece.polynomial
+            _, h, _, rows = piece.cells(nodes, rate, DEFAULT_TOL, MAX_CELLS)
+            direct = (h[:, None, None, None] * integrate._companion(rows) if piece.constant
+                      else integrate._magnus_generator(rows, h))
+            assert np.array_equal(piece.generators(rows, h), direct)
+        integrate_fundamental_batch(op, batch, dense=True).local_phi(0, [0.3])
+    assert not calls
+    integrate_fundamental_batch(quartic_weight_op, lams)  # the control: a (t-2)^4 batch
+    assert calls
