@@ -9,7 +9,6 @@ from .greens import (
     ProblemSpec,
     ResonantProblemError,
     boundary_functionals,
-    boundary_matrix,
     build_greens,
     char_det,
     char_det_scan,
@@ -17,10 +16,8 @@ from .greens import (
 from .integrate import (
     FundamentalSystem,
     IntegrationError,
-    cauchy_value,
     integrate_fundamental,
     integrate_fundamental_batch,
-    transition,
 )
 from .operators import (
     LinearOperator,

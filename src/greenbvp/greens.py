@@ -15,7 +15,8 @@ whose zeros are the eigenvalues, and sigma_min(M) is the resonance margin of
 a kernel; both are bounded by one and do not depend on the segment count.
 char_det_scan marches W over the segments, so that Phi(T) is never formed;
 a kernel reads sigma_min(M) off the sparse LU it factors anyway, and no step
-of its construction or grid evaluation loops over the segments.
+of its construction or grid evaluation loops over the segments.  That LU
+also gives eigenfunctions their node states (homogeneous_states).
 
 All boundary families of one operator and lambda solve the same equation:
 their kernels share one fundamental system, whose segment end matrices and
@@ -42,7 +43,6 @@ __all__ = [
     "ProblemSpec",
     "ResonantProblemError",
     "boundary_functionals",
-    "boundary_matrix",
     "char_det",
     "char_det_scan",
     "build_greens",
@@ -161,14 +161,6 @@ def _boundary_coeffs(kind: BCKind, n: int) -> np.ndarray:
     return C
 
 
-def boundary_matrix(problem: ProblemSpec, fs: FundamentalSystem) -> np.ndarray:
-    """Functionals applied to the fundamental columns, C[:, :d] + C[:, d:] Phi(T);
-    det vanishes exactly at the eigenvalues of the problem."""
-    d = fs.d
-    C = _boundary_coeffs(problem.kind, problem.operator.n)
-    return C[:, :d] + C[:, d:] @ fs.phi_end()[0]
-
-
 def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
     """M = C W / ||C||_2 for every lambda of the batch, shape (K, d, d).
 
@@ -178,7 +170,7 @@ def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
     triangular matrix with positive diagonal and det M is det(C [I; Phi(T)])
     times a positive factor: it has the argument (for real lambda, the sign)
     of the boundary determinant.  |det M| <= sigma_min(M) <= 1.  Kernels
-    read sigma_min(M) off their block LU instead (GreensEvaluator._factorize).
+    read sigma_min(M) off their block LU instead (homogeneous_states).
     """
     d = fs.d
     X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
@@ -202,6 +194,39 @@ def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_T
 def char_det(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> float:
     """The characteristic function of char_det_scan at the problem's lambda."""
     return float(char_det_scan(problem.operator, problem.kind, [problem.lam], tol)[0])
+
+
+def _block_matrix(C: np.ndarray, ends: np.ndarray) -> csc_array:
+    """Rows i*d.. : Y_{i+1} - E_i Y_i (continuity) for the segment
+    propagators E_i = ends[i]; last d rows: the boundary functionals C on
+    Y_0 and Y_N."""
+    N, d = ends.shape[:2]
+    dim = (N + 1) * d
+    starts = np.arange(N)[:, None, None] * d
+    rows = np.broadcast_to(starts + np.arange(d)[:, None], (N, d, d))
+    cols = np.broadcast_to(starts + np.arange(d), (N, d, d))
+    diag = np.arange(N * d)
+    bc_rows, bc_cols = np.nonzero(C)
+    data = np.concatenate([-ends.ravel(), np.ones(N * d), C[bc_rows, bc_cols]])
+    row_idx = np.concatenate([rows.ravel(), diag, N * d + bc_rows])
+    col_idx = np.concatenate([cols.ravel(), diag + d,
+                              bc_cols + (bc_cols >= d) * (N - 1) * d])
+    return csc_array((data, (row_idx, col_idx)), shape=(dim, dim))
+
+
+def homogeneous_states(C: np.ndarray, ends: np.ndarray) -> tuple:
+    """The sparse LU of the block system of the functionals C and the segment
+    propagators ends (N, d, d), and the node states H (N+1, d, d) of the d
+    solutions with C [H_0; H_N] = I; (None, None) if the factor is exactly
+    singular.  Z = [H_0; H_N] is W S for the orthonormal graph basis W, so
+    sigma(M) = 1 / (||C||_2 sigma(Z)), and H v, v the top right singular
+    vector of Z, holds the node states of the solution of sigma_min(M)."""
+    N, d = ends.shape[:2]
+    try:
+        lu = splu(_block_matrix(C, ends))
+    except RuntimeError:  # "Factor is exactly singular"
+        return None, None
+    return lu, lu.solve(np.eye((N + 1) * d, d, -N * d)).reshape(N + 1, d, d)
 
 
 @dataclass(frozen=True)
@@ -238,44 +263,18 @@ class GreensEvaluator:
         self.nodes = fs.nodes
         self._ends = fs.segments[:, 0]
         self.nseg = len(self._ends)
-        self.resonance_margin = self._factorize(_boundary_coeffs(problem.kind, problem.operator.n))
+        # margin 1 / (||C||_2 ||Z||_2); 0 for an exactly singular factor or non-finite Z
+        C = _boundary_coeffs(problem.kind, problem.operator.n)
+        self._lu, H = homogeneous_states(C, self._ends)
+        Z = np.inf if H is None else H[[0, -1]].reshape(-1, self.d)
+        self.resonance_margin = (float(1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(Z, 2)))
+                                 if np.isfinite(Z).all() else 0.0)
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
 
     @property
     def interval(self) -> tuple[float, float]:
         return (0.0, self.length)
-
-    def _block_matrix(self, C: np.ndarray) -> csc_array:
-        """Rows i*d.. : Y_{i+1} - E_i Y_i (continuity); last d rows: the
-        boundary functionals on Y_0 and Y_N."""
-        d, N = self.d, self.nseg
-        dim = (N + 1) * d
-        starts = np.arange(N)[:, None, None] * d
-        rows = np.broadcast_to(starts + np.arange(d)[:, None], (N, d, d))
-        cols = np.broadcast_to(starts + np.arange(d), (N, d, d))
-        diag = np.arange(N * d)
-        bc_rows, bc_cols = np.nonzero(C)
-        data = np.concatenate([-self._ends.ravel(), np.ones(N * d), C[bc_rows, bc_cols]])
-        row_idx = np.concatenate([rows.ravel(), diag, N * d + bc_rows])
-        col_idx = np.concatenate([cols.ravel(), diag + d,
-                                  bc_cols + (bc_cols >= d) * (N - 1) * d])
-        return csc_array((data, (row_idx, col_idx)), shape=(dim, dim))
-
-    def _factorize(self, C: np.ndarray) -> float:
-        """Factor the block system and return the resonance margin (0.0 for an
-        exactly singular factor).  The homogeneous solutions with C [Y_0; Y_N]
-        = I have end states Z = [Y_0; Y_N] = W S for the orthonormal graph
-        basis W, so C W = S^-1 and sigma_min(C W) = 1 / ||Z||_2."""
-        d, N = self.d, self.nseg
-        try:
-            self._lu = splu(self._block_matrix(C))
-        except RuntimeError:  # "Factor is exactly singular"
-            return 0.0
-        Z = self._lu.solve(np.eye((N + 1) * d, d, -N * d))[np.r_[:d, N * d:(N + 1) * d]]
-        if not np.isfinite(Z).all():
-            return 0.0
-        return float(1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(Z, 2)))
 
     def _locate(self, pts) -> _GridFactor:
         """Segment indices and local Phi of one point set, not kept."""

@@ -36,8 +36,6 @@ __all__ = [
     "FundamentalSystem",
     "integrate_fundamental",
     "integrate_fundamental_batch",
-    "transition",
-    "cauchy_value",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -217,7 +215,7 @@ def _magnus_polynomial(rows: np.ndarray, h: np.ndarray) -> tuple:
     """_magnus_generator as Omega_0 + lam Omega_1 + lam^2 Omega_2 from rows
     sampled at lam = 0 (shape (3,) + S + (1, d)): lam enters only a1 =
     h (A2 + lam E), E = -e_d e_1^T.  The lam^3 term, [E, [E, a2]], is zero as
-    E^2 = 0 and a2's first row is zero; for d > 2 so is Omega_2."""
+    E^2 = 0 and a2's first row is zero; for d > 2 so is Omega_2 (not returned)."""
     A1, A2, A3 = _companion(rows)
     h = h[..., None, None, None]
     b = h * -np.eye(rows.shape[-1], k=1 - rows.shape[-1])  # h E
@@ -230,9 +228,9 @@ def _magnus_polynomial(rows: np.ndarray, h: np.ndarray) -> tuple:
     x, x1 = c1 - 20.0 * a1 - a3, c1_1 - 20.0 * b
     y = a2 + _commutator(a1, w) / -60.0
     y1 = (_commutator(b, w) + _commutator(a1, c1_1)) / -60.0
-    return (a1 + a3 / 12.0 + _commutator(x, y) / 240.0,
-            b + (_commutator(x, y1) + _commutator(x1, y)) / 240.0,
-            _commutator(x1, y1) / 240.0)
+    terms = (a1 + a3 / 12.0 + _commutator(x, y) / 240.0,
+             b + (_commutator(x, y1) + _commutator(x1, y)) / 240.0)
+    return terms + (_commutator(x1, y1) / 240.0,) if rows.shape[-1] == 2 else terms
 
 
 @dataclass(frozen=True)
@@ -289,8 +287,8 @@ class _Piece:
             return h[..., None, None, None] * _companion(rows)
         if self.polynomial:
             lam = self.lam_eff[:, None, None]
-            o0, o1, o2 = _magnus_polynomial(rows, h)
-            return (o2 * lam + o1) * lam + o0
+            o0, o1, *o2 = _magnus_polynomial(rows, h)
+            return ((o2[0] * lam + o1) if o2 else o1) * lam + o0
         return _magnus_generator(rows, h)
 
     def cells(self, nodes: np.ndarray, rate: float, tol: float, spare: int):
@@ -457,14 +455,14 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
 
 @dataclass
 class FundamentalSystem:
-    """Fundamental matrices Phi(t) (Phi(0) = I) for a batch of lambda values."""
+    """Segment propagators and local Phi (I at each segment start) for a
+    batch of lambda values; global Phi is never formed."""
 
     op: LinearOperator
     lams: np.ndarray            # (K,) problem lambda values (before the op's own offset)
     tol: float
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
-    prefixes: np.ndarray        # (N+1, K, d, d); prefixes[i] = Phi(nodes[i])
     dense: bool = True
     cells: _Cells = None        # dense output of the Magnus path
     rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
@@ -499,34 +497,15 @@ class FundamentalSystem:
         seg = np.broadcast_to(seg, ts.shape)
         if self.cells is not None:
             return self.cells.local_phi(seg, ts)
-        out = np.empty((len(ts), self.K, self.d, self.d), dtype=self.prefixes.dtype)
+        out = np.empty((len(ts), self.K, self.d, self.d), dtype=self.segments.dtype)
         for k in np.unique(seg):
             mask = seg == k
             out[mask] = self.rk[k].local_phi(ts[mask])
         return out
 
-    def phi_all(self, ts) -> np.ndarray:
-        """Global Phi(t) for an array of times, shape (nt, K, d, d)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts < self.nodes[0] - 1e-12) or np.any(ts > self.nodes[-1] + 1e-12):
-            raise ValueError("time outside the integration interval")
-        idx = self.segment_index(ts)
-        return self.local_phi(idx, ts) @ self.prefixes[idx]
-
-    def phi(self, ts) -> np.ndarray:
-        """Single-lambda convenience: shape (nt, d, d)."""
-        if self.K != 1:
-            raise ValueError("use phi_all for a lambda batch")
-        return self.phi_all(ts)[:, 0]
-
-    def phi_end(self) -> np.ndarray:
-        """Phi at the right endpoint, shape (K, d, d)."""
-        return self.prefixes[-1]
-
     def member(self, k: int) -> "FundamentalSystem":
         """View of the k-th lambda of the batch as a single-lambda system."""
         return replace(self, lams=self.lams[k:k + 1], segments=self.segments[:, k:k + 1],
-                       prefixes=self.prefixes[:, k:k + 1],
                        cells=None if self.cells is None else self.cells.member(k),
                        rk=None if self.rk is None else [seg.member(k) for seg in self.rk])
 
@@ -554,14 +533,6 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
             piece_cells.append(cells)
     segments = np.concatenate(ends)
     nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
-    d = op.order
-    prefixes = np.empty((len(nodes), len(lams), d, d), dtype=lam_eff.dtype)
-    prefixes[0] = np.eye(d)
-    # Phi(t) may overflow on strongly growing problems; kernels and char_det
-    # use only the segment propagators
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, end in enumerate(segments):
-            prefixes[i + 1] = end @ prefixes[i]
     cells = None
     if dense and not force_rk:
         starts, counts, cell_prefixes = zip(*piece_cells)
@@ -569,7 +540,7 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
         cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
                        piece, pieces, np.concatenate(cell_prefixes))
     return FundamentalSystem(op=op, lams=lams, tol=tol, nodes=nodes, segments=segments,
-                             prefixes=prefixes, dense=dense, cells=cells,
+                             dense=dense, cells=cells,
                              rk=rk if dense and force_rk else None)
 
 
@@ -589,25 +560,3 @@ def integrate_fundamental_batch(op: LinearOperator, lams, tol: float = DEFAULT_T
     """One integration sweep shared by a whole vector of lambda values."""
     return _integrate(op, np.atleast_1d(np.asarray(lams)), tol, dense, force_rk)
 
-
-_COND_LIMIT = 1e13
-
-
-def transition(fs: FundamentalSystem, s: float, t: float) -> np.ndarray:
-    """State-transition matrix Phi(t) Phi(s)^-1 from time s to time t; kept
-    as a reference for the tests of the propagator's dense output."""
-    phi_s = fs.phi([s])[0]
-    cond = np.linalg.cond(phi_s)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IntegrationError(f"ill-conditioned state matrix at t={s}: cond={cond:.3e}")
-    phi_t = fs.phi([t])[0]
-    return np.linalg.solve(phi_s.T, phi_t.T).T
-
-
-def cauchy_value(fs: FundamentalSystem, t: float, s: float) -> float:
-    """Impulse-response kernel k(t, s): the solution with u^(i)(s)=0 for
-    i < 2n-1 and u^(2n-1)(s)=1, evaluated at t (requires s <= t); a test
-    reference like transition."""
-    if s > t:
-        raise ValueError("cauchy_value requires s <= t")
-    return float(transition(fs, s, t)[0, fs.d - 1])

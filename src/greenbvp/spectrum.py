@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .greens import BCKind, ProblemSpec, boundary_matrix, char_det_scan
+from .greens import BCKind, _boundary_coeffs, char_det_scan, homogeneous_states
 from .integrate import DEFAULT_TOL, integrate_fundamental
 from .operators import LinearOperator, coeff_values, extend_to_double, extend_to_quadruple, \
     reflect
@@ -36,7 +36,12 @@ __all__ = [
     "verify_first_eigenvalue_relations",
 ]
 
-NULL_SPACE_TOL = 1e-6    # singular value regarded as part of the null space
+# Thresholds on the singular values sigma_1 <= sigma_2 <= ... <= 1 of the
+# graph matrix M = C W / ||C||_2 at a root (see _null_functions).
+NOT_EIGENVALUE_TOL = 1e-4  # sigma_1 above: no eigenvalue (warning)
+DOUBLE_ROOT_TOL = 1e-6     # sigma_2 below: the null space is two-dimensional
+SIMPLE_SIGN_TOL = 1e-3     # sigma_2 above: one eigenfunction decides constant sign
+OFF_ROOT = 1e-12           # relative step off a root where sigma_2 is unresolved
 
 # The characteristic function is det(C W) / ||C||_2^d on an orthonormal
 # solution-graph basis W: its magnitude is bounded by the smallest singular
@@ -280,36 +285,50 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     return Spectrum(kind=kind, window=(lo, hi), eigenvalues=hits)
 
 
-def _null_space(op: LinearOperator, kind: BCKind, lam_star: float, tol: float):
-    """SVD of the boundary matrix C[:, :d] + C[:, d:] Phi(T), whose null
-    vectors are the coefficients of the eigenfunctions on the fundamental
-    columns."""
-    fs = integrate_fundamental(op, lam_star, tol=tol, dense=True)
-    _, svals, vt = np.linalg.svd(boundary_matrix(ProblemSpec(op, kind, lam_star), fs))
-    return fs, svals, vt
+def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, tol: float, ts):
+    """The singular values sigma_1 <= ... <= sigma_d of M at lam_star and,
+    column j for sigma_(j+1), the values at ts of the solutions M maps to
+    them, from their node states (greens.homogeneous_states) and local Phi.
+
+    The SVD of the end states reads sigma_2 to about eps * sigma_2 / sigma_1
+    relative.  Where the factor is exactly singular, or sigma_1 is too small
+    for SIMPLE_SIGN_TOL to be resolved, lam_star is moved off by OFF_ROOT
+    (absolute below |lam_star| = 1): that keeps double roots double.
+    """
+    C = _boundary_coeffs(kind, op.n)
+    norm_c = np.linalg.norm(C, 2)
+    for lam in (lam_star, lam_star + OFF_ROOT * max(abs(lam_star), 1.0)):
+        fs = integrate_fundamental(op, lam, tol=tol, dense=True)
+        _, H = homogeneous_states(C, fs.segments[:, 0])
+        if H is not None:
+            _, sz, vt = np.linalg.svd(H[[0, -1]].reshape(-1, op.order))
+            if norm_c * sz[0] * np.finfo(float).eps * SIMPLE_SIGN_TOL <= 1.0:
+                break
+    states = H @ (vt.T / sz)  # each with unit end states [y(0); y(T)]
+    seg = fs.segment_index(ts)
+    rows = fs.local_phi(seg, ts)[:, 0, 0]
+    return 1.0 / (norm_c * sz), np.einsum("nj,njk->nk", rows, states[seg])
 
 
 def eigenfunction_at(op: LinearOperator, kind: BCKind, lam_star: float,
                      tol: float = DEFAULT_TOL, npts: int = 401):
     """Eigenfunction samples at lam_star: (ts, values, interior sign changes).
 
-    The coefficient vector is the smallest singular direction of the
-    boundary matrix; values are normalized to max-abs 1 and sign changes
-    counted ignoring |u| < 1e-6.  Raises MultiplicityError when the null
-    space has dimension >= 2.
+    The eigenfunction is the solution of sigma_1(M) (_null_functions),
+    normalized to max-abs 1; sign changes are counted ignoring |u| < 1e-6.
+    Warns when sigma_1 > NOT_EIGENVALUE_TOL; raises MultiplicityError when
+    sigma_2 < DOUBLE_ROOT_TOL (null space of dimension >= 2).
     """
-    fs, svals, vt = _null_space(op, kind, lam_star, tol)
-    scale = max(svals[0], 1e-300)
-    if svals[-1] / scale > 1e-4:
+    ts = np.linspace(0.0, op.length, npts)
+    svals, values = _null_functions(op, kind, lam_star, tol, ts)
+    if svals[0] > NOT_EIGENVALUE_TOL:
         warnings.warn(f"lambda={lam_star:.8g} does not look like an eigenvalue "
-                      f"(relative smallest singular value {svals[-1] / scale:.3e})")
-    if len(svals) >= 2 and svals[-2] / scale < NULL_SPACE_TOL:
+                      f"(smallest singular value {svals[0]:.3e})")
+    if svals[1] < DOUBLE_ROOT_TOL:
         raise MultiplicityError(
             f"null space dimension >= 2 at lambda={lam_star:.8g} "
-            f"(singular values {svals[-2]:.2e}, {svals[-1]:.2e})")
-    ts = np.linspace(0.0, op.length, npts)
-    u = fs.phi(ts)[:, 0, :] @ vt[-1]
-    u = u / np.abs(u).max()
+            f"(singular values {svals[0]:.2e}, {svals[1]:.2e})")
+    u = values[:, 0] / np.abs(values[:, 0]).max()
     return ts, u, count_sign_changes(u)
 
 
@@ -324,16 +343,12 @@ def count_sign_changes(u: np.ndarray, ignore_below: float = 1e-6) -> int:
 def _constant_sign_combination(op, kind, lam_star, tol) -> bool:
     """At a double root, search the 2-dim null space for a constant-sign
     eigenfunction by minimizing the smaller of the two sign masses."""
-    fs, svals, vt = _null_space(op, kind, lam_star, tol)
-    scale = max(svals[0], 1e-300)
-    if svals[-1] / scale > 1e-4:
+    svals, values = _null_functions(op, kind, lam_star, tol, np.linspace(0.0, op.length, 401))
+    if svals[0] > NOT_EIGENVALUE_TOL:
         return False
-    if len(svals) < 2 or svals[-2] / scale > 1e-3:
-        _, u, changes = eigenfunction_at(op, kind, lam_star, tol)
-        return changes == 0
-    ts = np.linspace(0.0, op.length, 401)
-    rows = fs.phi(ts)[:, 0, :]
-    u1, u2 = rows @ vt[-1], rows @ vt[-2]
+    u1, u2 = values[:, :2].T
+    if svals[1] > SIMPLE_SIGN_TOL:
+        return count_sign_changes(u1 / np.abs(u1).max()) == 0
 
     def violation(theta):
         u = np.cos(theta) * u1 + np.sin(theta) * u2

@@ -16,7 +16,6 @@ from greenbvp import (
     ProblemSpec,
     ResonantProblemError,
     boundary_functionals,
-    boundary_matrix,
     build_greens,
     char_det,
     char_det_scan,
@@ -33,6 +32,7 @@ from greenbvp.integrate import FundamentalSystem
 from greenbvp.operators import coeff_values
 
 from conftest import fd_stencil
+from reference import boundary_matrix
 
 
 def string_kernel(t, s):
@@ -317,33 +317,37 @@ import numpy as np
 from greenbvp import BCKind, LinearOperator, ProblemSpec, build_greens
 op = LinearOperator.from_exprs(1, 1e4, ["1", "0"])
 start = time.process_time()
-values = build_greens(ProblemSpec(op, BCKind.DIRICHLET, 0.25)).sample_grid(101)
+G = build_greens(ProblemSpec(op, BCKind.DIRICHLET, 0.25))
+values = G.sample_grid(101)
 elapsed = time.process_time() - start
 np.save(sys.argv[1], values)
-print(elapsed)
+print(elapsed, len(G.fs.segments), len(G.fs.cells.starts))
 """
 
 
 def test_long_interval_kernel_closed_form(tmp_path):
-    # u'' + u on [0, 1e4] with Dirichlet conditions at lam = 0.25: about
-    # 3 700 segments.  The build and the grid run in a child process with one
-    # BLAS thread and are timed in its CPU time, so load from other processes
-    # does not count against the 10 s budget: idle OpenBLAS threads spin, and
-    # on a busy machine they charged the same work over twice the CPU time.
+    # u'' + u on [0, 1e4] with Dirichlet conditions at lam = 0.25: 3 727
+    # segments of one Magnus cell each, as the growth cap per segment asks
+    # (1e4 * sqrt(1.25) / 3).  The build and the grid run in a child process
+    # with one BLAS thread and are timed in its CPU time, so load from other
+    # processes does not count against the 10 s budget: idle OpenBLAS threads
+    # spin, and on a busy machine they charged the same work over twice the
+    # CPU time.
     T, lam = 1e4, 0.25
     out = tmp_path / "values.npy"
     result = subprocess.run([sys.executable, "-c", _LONG_INTERVAL_CHILD, str(out)],
                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    elapsed = float(result.stdout)
+    elapsed, segments, cells = result.stdout.split()
+    assert (int(segments), int(cells)) == (3727, 3727)
     values = np.load(out)
     w = math.sqrt(1.0 + lam)
     pts = np.linspace(0.0, T, 101)
     lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
     exact = np.sin(w * lo) * np.sin(w * (hi - T)) / (w * math.sin(w * T))
     assert np.abs(values - exact).max() < 1e-8 * np.abs(exact).max()
-    assert elapsed < 10.0
+    assert float(elapsed) < 10.0
 
 
 def test_batch_member_kernels_match_single_builds(quartic_weight_op, const_fourth_op):

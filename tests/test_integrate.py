@@ -9,28 +9,27 @@ from greenbvp import (
     BCKind,
     LinearOperator,
     ProblemSpec,
-    boundary_matrix,
-    cauchy_value,
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
     integrate_fundamental_batch,
-    transition,
 )
 from greenbvp import integrate
 from greenbvp.integrate import DEFAULT_TOL, MAX_CELLS, expm
+
+from reference import boundary_matrix, cauchy_value, phi, phi_end, transition
 
 
 def test_double_integrator_fundamental(second_order_op):
     fs = integrate_fundamental(second_order_op)
     for t in (0.0, 0.3, 1.0):
-        assert fs.phi([t])[0] == pytest.approx(np.array([[1.0, t], [0.0, 1.0]]), abs=1e-12)
+        assert phi(fs, [t])[0] == pytest.approx(np.array([[1.0, t], [0.0, 1.0]]), abs=1e-12)
 
 
 def test_fourth_order_polynomial_row(const_fourth_op):
     fs = integrate_fundamental(const_fourth_op)
     for t in (0.25, 0.8, 1.0):
-        row = fs.phi([t])[0][0]
+        row = phi(fs, [t])[0][0]
         assert row == pytest.approx([1.0, t, t ** 2 / 2, t ** 3 / 6], abs=1e-12)
 
 
@@ -39,7 +38,7 @@ def test_harmonic_oscillator_closed_form():
     fs = integrate_fundamental(op)
     for t in (0.5, 1.0, 2.0):
         expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-        assert fs.phi([t])[0] == pytest.approx(expected, abs=1e-12)
+        assert phi(fs, [t])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_harmonic_oscillator_rk_path_matches():
@@ -47,7 +46,7 @@ def test_harmonic_oscillator_rk_path_matches():
     fs = integrate_fundamental(op, tol=1e-12, force_rk=True)
     t = 1.7
     expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-    assert fs.phi([t])[0] == pytest.approx(expected, abs=1e-10)
+    assert phi(fs, [t])[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_transition_identity_and_shift(second_order_op):
@@ -108,7 +107,7 @@ def test_tolerance_halving_is_convergent():
     errors = []
     for tol in tols:
         fs = integrate_fundamental(op, tol=tol, force_rk=True)
-        errors.append(np.abs(fs.phi([t])[0] - expected).max())
+        errors.append(np.abs(phi(fs, [t])[0] - expected).max())
     for a, b in zip(errors, errors[1:]):
         assert b <= 4 * a + 1e-15
     assert errors[-1] < errors[0]
@@ -126,16 +125,16 @@ def test_segments_never_straddle_breakpoints(parabolic_weight_op):
 def test_batched_matches_single(quartic_weight_op):
     lams = np.array([-2.0, 0.5, 2.0])
     batch = integrate_fundamental_batch(quartic_weight_op, lams, dense=False)
-    ends = batch.phi_end()
+    ends = phi_end(batch)
     for i, lam in enumerate(lams):
         single = integrate_fundamental(quartic_weight_op, lam, dense=False)
-        assert np.abs(ends[i] - single.phi_end()[0]).max() < 1e-7 * np.abs(ends[i]).max()
+        assert np.abs(ends[i] - phi_end(single)[0]).max() < 1e-7 * np.abs(ends[i]).max()
 
 
 def test_nonsingular_transition_matrices(quartic_weight_op):
     fs = integrate_fundamental(quartic_weight_op, lam=2.0)
     for t in np.linspace(0, 2, 9):
-        assert abs(np.linalg.det(fs.phi([t])[0])) > 1e-8
+        assert abs(np.linalg.det(phi(fs, [t])[0])) > 1e-8
 
 
 def test_invalid_tolerance():
@@ -170,16 +169,16 @@ def test_magnus_matches_mpmath_reference(quartic_weight_op, parabolic_weight_op,
         op, lam = extend_to_quadruple(parabolic_weight_op), 2.0
         pieces = [(0, 3, lambda t: t * (t - 3)), (3, 6, lambda t: (t - 3) * (t - 6))]
     ref = _mp_fundamental_end(pieces, lam)
-    phi = integrate_fundamental(op, lam, dense=False).phi_end()[0]
-    assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
+    end = phi_end(integrate_fundamental(op, lam, dense=False))[0]
+    assert np.abs(end - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_large_batch_members_match_single_runs(quartic_weight_op):
     op = extend_to_double(quartic_weight_op)
     lams = np.linspace(-110.0, 1.0, 401)
-    ends = integrate_fundamental_batch(op, lams).phi_end()
+    ends = phi_end(integrate_fundamental_batch(op, lams))
     for k in (0, 100, 200, 321, 400):
-        single = integrate_fundamental(op, lams[k], dense=False).phi_end()[0]
+        single = phi_end(integrate_fundamental(op, lams[k], dense=False))[0]
         assert np.abs(ends[k] - single).max() <= 1e-10 * np.abs(single).max()
 
 
@@ -195,7 +194,7 @@ def test_complex_lambda_closed_form():
         for t in (0.3, 1.0):
             exact = np.array([[cmath.cos(w * t), cmath.sin(w * t) / w],
                               [-w * cmath.sin(w * t), cmath.cos(w * t)]])
-            assert np.abs(fs.phi([t])[0] - exact).max() < 1e-10 * np.abs(exact).max()
+            assert np.abs(phi(fs, [t])[0] - exact).max() < 1e-10 * np.abs(exact).max()
         det = np.linalg.det(boundary_matrix(ProblemSpec(op, BCKind.DIRICHLET, lam), fs))
         assert abs(det - cmath.sin(w) / w) < 1e-10
 
@@ -205,9 +204,9 @@ def test_rough_coefficients_are_refined(a0):
     # oscillating, kinked and steep coefficients: cells are halved until the
     # Gauss rule resolves them, so Phi(T) meets the RK45 reference
     op = LinearOperator.from_exprs(1, 1.0, [a0, "0"])
-    ref = integrate_fundamental(op, 0.0, tol=1e-12, dense=False, force_rk=True).phi_end()[0]
-    phi = integrate_fundamental(op, 0.0, dense=False).phi_end()[0]
-    assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
+    ref = phi_end(integrate_fundamental(op, 0.0, tol=1e-12, dense=False, force_rk=True))[0]
+    end = phi_end(integrate_fundamental(op, 0.0, dense=False))[0]
+    assert np.abs(end - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_cell_exponential_per_matrix_scaling():
@@ -236,15 +235,16 @@ def _rows_at(rows0, lam):
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_polynomial_generator_matches_direct_form(d):
-    # Omega_0 + lam Omega_1 + lam^2 Omega_2 by Horner against the commutator
-    # form on the rows at lam, for cells as narrow as the integrator makes
-    # them: h |lam|^(1/d) at most 1
+    # Omega_0 + lam Omega_1 (+ lam^2 Omega_2 for d = 2; zero for d > 2)
+    # against the commutator form on the rows at lam, for cells as narrow as
+    # the integrator makes them: h |lam|^(1/d) at most 1
     rng = np.random.default_rng(d)
     rows0 = rng.normal(size=(3, 40, 1, d))
     for lam in [0.0, 0.5, -7.0, 1e3, -1e4, 1e6, -1e6, 3.0 + 4.0j, -1e5 + 2e3j]:
         h = rng.uniform(0.05, 1.0, size=40) / max(1.0, abs(lam)) ** (1.0 / d)
-        o0, o1, o2 = integrate._magnus_polynomial(rows0, h)
-        poly = (o2 * lam + o1) * lam + o0
+        terms = integrate._magnus_polynomial(rows0, h)
+        assert len(terms) == (3 if d == 2 else 2)
+        poly = sum(o * lam ** k for k, o in enumerate(terms))
         direct = integrate._magnus_generator(_rows_at(rows0, lam), h)
         err = np.linalg.norm(poly - direct, axis=(-2, -1))
         assert np.all(err <= 1e-13 * np.linalg.norm(direct, axis=(-2, -1)))

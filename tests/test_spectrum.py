@@ -12,6 +12,7 @@ from greenbvp import (
     char_det,
     eigenfunction_at,
     extend_to_double,
+    extend_to_quadruple,
     find_eigenvalues,
     principal_eigenvalue,
     verify_first_eigenvalue_relations,
@@ -56,10 +57,17 @@ def test_eigenfunction_shapes():
     assert changes == 1
 
 
-def test_eigenfunction_constant_neumann(const_fourth_op):
-    ts, u, changes = eigenfunction_at(const_fourth_op, BCKind.NEUMANN, 0.0)
-    assert changes == 0
-    assert np.ptp(u) < 1e-10
+def test_eigenfunction_constant_neumann(second_order_op, const_fourth_op):
+    # at lambda = 0 exactly the block factor is exactly singular, and at the
+    # search's root near 0 (about 1e-38) sigma_2 is lost to rounding; both
+    # are solved again off the root and give the simple constant eigenfunction
+    for op, window in ((second_order_op, (-5.0, 100.0)), (const_fourth_op, (-60.0, 10.0))):
+        ts, u, changes = eigenfunction_at(op, BCKind.NEUMANN, 0.0)
+        assert changes == 0
+        assert np.ptp(u) < 1e-10
+        [hit] = [e for e in find_eigenvalues(op, BCKind.NEUMANN, window).eigenvalues
+                 if abs(e.lam) < 1e-6]
+        assert (hit.even_multiplicity, hit.sign_changes) == (False, 0)
 
 
 def test_eigenfunction_residual(const_fourth_op):
@@ -78,6 +86,29 @@ def test_multiplicity_detected_at_double_root(const_fourth_op):
     op2 = extend_to_double(const_fourth_op)
     with pytest.raises(MultiplicityError):
         eigenfunction_at(op2, BCKind.ANTIPERIODIC, -math.pi ** 4 / 16)
+
+
+def test_simple_roots_of_extended_problems_are_not_flagged(quartic_weight_op):
+    # (t-2)^4 on [0, 2]: A[2T] = M1[T] u M2[T] and N[4T] = N[2T] u M1[2T].
+    # Each of these roots lies in one constituent spectrum, so it is simple
+    window = (-40.0, -15.0)
+    op2, op4 = extend_to_double(quartic_weight_op), extend_to_quadruple(quartic_weight_op)
+
+    def hits(op, kind):
+        return find_eigenvalues(op, kind, window).eigenvalues
+
+    for found, parts, expected in [
+        (hits(op2, BCKind.ANTIPERIODIC),
+         [(quartic_weight_op, BCKind.MIXED1), (quartic_weight_op, BCKind.MIXED2)], {-35.1673: 3}),
+        (hits(op4, BCKind.NEUMANN), [(op2, BCKind.NEUMANN), (op2, BCKind.MIXED1)],
+         {-35.1673: 6, -18.6272: 5}),
+    ]:
+        constituents = [hits(*part) for part in parts]
+        for lam, changes in expected.items():
+            [hit] = [e for e in found if abs(e.lam - lam) < 1e-3]
+            assert (hit.even_multiplicity, hit.sign_changes) == (False, changes)
+            assert sum(any(abs(e.lam - hit.lam) < 1e-5 for e in spectrum)
+                       for spectrum in constituents) == 1
 
 
 def test_even_multiplicity_flagging(const_fourth_op):
