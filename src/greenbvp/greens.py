@@ -260,7 +260,6 @@ class GreensEvaluator:
         self.fs = fs
         self.d = fs.d
         self.length = float(fs.nodes[-1])
-        self.nodes = fs.nodes
         self._ends = fs.segments[:, 0]
         self.nseg = len(self._ends)
         # margin 1 / (||C||_2 ||Z||_2); 0 for an exactly singular factor or non-finite Z
@@ -271,10 +270,6 @@ class GreensEvaluator:
                                  if np.isfinite(Z).all() else 0.0)
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (0.0, self.length)
 
     def _locate(self, pts) -> _GridFactor:
         """Segment indices and local Phi of one point set, not kept."""

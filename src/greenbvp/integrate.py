@@ -17,7 +17,8 @@ vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap; the coefficient samples are shared by the whole
 batch, and so are the generators where no coefficient uses lambda (see
 _magnus_polynomial).  An adaptive Dormand-Prince 5(4) integration is kept as
-an independent reference (force_rk=True).
+an independent reference (force_rk=True); it is the only user of
+scipy.integrate, which is imported on its first call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expressions import uses_lambda
 from .operators import LinearOperator
@@ -396,6 +396,13 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
                     prefixes[segs, c0 + i] = P
         ends[segs] = P
     return ends, t0, counts, prefixes[~pad] if dense else None
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call so that only the
+    force_rk reference path pays for the import."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .greens import BCKind, _boundary_coeffs, char_det_scan, homogeneous_states
 from .integrate import DEFAULT_TOL, integrate_fundamental
@@ -349,6 +348,8 @@ def _constant_sign_combination(op, kind, lam_star, tol) -> bool:
     u1, u2 = values[:, :2].T
     if svals[1] > SIMPLE_SIGN_TOL:
         return count_sign_changes(u1 / np.abs(u1).max()) == 0
+    # the package's only use of scipy.optimize: imported here, not at start-up
+    from scipy.optimize import minimize_scalar
 
     def violation(theta):
         u = np.cos(theta) * u1 + np.sin(theta) * u2

@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 
 from greenbvp import BCKind, LinearOperator
-from greenbvp import spectrum
+from greenbvp import integrate, spectrum
 
 
 def _load_spans():
@@ -32,3 +32,18 @@ def test_trace_recorder_installs_and_uninstalls():
     assert spectrum.eigenfunction_at is eigenfunction_at
     names = {span.name for span in recorder.spans}
     assert {"spectrum.eigenfunction", "integrate", "integrate.expm"} <= names
+
+
+def test_trace_recorder_sees_the_rk_engine():
+    # solve_ivp imports scipy.integrate on its first call; the tracer patches
+    # the module attribute, which _rk_segment must keep looking up
+    spans = _load_spans()
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+        integrate.integrate_fundamental(op, 2.0, force_rk=True)
+    finally:
+        recorder.uninstall()
+    rk = [span for span in recorder.spans if span.name == "integrate.rk"]
+    assert rk and all(span.info["steps"] > 0 for span in rk)

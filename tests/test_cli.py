@@ -232,6 +232,19 @@ def test_cli_module_entry_point():
     assert "paper-examples" in result.stdout
 
 
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # only the force_rk reference and the double-root sign search use them, and
+    # they import them on first use: a top-level import would cost every
+    # command about 0.4 s of start-up
+    probe = ("import sys, greenbvp, greenbvp.cli; "
+             "print(' '.join(m for m in sys.modules "
+             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
 def test_outputs_deterministic(tmp_path):
     config = write_config(tmp_path, kind="dirichlet", n=1, coefficients=["0", "0"])
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
