@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .comparison import HypothesisError, check_solution_comparison, solve_bvp
-from .expressions import ParseError, parse_expression, uses_lambda
+from .expressions import ParseError, parse_expression
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens
 from .identities import ALL_TAGS, run_identities
 from .integrate import IntegrationError
@@ -62,10 +62,6 @@ def load_config(path: str) -> dict:
             ast = parse_expression(text)
         except ParseError as exc:
             raise ConfigError(f"coefficient a_{i} {text!r}: {exc}") from exc
-        if uses_lambda(ast):
-            raise ConfigError(
-                f"coefficient a_{i} references 'lambda'; the spectral parameter is "
-                "applied as a shift of a_0, so write coefficients without it")
         asts.append(ast)
     kind = BCKind.from_name(str(raw["kind"]))
     lam = float(raw.get("lambda", 0.0))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .expressions import ExprAst, compile_expr, parse_expression
 from .greens import BCKind, GreensEvaluator, kernel_source
-from .integrate import DEFAULT_TOL
 from .operators import LinearOperator, extend_to_double
 from .signscan import NONNEGATIVE, NONPOSITIVE, ZERO_ON_GRID, _classify
 
@@ -41,9 +40,6 @@ class SampledSolution:
     ts: np.ndarray
     values: np.ndarray
     source: str
-
-    def to_rows(self) -> list[dict]:
-        return [{"t": float(t), "u": float(u)} for t, u in zip(self.ts, self.values)]
 
 
 def _as_expr(sigma) -> ExprAst:
@@ -120,11 +116,6 @@ class DominationRow:
     worst_violation: float
     location: tuple[float, float]
 
-    def to_row(self) -> dict:
-        return {"tag": self.tag, "premise": self.premise, "applicable": self.applicable,
-                "pass": self.passed, "worst_violation": self.worst_violation,
-                "location": list(self.location)}
-
 
 def _check_pointwise(diff: np.ndarray, ts: np.ndarray, scale: float):
     """diff >= -slack everywhere; returns (passed, worst, location)."""
@@ -134,13 +125,12 @@ def _check_pointwise(diff: np.ndarray, ts: np.ndarray, scale: float):
     return bool(worst >= -slack), worst, (float(ts[i]), float(ts[j]))
 
 
-def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41,
-                            tol: float = DEFAULT_TOL) -> list[DominationRow]:
+def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41) -> list[DominationRow]:
     """The pointwise kernel dominations implied by a constant-sign premise:
     premise >= 0 gives A >= |B|, premise <= 0 gives A <= -|B| on the base
     square, for the pairs (N, D), (N, M1) and (M2, D)."""
     op2 = extend_to_double(op)
-    kernel = kernel_source(lam, tol)
+    kernel = kernel_source(lam)
     ts = np.linspace(0.0, op.length, m)
     rows = []
     for tag, (premise_kind, primary, secondary) in THEOREM_TAGS.items():
@@ -179,8 +169,7 @@ class ComparisonReport:
 
 
 def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: float,
-                              sigma1, sigma2, m: int = 81,
-                              tol: float = DEFAULT_TOL) -> ComparisonReport:
+                              sigma1, sigma2, m: int = 81) -> ComparisonReport:
     """One comparison theorem case.
 
     Case 1 (premise >= 0, |sigma2| <= sigma1): |u_secondary| <= u_primary.
@@ -215,7 +204,7 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
         if not (np.all(s2 <= htol) and np.all(s1 <= s2 + htol)):
             raise HypothesisError("case 3 needs sigma1 <= sigma2 <= 0 on the interval")
 
-    kernel = kernel_source(lam, tol)
+    kernel = kernel_source(lam)
     premise_class = _classify(kernel, extend_to_double(op), premise_kind)[0]
     required = NONNEGATIVE if case == 1 else NONPOSITIVE
     if premise_class not in (required, ZERO_ON_GRID):

@@ -1,9 +1,12 @@
-"""Coefficient expressions in the variable ``t`` and the parameter ``lambda``.
+"""Expressions in the variable ``t`` and the parameter ``lambda``.
 
 Expressions are parsed once into an immutable AST and evaluated many times,
-so that differential operators can be described by data (strings in a JSON
-config) instead of Python callables.  The grammar covers polynomials plus
-``sin``/``cos``/``exp``/``abs``, with conventional precedence
+so that differential operators and source terms can be described by data
+(strings in a JSON config or on the command line) instead of Python
+callables.  Only source terms may use ``lambda``: an operator's
+coefficients are functions of ``t`` alone, and the spectral parameter
+enters as the problem's shift of ``a_0``.  The grammar covers polynomials
+plus ``sin``/``cos``/``exp``/``abs``, with conventional precedence
 (``^`` > unary ``-`` > ``*`` ``/`` > ``+`` ``-``) and left associativity.
 """
 

@@ -33,8 +33,7 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
-from .integrate import DEFAULT_TOL, FundamentalSystem, integrate_fundamental, \
-    integrate_fundamental_batch
+from .integrate import FundamentalSystem, integrate_fundamental, integrate_fundamental_batch
 from .operators import LinearOperator
 
 __all__ = [
@@ -182,18 +181,18 @@ def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
     return C @ np.concatenate([X, Y], axis=1) / np.linalg.norm(C, 2)
 
 
-def char_det_scan(op: LinearOperator, kind: BCKind, lams, tol: float = DEFAULT_TOL) -> np.ndarray:
+def char_det_scan(op: LinearOperator, kind: BCKind, lams) -> np.ndarray:
     """det(C W) / ||C||_2^d for a vector of lambda values, sharing a single
     batched integration sweep.  It has the sign changes of the boundary
     determinant, vanishes exactly at eigenvalues and is bounded by one in
     magnitude (see _graph_matrix)."""
-    fs = integrate_fundamental_batch(op, lams, tol=tol, dense=False)
+    fs = integrate_fundamental_batch(op, lams, dense=False)
     return np.linalg.det(_graph_matrix(_boundary_coeffs(kind, op.n), fs))
 
 
-def char_det(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> float:
+def char_det(problem: ProblemSpec) -> float:
     """The characteristic function of char_det_scan at the problem's lambda."""
-    return float(char_det_scan(problem.operator, problem.kind, [problem.lam], tol)[0])
+    return float(char_det_scan(problem.operator, problem.kind, [problem.lam])[0])
 
 
 def _block_matrix(C: np.ndarray, ends: np.ndarray) -> csc_array:
@@ -342,14 +341,14 @@ class GreensEvaluator:
         return self.eval_grid(pts, pts)
 
 
-def build_greens(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> GreensEvaluator:
+def build_greens(problem: ProblemSpec) -> GreensEvaluator:
     """Assemble the kernel of the problem; refuses resonant lambda values
     (resonance margin below the resonance threshold)."""
-    fs = integrate_fundamental(problem.operator, problem.lam, tol=tol, dense=True)
+    fs = integrate_fundamental(problem.operator, problem.lam, dense=True)
     return GreensEvaluator(problem, fs)
 
 
-def kernel_source(lam: float, tol: float = DEFAULT_TOL):
+def kernel_source(lam: float):
     """kernel(op, kind) -> the kernel of (op, kind) at lam, kept for repeated
     requests.  Each distinct operator is integrated once, on first use, and its
     kernels share that system; a resonant problem raises on every request."""
@@ -359,7 +358,7 @@ def kernel_source(lam: float, tol: float = DEFAULT_TOL):
         G = kernels.get((op, kind))
         if G is None:
             if op not in systems:
-                systems[op] = integrate_fundamental(op, lam, tol=tol, dense=True)
+                systems[op] = integrate_fundamental(op, lam, dense=True)
             G = kernels[op, kind] = GreensEvaluator(ProblemSpec(op, kind, lam), systems[op])
         return G
 

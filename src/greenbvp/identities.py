@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source
-from .integrate import DEFAULT_TOL
 from .operators import LinearOperator, reflect
 from .signscan import kernel_table
 
@@ -167,12 +166,11 @@ def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEval
 
 
 def check_mixed_reflection(op: LinearOperator, lam: float, m: int = DEFAULT_GRID,
-                           tol: float = DEFAULT_TOLERANCE,
-                           build_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
+                           tol: float = DEFAULT_TOLERANCE) -> list[IdentityReport]:
     """Residuals of the two mixed-problem reflection identities:
     G_M1(T-t, T-s) equals the mixed-2 kernel of the reflected operator
     (and vice versa)."""
-    return _mixed_reflection(kernel_source(lam, build_tol), op, lam, m, tol)
+    return _mixed_reflection(kernel_source(lam), op, lam, m, tol)
 
 
 def _mixed_reflection(kernel, op, lam, m, tol) -> list[IdentityReport]:
@@ -212,23 +210,23 @@ ALL_TAGS = (list(DECOMPOSITION_TAGS) + list(CONNECTING_TAGS)
 
 
 def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_GRID,
-                   tol: float = DEFAULT_TOLERANCE, build_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
+                   tol: float = DEFAULT_TOLERANCE) -> list[IdentityReport]:
     """Run the requested identity checks (default: all applicable) for the
     base operator at one lambda, sharing kernel builds across identities.
     Each operator (the base one, its extensions and its reflection) is
     integrated once, and its kernels share that system, its graph basis and
     its grid factors.
 
-    Problems that fail to build or whose resonance margin (the smallest
+    Problems refused as resonant or whose resonance margin (the smallest
     singular value of the boundary functionals on the orthonormal solution
     graph, which does not depend on the segment count) falls below
     SKIP_MARGIN are treated as resonant: identities touching them produce
-    skipped reports.
+    skipped reports.  Any other error propagates.
     """
     tags = list(tags) if tags else list(ALL_TAGS)
     table = kernel_table(op)
     op2 = table["P2T"][0]
-    kernels = kernel_source(lam, build_tol)
+    kernels = kernel_source(lam)
 
     def kernel(code: str) -> GreensEvaluator | None:
         try:
@@ -264,7 +262,7 @@ def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_G
         elif tag == "mixed-reflection":
             try:
                 reports.extend(_mixed_reflection(kernels, op, lam, m, tol))
-            except Exception as exc:  # resonance in the reflected problems
+            except ResonantProblemError as exc:  # resonance in the reflected problems
                 reports.append(IdentityReport("mixed-reflection", lam, m, 0.0,
                                               (0.0, 0.0), True, tol, skipped=True,
                                               reason=str(exc)))

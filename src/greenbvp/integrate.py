@@ -14,8 +14,9 @@ case, where Omega = h A and the step is exact.  The cell count follows the
 tolerance and the segment's frequency scale, and cells whose coefficients
 the Gauss rule does not resolve are halved.  Everything is batched over a
 vector of lambda values (real or complex), which makes characteristic
-determinant scans cheap; the coefficient samples are shared by the whole
-batch, and so are the generators where no coefficient uses lambda (see
+determinant scans cheap.  Lambda enters only as the shift of a_0 (no
+coefficient uses it), so the coefficient samples are shared by the whole
+batch, and so are the generators of larger batches (see
 _magnus_polynomial).  An adaptive Dormand-Prince 5(4) integration is kept as
 an independent reference (force_rk=True); it is the only user of
 scipy.integrate, which is imported on its first call.
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .expressions import uses_lambda
 from .operators import LinearOperator
 
 __all__ = [
@@ -134,16 +134,16 @@ def _coeff_segments(op: LinearOperator, lo: float, hi: float) -> list:
     return [op.coeff_segment_at(k, 0.5 * (lo + hi)) for k in range(op.order)]
 
 
-def _growth_rate(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray) -> float:
+def _growth_rate(op: LinearOperator, lo: float, hi: float, lams: np.ndarray) -> float:
     """Crude frequency scale: max_k sup|a_k|^(1/(2n-k)) over the segment."""
     ts = np.linspace(lo, hi, 17)
-    lam_ref = float(np.max(np.abs(lam_eff))) if lam_eff.size else 0.0
+    lam_ref = float(np.max(np.abs(lams))) if lams.size else 0.0
     d = op.order
     rate = 0.0
     for k, a in enumerate(_coeff_segments(op, lo, hi)):
-        sup = float(np.max(np.abs(np.broadcast_to(np.asarray(a.evaluate(ts, lam_ref)), ts.shape))))
+        sup = float(np.max(np.abs(np.broadcast_to(np.asarray(a.evaluate(ts)), ts.shape))))
         if k == 0:
-            sup += lam_ref + abs(op.lam)
+            sup += lam_ref
         if sup > 0.0:
             rate = max(rate, sup ** (1.0 / (d - k)))
     return rate
@@ -154,11 +154,11 @@ def _over_budget(cells: float) -> IntegrationError:
                             f"of {MAX_CELLS} (coefficients or lambda too large, or too rough)")
 
 
-def _segment_nodes(op: LinearOperator, lam_eff: np.ndarray) -> list:
+def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
     """Segment boundaries and frequency scale of each breakpoint interval,
     [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments."""
     bps = op.breakpoints()
-    rates = [_growth_rate(op, lo, hi, lam_eff) for lo, hi in zip(bps[:-1], bps[1:])]
+    rates = [_growth_rate(op, lo, hi, lams) for lo, hi in zip(bps[:-1], bps[1:])]
     nsub = np.diff(bps) * np.array(rates) / _GROWTH_PER_SEGMENT
     if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
         raise _over_budget(nsub.sum())
@@ -166,9 +166,9 @@ def _segment_nodes(op: LinearOperator, lam_eff: np.ndarray) -> list:
             for lo, hi, n, rate in zip(bps[:-1], bps[1:], nsub, rates)]
 
 
-def _companion_rows(vals: list, lam_eff: np.ndarray) -> np.ndarray:
+def _companion_rows(vals: list, lams: np.ndarray) -> np.ndarray:
     """Last companion rows -(a_0 + lam, a_1, ..., a_{d-1}), shape (..., K, d)."""
-    return -np.stack(np.broadcast_arrays(vals[0] + lam_eff, *vals[1:]), axis=-1)
+    return -np.stack(np.broadcast_arrays(vals[0] + lams, *vals[1:]), axis=-1)
 
 
 def _unresolved(vals: list, tol: float) -> np.ndarray:
@@ -239,38 +239,31 @@ class _Piece:
 
     lo: float
     hi: float
-    lam_eff: np.ndarray
+    lams: np.ndarray
     constant: bool
-    coeffs: tuple   # (segment, whether its expression uses lambda) per coefficient
+    coeffs: tuple   # the segment of each coefficient
 
     @classmethod
-    def of(cls, op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray) -> "_Piece":
-        return cls(lo, hi, lam_eff, op.is_t_constant_on(lo, hi), tuple(
-            (seg, uses_lambda(seg.expr)) for seg in _coeff_segments(op, lo, hi)))
+    def of(cls, op: LinearOperator, lo: float, hi: float, lams: np.ndarray) -> "_Piece":
+        return cls(lo, hi, lams, op.is_t_constant_on(lo, hi), tuple(_coeff_segments(op, lo, hi)))
 
     @property
     def polynomial(self) -> bool:
         """Whether the generators are polynomials in lambda (_POLYNOMIAL_BATCH)."""
-        return (len(self.lam_eff) > _POLYNOMIAL_BATCH and not self.constant
-                and not any(lam for _, lam in self.coeffs))
+        return len(self.lams) > _POLYNOMIAL_BATCH and not self.constant
 
     def member(self, k: int) -> "_Piece":
-        return replace(self, lam_eff=self.lam_eff[k:k + 1])
+        return replace(self, lams=self.lams[k:k + 1])
 
     def values(self, ts: np.ndarray) -> list:
-        """a_0, ..., a_{d-1} at the times ts, each of shape ts.shape + (1,),
-        or ts.shape + (K,) when its expression uses lambda: one evaluation
-        per coefficient serves the whole batch."""
-        vals = []
-        for seg, lam in self.coeffs:
-            lam = self.lam_eff if lam else 0.0
-            vals.append(np.broadcast_to(seg.evaluate(ts[..., None], lam),
-                                        ts.shape + (np.size(lam),)))
-        return vals
+        """a_0, ..., a_{d-1} at the times ts, each of shape ts.shape + (1,):
+        one evaluation per coefficient serves the whole batch."""
+        return [np.broadcast_to(seg.evaluate(ts[..., None]), ts.shape + (1,))
+                for seg in self.coeffs]
 
     def rows(self, vals: list) -> np.ndarray:
         """Companion rows of the samples, at lam = 0 for polynomial generators."""
-        return _companion_rows(vals, 0.0 if self.polynomial else self.lam_eff)
+        return _companion_rows(vals, 0.0 if self.polynomial else self.lams)
 
     def sample(self, t0: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Companion rows the generators of the steps [t0, t0 + h] need: at
@@ -286,7 +279,7 @@ class _Piece:
         if self.constant:
             return h[..., None, None, None] * _companion(rows)
         if self.polynomial:
-            lam = self.lam_eff[:, None, None]
+            lam = self.lams[:, None, None]
             o0, o1, *o2 = _magnus_polynomial(rows, h)
             return ((o2[0] * lam + o1) if o2 else o1) * lam + o0
         return _magnus_generator(rows, h)
@@ -371,14 +364,14 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
     of each segment and (dense, else None) the prefixes of the cells in time
     order, (cells, K, d, d)."""
     t0, h, seg, rows = piece.cells(nodes, rate, tol, spare)
-    nseg, K, d = len(nodes) - 1, len(piece.lam_eff), rows.shape[-1]
+    nseg, K, d = len(nodes) - 1, len(piece.lams), rows.shape[-1]
     counts = np.bincount(seg, minlength=nseg)
     first = np.cumsum(counts) - counts
     rank = np.arange(counts.max())
     pad = rank >= counts[:, None]
     table = np.where(pad, first[:, None], first[:, None] + rank)
     width = np.where(pad, 0.0, h[table])
-    ends = np.empty((nseg, K, d, d), dtype=np.result_type(rows, piece.lam_eff))
+    ends = np.empty((nseg, K, d, d), dtype=np.result_type(rows, piece.lams))
     prefixes = np.empty((nseg, len(rank), K, d, d), dtype=ends.dtype) if dense else None
     cells = max(1, _BLOCK_MATRICES // K)
     chunk = min(len(rank), cells)
@@ -422,30 +415,27 @@ class _RkSegment:
         return self.sol(ts).T.reshape(len(ts), self.K, self.d, self.d)
 
 
-def _rk_segment(op: LinearOperator, lo: float, hi: float, lam_eff: np.ndarray,
+def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
                 tol: float, dense: bool) -> tuple:
     """The segment's end matrices (K, d, d) and (dense, else None) its output."""
     d = op.order
-    K = len(lam_eff)
+    K = len(lams)
     closures = [seg.evaluate for seg in _coeff_segments(op, lo, hi)]
-    lam_col = lam_eff[:, None]
+    lam_col = lams[:, None]
 
     def rhs(t, y):
         U = y.reshape(K, d, d)
         dU = np.empty_like(U)
         dU[:, : d - 1, :] = U[:, 1:, :]
-        acc = -(np.reshape(closures[0](t, lam_eff), (-1, 1)) + lam_col) * U[:, 0, :]
+        acc = -(closures[0](t) + lam_col) * U[:, 0, :]
         for k in range(1, d):
-            ak = np.asarray(closures[k](t, lam_eff))
-            if ak.ndim == 0:
-                if ak != 0.0:
-                    acc -= ak * U[:, k, :]
-            else:
-                acc -= ak[:, None] * U[:, k, :]
+            ak = closures[k](t)
+            if ak != 0.0:
+                acc -= ak * U[:, k, :]
         dU[:, d - 1, :] = acc
         return dU.ravel()
 
-    y0 = np.broadcast_to(np.eye(d, dtype=lam_eff.dtype), (K, d, d)).ravel().copy()
+    y0 = np.broadcast_to(np.eye(d, dtype=lams.dtype), (K, d, d)).ravel().copy()
     result = solve_ivp(
         rhs,
         (lo, hi),
@@ -466,8 +456,7 @@ class FundamentalSystem:
     batch of lambda values; global Phi is never formed."""
 
     op: LinearOperator
-    lams: np.ndarray            # (K,) problem lambda values (before the op's own offset)
-    tol: float
+    lams: np.ndarray            # (K,) lambda values, the shifts of a_0
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
     dense: bool = True
@@ -523,17 +512,16 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
         raise ValueError("tolerance must be positive")
     lams = np.asarray(lams)
     lams = lams.astype(np.result_type(lams, float))
-    lam_eff = lams + op.lam
-    plan = _segment_nodes(op, lam_eff)
+    plan = _segment_nodes(op, lams)
     ends, rk, pieces, piece_cells = [], [], [], []
     for lo, hi, nodes, rate in plan:
         if force_rk:
             for a, b in zip(nodes[:-1], nodes[1:]):
-                end, seg = _rk_segment(op, a, b, lam_eff, tol, dense)
+                end, seg = _rk_segment(op, a, b, lams, tol, dense)
                 ends.append(end[None])
                 rk.append(seg)
         else:
-            pieces.append(_Piece.of(op, lo, hi, lam_eff))
+            pieces.append(_Piece.of(op, lo, hi, lams))
             spare = MAX_CELLS - sum(len(starts) for starts, _, _ in piece_cells)
             end, *cells = _magnus_segments(pieces[-1], nodes, rate, tol, dense, spare)
             ends.append(end)
@@ -546,7 +534,7 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
         piece = np.repeat(np.arange(len(pieces)), [len(c) for c in starts])
         cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
                        piece, pieces, np.concatenate(cell_prefixes))
-    return FundamentalSystem(op=op, lams=lams, tol=tol, nodes=nodes, segments=segments,
+    return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=segments,
                              dense=dense, cells=cells,
                              rk=rk if dense and force_rk else None)
 

@@ -7,7 +7,10 @@ odd reflection extensions (to the doubled and quadrupled intervals) and the
 coefficient reflection are represented exactly rather than resampled.
 Breakpoints between segments fall on multiples of the base interval length,
 and integrators must treat them as hard boundaries: odd extensions of
-nonvanishing coefficients jump there.
+nonvanishing coefficients jump there.  Coefficients are functions of ``t``
+only: the spectral parameter enters solely as the problem's shift of
+``a_0`` (``ProblemSpec.lam``), so an expression that uses ``lambda`` is
+refused.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ExprAst, compile_expr, parse_expression, to_string, uses_t
+from .expressions import ExprAst, compile_expr, parse_expression, to_string, uses_lambda, \
+    uses_t
 
 __all__ = [
     "CoeffSegment",
@@ -39,10 +43,10 @@ class CoeffSegment:
     scale: float = 1.0
     sign: float = 1.0
 
-    def evaluate(self, t, lam: float = 0.0):
+    def evaluate(self, t):
         f = compile_expr(self.expr)
         with np.errstate(all="ignore"):  # nan and inf are refused by finiteness checks
-            return self.sign * f(self.shift + self.scale * np.asarray(t, dtype=float), lam)
+            return self.sign * f(self.shift + self.scale * np.asarray(t, dtype=float), 0.0)
 
     def mapped(self, new_lo: float, new_hi: float, about: float, flip_sign: bool) -> "CoeffSegment":
         """Segment for the reflection t -> about - t, relocated to [new_lo, new_hi]."""
@@ -72,12 +76,11 @@ def _as_segments(coeff, length: float) -> tuple[CoeffSegment, ...]:
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Operator u^(2n) + sum a_k u^(k) on [0, length], with a_0 offset lam."""
+    """Operator u^(2n) + sum a_k u^(k) on [0, length]."""
 
     n: int
     length: float
     coeffs: tuple[tuple[CoeffSegment, ...], ...]
-    lam: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -92,17 +95,20 @@ class LinearOperator:
                 if not math.isclose(seg.lo, cursor, abs_tol=1e-12 * max(1.0, self.length)):
                     raise ValueError(f"coefficient {k}: segments do not partition the interval")
                 cursor = seg.hi
-                vals = seg.evaluate(np.linspace(seg.lo, seg.hi, 9), 0.0)
+                if uses_lambda(seg.expr):
+                    raise ValueError(f"coefficient {k}: uses 'lambda'; the spectral parameter "
+                                     "is the problem's shift of a_0, not part of a coefficient")
+                vals = seg.evaluate(np.linspace(seg.lo, seg.hi, 9))
                 if not np.all(np.isfinite(vals)):
                     raise ValueError(f"coefficient {k}: non-finite values on [{seg.lo}, {seg.hi}]")
             if not math.isclose(cursor, self.length, abs_tol=1e-12 * max(1.0, self.length)):
                 raise ValueError(f"coefficient {k}: segments stop at {cursor}, not {self.length}")
 
     @classmethod
-    def from_exprs(cls, n: int, length: float, coeffs, lam: float = 0.0) -> "LinearOperator":
+    def from_exprs(cls, n: int, length: float, coeffs) -> "LinearOperator":
         """Build from 2n expression strings or ASTs, lowest order (a_0) first."""
         segs = tuple(_as_segments(c, float(length)) for c in coeffs)
-        return cls(n=n, length=float(length), coeffs=segs, lam=float(lam))
+        return cls(n=n, length=float(length), coeffs=segs)
 
     @property
     def order(self) -> int:
@@ -144,7 +150,7 @@ def extend_to_double(op: LinearOperator) -> LinearOperator:
             for seg in reversed(segs)
         )
         new_coeffs.append(segs + mirrored)
-    return LinearOperator(n=op.n, length=2 * L, coeffs=tuple(new_coeffs), lam=op.lam)
+    return LinearOperator(n=op.n, length=2 * L, coeffs=tuple(new_coeffs))
 
 
 def extend_to_quadruple(op: LinearOperator) -> LinearOperator:
@@ -163,10 +169,10 @@ def reflect(op: LinearOperator) -> LinearOperator:
                 for seg in reversed(segs)
             )
         )
-    return LinearOperator(n=op.n, length=L, coeffs=tuple(new_coeffs), lam=op.lam)
+    return LinearOperator(n=op.n, length=L, coeffs=tuple(new_coeffs))
 
 
-def coeff_values(op: LinearOperator, k: int, ts: np.ndarray, lam: float = 0.0) -> np.ndarray:
+def coeff_values(op: LinearOperator, k: int, ts: np.ndarray) -> np.ndarray:
     """Vectorized coefficient sampling (t values may span several segments)."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty_like(ts)
@@ -176,7 +182,5 @@ def coeff_values(op: LinearOperator, k: int, ts: np.ndarray, lam: float = 0.0) -
     for i, seg in enumerate(segs):
         mask = idx == i
         if np.any(mask):
-            out[mask] = seg.evaluate(ts[mask], lam)
-    if k == 0:
-        out += op.lam + lam
+            out[mask] = seg.evaluate(ts[mask])
     return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
     kernel_source
-from .integrate import DEFAULT_TOL, integrate_fundamental_batch
+from .integrate import integrate_fundamental_batch
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
 from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue, splittable
 
@@ -52,6 +52,9 @@ ZERO_ON_GRID = "identically-zero-on-grid"
 # Relative offsets of the extra near-boundary sample points.
 _EDGE_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3)
 
+# Kernel values within ZERO_BAND * max|G| count as zero.
+ZERO_BAND = 1e-9
+
 
 class SignSearchError(RuntimeError):
     """No constant-sign region adjacent to the principal eigenvalue."""
@@ -67,17 +70,6 @@ class SignReport:
     argmax: tuple[float, float]
     zero_band: float
 
-    def to_row(self) -> dict:
-        return {
-            "classification": self.classification,
-            "grid_size": self.grid_size,
-            "min": self.min_value,
-            "argmin": list(self.argmin),
-            "max": self.max_value,
-            "argmax": list(self.argmax),
-            "zero_band": self.zero_band,
-        }
-
 
 def _sample_points(length: float, m: int) -> np.ndarray:
     pts = set(np.linspace(0.0, length, m))
@@ -87,10 +79,10 @@ def _sample_points(length: float, m: int) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def classify_sign(G: GreensEvaluator, m: int = 101, zero_band: float = 1e-9) -> SignReport:
+def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     """Classify the kernel sign on its square.
 
-    Values within zero_band * max|G| count as zero.  One adaptive refinement
+    Values within ZERO_BAND * max|G| count as zero.  One adaptive refinement
     pass doubles the resolution inside cells whose corners touch the zero
     band, which is where a developing sign change can hide.
     """
@@ -102,8 +94,8 @@ def classify_sign(G: GreensEvaluator, m: int = 101, zero_band: float = 1e-9) -> 
     scale = float(np.abs(values).max())
     if scale == 0.0:
         zero = (0.0, 0.0)
-        return SignReport(ZERO_ON_GRID, m, 0.0, zero, 0.0, zero, zero_band)
-    band = zero_band * scale
+        return SignReport(ZERO_ON_GRID, m, 0.0, zero, 0.0, zero, ZERO_BAND)
+    band = ZERO_BAND * scale
 
     ambiguous = np.abs(values) <= band
     cell = ambiguous[:-1, :-1] | ambiguous[1:, :-1] | ambiguous[:-1, 1:] | ambiguous[1:, 1:]
@@ -145,26 +137,24 @@ def classify_sign(G: GreensEvaluator, m: int = 101, zero_band: float = 1e-9) -> 
         classification = NONPOSITIVE
     else:
         classification = ZERO_ON_GRID
-    return SignReport(classification, m, vmin, argmin, vmax, argmax, zero_band)
+    return SignReport(classification, m, vmin, argmin, vmax, argmax, ZERO_BAND)
 
 
-def _classify(kernel, op: LinearOperator, kind: BCKind, m: int = 101,
-              zero_band: float = 1e-9) -> tuple[str, SignReport | None]:
+def _classify(kernel, op: LinearOperator, kind: BCKind,
+              m: int = 101) -> tuple[str, SignReport | None]:
     """(classification, report) of the kernel(op, kind) of a kernel source;
     ('resonant', None) when that kernel does not exist."""
     try:
         G = kernel(op, kind)
     except ResonantProblemError:
         return "resonant", None
-    report = classify_sign(G, m=m, zero_band=zero_band)
+    report = classify_sign(G, m=m)
     return report.classification, report
 
 
-def classify_problem(op: LinearOperator, kind: BCKind, lam: float, m: int = 101,
-                     zero_band: float = 1e-9, tol: float = DEFAULT_TOL) -> str:
+def classify_problem(op: LinearOperator, kind: BCKind, lam: float, m: int = 101) -> str:
     """Classification string for one problem; 'resonant' when G does not exist."""
-    return _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam), tol=tol),
-                     op, kind, m, zero_band)[0]
+    return _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam)), op, kind, m)[0]
 
 
 @dataclass
@@ -195,14 +185,12 @@ class SignIntervalResult:
 _SIDES = {
     "neg": "nonpositive-below-principal",
     "pos": "nonnegative-above-principal",
-    "nonpositive-below-principal": "nonpositive-below-principal",
-    "nonnegative-above-principal": "nonnegative-above-principal",
 }
 
 
 def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                   search_window=None, lam_tol: float = 1e-4, m: int = 101,
-                  principal_window=None, tol: float = DEFAULT_TOL) -> SignIntervalResult:
+                  principal_window=None) -> SignIntervalResult:
     """Maximal constant-sign lambda interval abutting the principal eigenvalue.
 
     Scans outward from the principal eigenvalue in steps of one percent of
@@ -213,13 +201,13 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     """
     side = _SIDES.get(side)
     if side is None:
-        raise ValueError("side must be 'neg'/'pos' or a full side name")
+        raise ValueError("side must be 'neg' or 'pos'")
     want = NONPOSITIVE if side.startswith("nonpositive") else NONNEGATIVE
     direction = -1.0 if side.startswith("nonpositive") else +1.0
 
     if principal_window is None:
         principal_window = search_window if search_window is not None else (-60.0, 10.0)
-    principal = principal_eigenvalue(op, kind, principal_window, tol=tol)
+    principal = principal_eigenvalue(op, kind, principal_window)
     if search_window is None:
         search_window = (principal - 500.0, principal + 500.0)
     lo_w, hi_w = float(search_window[0]), float(search_window[1])
@@ -230,7 +218,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     accepted = (want, ZERO_ON_GRID)
 
     def ok(lam: float) -> bool:
-        return classify_problem(op, kind, lam, m=m, tol=tol) in accepted
+        return classify_problem(op, kind, lam, m=m) in accepted
 
     def ok_member(fs) -> bool:
         try:
@@ -243,7 +231,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         # the binary search visits the lambdas bisection would visit
         while splittable(good, bad, lam_tol):
             x = dyadic_points(good, bad)
-            fs = integrate_fundamental_batch(op, x[1:-1], tol=tol, dense=True)
+            fs = integrate_fundamental_batch(op, x[1:-1], dense=True)
             lo, hi = 0, SECTIONS
             while hi - lo > 1 and abs(x[hi] - x[lo]) > lam_tol:
                 mid = (lo + hi) // 2
@@ -315,15 +303,14 @@ def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKin
     return table[code]
 
 
-def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101,
-                          tol: float = DEFAULT_TOL) -> list[dict]:
+def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101) -> list[dict]:
     """For each lambda where a premise kernel has constant sign, assert the
     implied sign of the conclusion kernel; violating rows carry the location
     of the offending extremum."""
     rows = []
     table = kernel_table(op)
     for lam in lam_samples:
-        kernel = kernel_source(lam, tol)
+        kernel = kernel_source(lam)
 
         @functools.cache
         def classify(code):
@@ -346,13 +333,13 @@ def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101,
     return rows
 
 
-def sweep_extrema(op: LinearOperator, kind: BCKind, lams, m: int = 41,
-                  tol: float = DEFAULT_TOL) -> list[tuple[float, float, float]]:
+def sweep_extrema(op: LinearOperator, kind: BCKind, lams,
+                  m: int = 41) -> list[tuple[float, float, float]]:
     """Rows (lambda, min G, max G) for plotting; resonant lambdas give NaN."""
     rows = []
     for lam in np.atleast_1d(np.asarray(lams, dtype=float)):
         try:
-            G = build_greens(ProblemSpec(op, kind, float(lam)), tol=tol)
+            G = build_greens(ProblemSpec(op, kind, float(lam)))
         except ResonantProblemError:
             rows.append((float(lam), float("nan"), float("nan")))
             continue
@@ -379,8 +366,8 @@ class ReproductionReport:
         return all(r["pass"] for r in self.rows)
 
 
-def reproduce_counterexamples(fixtures: dict | None = None, m: int = 101,
-                              tol: float = DEFAULT_TOL) -> ReproductionReport:
+def reproduce_counterexamples(fixtures: dict | None = None,
+                              m: int = 101) -> ReproductionReport:
     """Run the fixed scenario list: sign classifications at the quoted
     lambdas and the threshold searches, each row pass/fail."""
     data = fixtures if fixtures is not None else _load_fixtures()
@@ -391,7 +378,7 @@ def reproduce_counterexamples(fixtures: dict | None = None, m: int = 101,
     for scenario in data.get("classification_scenarios", []):
         op = _operator_from_fixture(scenario["operator"])
         lam = float(scenario["lambda"])
-        kernel = sources.setdefault(lam, kernel_source(lam, tol))
+        kernel = sources.setdefault(lam, kernel_source(lam))
         for code, expected in scenario["expected"].items():
             observed = _classify(kernel, *resolve_kernel(op, code), m=m)[0]
             report.rows.append({
@@ -410,10 +397,10 @@ def reproduce_counterexamples(fixtures: dict | None = None, m: int = 101,
         rel_tol = float(row.get("rel_tol", 1e-2))
         pw = tuple(row["principal_window"])
         if row["type"] == "principal":
-            observed = principal_eigenvalue(o, kind, pw, tol=tol)
+            observed = principal_eigenvalue(o, kind, pw)
         else:
             side = "neg" if row["type"] == "nonpositive" else "pos"
-            result = sign_interval(o, kind, side, principal_window=pw, m=m, tol=tol)
+            result = sign_interval(o, kind, side, principal_window=pw, m=m)
             observed = result.threshold()
         rel = abs(observed - expected) / abs(expected)
         report.rows.append({

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greens import BCKind, _boundary_coeffs, char_det_scan, homogeneous_states
-from .integrate import DEFAULT_TOL, integrate_fundamental
+from .integrate import integrate_fundamental
 from .operators import LinearOperator, coeff_values, extend_to_double, extend_to_quadruple, \
     reflect
 
@@ -41,6 +41,11 @@ NOT_EIGENVALUE_TOL = 1e-4  # sigma_1 above: no eigenvalue (warning)
 DOUBLE_ROOT_TOL = 1e-6     # sigma_2 below: the null space is two-dimensional
 SIMPLE_SIGN_TOL = 1e-3     # sigma_2 above: one eigenfunction decides constant sign
 OFF_ROOT = 1e-12           # relative step off a root where sigma_2 is unresolved
+
+# Eigenfunctions are sampled at this many uniform points; sign changes are
+# counted among the samples above SIGN_FLOOR in magnitude (max-abs 1).
+EIGENFUNCTION_POINTS = 401
+SIGN_FLOOR = 1e-6
 
 # The characteristic function is det(C W) / ||C||_2^d on an orthonormal
 # solution-graph basis W: its magnitude is bounded by the smallest singular
@@ -207,7 +212,7 @@ def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
 
 
 def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float | None = None,
-                     lam_tol: float = 1e-6, tol: float = DEFAULT_TOL) -> Spectrum:
+                     lam_tol: float = 1e-6) -> Spectrum:
     """All eigenvalues in the window located to lam_tol.
 
     Sign changes of the characteristic function det(C W) (char_det_scan)
@@ -221,12 +226,12 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     width = hi - lo
-    step = float(scan_step) if scan_step else width / 400.0
-    if step <= 0:
+    step = width / 400.0 if scan_step is None else float(scan_step)
+    if not step > 0:
         raise ValueError("scan_step must be positive")
     npts = max(5, int(np.ceil(width / step)) + 1)
     grid = np.linspace(lo, hi, npts)
-    dets = char_det_scan(op, kind, grid, tol)
+    dets = char_det_scan(op, kind, grid)
     absdet = np.abs(dets)
 
     # nearly resonant endpoints: drop them (shrinking the window) and warn
@@ -240,7 +245,7 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     grid, dets, absdet = grid[start:stop], dets[start:stop], absdet[start:stop]
 
     def det_batch(xs):
-        return char_det_scan(op, kind, xs, tol)
+        return char_det_scan(op, kind, xs)
 
     roots: list[tuple[float, float, bool]] = []  # (lam, bracket_width, even_mult)
     signs = np.sign(dets)
@@ -277,14 +282,14 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
         changes = None
         if not even:
             try:
-                _, _, changes = eigenfunction_at(op, kind, lam, tol=tol)
+                _, _, changes = eigenfunction_at(op, kind, lam)
             except MultiplicityError:
                 even = True
         hits.append(EigenvalueHit(lam, changes, wdt, even))
     return Spectrum(kind=kind, window=(lo, hi), eigenvalues=hits)
 
 
-def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, tol: float, ts):
+def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     """The singular values sigma_1 <= ... <= sigma_d of M at lam_star and,
     column j for sigma_(j+1), the values at ts of the solutions M maps to
     them, from their node states (greens.homogeneous_states) and local Phi.
@@ -297,7 +302,7 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, tol: floa
     C = _boundary_coeffs(kind, op.n)
     norm_c = np.linalg.norm(C, 2)
     for lam in (lam_star, lam_star + OFF_ROOT * max(abs(lam_star), 1.0)):
-        fs = integrate_fundamental(op, lam, tol=tol, dense=True)
+        fs = integrate_fundamental(op, lam, dense=True)
         _, H = homogeneous_states(C, fs.segments[:, 0])
         if H is not None:
             _, sz, vt = np.linalg.svd(H[[0, -1]].reshape(-1, op.order))
@@ -309,17 +314,18 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, tol: floa
     return 1.0 / (norm_c * sz), np.einsum("nj,njk->nk", rows, states[seg])
 
 
-def eigenfunction_at(op: LinearOperator, kind: BCKind, lam_star: float,
-                     tol: float = DEFAULT_TOL, npts: int = 401):
-    """Eigenfunction samples at lam_star: (ts, values, interior sign changes).
+def eigenfunction_at(op: LinearOperator, kind: BCKind, lam_star: float):
+    """Eigenfunction samples at EIGENFUNCTION_POINTS points: (ts, values,
+    interior sign changes).
 
     The eigenfunction is the solution of sigma_1(M) (_null_functions),
-    normalized to max-abs 1; sign changes are counted ignoring |u| < 1e-6.
+    normalized to max-abs 1; sign changes are counted ignoring |u| <=
+    SIGN_FLOOR.
     Warns when sigma_1 > NOT_EIGENVALUE_TOL; raises MultiplicityError when
     sigma_2 < DOUBLE_ROOT_TOL (null space of dimension >= 2).
     """
-    ts = np.linspace(0.0, op.length, npts)
-    svals, values = _null_functions(op, kind, lam_star, tol, ts)
+    ts = np.linspace(0.0, op.length, EIGENFUNCTION_POINTS)
+    svals, values = _null_functions(op, kind, lam_star, ts)
     if svals[0] > NOT_EIGENVALUE_TOL:
         warnings.warn(f"lambda={lam_star:.8g} does not look like an eigenvalue "
                       f"(smallest singular value {svals[0]:.3e})")
@@ -331,18 +337,19 @@ def eigenfunction_at(op: LinearOperator, kind: BCKind, lam_star: float,
     return ts, u, count_sign_changes(u)
 
 
-def count_sign_changes(u: np.ndarray, ignore_below: float = 1e-6) -> int:
-    sig = u[np.abs(u) > ignore_below]
+def count_sign_changes(u: np.ndarray) -> int:
+    sig = u[np.abs(u) > SIGN_FLOOR]
     if sig.size == 0:
         return 0
     s = np.sign(sig)
     return int(np.sum(s[:-1] != s[1:]))
 
 
-def _constant_sign_combination(op, kind, lam_star, tol) -> bool:
+def _constant_sign_combination(op, kind, lam_star) -> bool:
     """At a double root, search the 2-dim null space for a constant-sign
     eigenfunction by minimizing the smaller of the two sign masses."""
-    svals, values = _null_functions(op, kind, lam_star, tol, np.linspace(0.0, op.length, 401))
+    ts = np.linspace(0.0, op.length, EIGENFUNCTION_POINTS)
+    svals, values = _null_functions(op, kind, lam_star, ts)
     if svals[0] > NOT_EIGENVALUE_TOL:
         return False
     u1, u2 = values[:, :2].T
@@ -367,14 +374,13 @@ def _constant_sign_combination(op, kind, lam_star, tol) -> bool:
 
 
 def principal_eigenvalue(op: LinearOperator, kind: BCKind, window,
-                         scan_step: float | None = None, lam_tol: float = 1e-6,
-                         tol: float = DEFAULT_TOL) -> float:
+                         scan_step: float | None = None, lam_tol: float = 1e-6) -> float:
     """The eigenvalue in the window whose eigenfunction has no interior sign
     change; when several qualify the largest is returned with a warning."""
-    spec = find_eigenvalues(op, kind, window, scan_step=scan_step, lam_tol=lam_tol, tol=tol)
+    spec = find_eigenvalues(op, kind, window, scan_step=scan_step, lam_tol=lam_tol)
     candidates = [e.lam for e in spec.eigenvalues if e.sign_changes == 0]
     for e in spec.eigenvalues:
-        if e.even_multiplicity and _constant_sign_combination(op, kind, e.lam, tol):
+        if e.even_multiplicity and _constant_sign_combination(op, kind, e.lam):
             candidates.append(e.lam)
     if not candidates:
         raise ValueError(f"no constant-sign eigenvalue of the {kind.value} problem "
@@ -392,10 +398,6 @@ class UnionCheck:
     right: list[float]
     unmatched: list[float]
     passed: bool
-
-    def to_row(self) -> dict:
-        return {"tag": self.tag, "left": self.left, "right": self.right,
-                "unmatched": self.unmatched, "pass": self.passed}
 
 
 def _match_sets(a: list[float], b: list[float], tol: float) -> list[float]:
@@ -424,8 +426,7 @@ def _is_reflection_symmetric(op: LinearOperator) -> bool:
 
 
 def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
-                           scan_step: float | None = None,
-                           tol: float = DEFAULT_TOL) -> list[UnionCheck]:
+                           scan_step: float | None = None) -> list[UnionCheck]:
     """Check the spectral union identities on the window.
 
     The doubled-interval problems carry each shared eigenvalue of two
@@ -437,8 +438,7 @@ def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
     opr = reflect(op)
 
     def lams(o, kind):
-        return find_eigenvalues(o, kind, window, scan_step=scan_step,
-                                lam_tol=lam_tol, tol=tol).lams()
+        return find_eigenvalues(o, kind, window, scan_step=scan_step, lam_tol=lam_tol).lams()
 
     N, D = lams(op, BCKind.NEUMANN), lams(op, BCKind.DIRICHLET)
     M1, M2 = lams(op, BCKind.MIXED1), lams(op, BCKind.MIXED2)
@@ -486,15 +486,10 @@ class FirstEigenvalueReport:
     def all_passed(self) -> bool:
         return all(row["pass"] for row in self.equalities)
 
-    def to_json(self) -> dict:
-        return {"principals": self.principals, "equalities": self.equalities,
-                "orderings": self.orderings}
-
 
 def verify_first_eigenvalue_relations(op: LinearOperator, window,
                                       lam_tol: float = 1e-6,
-                                      scan_step: float | None = None,
-                                      tol: float = DEFAULT_TOL) -> FirstEigenvalueReport:
+                                      scan_step: float | None = None) -> FirstEigenvalueReport:
     """Verify the first-eigenvalue equalities across the nine problems and
     report (without asserting) the order of the base principals.
 
@@ -506,8 +501,7 @@ def verify_first_eigenvalue_relations(op: LinearOperator, window,
     op4 = extend_to_quadruple(op)
 
     def princ(o, kind):
-        return principal_eigenvalue(o, kind, window, scan_step=scan_step,
-                                    lam_tol=lam_tol, tol=tol)
+        return principal_eigenvalue(o, kind, window, scan_step=scan_step, lam_tol=lam_tol)
 
     principals = {
         "N[T]": princ(op, BCKind.NEUMANN),

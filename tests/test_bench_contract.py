@@ -1,25 +1,29 @@
-"""The benchmark's tracer (perfbench/spans.py) patches greenbvp by attribute
-name: every traced function, method and engine it names must exist, and
-uninstalling must put each original back."""
+"""The benchmark calls greenbvp by name.  Its tracer (perfbench/spans.py)
+patches functions by attribute name: every traced function, method and
+engine it names must exist, and uninstalling must put each original back.
+Its workloads (perfbench/workloads.py) call the public API with keyword
+arguments: a task of each workload must still run."""
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 from greenbvp import BCKind, LinearOperator
 from greenbvp import integrate, spectrum
 
 
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+def _load(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
 def test_trace_recorder_installs_and_uninstalls():
-    spans = _load_spans()
+    spans = _load("spans")
     recorder = spans.Recorder()
     eigenfunction_at = spectrum.eigenfunction_at
     recorder.install()
@@ -37,7 +41,7 @@ def test_trace_recorder_installs_and_uninstalls():
 def test_trace_recorder_sees_the_rk_engine():
     # solve_ivp imports scipy.integrate on its first call; the tracer patches
     # the module attribute, which _rk_segment must keep looking up
-    spans = _load_spans()
+    spans = _load("spans")
     recorder = spans.Recorder()
     recorder.install()
     try:
@@ -47,3 +51,11 @@ def test_trace_recorder_sees_the_rk_engine():
         recorder.uninstall()
     rk = [span for span in recorder.spans if span.name == "integrate.rk"]
     assert rk and all(span.info["steps"] > 0 for span in rk)
+
+
+def test_first_task_of_each_workload_runs():
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        task = workloads.build_tasks(workload, workloads.make_inputs(workload, 7))[0]
+        outcome = task.run()
+        assert outcome.status == "ok", (workload, task.label, outcome.detail)

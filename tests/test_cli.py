@@ -167,6 +167,13 @@ def test_spectrum_reports_mixed2_eigenvalue(tmp_path, capsys):
     assert "generated_at" in payload
 
 
+def test_spectrum_refuses_zero_scan_step(tmp_path, capsys):
+    config = write_config(tmp_path, n=1, coefficients=["0", "0"], kind="dirichlet")
+    code = main(["spectrum", "--config", config, "--window", "0", "50", "--scan-step", "0"])
+    assert code == EXIT_CONFIG
+    assert "scan_step must be positive" in capsys.readouterr().err
+
+
 def test_verify_identities_exit_codes(tmp_path, capsys):
     config = write_config(tmp_path, kind="neumann", T=1.0)
     code = main(["verify", "--config", config, "--identity", "N-P2T",

@@ -218,7 +218,7 @@ def test_reproduction_of_sources(quartic_weight_op):
         d3m = gauss_u_derivative(G, sigma, lam, t - H, component=3)
         d4 = (d3p - d3m) / (2 * H)
         u = gauss_u_derivative(G, sigma, lam, t, component=0)
-        a0 = coeff_values(quartic_weight_op, 0, np.array([t]), lam)[0]
+        a0 = coeff_values(quartic_weight_op, 0, np.array([t]))[0] + lam
         sig_t = float(sigma(t, lam))
         assert abs(d4 + a0 * u - sig_t) < 1e-5
     # Neumann functionals: u'(0), u'''(0), u'(2), u'''(2) all vanish

@@ -5,6 +5,8 @@ import pytest
 
 from greenbvp import (
     BCKind,
+    GreensEvaluator,
+    IntegrationError,
     LinearOperator,
     ProblemSpec,
     build_greens,
@@ -15,6 +17,7 @@ from greenbvp import (
     check_symmetry,
     extend_to_double,
     extend_to_quadruple,
+    integrate_fundamental,
     run_identities,
 )
 
@@ -167,15 +170,28 @@ def test_run_identities_skips_resonant(const_fourth_op):
 
 def test_residual_shrinks_with_grid_and_tolerance(quartic_weight_op):
     lam = 0.5
-    coarse = build_greens(ProblemSpec(quartic_weight_op, BCKind.NEUMANN, lam), tol=1e-6)
-    coarse2 = build_greens(ProblemSpec(extend_to_double(quartic_weight_op),
-                                       BCKind.PERIODIC, lam), tol=1e-6)
-    fine = build_greens(ProblemSpec(quartic_weight_op, BCKind.NEUMANN, lam), tol=1e-11)
-    fine2 = build_greens(ProblemSpec(extend_to_double(quartic_weight_op),
-                                     BCKind.PERIODIC, lam), tol=1e-11)
-    r_coarse = check_decomposition("N-P2T", coarse, coarse2, m=21).residual
-    r_fine = check_decomposition("N-P2T", fine, fine2, m=41).residual
+    op2 = extend_to_double(quartic_weight_op)
+
+    def kernel(op, kind, tol):
+        return GreensEvaluator(ProblemSpec(op, kind, lam), integrate_fundamental(op, lam, tol=tol))
+
+    r_coarse = check_decomposition("N-P2T", kernel(quartic_weight_op, BCKind.NEUMANN, 1e-6),
+                                   kernel(op2, BCKind.PERIODIC, 1e-6), m=21).residual
+    r_fine = check_decomposition("N-P2T", kernel(quartic_weight_op, BCKind.NEUMANN, 1e-11),
+                                 kernel(op2, BCKind.PERIODIC, 1e-11), m=41).residual
     assert r_fine <= 4 * r_coarse
+
+
+def test_mixed_reflection_skips_only_resonance(monkeypatch, parabolic_weight_op):
+    # a failure other than resonance must not become a passing skipped row
+    from greenbvp import identities
+
+    def broken(op):
+        raise IntegrationError("budget")
+
+    monkeypatch.setattr(identities, "reflect", broken)
+    with pytest.raises(IntegrationError, match="budget"):
+        run_identities(parabolic_weight_op, 1.5, tags=["mixed-reflection"])
 
 
 def test_report_row_shape(quartic_kernels):

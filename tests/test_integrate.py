@@ -253,10 +253,9 @@ def test_polynomial_generator_matches_direct_form(d):
 def _members_on_batch_cells(op, lams):
     """Segment propagators of each lambda of a batch integrated alone, on the
     segments and cells the whole batch uses, shape (N, K, d, d)."""
-    lam_eff = lams + op.lam
     ends = []
-    for lo, hi, nodes, rate in integrate._segment_nodes(op, lam_eff):
-        piece = integrate._Piece.of(op, lo, hi, lam_eff)
+    for lo, hi, nodes, rate in integrate._segment_nodes(op, lams):
+        piece = integrate._Piece.of(op, lo, hi, lams)
         assert piece.polynomial and not piece.member(0).polynomial
         ends.append(np.concatenate([
             integrate._magnus_segments(piece.member(k), nodes, rate, DEFAULT_TOL, False,
@@ -280,18 +279,17 @@ def test_polynomial_batch_matches_members_on_same_cells(quartic_weight_op, case)
 
 
 def test_polynomial_generators_only_for_lambda_free_batches(monkeypatch, quartic_weight_op):
-    # a coefficient that uses lambda, constant coefficients and a single
-    # lambda keep the direct generator, bit for bit
+    # constant coefficients and a single lambda keep the direct generator,
+    # bit for bit
     lams = np.linspace(-50.0, 10.0, 15)
-    cases = [(LinearOperator.from_exprs(2, 2.0, ["lambda*t", "0", "0", "0"]), lams),
-             (LinearOperator.from_exprs(2, 2.0, ["3", "0", "1", "0"]), lams),
+    cases = [(LinearOperator.from_exprs(2, 2.0, ["3", "0", "1", "0"]), lams),
              (quartic_weight_op, lams[:1])]
     calls, polynomial = [], integrate._magnus_polynomial
     monkeypatch.setattr(integrate, "_magnus_polynomial",
                         lambda rows, h: calls.append(h) or polynomial(rows, h))
     for op, batch in cases:
-        for lo, hi, nodes, rate in integrate._segment_nodes(op, batch + op.lam):
-            piece = integrate._Piece.of(op, lo, hi, batch + op.lam)
+        for lo, hi, nodes, rate in integrate._segment_nodes(op, batch):
+            piece = integrate._Piece.of(op, lo, hi, batch)
             assert not piece.polynomial
             _, h, _, rows = piece.cells(nodes, rate, DEFAULT_TOL, MAX_CELLS)
             direct = (h[:, None, None, None] * integrate._companion(rows) if piece.constant

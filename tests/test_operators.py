@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -7,31 +5,8 @@ from greenbvp import LinearOperator, extend_to_double, extend_to_quadruple, refl
 from greenbvp.operators import coeff_values
 
 
-def coeff_value(op, k, t, lam=0.0):
-    return coeff_values(op, k, np.array([t]), lam)[0]
-
-
-def shift_lambda(op, lam):
-    return replace(op, lam=op.lam + lam)
-
-
-def test_shift_identity_and_inverse(quartic_weight_op):
-    op = quartic_weight_op
-    assert shift_lambda(op, 0.0) == op
-    assert shift_lambda(shift_lambda(op, 3.0), -3.0) == op
-
-
-def test_shift_adds_to_a0(quartic_weight_op):
-    op = shift_lambda(quartic_weight_op, -2.0)
-    ts = np.linspace(0, 2, 9)
-    for t in ts:
-        assert coeff_value(op, 0, t) == pytest.approx((t - 2) ** 4 - 2.0)
-
-
-def test_shift_composes_additively(quartic_weight_op):
-    a = shift_lambda(shift_lambda(quartic_weight_op, 1.25), 0.5)
-    b = shift_lambda(quartic_weight_op, 1.75)
-    assert a.lam == b.lam
+def coeff_value(op, k, t):
+    return coeff_values(op, k, np.array([t]))[0]
 
 
 def test_double_extension_of_symmetric_quartic(quartic_weight_op):
@@ -114,22 +89,9 @@ def test_reflect_is_an_involution(parabolic_weight_op):
                 coeff_value(parabolic_weight_op, k, t), abs=1e-14)
 
 
-def test_shift_commutes_with_extension_and_reflection(quartic_weight_op):
-    ts = np.linspace(0, 4, 17)
-    a = extend_to_double(shift_lambda(quartic_weight_op, 1.5))
-    b = shift_lambda(extend_to_double(quartic_weight_op), 1.5)
-    for t in ts:
-        assert coeff_value(a, 0, t) == pytest.approx(coeff_value(b, 0, t))
-    a = reflect(shift_lambda(quartic_weight_op, 1.5))
-    b = shift_lambda(reflect(quartic_weight_op), 1.5)
-    for t in np.linspace(0, 2, 9):
-        assert coeff_value(a, 0, t) == pytest.approx(coeff_value(b, 0, t))
-
-
 def test_coeff_value_examples(quartic_weight_op):
     ext = extend_to_double(quartic_weight_op)
     assert coeff_value(ext, 0, 4.0) == pytest.approx(16.0)
-    assert coeff_value(quartic_weight_op, 0, 2.0, lam=5.0) == pytest.approx(5.0)
     odd = extend_to_double(LinearOperator.from_exprs(1, 1.0, ["0", "1"]))
     assert coeff_value(odd, 1, 1.5) == pytest.approx(-1.0)
 
@@ -141,6 +103,12 @@ def test_operator_validation():
         LinearOperator.from_exprs(1, -1.0, ["0", "0"])
     with pytest.raises(ValueError):
         LinearOperator.from_exprs(0, 1.0, [])
+
+
+def test_coefficients_must_not_use_lambda():
+    # lambda enters only as the problem's shift of a_0
+    with pytest.raises(ValueError, match="lambda"):
+        LinearOperator.from_exprs(2, 1.0, ["lambda*t", "0", "0", "0"])
 
 
 def test_breakpoints_multiples_of_base(parabolic_weight_op):

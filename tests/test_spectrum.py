@@ -142,6 +142,12 @@ def test_shrinking_scan_step_keeps_eigenvalues(const_fourth_op):
         assert any(abs(hit.lam - other.lam) < 1e-5 for other in fine.eigenvalues)
 
 
+def test_zero_scan_step_is_refused(second_order_op):
+    # 0 is a step, not "unset": it must not fall back to the default step
+    with pytest.raises(ValueError, match="scan_step must be positive"):
+        find_eigenvalues(second_order_op, BCKind.DIRICHLET, (0.0, 50.0), scan_step=0.0)
+
+
 def test_window_validation(const_fourth_op):
     with pytest.raises(ValueError):
         find_eigenvalues(const_fourth_op, BCKind.NEUMANN, (1.0, -1.0))
