@@ -8,9 +8,7 @@ from .greens import (
     GreensEvaluator,
     ProblemSpec,
     ResonantProblemError,
-    boundary_functionals,
     build_greens,
-    char_det,
     char_det_scan,
 )
 from .integrate import (

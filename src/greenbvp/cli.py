@@ -15,7 +15,8 @@ import numpy as np
 
 from .comparison import HypothesisError, check_solution_comparison, solve_bvp
 from .expressions import ParseError, parse_expression
-from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens
+from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, kernel_source, \
+    kernel_table
 from .identities import ALL_TAGS, run_identities
 from .integrate import IntegrationError
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
@@ -34,6 +35,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite_number(raw: dict, key: str, default=None) -> float:
+    """The config field key as a float; it must be a finite JSON number."""
+    value = raw.get(key, default)
+    # the comparison is exact for integers past the float range, and false for NaN
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"field {key!r} must be a finite number")
+    return float(value)
+
+
 def load_config(path: str) -> dict:
     """Read and validate a ProblemConfig JSON file."""
     try:
@@ -44,13 +55,15 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     for key in ("n", "T", "coefficients", "kind"):
         if key not in raw:
             raise ConfigError(f"config is missing required field {key!r}")
     n = raw["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("field 'n' must be a positive integer")
-    T = float(raw["T"])
+    T = _finite_number(raw, "T")
     if not T > 0:
         raise ConfigError("field 'T' must be positive")
     coeffs = raw["coefficients"]
@@ -58,13 +71,15 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"'coefficients' must list exactly {2 * n} expressions")
     asts = []
     for i, text in enumerate(coeffs):
+        if not isinstance(text, str):
+            raise ConfigError(f"coefficient a_{i} must be an expression string, not {text!r}")
         try:
             ast = parse_expression(text)
         except ParseError as exc:
             raise ConfigError(f"coefficient a_{i} {text!r}: {exc}") from exc
         asts.append(ast)
     kind = BCKind.from_name(str(raw["kind"]))
-    lam = float(raw.get("lambda", 0.0))
+    lam = _finite_number(raw, "lambda", 0.0)
     extension = str(raw.get("extension", "none")).lower()
     if extension not in ("none", "double", "quadruple"):
         raise ConfigError("'extension' must be one of none, double, quadruple")
@@ -74,8 +89,7 @@ def load_config(path: str) -> dict:
         op = extend_to_double(op)
     elif extension == "quadruple":
         op = extend_to_quadruple(op)
-    return {"operator": op, "base_op": LinearOperator.from_exprs(n, T, asts),
-            "kind": kind, "lambda": lam, "extension": extension}
+    return {"operator": op, "kind": kind, "lambda": lam, "extension": extension}
 
 
 def _timestamp() -> str:
@@ -175,24 +189,21 @@ def _cmd_compare(args) -> int:
 def _write_solution_csv(path: str, cfg: dict, sigma1: str, sigma2: str, m: int):
     """Solutions of the four base problems: sigma1 drives the dominating
     problems (N, M2) and sigma2 the dominated ones (D, M1)."""
-    op, lam = cfg["operator"], cfg["lambda"]
+    table, kernel = kernel_table(cfg["operator"]), kernel_source(cfg["lambda"])
     columns = {}
-    for name, kind, sigma in (("u_N", BCKind.NEUMANN, sigma1),
-                              ("u_D", BCKind.DIRICHLET, sigma2),
-                              ("u_M1", BCKind.MIXED1, sigma2),
-                              ("u_M2", BCKind.MIXED2, sigma1)):
+    for code, sigma in (("N", sigma1), ("D", sigma2), ("M1", sigma2), ("M2", sigma1)):
         try:
-            sol = solve_bvp(build_greens(ProblemSpec(op, kind, lam)), sigma, m)
-            columns[name] = sol.values
+            sol = solve_bvp(kernel(*table[code]), sigma, m)
+            columns[code] = sol.values
             ts = sol.ts
         except ResonantProblemError:
-            columns[name] = None
+            columns[code] = None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,u_N,u_D,u_M1,u_M2\n")
+        fh.write(",".join(["t"] + [f"u_{code}" for code in columns]) + "\n")
         for i, t in enumerate(ts):
             cells = [_fmt(t)]
-            for name in ("u_N", "u_D", "u_M1", "u_M2"):
-                cells.append(_fmt(columns[name][i]) if columns[name] is not None else "")
+            for values in columns.values():
+                cells.append(_fmt(values[i]) if values is not None else "")
             fh.write(",".join(cells) + "\n")
 
 

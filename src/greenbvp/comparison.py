@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprAst, compile_expr, parse_expression
-from .greens import BCKind, GreensEvaluator, kernel_source
-from .operators import LinearOperator, extend_to_double
+from .greens import BCKind, GreensEvaluator, kernel_source, kernel_table
+from .operators import LinearOperator
 from .signscan import NONNEGATIVE, NONPOSITIVE, ZERO_ON_GRID, _classify
 
 __all__ = [
@@ -98,12 +98,12 @@ def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     return SampledSolution(G.problem.kind, ts, values, source)
 
 
-# theorem tag -> (premise kernel kind on the doubled interval,
-#                 primary problem, secondary problem)
+# theorem tag -> kernel codes (greens.kernel_table) of the premise on the
+#                doubled interval, the primary and the secondary problem
 THEOREM_TAGS = {
-    "ND": (BCKind.PERIODIC, BCKind.NEUMANN, BCKind.DIRICHLET),
-    "NM1": (BCKind.NEUMANN, BCKind.NEUMANN, BCKind.MIXED1),
-    "M2D": (BCKind.DIRICHLET, BCKind.MIXED2, BCKind.DIRICHLET),
+    "ND": ("P2T", "N", "D"),
+    "NM1": ("N2T", "N", "M1"),
+    "M2D": ("D2T", "M2", "D"),
 }
 
 
@@ -129,18 +129,18 @@ def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41) -> list
     """The pointwise kernel dominations implied by a constant-sign premise:
     premise >= 0 gives A >= |B|, premise <= 0 gives A <= -|B| on the base
     square, for the pairs (N, D), (N, M1) and (M2, D)."""
-    op2 = extend_to_double(op)
+    table = kernel_table(op)
     kernel = kernel_source(lam)
     ts = np.linspace(0.0, op.length, m)
     rows = []
-    for tag, (premise_kind, primary, secondary) in THEOREM_TAGS.items():
-        premise_class = _classify(kernel, op2, premise_kind)[0]
-        name = f"{tag}: {premise_kind.value}[2T] {premise_class}"
+    for tag, (premise, primary, secondary) in THEOREM_TAGS.items():
+        premise_class = _classify(kernel, *table[premise])[0]
+        name = f"{tag}: {table[premise][1].value}[2T] {premise_class}"
         if premise_class not in (NONNEGATIVE, NONPOSITIVE):
             rows.append(DominationRow(name, premise_class, False, True, 0.0, (0.0, 0.0)))
             continue
-        A = kernel(op, primary).eval_grid(ts, ts)
-        B = kernel(op, secondary).eval_grid(ts, ts)
+        A = kernel(*table[primary]).eval_grid(ts, ts)
+        B = kernel(*table[secondary]).eval_grid(ts, ts)
         scale = max(np.abs(A).max(), np.abs(B).max())
         if premise_class == NONNEGATIVE:
             diff = A - np.abs(B)
@@ -186,7 +186,7 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
         raise ValueError(f"unknown theorem tag {tag!r}; expected one of {list(THEOREM_TAGS)}")
     if case not in (1, 2, 3):
         raise ValueError("case must be 1, 2 or 3")
-    premise_kind, primary_kind, secondary_kind = THEOREM_TAGS[tag]
+    premise, primary, secondary = THEOREM_TAGS[tag]
 
     f1 = compile_expr(_as_expr(sigma1))
     f2 = compile_expr(_as_expr(sigma2))
@@ -204,14 +204,15 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
         if not (np.all(s2 <= htol) and np.all(s1 <= s2 + htol)):
             raise HypothesisError("case 3 needs sigma1 <= sigma2 <= 0 on the interval")
 
+    table = kernel_table(op)
     kernel = kernel_source(lam)
-    premise_class = _classify(kernel, extend_to_double(op), premise_kind)[0]
+    premise_class = _classify(kernel, *table[premise])[0]
     required = NONNEGATIVE if case == 1 else NONPOSITIVE
     if premise_class not in (required, ZERO_ON_GRID):
         return ComparisonReport(tag, case, False, premise_class, True, [])
 
-    u1 = solve_bvp(kernel(op, primary_kind), sigma1, m)
-    u2 = solve_bvp(kernel(op, secondary_kind), sigma2, m)
+    u1 = solve_bvp(kernel(*table[primary]), sigma1, m)
+    u2 = solve_bvp(kernel(*table[secondary]), sigma2, m)
     scale = max(np.abs(u1.values).max(), np.abs(u2.values).max(), 1e-300)
     slack = SLACK_REL * scale
 

@@ -34,18 +34,16 @@ from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from .integrate import FundamentalSystem, integrate_fundamental, integrate_fundamental_batch
-from .operators import LinearOperator
+from .operators import LinearOperator, extend_to_double, extend_to_quadruple
 
 __all__ = [
     "BCKind",
-    "BoundaryFunctional",
     "ProblemSpec",
     "ResonantProblemError",
-    "boundary_functionals",
-    "char_det",
     "char_det_scan",
     "build_greens",
     "kernel_source",
+    "kernel_table",
     "GreensEvaluator",
 ]
 
@@ -69,62 +67,22 @@ class BCKind(enum.Enum):
             raise ValueError(f"unknown boundary kind {name!r}; expected one of {valid}") from None
 
 
-@dataclass(frozen=True)
-class BoundaryFunctional:
-    """One boundary condition row: a derivative order, an endpoint selector
-    ("left", "right" or "both") and the pairing sign of the right-end term.
-
-    For "both", the functional is u^(order)(0) + sign * u^(order)(end):
-    sign -1 encodes periodic pairing, +1 antiperiodic pairing.
-    """
-
-    order: int
-    where: str
-    sign: float = 1.0
-
-    @property
-    def left_coeff(self) -> float:
-        return 1.0 if self.where in ("left", "both") else 0.0
-
-    @property
-    def right_coeff(self) -> float:
-        if self.where == "right":
-            return 1.0
-        if self.where == "both":
-            return self.sign
-        return 0.0
-
-
-def boundary_functionals(kind: BCKind, n: int) -> list[BoundaryFunctional]:
-    """The 2n functionals of the requested family for half-order n."""
-    if n < 1:
-        raise ValueError("half-order n must be >= 1")
-    fns: list[BoundaryFunctional] = []
-    if kind is BCKind.NEUMANN:
-        for k in range(n):
-            fns.append(BoundaryFunctional(2 * k + 1, "left"))
-            fns.append(BoundaryFunctional(2 * k + 1, "right"))
-    elif kind is BCKind.DIRICHLET:
-        for k in range(n):
-            fns.append(BoundaryFunctional(2 * k, "left"))
-            fns.append(BoundaryFunctional(2 * k, "right"))
-    elif kind is BCKind.MIXED1:
-        for k in range(n):
-            fns.append(BoundaryFunctional(2 * k + 1, "left"))
-            fns.append(BoundaryFunctional(2 * k, "right"))
-    elif kind is BCKind.MIXED2:
-        for k in range(n):
-            fns.append(BoundaryFunctional(2 * k, "left"))
-            fns.append(BoundaryFunctional(2 * k + 1, "right"))
-    elif kind is BCKind.PERIODIC:
-        for k in range(2 * n):
-            fns.append(BoundaryFunctional(k, "both", sign=-1.0))
-    elif kind is BCKind.ANTIPERIODIC:
-        for k in range(2 * n):
-            fns.append(BoundaryFunctional(k, "both", sign=+1.0))
-    else:
-        raise ValueError(f"unhandled boundary kind {kind!r}")
-    return fns
+def kernel_table(op: LinearOperator) -> dict[str, tuple[LinearOperator, BCKind]]:
+    """The nine problems of the base operator: kernel code (N, D, M1, M2, P2T,
+    A2T, N2T, D2T, P4T) -> (operator on its interval, boundary family); the
+    codes of one interval share one operator."""
+    op2 = extend_to_double(op)
+    return {
+        "N": (op, BCKind.NEUMANN),
+        "D": (op, BCKind.DIRICHLET),
+        "M1": (op, BCKind.MIXED1),
+        "M2": (op, BCKind.MIXED2),
+        "P2T": (op2, BCKind.PERIODIC),
+        "A2T": (op2, BCKind.ANTIPERIODIC),
+        "N2T": (op2, BCKind.NEUMANN),
+        "D2T": (op2, BCKind.DIRICHLET),
+        "P4T": (extend_to_quadruple(op), BCKind.PERIODIC),
+    }
 
 
 @dataclass(frozen=True)
@@ -149,14 +107,30 @@ class ResonantProblemError(ArithmeticError):
         self.det = det
 
 
+# (left step, right step) of the separated families: row 2k of C is
+# u^(2k+left)(0) and row 2k+1 is u^(2k+right)(T)
+_SEPARATED = {
+    BCKind.NEUMANN: (1, 1),
+    BCKind.DIRICHLET: (0, 0),
+    BCKind.MIXED1: (1, 0),
+    BCKind.MIXED2: (0, 1),
+}
+
+# sign of the right-end term of the paired families: row k is u^(k)(0) + sign u^(k)(T)
+_PAIRED = {BCKind.PERIODIC: -1.0, BCKind.ANTIPERIODIC: 1.0}
+
+
 def _boundary_coeffs(kind: BCKind, n: int) -> np.ndarray:
-    """The d x 2d matrix C = [left | right] of the functionals' coefficients
-    on the states at 0 and at the right end (d = 2n)."""
+    """The d x 2d matrix C = [left | right] of the boundary functionals'
+    coefficients on the states at 0 and at the right end (d = 2n)."""
     d = 2 * n
+    if kind in _PAIRED:
+        return np.hstack([np.eye(d), np.diag(np.full(d, _PAIRED[kind]))])
+    left, right = _SEPARATED[kind]
     C = np.zeros((d, 2 * d))
-    for r, f in enumerate(boundary_functionals(kind, n)):
-        C[r, f.order] = f.left_coeff
-        C[r, d + f.order] = f.right_coeff
+    k = np.arange(0, d, 2)
+    C[k, k + left] = 1.0
+    C[k + 1, d + k + right] = 1.0
     return C
 
 
@@ -188,11 +162,6 @@ def char_det_scan(op: LinearOperator, kind: BCKind, lams) -> np.ndarray:
     magnitude (see _graph_matrix)."""
     fs = integrate_fundamental_batch(op, lams, dense=False)
     return np.linalg.det(_graph_matrix(_boundary_coeffs(kind, op.n), fs))
-
-
-def char_det(problem: ProblemSpec) -> float:
-    """The characteristic function of char_det_scan at the problem's lambda."""
-    return float(char_det_scan(problem.operator, problem.kind, [problem.lam])[0])
 
 
 def _block_matrix(C: np.ndarray, ends: np.ndarray) -> csc_array:

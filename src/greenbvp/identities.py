@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source
+from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source, kernel_table
 from .operators import LinearOperator, reflect
-from .signscan import kernel_table
 
 __all__ = [
     "IdentityReport",

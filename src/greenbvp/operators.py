@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ExprAst, compile_expr, parse_expression, to_string, uses_lambda, \
-    uses_t
+from .expressions import ExprAst, compile_expr, parse_expression, uses_lambda, uses_t
 
 __all__ = [
     "CoeffSegment",
@@ -134,9 +133,6 @@ class LinearOperator:
         """True when every coefficient is constant in t throughout [lo, hi]."""
         mid = 0.5 * (lo + hi)
         return all(self.coeff_segment_at(k, mid).is_constant() for k in range(self.order))
-
-    def describe(self) -> list[str]:
-        return [" | ".join(to_string(seg.expr) for seg in segs) for segs in self.coeffs]
 
 
 def extend_to_double(op: LinearOperator) -> LinearOperator:

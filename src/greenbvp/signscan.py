@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
-    kernel_source
+    kernel_source, kernel_table
 from .integrate import integrate_fundamental_batch
-from .operators import LinearOperator, extend_to_double, extend_to_quadruple
+from .operators import LinearOperator
 from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue, splittable
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "verify_sign_corollary",
     "reproduce_counterexamples",
     "sweep_extrema",
-    "kernel_table",
     "resolve_kernel",
 ]
 
@@ -278,25 +277,8 @@ _COROLLARY_CASES = [
 ]
 
 
-def kernel_table(op: LinearOperator) -> dict[str, tuple[LinearOperator, BCKind]]:
-    """Kernel code (N, D, M1, M2, P2T, A2T, N2T, D2T, P4T) -> (operator on its
-    interval, boundary family); the codes of one interval share one operator."""
-    op2 = extend_to_double(op)
-    return {
-        "N": (op, BCKind.NEUMANN),
-        "D": (op, BCKind.DIRICHLET),
-        "M1": (op, BCKind.MIXED1),
-        "M2": (op, BCKind.MIXED2),
-        "P2T": (op2, BCKind.PERIODIC),
-        "A2T": (op2, BCKind.ANTIPERIODIC),
-        "N2T": (op2, BCKind.NEUMANN),
-        "D2T": (op2, BCKind.DIRICHLET),
-        "P4T": (extend_to_quadruple(op), BCKind.PERIODIC),
-    }
-
-
 def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKind]:
-    """One entry of kernel_table."""
+    """One entry of greens.kernel_table; an unknown code is refused."""
     table = kernel_table(op)
     if code not in table:
         raise ValueError(f"unknown kernel code {code!r}")

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import BCKind, _boundary_coeffs, char_det_scan, homogeneous_states
+from .greens import BCKind, _boundary_coeffs, char_det_scan, homogeneous_states, kernel_table
 from .integrate import integrate_fundamental
-from .operators import LinearOperator, coeff_values, extend_to_double, extend_to_quadruple, \
-    reflect
+from .operators import LinearOperator, coeff_values, reflect
 
 __all__ = [
     "EigenvalueHit",
@@ -412,10 +411,9 @@ def _match_sets(a: list[float], b: list[float], tol: float) -> list[float]:
     return unmatched
 
 
-def _is_reflection_symmetric(op: LinearOperator) -> bool:
-    """a_k(t) == (-1)^k a_k(L - t) sampled on a grid."""
+def _is_reflection_symmetric(op: LinearOperator, ref: LinearOperator) -> bool:
+    """a_k(t) == (-1)^k a_k(L - t) sampled on a grid; ref is reflect(op)."""
     ts = np.linspace(0.0, op.length, 257)
-    ref = reflect(op)
     for k in range(op.order):
         a = coeff_values(op, k, ts)
         b = coeff_values(ref, k, ts)
@@ -433,18 +431,13 @@ def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
     two-point problems as a double root, so flagged even-multiplicity hits
     participate in the matching like ordinary eigenvalues.
     """
-    op2 = extend_to_double(op)
-    op4 = extend_to_quadruple(op)
     opr = reflect(op)
 
     def lams(o, kind):
         return find_eigenvalues(o, kind, window, scan_step=scan_step, lam_tol=lam_tol).lams()
 
-    N, D = lams(op, BCKind.NEUMANN), lams(op, BCKind.DIRICHLET)
-    M1, M2 = lams(op, BCKind.MIXED1), lams(op, BCKind.MIXED2)
-    P2, A2 = lams(op2, BCKind.PERIODIC), lams(op2, BCKind.ANTIPERIODIC)
-    N2, D2 = lams(op2, BCKind.NEUMANN), lams(op2, BCKind.DIRICHLET)
-    P4 = lams(op4, BCKind.PERIODIC)
+    found = {code: lams(*problem) for code, problem in kernel_table(op).items()}
+    N, D, M1, M2 = found["N"], found["D"], found["M1"], found["M2"]
     M1r, M2r = lams(opr, BCKind.MIXED1), lams(opr, BCKind.MIXED2)
 
     match_tol = 10 * lam_tol
@@ -459,17 +452,17 @@ def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
 
     checks = []
     for tag, left, right in [
-        ("N+D=P2T", union(N, D), sorted(P2)),
-        ("N+M1=N2T", union(N, M1), sorted(N2)),
-        ("D+M2=D2T", union(D, M2), sorted(D2)),
-        ("M1+M2=A2T", union(M1, M2), sorted(A2)),
-        ("N+D+M1+M2=P4T", union(N, D, M1, M2), sorted(P4)),
+        ("N+D=P2T", union(N, D), sorted(found["P2T"])),
+        ("N+M1=N2T", union(N, M1), sorted(found["N2T"])),
+        ("D+M2=D2T", union(D, M2), sorted(found["D2T"])),
+        ("M1+M2=A2T", union(M1, M2), sorted(found["A2T"])),
+        ("N+D+M1+M2=P4T", union(N, D, M1, M2), sorted(found["P4T"])),
         ("M1=M2-reflected", sorted(M1), sorted(M2r)),
         ("M2=M1-reflected", sorted(M2), sorted(M1r)),
     ]:
         unmatched = _match_sets(left, right, match_tol)
         checks.append(UnionCheck(tag, left, right, unmatched, not unmatched))
-    if _is_reflection_symmetric(op):
+    if _is_reflection_symmetric(op, opr):
         unmatched = _match_sets(sorted(M1), sorted(M2), match_tol)
         checks.append(UnionCheck("M1=M2 (reflection-symmetric coefficients)",
                                  sorted(M1), sorted(M2), unmatched, not unmatched))
@@ -497,23 +490,12 @@ def verify_first_eigenvalue_relations(op: LinearOperator, window,
     principal of M2[T] = D[2T]; plus membership of the A[2T] principal in
     {M1[T], M2[T]}.  The strict-order directions are reported only.
     """
-    op2 = extend_to_double(op)
-    op4 = extend_to_quadruple(op)
-
-    def princ(o, kind):
-        return principal_eigenvalue(o, kind, window, scan_step=scan_step, lam_tol=lam_tol)
-
-    principals = {
-        "N[T]": princ(op, BCKind.NEUMANN),
-        "D[T]": princ(op, BCKind.DIRICHLET),
-        "M1[T]": princ(op, BCKind.MIXED1),
-        "M2[T]": princ(op, BCKind.MIXED2),
-        "P[2T]": princ(op2, BCKind.PERIODIC),
-        "A[2T]": princ(op2, BCKind.ANTIPERIODIC),
-        "N[2T]": princ(op2, BCKind.NEUMANN),
-        "D[2T]": princ(op2, BCKind.DIRICHLET),
-        "P[4T]": princ(op4, BCKind.PERIODIC),
-    }
+    principals = {}
+    for code, (o, kind) in kernel_table(op).items():
+        # the key names the code's interval: N -> N[T], P2T -> P[2T]
+        key = f"{code[:-2]}[{code[-2:]}]" if code.endswith("T") else f"{code}[T]"
+        principals[key] = principal_eigenvalue(o, kind, window, scan_step=scan_step,
+                                               lam_tol=lam_tol)
     match_tol = 10 * lam_tol
     equalities = []
     for tag, a, b in [

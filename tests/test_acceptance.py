@@ -13,7 +13,7 @@ from greenbvp import (
     LinearOperator,
     ProblemSpec,
     build_greens,
-    char_det,
+    char_det_scan,
     check_slope_constancy,
     check_solution_comparison,
     check_symmetry,
@@ -99,7 +99,7 @@ def test_criterion_3_symmetry_lemma():
         for lam in (-2.0, 0.5, 2.0):
             for kind in (BCKind.PERIODIC, BCKind.NEUMANN,
                          BCKind.DIRICHLET, BCKind.ANTIPERIODIC):
-                if abs(char_det(ProblemSpec(op2, kind, lam))) < 1e-8:
+                if abs(char_det_scan(op2, kind, [lam])[0]) < 1e-8:
                     continue
                 G = build_greens(ProblemSpec(op2, kind, lam))
                 worst = max(worst, check_symmetry(G, m=41).residual)

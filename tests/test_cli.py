@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from greenbvp import cli, greens
 from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 from greenbvp.expressions import Binary, Call, Const, Neg, Power, Var, to_string
 
@@ -34,7 +35,6 @@ def test_load_config_builds_operator(tmp_path):
                         T=2.0, kind="neumann", extension="double")
     cfg = load_config(path)
     assert cfg["operator"].length == 4.0
-    assert cfg["base_op"].length == 2.0
     assert cfg["kind"].value == "neumann"
 
 
@@ -42,6 +42,36 @@ def test_config_rejects_wrong_count(tmp_path):
     path = write_config(tmp_path, coefficients=["0", "0"])
     with pytest.raises(Exception, match="exactly 4"):
         load_config(path)
+
+
+_FOUR = ["0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"n": 2, "T": [1], "coefficients": _FOUR, "kind": "neumann"}, "'T' must be a finite number"),
+    ({"n": 2, "T": "1e400", "coefficients": _FOUR, "kind": "neumann"},
+     "'T' must be a finite number"),
+    ({"n": 2, "T": 1.0, "coefficients": _FOUR, "kind": "neumann", "lambda": None},
+     "'lambda' must be a finite number"),
+    ({"n": 2, "T": 1.0, "coefficients": _FOUR, "kind": "neumann", "lambda": [1]},
+     "'lambda' must be a finite number"),
+    ({"n": 2, "T": 1.0, "coefficients": _FOUR, "kind": "neumann", "lambda": "inf"},
+     "'lambda' must be a finite number"),
+    ({"n": 1, "T": 1.0, "coefficients": [1, "0"], "kind": "neumann"},
+     "a_0 must be an expression string"),
+    ({"n": 1, "T": 1.0, "coefficients": [0, "0"], "kind": "neumann"},
+     "a_0 must be an expression string"),
+    (3, "must be a JSON object"),
+    (["n", "T", "coefficients", "kind"], "must be a JSON object"),
+], ids=["T-list", "T-overflow", "lambda-null", "lambda-list", "lambda-inf",
+        "coefficient-1", "coefficient-0", "number", "list"])
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, raw, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main(["green", "--config", str(config), "--grid", "5",
+                 "--out", str(tmp_path / "grid.csv")])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_config_rejects_lambda_in_coefficients(tmp_path):
@@ -223,6 +253,24 @@ def test_compare_command(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,u_N,u_D,u_M1,u_M2"
     assert len(lines) == 42
+
+
+def test_solution_csv_integrates_the_operator_once(tmp_path, monkeypatch):
+    # the four base kernels of compare --out share one fundamental system
+    config = write_config(tmp_path, n=2, T=2.0, coefficients=["(t-2)^4", "0", "0", "0"],
+                          **{"lambda": 2.0})
+    calls = []
+    integrate = greens.integrate_fundamental
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(greens, "integrate_fundamental", counted)
+    out = tmp_path / "solutions.csv"
+    cli._write_solution_csv(str(out), load_config(config), "2", "sin(3*t)", 41)
+    assert len(calls) == 1
+    assert out.read_text().splitlines()[0] == "t,u_N,u_D,u_M1,u_M2"
 
 
 def test_compare_bad_case_exits_2(tmp_path, capsys):

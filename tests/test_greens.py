@@ -15,9 +15,7 @@ from greenbvp import (
     LinearOperator,
     ProblemSpec,
     ResonantProblemError,
-    boundary_functionals,
     build_greens,
-    char_det,
     char_det_scan,
     extend_to_double,
     extend_to_quadruple,
@@ -79,20 +77,26 @@ def beam_kernel_exact(t, s):
 
 
 def test_boundary_functionals_neumann_n1():
-    fns = boundary_functionals(BCKind.NEUMANN, 1)
-    assert [(f.order, f.where) for f in fns] == [(1, "left"), (1, "right")]
+    # rows u'(0) and u'(T) on the states [u(0), u'(0) | u(T), u'(T)]
+    assert _boundary_coeffs(BCKind.NEUMANN, 1).tolist() == [
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0]]
 
 
 def test_boundary_functionals_dirichlet_n2():
-    fns = boundary_functionals(BCKind.DIRICHLET, 2)
-    assert [(f.order, f.where) for f in fns] == [
-        (0, "left"), (0, "right"), (2, "left"), (2, "right")]
+    # rows u(0), u(T), u''(0), u''(T)
+    assert _boundary_coeffs(BCKind.DIRICHLET, 2).tolist() == [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
 
 
 def test_boundary_functionals_antiperiodic_n1():
-    fns = boundary_functionals(BCKind.ANTIPERIODIC, 1)
-    assert [(f.order, f.where, f.sign) for f in fns] == [
-        (0, "both", 1.0), (1, "both", 1.0)]
+    # rows u(0) + u(T) and u'(0) + u'(T)
+    assert _boundary_coeffs(BCKind.ANTIPERIODIC, 1).tolist() == [
+        [1.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 1.0]]
 
 
 def test_boundary_matrix_examples(second_order_op):
@@ -107,7 +111,7 @@ def test_boundary_matrix_examples(second_order_op):
 
 def test_periodic_full_resonance():
     op = LinearOperator.from_exprs(1, 2 * np.pi, ["1", "0"])
-    assert abs(char_det(ProblemSpec(op, BCKind.PERIODIC))) < 1e-10
+    assert abs(char_det_scan(op, BCKind.PERIODIC, [0.0])[0]) < 1e-10
     with pytest.raises(ResonantProblemError):
         build_greens(ProblemSpec(op, BCKind.PERIODIC))
 
@@ -233,16 +237,15 @@ def test_reproduction_of_sources(quartic_weight_op):
 ])
 def test_char_det_zeros_second_order(second_order_op, kind, lam, expected):
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
-    assert abs(char_det(ProblemSpec(op, kind, lam))) < 1e-8
+    assert abs(char_det_scan(op, kind, [lam])[0]) < 1e-8
 
 
 def test_char_det_zero_mixed2(const_fourth_op):
-    assert abs(char_det(ProblemSpec(const_fourth_op, BCKind.MIXED2,
-                                    -math.pi ** 4 / 16))) < 1e-10
+    assert abs(char_det_scan(const_fourth_op, BCKind.MIXED2, [-math.pi ** 4 / 16])[0]) < 1e-10
 
 
 def test_char_det_nonzero_off_eigenvalue(const_fourth_op):
-    assert abs(char_det(ProblemSpec(const_fourth_op, BCKind.MIXED2, -5.0))) > 1e-4
+    assert abs(char_det_scan(const_fourth_op, BCKind.MIXED2, [-5.0])[0]) > 1e-4
 
 
 def test_strongly_growing_problem_stays_finite(second_order_op):
@@ -251,13 +254,13 @@ def test_strongly_growing_problem_stays_finite(second_order_op):
     problem = ProblemSpec(second_order_op, BCKind.NEUMANN, -1e8 - 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        value = char_det(problem)
+        value = char_det_scan(problem.operator, problem.kind, [problem.lam])[0]
         build_greens(problem).sample_grid(41)
     assert math.isfinite(value) and abs(value) <= 1.0
 
 
 def test_resonance_consistency_with_char_det():
-    # build_greens refuses exactly where char_det vanishes
+    # build_greens refuses exactly where char_det_scan vanishes
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     from greenbvp import find_eigenvalues
 

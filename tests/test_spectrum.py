@@ -8,8 +8,7 @@ from greenbvp import (
     BCKind,
     LinearOperator,
     MultiplicityError,
-    ProblemSpec,
-    char_det,
+    char_det_scan,
     eigenfunction_at,
     extend_to_double,
     extend_to_quadruple,
@@ -45,7 +44,7 @@ def test_mixed2_eigenvalue_matches_reported_value(const_fourth_op):
 def test_reported_eigenvalues_have_small_char_det(const_fourth_op):
     spec = find_eigenvalues(const_fourth_op, BCKind.MIXED2, (-40.0, 1.0))
     for hit in spec.eigenvalues:
-        assert abs(char_det(ProblemSpec(const_fourth_op, BCKind.MIXED2, hit.lam))) <= 1e-8
+        assert abs(char_det_scan(const_fourth_op, BCKind.MIXED2, [hit.lam])[0]) <= 1e-8
 
 
 def test_eigenfunction_shapes():
