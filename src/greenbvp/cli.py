@@ -15,8 +15,7 @@ import numpy as np
 
 from .comparison import HypothesisError, check_solution_comparison, solve_bvp
 from .expressions import ParseError, parse_expression
-from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, kernel_source, \
-    kernel_table
+from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, kernel_table
 from .identities import ALL_TAGS, run_identities
 from .integrate import IntegrationError
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
@@ -181,15 +180,17 @@ def _cmd_compare(args) -> int:
     report = check_solution_comparison(tag, case, cfg["operator"], cfg["lambda"],
                                        args.sigma1, args.sigma2, m=args.grid)
     if args.out:
-        _write_solution_csv(args.out, cfg, args.sigma1, args.sigma2, args.grid)
+        _write_solution_csv(args.out, cfg["operator"], report.kernel, args.sigma1, args.sigma2,
+                            args.grid)
     _emit_json(report.to_json(), None)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _write_solution_csv(path: str, cfg: dict, sigma1: str, sigma2: str, m: int):
-    """Solutions of the four base problems: sigma1 drives the dominating
+def _write_solution_csv(path: str, op: LinearOperator, kernel, sigma1: str, sigma2: str, m: int):
+    """Solutions of the four base problems of op, from the kernel source of
+    the comparison check (greens.kernel_source): sigma1 drives the dominating
     problems (N, M2) and sigma2 the dominated ones (D, M1)."""
-    table, kernel = kernel_table(cfg["operator"]), kernel_source(cfg["lambda"])
+    table = kernel_table(op)
     columns = {}
     for code, sigma in (("N", sigma1), ("D", sigma2), ("M1", sigma2), ("M2", sigma1)):
         try:

@@ -9,7 +9,8 @@ that follow from a constant-sign premise kernel on the doubled interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -161,6 +162,9 @@ class ComparisonReport:
     conclusions: list[dict]
     primary: SampledSolution | None = None
     secondary: SampledSolution | None = None
+    # the kernels the check built (greens.kernel_source of its lambda), for
+    # callers that solve more problems of the same operator
+    kernel: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"tag": self.tag, "case": self.case, "applicable": self.applicable,
@@ -209,7 +213,9 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
     premise_class = _classify(kernel, *table[premise])[0]
     required = NONNEGATIVE if case == 1 else NONPOSITIVE
     if premise_class not in (required, ZERO_ON_GRID):
-        return ComparisonReport(tag, case, False, premise_class, True, [])
+        report = ComparisonReport(tag, case, False, premise_class, True, [])
+        report.kernel = kernel
+        return report
 
     u1 = solve_bvp(kernel(*table[primary]), sigma1, m)
     u2 = solve_bvp(kernel(*table[secondary]), sigma2, m)
@@ -233,4 +239,6 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
         record("u1 >= 0", u1.values)
         record("u2 <= u1", u1.values - u2.values)
     passed = all(c["pass"] for c in conclusions)
-    return ComparisonReport(tag, case, True, premise_class, passed, conclusions, u1, u2)
+    report = ComparisonReport(tag, case, True, premise_class, passed, conclusions, u1, u2)
+    report.kernel = kernel
+    return report

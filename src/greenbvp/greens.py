@@ -3,10 +3,12 @@
 For a nonresonant problem the kernel is represented semi-analytically: the
 impulse (Cauchy) kernel carries the diagonal jump, and per integration
 segment a combination of fundamental solutions enforces the boundary and
-continuity conditions.  The combination coefficients solve one sparse
+continuity conditions.  The combination coefficients solve one
 block-bidiagonal system (plus the boundary rows) whose matrix is independent
-of the source point s, so a single sparse LU factorization serves every
-evaluation.
+of the source point s.  An odd-even reduction factors it once per kernel:
+one batched QR per level removes every other node, each relation's rows are
+scaled to unit norm, and a small dense system closes it (_BlockReduction).
+numpy alone does this; no step loops over the segments.
 
 Spectra and kernels share one resonance criterion: the d x d matrix
 M = C W / ||C||_2 of the boundary functionals C on an orthonormal basis W of
@@ -14,14 +16,13 @@ the solution graph {(x, Phi(T) x)}.  det M is the characteristic function
 whose zeros are the eigenvalues, and sigma_min(M) is the resonance margin of
 a kernel; both are bounded by one and do not depend on the segment count.
 char_det_scan marches W over the segments, so that Phi(T) is never formed;
-a kernel reads sigma_min(M) off the sparse LU it factors anyway, and no step
-of its construction or grid evaluation loops over the segments.  That LU
-also gives eigenfunctions their node states (homogeneous_states).
+a kernel reads sigma_min(M) off the end states of its block reduction.  The
+reduction also gives eigenfunctions their node states (homogeneous_states).
 
 All boundary families of one operator and lambda solve the same equation:
 their kernels share one fundamental system, whose segment end matrices and
 grid factors (segment indices and local Phi of a point set) are computed
-once.  Only C, the sparse LU and the margin are per family.
+once.  Only C, the block reduction and the margin are per family.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from .integrate import FundamentalSystem, integrate_fundamental, integrate_fundamental_batch
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
@@ -143,7 +142,7 @@ def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
     triangular matrix with positive diagonal and det M is det(C [I; Phi(T)])
     times a positive factor: it has the argument (for real lambda, the sign)
     of the boundary determinant.  |det M| <= sigma_min(M) <= 1.  Kernels
-    read sigma_min(M) off their block LU instead (homogeneous_states).
+    read sigma_min(M) off their block reduction instead (_BlockReduction).
     """
     d = fs.d
     X = Y = np.broadcast_to(np.eye(d) / np.sqrt(2.0), (fs.K, d, d))
@@ -164,37 +163,151 @@ def char_det_scan(op: LinearOperator, kind: BCKind, lams) -> np.ndarray:
     return np.linalg.det(_graph_matrix(_boundary_coeffs(kind, op.n), fs))
 
 
-def _block_matrix(C: np.ndarray, ends: np.ndarray) -> csc_array:
-    """Rows i*d.. : Y_{i+1} - E_i Y_i (continuity) for the segment
-    propagators E_i = ends[i]; last d rows: the boundary functionals C on
-    Y_0 and Y_N."""
-    N, d = ends.shape[:2]
-    dim = (N + 1) * d
-    starts = np.arange(N)[:, None, None] * d
-    rows = np.broadcast_to(starts + np.arange(d)[:, None], (N, d, d))
-    cols = np.broadcast_to(starts + np.arange(d), (N, d, d))
-    diag = np.arange(N * d)
-    bc_rows, bc_cols = np.nonzero(C)
-    data = np.concatenate([-ends.ravel(), np.ones(N * d), C[bc_rows, bc_cols]])
-    row_idx = np.concatenate([rows.ravel(), diag, N * d + bc_rows])
-    col_idx = np.concatenate([cols.ravel(), diag + d,
-                              bc_cols + (bc_cols >= d) * (N - 1) * d])
-    return csc_array((data, (row_idx, col_idx)), shape=(dim, dim))
+# the reduction stops once the block system of the relations left and C has at
+# most this many rows, and inverts that system densely: fewer levels save
+# numpy calls, a larger inverse costs every grid more
+_DENSE_ROWS = 64
 
 
-def homogeneous_states(C: np.ndarray, ends: np.ndarray) -> tuple:
-    """The sparse LU of the block system of the functionals C and the segment
-    propagators ends (N, d, d), and the node states H (N+1, d, d) of the d
-    solutions with C [H_0; H_N] = I; (None, None) if the factor is exactly
-    singular.  Z = [H_0; H_N] is W S for the orthonormal graph basis W, so
-    sigma(M) = 1 / (||C||_2 sigma(Z)), and H v, v the top right singular
-    vector of Z, holds the node states of the solution of sigma_min(M)."""
-    N, d = ends.shape[:2]
+class _BlockReduction:
+    """Odd-even reduction of the segment block system
+
+        Y_{i+1} - E_i Y_i = r_i  (i < N),    C [Y_0; Y_N] = b
+
+    for the segment propagators E_i = ends[i], shape (N, d, d).
+
+    Level l holds the relations F Y_a + G Y_b = r between the nodes
+    a = j 2^l and b = min((j + 1) 2^l, N), each row scaled to unit norm.  The
+    next level pairs the relations 2j and 2j + 1 and removes their shared node
+    m = a + 2^l with one Householder QR of [G_2j; F_2j+1], batched over the
+    pairs: the first d rows of Q^T, solved with R, give Y_m from Y_a, Y_b and
+    the pair's right-hand sides, and the last d rows are the merged relation.
+    A relation left without a partner is carried up unchanged.  The levels
+    stop once the relations left and C form a block system of at most
+    _DENSE_ROWS rows, whose inverse is formed once (LU with partial
+    pivoting), so that a grid's right-hand sides cost one product; for b = I
+    its end states are Z = [H_0; H_N].  Back-substitution down the levels
+    gives the other nodes.  No step loops over the segments.  Raises
+    numpy.linalg.LinAlgError where a pivot or the dense system is exactly
+    singular.
+    """
+
+    def __init__(self, C: np.ndarray, ends: np.ndarray):
+        N, d = ends.shape[:2]
+        self.nseg, self.d = N, d
+        rel = np.concatenate([-ends, np.broadcast_to(np.eye(d), ends.shape)], axis=2)
+        self._scale = np.sqrt(np.einsum("nij,nij->ni", rel, rel))
+        rel /= self._scale[..., None]
+        kept, levels = N, 0
+        while kept > 1 and (kept + 1) * d > _DENSE_ROWS:
+            kept, levels = (kept + 1) // 2, levels + 1
+        # per pair, level after level, the rows of Q^T [I | F_2j | G_2j+1] and R;
+        # each level ends with a pass-through pair for a relation left unpaired
+        rows = np.zeros((N - kept + levels, 2 * d, 4 * d))
+        r_mid = np.empty((N - kept + levels, d, d))
+        self._pairs, passes = [], []
+        start = 0
+        while len(rel) > kept:
+            p = len(rel) // 2
+            stop = start + p
+            pairs = rel[:2 * p].reshape(p, 2 * d, 2 * d)
+            Q, R = np.linalg.qr(np.concatenate([pairs[:, :d, d:], pairs[:, d:, :d]], axis=1),
+                                mode="complete")
+            r_mid[start:stop] = R[:, :d]
+            out = rows[start:stop]
+            out[..., :2 * d] = np.swapaxes(Q, 1, 2)
+            np.matmul(out[..., :d], pairs[:, :d, :d], out=out[..., 2 * d:3 * d])
+            np.matmul(out[..., d:2 * d], pairs[:, d:, d:], out=out[..., 3 * d:])
+            merged = out[:, d:]
+            relation = merged[..., 2 * d:]
+            merged /= np.sqrt(np.einsum("pij,pij->pi", relation, relation))[..., None]
+            rel = np.concatenate([merged[..., 2 * d:], rel[2 * p:]])
+            self._pairs.append(p)
+            passes.append(stop)
+            start = stop + 1
+        rows[passes, d:, :d] = r_mid[passes] = np.eye(d)
+        # the first d rows times R^-1: back-substitution over R's rows, batched
+        # over all pairs of all levels
+        pivots = r_mid[:, range(d), range(d)]
+        if not pivots.all():
+            raise np.linalg.LinAlgError("exactly singular pivot in the block reduction")
+        for i in reversed(range(d)):
+            rows[:, i] -= np.einsum("pj,pjc->pc", r_mid[:, i, i + 1:], rows[:, i + 1:d])
+            rows[:, i] /= pivots[:, i, None]
+        # W (P, 2d, 2, d): the right-hand side of either relation of a pair ->
+        # Y_m's part and the merged relation's; -K (P, d, 2, d): Y_m from Y_a, Y_b
+        self._W = rows[..., :2 * d].reshape(-1, 2 * d, 2, d)
+        self._negK = -rows[:, :d, 2 * d:].reshape(-1, d, 2, d)
+        # the c relations left and C: one dense system for the states at the
+        # nodes 0, 2^L, ..., (c-1) 2^L and N, kept as its inverse
+        c = len(rel)
+        last = np.zeros((c + 1, d, c + 1, d))
+        last[range(c), :, range(c)] = rel[..., :d]
+        last[range(c), :, range(1, c + 1)] = rel[..., d:]
+        last[c, :, 0], last[c, :, c] = C[:, :d], C[:, d:]
+        self._last_inverse = np.linalg.inv(last.reshape((c + 1) * d, (c + 1) * d))
+        self._top_homogeneous = self._last_inverse[:, -d:].reshape(c + 1, d, d)
+        self.end_states = self._top_homogeneous[[0, c]].reshape(2 * d, d)
+
+    def _back_substitute(self, top: np.ndarray, tops=()) -> np.ndarray:
+        """Node states (N+1, d, k) from the states (c+1, d, k) at the last
+        level's nodes and, per level, the (pairs, columns, values) of the
+        right-hand sides' parts of Y_m."""
+        N, d, k = self.nseg, self.d, top.shape[-1]
+        # the slots past N hold Y_N, so that the nodes of level l are Y[::2^l]
+        Y = np.empty((N + (1 << len(self._pairs)), d, k))
+        Y[:N:1 << len(self._pairs)], Y[N:] = top[:-1], top[-1]
+        start = len(self._negK)
+        for level in reversed(range(len(self._pairs))):
+            p, step = self._pairs[level], 1 << level
+            start -= p + 1
+            negK = self._negK[start:start + p]
+            # pair j: Y_m = -K [Y_a; Y_b] + (its part of r), a = 2j 2^l, m = a + 2^l
+            mid = Y[step::2 * step]
+            np.matmul(negK[:, :, 0], Y[:2 * p * step:2 * step], out=mid[:p])
+            mid[:p] += negK[:, :, 1] @ Y[2 * step:(2 * p + 1) * step:2 * step]
+            if tops:
+                pair, cols, values = tops[level]
+                mid[pair, :, cols] += values
+        return Y[:N + 1]
+
+    def homogeneous(self) -> np.ndarray:
+        """Node states H (N+1, d, d) of the d solutions with C [H_0; H_N] = I."""
+        return self._back_substitute(self._top_homogeneous)
+
+    def solve_impulses(self, seg: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Node states (N+1, d, k) for b = 0 and k right-hand sides, column c
+        nonzero only in the continuity relation seg[c], where it is vec[c].
+
+        A column stays nonzero in one relation per level, so the forward
+        sweep carries one d-vector per column."""
+        d, k = self.d, len(seg)
+        cols, rel = np.arange(k), np.asarray(seg)
+        u = (vec / self._scale[rel])[..., None]
+        tops, start = [], 0
+        for p in self._pairs:
+            half, rel = rel & 1, rel >> 1
+            out = self._W[start + rel, :, half] @ u
+            tops.append((rel, cols, out[:, :d, 0]))
+            u = out[:, d:]
+            start += p + 1
+        rhs = np.zeros((len(self._last_inverse) // d, d, k))
+        rhs[rel, :, cols] = u[..., 0]
+        top = (self._last_inverse @ rhs.reshape(-1, k)).reshape(-1, d, k)
+        return self._back_substitute(top, tops)
+
+
+def homogeneous_states(C: np.ndarray, ends: np.ndarray):
+    """The node states H (N+1, d, d) of the d solutions with C [H_0; H_N] = I
+    for the functionals C and the segment propagators ends (N, d, d); None if
+    the block system is exactly singular.  Z = [H_0; H_N] is W S for the
+    orthonormal graph basis W, so sigma(M) = 1 / (||C||_2 sigma(Z)), and H v,
+    v the top right singular vector of Z, holds the node states of the
+    solution of sigma_min(M)."""
     try:
-        lu = splu(_block_matrix(C, ends))
-    except RuntimeError:  # "Factor is exactly singular"
-        return None, None
-    return lu, lu.solve(np.eye((N + 1) * d, d, -N * d)).reshape(N + 1, d, d)
+        return _BlockReduction(C, ends).homogeneous()
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -213,12 +326,13 @@ class GreensEvaluator:
     """Callable kernel G(t, s) of one nonresonant boundary value problem.
 
     The node states solve the block-bidiagonal continuity system plus the
-    boundary rows, stored sparse with O(N d^2) nonzeros and factored once.
+    boundary rows, reduced once (_BlockReduction); each source point adds a
+    right-hand side in one continuity relation.
 
     resonance_margin is the smallest singular value of the boundary
     functionals restricted to an orthonormal basis of the solution graph
     {(x, Phi(T) x)}, relative to the functionals' norm (the matrix whose
-    determinant char_det_scan returns), read off that factor.  It vanishes
+    determinant char_det_scan returns), read off that reduction.  It vanishes
     exactly at eigenvalues, stays well scaled for strongly growing problems,
     and depends only on the problem, not on the number of segments.
     """
@@ -230,10 +344,13 @@ class GreensEvaluator:
         self.length = float(fs.nodes[-1])
         self._ends = fs.segments[:, 0]
         self.nseg = len(self._ends)
-        # margin 1 / (||C||_2 ||Z||_2); 0 for an exactly singular factor or non-finite Z
+        # margin 1 / (||C||_2 ||Z||_2); 0 for an exactly singular system or non-finite Z
         C = _boundary_coeffs(problem.kind, problem.operator.n)
-        self._lu, H = homogeneous_states(C, self._ends)
-        Z = np.inf if H is None else H[[0, -1]].reshape(-1, self.d)
+        try:
+            self._system = _BlockReduction(C, self._ends)
+            Z = self._system.end_states
+        except np.linalg.LinAlgError:
+            Z = np.inf
         self.resonance_margin = (float(1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(Z, 2)))
                                  if np.isfinite(Z).all() else 0.0)
         if self.resonance_margin < RESONANCE_THRESHOLD:
@@ -266,10 +383,7 @@ class GreensEvaluator:
 
     def _node_states(self, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Solve the block system for every s: result (N+1, d, ns)."""
-        d, N, ns = self.d, self.nseg, len(seg_s)
-        rhs = np.zeros((N + 1, d, ns))
-        rhs[seg_s, :, np.arange(ns)] = np.einsum("nij,jn->ni", self._ends[seg_s], xs)
-        return self._lu.solve(rhs.reshape((N + 1) * d, ns)).reshape(N + 1, d, ns)
+        return self._system.solve_impulses(seg_s, np.einsum("nij,jn->ni", self._ends[seg_s], xs))
 
     def eval_grid(self, ts, ss, component: int = 0) -> np.ndarray:
         """Kernel values on the tensor grid, shape (len(ts), len(ss)).

@@ -103,6 +103,18 @@ class LinearOperator:
             if not math.isclose(cursor, self.length, abs_tol=1e-12 * max(1.0, self.length)):
                 raise ValueError(f"coefficient {k}: segments stop at {cursor}, not {self.length}")
 
+    def __hash__(self) -> int:
+        # the field hash walks every coefficient's expression tree, and operators
+        # key every kernel lookup (greens.kernel_source): computed once, not pickled
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((self.n, self.length, self.coeffs))
+            return value
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
+
     @classmethod
     def from_exprs(cls, n: int, length: float, coeffs) -> "LinearOperator":
         """Build from 2n expression strings or ASTs, lowest order (a_0) first."""

@@ -294,7 +294,7 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     them, from their node states (greens.homogeneous_states) and local Phi.
 
     The SVD of the end states reads sigma_2 to about eps * sigma_2 / sigma_1
-    relative.  Where the factor is exactly singular, or sigma_1 is too small
+    relative.  Where the block system is exactly singular, or sigma_1 is too small
     for SIMPLE_SIGN_TOL to be resolved, lam_star is moved off by OFF_ROOT
     (absolute below |lam_star| = 1): that keeps double roots double.
     """
@@ -302,7 +302,7 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     norm_c = np.linalg.norm(C, 2)
     for lam in (lam_star, lam_star + OFF_ROOT * max(abs(lam_star), 1.0)):
         fs = integrate_fundamental(op, lam, dense=True)
-        _, H = homogeneous_states(C, fs.segments[:, 0])
+        H = homogeneous_states(C, fs.segments[:, 0])
         if H is not None:
             _, sz, vt = np.linalg.svd(H[[0, -1]].reshape(-1, op.order))
             if norm_c * sz[0] * np.finfo(float).eps * SIMPLE_SIGN_TOL <= 1.0:

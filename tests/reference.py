@@ -1,9 +1,12 @@
-"""Global fundamental matrices of a FundamentalSystem, as a test reference.
+"""Global fundamental matrices of a FundamentalSystem and the dense segment
+block system, as test references.
 
 The package carries solutions across segments in its block systems and never
 forms the global Phi(t) = local Phi(t) Phi(start of t's segment).  These
 helpers build it from the products of the segment propagators, for the tests
 of the propagator's dense output and end matrices against closed forms.
+block_solve assembles the whole block system that greens reduces level by
+level and solves it with one dense LU.
 """
 
 import numpy as np
@@ -58,3 +61,17 @@ def boundary_matrix(problem: ProblemSpec, fs: FundamentalSystem) -> np.ndarray:
     d = fs.d
     C = _boundary_coeffs(problem.kind, problem.operator.n)
     return C[:, :d] + C[:, d:] @ phi_end(fs)[0]
+
+
+def block_solve(C: np.ndarray, ends: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Node states (N+1, d, k) of the block system Y_{i+1} - E_i Y_i = r_i
+    (i < N), C [Y_0; Y_N] = b for the propagators ends (N, d, d), assembled
+    densely and solved with numpy.linalg.solve; rhs (N+1, d, k) stacks
+    r_0 .. r_{N-1} and b."""
+    N, d = ends.shape[:2]
+    A = np.zeros((N + 1, d, N + 1, d))
+    A[range(N), :, range(N)] = -ends
+    A[range(N), :, range(1, N + 1)] = np.eye(d)
+    A[N, :, 0], A[N, :, N] = C[:, :d], C[:, d:]
+    dim = (N + 1) * d
+    return np.linalg.solve(A.reshape(dim, dim), rhs.reshape(dim, -1)).reshape(N + 1, d, -1)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from greenbvp import cli, greens
-from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
+from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, load_config, main
 from greenbvp.expressions import Binary, Call, Const, Neg, Power, Var, to_string
 
 
@@ -268,8 +268,35 @@ def test_solution_csv_integrates_the_operator_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(greens, "integrate_fundamental", counted)
     out = tmp_path / "solutions.csv"
-    cli._write_solution_csv(str(out), load_config(config), "2", "sin(3*t)", 41)
+    cfg = load_config(config)
+    cli._write_solution_csv(str(out), cfg["operator"], greens.kernel_source(cfg["lambda"]),
+                            "2", "sin(3*t)", 41)
     assert len(calls) == 1
+    assert out.read_text().splitlines()[0] == "t,u_N,u_D,u_M1,u_M2"
+
+
+@pytest.mark.parametrize("case", ["ND-1", "NM1-2", "M2D-3"])
+def test_compare_out_integrates_each_length_once(tmp_path, monkeypatch, case):
+    # compare --out writes its CSV from the kernels the comparison check built:
+    # the base operator and its doubled extension are each integrated once
+    config = write_config(tmp_path, n=2, T=2.0, coefficients=["(t-2)^4", "0", "0", "0"],
+                          **{"lambda": 2.0})
+    lengths = []
+    integrate = greens.integrate_fundamental
+
+    def counted(op, *args, **kwargs):
+        lengths.append(op.length)
+        return integrate(op, *args, **kwargs)
+
+    monkeypatch.setattr(greens, "integrate_fundamental", counted)
+    out = tmp_path / "solutions.csv"
+    sigma1, sigma2 = {"ND-1": ("2", "sin(3*t)"), "NM1-2": ("1", "0.5"),
+                      "M2D-3": ("-1", "-0.5")}[case]
+    code = main(["compare", "--config", config, "--sigma1", sigma1, "--sigma2", sigma2,
+                 "--case", case, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VERIFICATION)
+    assert sorted(lengths) == sorted(set(lengths))
+    assert 2.0 in lengths
     assert out.read_text().splitlines()[0] == "t,u_N,u_D,u_M1,u_M2"
 
 
@@ -287,13 +314,22 @@ def test_cli_module_entry_point():
     assert "paper-examples" in result.stdout
 
 
-def test_import_leaves_out_scipy_integrate_and_optimize():
-    # only the force_rk reference and the double-root sign search use them, and
-    # they import them on first use: a top-level import would cost every
-    # command about 0.4 s of start-up
-    probe = ("import sys, greenbvp, greenbvp.cli; "
-             "print(' '.join(m for m in sys.modules "
-             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+def test_default_paths_load_no_scipy():
+    # kernels, grids, characteristic functions and eigenfunctions run on numpy
+    # alone; scipy.integrate (the force_rk reference) and scipy.optimize (the
+    # double-root sign search) are imported on first use.  A top-level scipy
+    # import would cost every command about 0.3 s of start-up
+    probe = """
+import math, sys
+import greenbvp, greenbvp.cli
+from greenbvp import BCKind, LinearOperator, ProblemSpec, build_greens, char_det_scan
+from greenbvp.spectrum import eigenfunction_at
+op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+build_greens(ProblemSpec(op, BCKind.DIRICHLET, 2.0)).sample_grid(11)
+char_det_scan(op, BCKind.DIRICHLET, [1.0, 2.0, 30.0])
+eigenfunction_at(op, BCKind.DIRICHLET, math.pi ** 2)
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

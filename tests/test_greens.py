@@ -30,7 +30,7 @@ from greenbvp.integrate import FundamentalSystem
 from greenbvp.operators import coeff_values
 
 from conftest import fd_stencil
-from reference import boundary_matrix
+from reference import block_solve, boundary_matrix
 
 
 def string_kernel(t, s):
@@ -446,9 +446,9 @@ def _margins(op, kind, lam):
         return None, graph
 
 
-def test_block_lu_margin_matches_graph_march(second_order_op, const_fourth_op,
-                                             quartic_weight_op):
-    # the margin read off the block LU, 1 / (||C|| ||Z||), is sigma_min of the
+def test_block_reduction_margin_matches_graph_march(second_order_op, const_fourth_op,
+                                                    quartic_weight_op):
+    # the margin read off the block reduction, 1 / (||C|| ||Z||), is sigma_min of the
     # graph matrix, and the two refuse the same problems: six families, T, 2T
     # and 4T, lambda = root + delta down to delta = 0, and stiff lambda
     cases = []
@@ -477,9 +477,73 @@ def test_block_lu_margin_matches_graph_march(second_order_op, const_fourth_op,
     assert 100 < refused < len(cases) - 100
 
 
+def _dense_states(C, ends):
+    """Homogeneous node states and margin from the dense reference solve."""
+    N, d = ends.shape[:2]
+    rhs = np.zeros((N + 1, d, d))
+    rhs[N] = np.eye(d)
+    H = block_solve(C, ends, rhs)
+    return H, 1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(H[[0, -1]].reshape(-1, d), 2))
+
+
+@pytest.mark.parametrize("case", ["u2-D-4e6", "u4-N-1.72e6", "u4-P-1.72e6", "u4-N-2.88e6",
+                                  "u4-P-2.88e6", "u4x4-P-2.88e6"])
+def test_block_reduction_matches_dense_solve(case, second_order_op, const_fourth_op):
+    # the level-by-level reduction against one dense LU of the whole block
+    # system: the largest u'' system of the stiff benchmark (667 segments),
+    # fourth-order lambda where a reduction without row scaling loses
+    # accuracy, and the same on [0, 4] (56 segments, two levels at d = 4)
+    name, code, value = case.split("-", 2)
+    op = {"u2": second_order_op, "u4": const_fourth_op,
+          "u4x4": extend_to_quadruple(const_fourth_op)}[name]
+    kind = {"D": BCKind.DIRICHLET, "N": BCKind.NEUMANN, "P": BCKind.PERIODIC}[code]
+    lam = 0.5 * ((636 * math.pi) ** 2 + (637 * math.pi) ** 2) if name == "u2" else -float(value)
+    ends = integrate_fundamental(op, lam).segments[:, 0]
+    N, d = ends.shape[:2]
+    C = _boundary_coeffs(kind, op.n)
+    system = greens_module._BlockReduction(C, ends)
+    H, margin = _dense_states(C, ends)
+    reduced = 1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(system.end_states, 2))
+    assert abs(reduced - margin) <= 1e-9 * margin
+    assert np.abs(system.homogeneous() - H).max() <= 1e-12 * np.abs(H).max()
+    # impulse right-hand sides: the first and last relations, and several
+    # columns in one relation
+    rng = np.random.default_rng(11)
+    seg = np.r_[0, N - 1, rng.integers(0, N, 40), 0]
+    vec = rng.standard_normal((len(seg), d))
+    rhs = np.zeros((N + 1, d, len(seg)))
+    rhs[seg, :, np.arange(len(seg))] = vec
+    Y = block_solve(C, ends, rhs)
+    assert np.abs(system.solve_impulses(seg, vec) - Y).max() <= 1e-12 * np.abs(Y).max()
+    if name != "u4":
+        assert N == {"u2": 667, "u4x4": 56}[name]
+
+
+def test_exactly_singular_block_system_is_refused(second_order_op, const_fourth_op):
+    # at lambda = 0 the N and P problems are exactly singular
+    for op, kind in [(second_order_op, BCKind.PERIODIC), (second_order_op, BCKind.NEUMANN),
+                     (const_fourth_op, BCKind.NEUMANN),
+                     (extend_to_quadruple(const_fourth_op), BCKind.PERIODIC)]:
+        with pytest.raises(ResonantProblemError):
+            build_greens(ProblemSpec(op, kind, 0.0))
+    # u'' with Neumann conditions on 200 exact segments of length 1/8, through
+    # every level of the reduction: the dense LU meets an exactly zero pivot,
+    # the reduction a singular pivot or a margin below the bar
+    ends = np.broadcast_to(np.array([[1.0, 0.125], [0.0, 1.0]]), (200, 2, 2))
+    C = _boundary_coeffs(BCKind.NEUMANN, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        _dense_states(C, ends)
+    try:
+        Z = greens_module._BlockReduction(C, ends).end_states
+    except np.linalg.LinAlgError:
+        return
+    assert not np.isfinite(Z).all() or \
+        1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(Z, 2)) < RESONANCE_THRESHOLD
+
+
 def test_kernels_never_march_the_graph(monkeypatch, second_order_op):
-    # a kernel reads its margin off the block LU it factors anyway; the QR
-    # march over the segments is left to char_det_scan
+    # a kernel reads its margin off the block reduction it needs anyway; the
+    # QR march over the segments is left to char_det_scan
     def march(*args):
         raise AssertionError("a kernel marched the solution graph")
 

@@ -114,3 +114,25 @@ def test_coefficients_must_not_use_lambda():
 def test_breakpoints_multiples_of_base(parabolic_weight_op):
     ext = extend_to_quadruple(parabolic_weight_op)
     assert np.allclose(ext.breakpoints(), [0.0, 1.5, 3.0, 4.5, 6.0])
+
+
+def test_operator_hash_is_computed_once(monkeypatch, quartic_weight_op):
+    # operators key every kernel lookup; the field hash walks every expression
+    # tree, so it runs once per operator, and equal operators still hash equal
+    import pickle
+
+    from greenbvp.operators import CoeffSegment
+
+    op = extend_to_quadruple(quartic_weight_op)
+    calls = []
+    segment_hash = CoeffSegment.__hash__
+    monkeypatch.setattr(CoeffSegment, "__hash__",
+                        lambda self: calls.append(1) or segment_hash(self))
+    first = hash(op)
+    assert calls
+    calls.clear()
+    assert all(hash(op) == first for _ in range(5)) and not calls
+    twin = extend_to_quadruple(quartic_weight_op)
+    assert twin == op and hash(twin) == first
+    restored = pickle.loads(pickle.dumps(op))
+    assert restored == op and hash(restored) == first
