@@ -29,6 +29,13 @@ EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# The largest --grid (points per side of a kernel grid, or of the compare
+# solution grid) and --sweep-points accepted; larger values are refused before
+# anything is allocated.  At these bounds green and verify take about 15 s and
+# at most 350 MB, and a sweep about 15 s.
+MAX_GRID = 2001
+MAX_SWEEP_POINTS = 10_001
+
 
 class ConfigError(ValueError):
     pass
@@ -91,6 +98,12 @@ def load_config(path: str) -> dict:
     return {"operator": op, "kind": kind, "lambda": lam, "extension": extension}
 
 
+def _at_most(value: int, bound: int, flag: str) -> int:
+    if value > bound:
+        raise ConfigError(f"{flag} {value} is above the bound of {bound}")
+    return value
+
+
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -110,10 +123,10 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_green(args) -> int:
+    m = _at_most(args.grid, MAX_GRID, "--grid")
     cfg = load_config(args.config)
     problem = ProblemSpec(cfg["operator"], cfg["kind"], cfg["lambda"])
     G = build_greens(problem)
-    m = args.grid
     pts = np.linspace(0.0, G.length, m)
     grid = G.sample_grid(m)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -126,13 +139,14 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    m = _at_most(args.grid, MAX_GRID, "--grid")
     cfg = load_config(args.config)
     lams = args.lam if args.lam else [cfg["lambda"]]
     tags = None if args.identity == "all" else [args.identity]
     rows = []
     failed = False
     for lam in lams:
-        for report in run_identities(cfg["operator"], lam, tags=tags, m=args.grid):
+        for report in run_identities(cfg["operator"], lam, tags=tags, m=m):
             rows.append(report.to_row())
             if not report.passed and not report.skipped:
                 failed = True
@@ -149,6 +163,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sign_intervals(args) -> int:
+    points = _at_most(args.sweep_points, MAX_SWEEP_POINTS, "--sweep-points")
     cfg = load_config(args.config)
     window = tuple(args.window) if args.window else None
     result = sign_interval(cfg["operator"], cfg["kind"], args.side,
@@ -158,7 +173,7 @@ def _cmd_sign_intervals(args) -> int:
     payload = result.to_json()
     if args.sweep:
         lo, hi = result.lam_lo - 1.0, result.lam_hi + 1.0
-        lams = np.linspace(lo, hi, args.sweep_points)
+        lams = np.linspace(lo, hi, points)
         rows = sweep_extrema(cfg["operator"], cfg["kind"], lams)
         with open(args.sweep, "w", encoding="utf-8") as fh:
             fh.write("lambda,min,max\n")
@@ -170,6 +185,7 @@ def _cmd_sign_intervals(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _at_most(args.grid, MAX_GRID, "--grid")
     cfg = load_config(args.config)
     tag, _, case_text = args.case.partition("-")
     tag = tag.upper()

@@ -32,7 +32,6 @@ __all__ = [
     "EvalError",
     "parse_expression",
     "eval_expr",
-    "to_string",
     "uses_t",
     "uses_lambda",
     "compile_expr",
@@ -272,38 +271,6 @@ def _eval(ast: ExprAst, t: float, lam: float) -> float:
         except OverflowError as exc:
             raise EvalError(str(exc)) from exc
     raise TypeError(f"not an expression node: {ast!r}")
-
-
-# Printing precedence levels; parenthesise a child whenever its level is
-# below the context required by its parent.
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def to_string(ast: ExprAst) -> str:
-    """Render with minimal parentheses; reparsing gives an identical tree."""
-    return _print(ast, 0)
-
-
-def _print(ast: ExprAst, context: int) -> str:
-    if isinstance(ast, Const):
-        text = repr(ast.value)
-        level = _PREC_ATOM if ast.value >= 0 else _PREC_NEG
-    elif isinstance(ast, Var):
-        text, level = ast.name, _PREC_ATOM
-    elif isinstance(ast, Neg):
-        text, level = "-" + _print(ast.operand, _PREC_NEG), _PREC_NEG
-    elif isinstance(ast, Binary):
-        level = _PREC_ADD if ast.op in "+-" else _PREC_MUL
-        text = f"{_print(ast.left, level)} {ast.op} {_print(ast.right, level + 1)}"
-    elif isinstance(ast, Power):
-        text, level = f"{_print(ast.base, _PREC_ATOM)}^{ast.exponent}", _PREC_POW
-    elif isinstance(ast, Call):
-        text, level = f"{ast.func}({_print(ast.arg, 0)})", _PREC_ATOM
-    else:
-        raise TypeError(f"not an expression node: {ast!r}")
-    if level < context:
-        return f"({text})"
-    return text
 
 
 def _uses_var(ast: ExprAst, name: str) -> bool:

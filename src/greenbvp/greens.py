@@ -427,7 +427,7 @@ class GreensEvaluator:
 def build_greens(problem: ProblemSpec) -> GreensEvaluator:
     """Assemble the kernel of the problem; refuses resonant lambda values
     (resonance margin below the resonance threshold)."""
-    fs = integrate_fundamental(problem.operator, problem.lam, dense=True)
+    fs = integrate_fundamental(problem.operator, problem.lam)
     return GreensEvaluator(problem, fs)
 
 
@@ -441,7 +441,7 @@ def kernel_source(lam: float):
         G = kernels.get((op, kind))
         if G is None:
             if op not in systems:
-                systems[op] = integrate_fundamental(op, lam, dense=True)
+                systems[op] = integrate_fundamental(op, lam)
             G = kernels[op, kind] = GreensEvaluator(ProblemSpec(op, kind, lam), systems[op])
         return G
 

@@ -36,7 +36,10 @@ __all__ = [
 # the build refusal threshold are skipped, not failed.
 SKIP_MARGIN = 1e-8
 DEFAULT_GRID = 41
+# The bar of the decomposition, connecting and mixed-reflection identities;
+# symmetry and slope-one compare one kernel with itself and use SELF_TOLERANCE.
 DEFAULT_TOLERANCE = 1e-6
+SELF_TOLERANCE = 1e-7
 
 
 @dataclass
@@ -71,15 +74,14 @@ def _report(tag, lam, m, diff, ts, ss, tol) -> IdentityReport:
                           residual <= tol, tol)
 
 
-def check_symmetry(G2T: GreensEvaluator, m: int = DEFAULT_GRID,
-                   tol: float = 1e-7) -> IdentityReport:
+def check_symmetry(G2T: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityReport:
     """Residual of G(t,s) = G(L-t, L-s) over the full square of an
     extended-interval kernel under a reflection-closed boundary family."""
     L = G2T.length
     ts = np.linspace(0.0, L, m)
     diff = G2T.eval_grid(ts, ts) - G2T.eval_grid(L - ts, L - ts)
     tag = f"symmetry-{G2T.problem.kind.value}"
-    return _report(tag, G2T.problem.lam, m, diff, ts, ts, tol)
+    return _report(tag, G2T.problem.lam, m, diff, ts, ts, SELF_TOLERANCE)
 
 
 # tag -> (base kernel, big kernel, interval factor, signed argument transforms)
@@ -124,7 +126,7 @@ def _transformed(ts: np.ndarray, expr: str, T: float) -> np.ndarray:
 
 
 def check_decomposition(tag: str, base: GreensEvaluator, big: GreensEvaluator,
-                        m: int = DEFAULT_GRID, tol: float = DEFAULT_TOLERANCE) -> IdentityReport:
+                        m: int = DEFAULT_GRID) -> IdentityReport:
     """Residual of base(t,s) = signed combination of big-kernel values on I x I."""
     if tag not in DECOMPOSITION_TAGS:
         raise ValueError(f"unknown decomposition tag {tag!r}")
@@ -139,11 +141,11 @@ def check_decomposition(tag: str, base: GreensEvaluator, big: GreensEvaluator,
     for sign, expr in terms:
         combo += sign * big.eval_grid(_transformed(ts, expr, T), ts)
     diff = base.eval_grid(ts, ts) - combo
-    return _report(tag, base.problem.lam, m, diff, ts, ts, tol)
+    return _report(tag, base.problem.lam, m, diff, ts, ts, DEFAULT_TOLERANCE)
 
 
 def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEvaluator,
-                     m: int = DEFAULT_GRID, tol: float = DEFAULT_TOLERANCE) -> IdentityReport:
+                     m: int = DEFAULT_GRID) -> IdentityReport:
     """Residual of the averaged connecting relation, including the companion
     at the reflected argument where the formula provides one."""
     if tag not in CONNECTING_TAGS:
@@ -161,18 +163,18 @@ def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEval
     if has_reflected:
         reflected = big.eval_grid(2 * T - ts, ts) - (bases[0] - bases[1]) / divisor
         diff = np.maximum(diff, np.abs(reflected))
-    return _report(tag, big.problem.lam, m, diff, ts, ts, tol)
+    return _report(tag, big.problem.lam, m, diff, ts, ts, DEFAULT_TOLERANCE)
 
 
-def check_mixed_reflection(op: LinearOperator, lam: float, m: int = DEFAULT_GRID,
-                           tol: float = DEFAULT_TOLERANCE) -> list[IdentityReport]:
+def check_mixed_reflection(op: LinearOperator, lam: float,
+                           m: int = DEFAULT_GRID) -> list[IdentityReport]:
     """Residuals of the two mixed-problem reflection identities:
     G_M1(T-t, T-s) equals the mixed-2 kernel of the reflected operator
     (and vice versa)."""
-    return _mixed_reflection(kernel_source(lam), op, lam, m, tol)
+    return _mixed_reflection(kernel_source(lam), op, lam, m)
 
 
-def _mixed_reflection(kernel, op, lam, m, tol) -> list[IdentityReport]:
+def _mixed_reflection(kernel, op, lam, m) -> list[IdentityReport]:
     ref = reflect(op)
     T = op.length
     GM1 = kernel(op, BCKind.MIXED1)
@@ -182,14 +184,13 @@ def _mixed_reflection(kernel, op, lam, m, tol) -> list[IdentityReport]:
     ts = np.linspace(0.0, T, m)
     reports = []
     diff = GM1.eval_grid(T - ts, T - ts) - GM2r.eval_grid(ts, ts)
-    reports.append(_report("M1-reflection", lam, m, diff, ts, ts, tol))
+    reports.append(_report("M1-reflection", lam, m, diff, ts, ts, DEFAULT_TOLERANCE))
     diff = GM2.eval_grid(T - ts, T - ts) - GM1r.eval_grid(ts, ts)
-    reports.append(_report("M2-reflection", lam, m, diff, ts, ts, tol))
+    reports.append(_report("M2-reflection", lam, m, diff, ts, ts, DEFAULT_TOLERANCE))
     return reports
 
 
-def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID,
-                          tol: float = 1e-7) -> IdentityReport:
+def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityReport:
     """Residual of the slope-one property of constant-coefficient periodic
     kernels: G(t,s) = G(t-s, 0) for s <= t and G(L+t-s, 0) otherwise."""
     L = G.length
@@ -201,15 +202,15 @@ def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID,
     col = G.eval_grid(flat, np.array([0.0]))[:, 0]
     lookup = dict(zip(flat, col))
     ref = np.vectorize(lambda x: lookup[round(x, 14)])(taus)
-    return _report("slope-one", G.problem.lam, m, values - ref, ts, ts, tol)
+    return _report("slope-one", G.problem.lam, m, values - ref, ts, ts, SELF_TOLERANCE)
 
 
 ALL_TAGS = (list(DECOMPOSITION_TAGS) + list(CONNECTING_TAGS)
             + ["symmetry", "mixed-reflection", "slope-one"])
 
 
-def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_GRID,
-                   tol: float = DEFAULT_TOLERANCE) -> list[IdentityReport]:
+def run_identities(op: LinearOperator, lam: float, tags=None,
+                   m: int = DEFAULT_GRID) -> list[IdentityReport]:
     """Run the requested identity checks (default: all applicable) for the
     base operator at one lambda, sharing kernel builds across identities.
     Each operator (the base one, its extensions and its reflection) is
@@ -234,7 +235,7 @@ def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_G
             return None
         return None if G.resonance_margin < SKIP_MARGIN else G
 
-    def skip(tag, codes):
+    def skip(tag, codes, tol=DEFAULT_TOLERANCE):
         missing = [c for c in codes if kernel(c) is None]
         if missing:
             return IdentityReport(tag, lam, m, 0.0, (0.0, 0.0), True, tol,
@@ -248,32 +249,32 @@ def run_identities(op: LinearOperator, lam: float, tags=None, m: int = DEFAULT_G
             base_code, big_code, _, _ = DECOMPOSITION_TAGS[tag]
             row = skip(tag, [base_code, big_code])
             reports.append(row or check_decomposition(tag, kernel(base_code),
-                                                      kernel(big_code), m, tol))
+                                                      kernel(big_code), m))
         elif tag in CONNECTING_TAGS:
             big_code, pair, _, _ = CONNECTING_TAGS[tag]
             row = skip(tag, [big_code, *pair])
             reports.append(row or check_connecting(tag, [kernel(c) for c in pair],
-                                                   kernel(big_code), m, tol))
+                                                   kernel(big_code), m))
         elif tag == "symmetry":
             for code in ("P2T", "A2T", "N2T", "D2T"):
-                row = skip(f"symmetry-{code.lower()}", [code])
-                reports.append(row or check_symmetry(kernel(code), m, tol=max(tol, 1e-7)))
+                row = skip(f"symmetry-{code.lower()}", [code], SELF_TOLERANCE)
+                reports.append(row or check_symmetry(kernel(code), m))
         elif tag == "mixed-reflection":
             try:
-                reports.extend(_mixed_reflection(kernels, op, lam, m, tol))
+                reports.extend(_mixed_reflection(kernels, op, lam, m))
             except ResonantProblemError as exc:  # resonance in the reflected problems
                 reports.append(IdentityReport("mixed-reflection", lam, m, 0.0,
-                                              (0.0, 0.0), True, tol, skipped=True,
+                                              (0.0, 0.0), True, DEFAULT_TOLERANCE, skipped=True,
                                               reason=str(exc)))
         elif tag == "slope-one":
             if not all(op2.is_t_constant_on(lo, hi) for lo, hi in
                        zip(op2.breakpoints()[:-1], op2.breakpoints()[1:])):
                 reports.append(IdentityReport("slope-one", lam, m, 0.0, (0.0, 0.0),
-                                              True, tol, skipped=True,
+                                              True, SELF_TOLERANCE, skipped=True,
                                               reason="variable coefficients"))
                 continue
-            row = skip("slope-one", ["P2T"])
-            reports.append(row or check_slope_constancy(kernel("P2T"), m, tol=max(tol, 1e-7)))
+            row = skip("slope-one", ["P2T"], SELF_TOLERANCE)
+            reports.append(row or check_slope_constancy(kernel("P2T"), m))
         else:
             raise ValueError(f"unknown identity tag {tag!r}")
     return reports

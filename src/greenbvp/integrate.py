@@ -453,13 +453,13 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
 @dataclass
 class FundamentalSystem:
     """Segment propagators and local Phi (I at each segment start) for a
-    batch of lambda values; global Phi is never formed."""
+    batch of lambda values; global Phi is never formed.  Local Phi needs the
+    dense output (cells or rk), which integrate_fundamental always keeps."""
 
     op: LinearOperator
     lams: np.ndarray            # (K,) lambda values, the shifts of a_0
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
-    dense: bool = True
     cells: _Cells = None        # dense output of the Magnus path
     rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
     # the grid factors of the kernels on this system (see greens); members start empty
@@ -487,7 +487,7 @@ class FundamentalSystem:
     def local_phi(self, seg, ts) -> np.ndarray:
         """Phi relative to the start of segment seg (one index, or one per
         t), shape (nt, K, d, d)."""
-        if not self.dense:
+        if self.cells is None and self.rk is None:
             raise IntegrationError("fundamental system was integrated without dense output")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         seg = np.broadcast_to(seg, ts.shape)
@@ -535,19 +535,19 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
         cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
                        piece, pieces, np.concatenate(cell_prefixes))
     return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=segments,
-                             dense=dense, cells=cells,
-                             rk=rk if dense and force_rk else None)
+                             cells=cells, rk=rk if dense and force_rk else None)
 
 
 def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEFAULT_TOL,
-                          dense: bool = True, force_rk: bool = False) -> FundamentalSystem:
-    """Fundamental system of L[lam] u = 0 with canonical initial data at t=0.
+                          force_rk: bool = False) -> FundamentalSystem:
+    """Fundamental system of L[lam] u = 0 with canonical initial data at t=0,
+    with dense output.
 
     force_rk selects the RK45 reference path: an adaptive Dormand-Prince
     integration on every segment, constant ones included, independent of
     the Magnus propagator (used to check it against closed forms).
     """
-    return _integrate(op, np.array([lam]), tol, dense, force_rk)
+    return _integrate(op, np.array([lam]), tol, True, force_rk)
 
 
 def integrate_fundamental_batch(op: LinearOperator, lams, tol: float = DEFAULT_TOL,

@@ -54,6 +54,9 @@ _EDGE_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3)
 # Kernel values within ZERO_BAND * max|G| count as zero.
 ZERO_BAND = 1e-9
 
+# sign_interval locates the threshold to this width in lambda.
+THRESHOLD_TOL = 1e-4
+
 
 class SignSearchError(RuntimeError):
     """No constant-sign region adjacent to the principal eigenvalue."""
@@ -188,13 +191,13 @@ _SIDES = {
 
 
 def sign_interval(op: LinearOperator, kind: BCKind, side: str,
-                  search_window=None, lam_tol: float = 1e-4, m: int = 101,
+                  search_window=None, m: int = 101,
                   principal_window=None) -> SignIntervalResult:
     """Maximal constant-sign lambda interval abutting the principal eigenvalue.
 
     Scans outward from the principal eigenvalue in steps of one percent of
     the window width until the classification flips (to sign-changing,
-    the opposite sign, or a resonance), then locates the flip to lam_tol by
+    the opposite sign, or a resonance), then locates the flip to THRESHOLD_TOL by
     16-section: each round integrates its 15 dyadic probes as one lambda
     batch and classifies at most four of them.
     """
@@ -228,11 +231,11 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     def flip(good: float, bad: float) -> float:
         # the binary search visits the lambdas bisection would visit
-        while splittable(good, bad, lam_tol):
+        while splittable(good, bad, THRESHOLD_TOL):
             x = dyadic_points(good, bad)
             fs = integrate_fundamental_batch(op, x[1:-1], dense=True)
             lo, hi = 0, SECTIONS
-            while hi - lo > 1 and abs(x[hi] - x[lo]) > lam_tol:
+            while hi - lo > 1 and abs(x[hi] - x[lo]) > THRESHOLD_TOL:
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if ok_member(fs.member(mid - 1)) else (lo, mid)
             good, bad = x[lo], x[hi]
@@ -259,12 +262,12 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         found = flip(good, probe)
         break
 
-    if status == "threshold-found" and abs(found - principal) <= 2 * lam_tol:
+    if status == "threshold-found" and abs(found - principal) <= 2 * THRESHOLD_TOL:
         raise SignSearchError(
             f"no {want} region adjacent to the principal eigenvalue "
             f"{principal:.8g} of the {kind.value} problem")
     lam_lo, lam_hi = (found, principal) if direction < 0 else (principal, found)
-    return SignIntervalResult(kind, side, lam_lo, lam_hi, status, lam_tol, principal)
+    return SignIntervalResult(kind, side, lam_lo, lam_hi, status, THRESHOLD_TOL, principal)
 
 
 _COROLLARY_CASES = [

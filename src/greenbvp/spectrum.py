@@ -46,6 +46,12 @@ OFF_ROOT = 1e-12           # relative step off a root where sigma_2 is unresolve
 EIGENFUNCTION_POINTS = 401
 SIGN_FLOOR = 1e-6
 
+# At a double root, the angles of the null-function samples must leave a gap
+# of at least pi - SIGN_ANGLE_TOL for a constant-sign combination: at the
+# largest sample an angle short of pi by delta is a sign violation of about
+# delta times the maximum.
+SIGN_ANGLE_TOL = 1e-5
+
 # The characteristic function is det(C W) / ||C||_2^d on an orthonormal
 # solution-graph basis W: its magnitude is bounded by the smallest singular
 # value, which is at most one, for every problem and lambda (no exponential
@@ -57,6 +63,18 @@ ENDPOINT_TOL = 1e-6       # endpoint treated as nearly resonant
 # Intervals of the half perimeter of a root-count box, first and at most.
 COUNT_NODES = 32
 COUNT_NODES_MAX = 2048
+
+# The bracket width to which find_eigenvalues locates eigenvalues unless told
+# otherwise, as principal_eigenvalue and the verifiers do; two eigenvalues
+# within MATCH_TOL of each other count as equal.
+LAM_TOL = 1e-6
+MATCH_TOL = 10 * LAM_TOL
+
+# The most lambda points one scan may take.  The scan integrates them as one
+# batch whose memory grows as points times segments: at this bound u'' on
+# [0, 1] over (0, 50) takes about 100 MB, and u'''' + (t-2)^4 u on [0, 2]
+# over (-50, 0) about 240 MB.
+MAX_SCAN_POINTS = 100_000
 
 # Cells per k-section round: a lambda batch costs about as much as a single
 # lambda, so one batched sweep does the work of four bisection steps.
@@ -211,7 +229,7 @@ def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
 
 
 def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float | None = None,
-                     lam_tol: float = 1e-6) -> Spectrum:
+                     lam_tol: float = LAM_TOL) -> Spectrum:
     """All eigenvalues in the window located to lam_tol.
 
     Sign changes of the characteristic function det(C W) (char_det_scan)
@@ -228,7 +246,11 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     step = width / 400.0 if scan_step is None else float(scan_step)
     if not step > 0:
         raise ValueError("scan_step must be positive")
-    npts = max(5, int(np.ceil(width / step)) + 1)
+    cells = np.ceil(width / step)
+    if not cells < MAX_SCAN_POINTS:
+        raise ValueError(f"the scan needs {cells + 1:.3g} points, more than "
+                         f"MAX_SCAN_POINTS = {MAX_SCAN_POINTS}")
+    npts = max(5, int(cells) + 1)
     grid = np.linspace(lo, hi, npts)
     dets = char_det_scan(op, kind, grid)
     absdet = np.abs(dets)
@@ -301,7 +323,7 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     C = _boundary_coeffs(kind, op.n)
     norm_c = np.linalg.norm(C, 2)
     for lam in (lam_star, lam_star + OFF_ROOT * max(abs(lam_star), 1.0)):
-        fs = integrate_fundamental(op, lam, dense=True)
+        fs = integrate_fundamental(op, lam)
         H = homogeneous_states(C, fs.segments[:, 0])
         if H is not None:
             _, sz, vt = np.linalg.svd(H[[0, -1]].reshape(-1, op.order))
@@ -345,8 +367,11 @@ def count_sign_changes(u: np.ndarray) -> int:
 
 
 def _constant_sign_combination(op, kind, lam_star) -> bool:
-    """At a double root, search the 2-dim null space for a constant-sign
-    eigenfunction by minimizing the smaller of the two sign masses."""
+    """At a double root, whether some combination cos(theta) u1 + sin(theta) u2
+    of the two null functions has constant sign.  At each t the theta that
+    make it nonnegative form the half circle centred at the angle of
+    (u1(t), u2(t)), so the half circles meet exactly when the angles of the
+    samples above SIGN_FLOOR leave a gap of at least pi."""
     ts = np.linspace(0.0, op.length, EIGENFUNCTION_POINTS)
     svals, values = _null_functions(op, kind, lam_star, ts)
     if svals[0] > NOT_EIGENVALUE_TOL:
@@ -354,29 +379,16 @@ def _constant_sign_combination(op, kind, lam_star) -> bool:
     u1, u2 = values[:, :2].T
     if svals[1] > SIMPLE_SIGN_TOL:
         return count_sign_changes(u1 / np.abs(u1).max()) == 0
-    # the package's only use of scipy.optimize: imported here, not at start-up
-    from scipy.optimize import minimize_scalar
-
-    def violation(theta):
-        u = np.cos(theta) * u1 + np.sin(theta) * u2
-        u = u / np.abs(u).max()
-        return min(max(u.max(), 0.0), max(-u.min(), 0.0))
-
-    thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
-    vals = np.array([violation(th) for th in thetas])
-    k = int(np.argmin(vals))
-    lo = thetas[k] - np.pi / 256
-    hi = thetas[k] + np.pi / 256
-    res = minimize_scalar(violation, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return min(res.fun, vals[k]) < 1e-5
+    r = np.hypot(u1, u2)
+    angles = np.sort(np.arctan2(u2, u1)[r > SIGN_FLOOR * r.max()])
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    return gaps.max() >= np.pi - SIGN_ANGLE_TOL
 
 
-def principal_eigenvalue(op: LinearOperator, kind: BCKind, window,
-                         scan_step: float | None = None, lam_tol: float = 1e-6) -> float:
+def principal_eigenvalue(op: LinearOperator, kind: BCKind, window) -> float:
     """The eigenvalue in the window whose eigenfunction has no interior sign
     change; when several qualify the largest is returned with a warning."""
-    spec = find_eigenvalues(op, kind, window, scan_step=scan_step, lam_tol=lam_tol)
+    spec = find_eigenvalues(op, kind, window)
     candidates = [e.lam for e in spec.eigenvalues if e.sign_changes == 0]
     for e in spec.eigenvalues:
         if e.even_multiplicity and _constant_sign_combination(op, kind, e.lam):
@@ -423,8 +435,7 @@ def _is_reflection_symmetric(op: LinearOperator, ref: LinearOperator) -> bool:
     return True
 
 
-def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
-                           scan_step: float | None = None) -> list[UnionCheck]:
+def verify_spectrum_unions(op: LinearOperator, window) -> list[UnionCheck]:
     """Check the spectral union identities on the window.
 
     The doubled-interval problems carry each shared eigenvalue of two
@@ -434,19 +445,17 @@ def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
     opr = reflect(op)
 
     def lams(o, kind):
-        return find_eigenvalues(o, kind, window, scan_step=scan_step, lam_tol=lam_tol).lams()
+        return find_eigenvalues(o, kind, window).lams()
 
     found = {code: lams(*problem) for code, problem in kernel_table(op).items()}
     N, D, M1, M2 = found["N"], found["D"], found["M1"], found["M2"]
     M1r, M2r = lams(opr, BCKind.MIXED1), lams(opr, BCKind.MIXED2)
 
-    match_tol = 10 * lam_tol
-
     def union(*sets):
         vals: list[float] = []
         for s in sets:
             for x in s:
-                if not any(abs(x - y) <= match_tol for y in vals):
+                if not any(abs(x - y) <= MATCH_TOL for y in vals):
                     vals.append(x)
         return sorted(vals)
 
@@ -460,10 +469,10 @@ def verify_spectrum_unions(op: LinearOperator, window, lam_tol: float = 1e-6,
         ("M1=M2-reflected", sorted(M1), sorted(M2r)),
         ("M2=M1-reflected", sorted(M2), sorted(M1r)),
     ]:
-        unmatched = _match_sets(left, right, match_tol)
+        unmatched = _match_sets(left, right, MATCH_TOL)
         checks.append(UnionCheck(tag, left, right, unmatched, not unmatched))
     if _is_reflection_symmetric(op, opr):
-        unmatched = _match_sets(sorted(M1), sorted(M2), match_tol)
+        unmatched = _match_sets(sorted(M1), sorted(M2), MATCH_TOL)
         checks.append(UnionCheck("M1=M2 (reflection-symmetric coefficients)",
                                  sorted(M1), sorted(M2), unmatched, not unmatched))
     return checks
@@ -480,9 +489,7 @@ class FirstEigenvalueReport:
         return all(row["pass"] for row in self.equalities)
 
 
-def verify_first_eigenvalue_relations(op: LinearOperator, window,
-                                      lam_tol: float = 1e-6,
-                                      scan_step: float | None = None) -> FirstEigenvalueReport:
+def verify_first_eigenvalue_relations(op: LinearOperator, window) -> FirstEigenvalueReport:
     """Verify the first-eigenvalue equalities across the nine problems and
     report (without asserting) the order of the base principals.
 
@@ -494,9 +501,7 @@ def verify_first_eigenvalue_relations(op: LinearOperator, window,
     for code, (o, kind) in kernel_table(op).items():
         # the key names the code's interval: N -> N[T], P2T -> P[2T]
         key = f"{code[:-2]}[{code[-2:]}]" if code.endswith("T") else f"{code}[T]"
-        principals[key] = principal_eigenvalue(o, kind, window, scan_step=scan_step,
-                                               lam_tol=lam_tol)
-    match_tol = 10 * lam_tol
+        principals[key] = principal_eigenvalue(o, kind, window)
     equalities = []
     for tag, a, b in [
         ("N[T]=P[2T]", "N[T]", "P[2T]"),
@@ -506,20 +511,20 @@ def verify_first_eigenvalue_relations(op: LinearOperator, window,
     ]:
         diff = abs(principals[a] - principals[b])
         equalities.append({"tag": tag, "values": [principals[a], principals[b]],
-                           "diff": diff, "pass": diff <= match_tol})
+                           "diff": diff, "pass": diff <= MATCH_TOL})
     a2 = principals["A[2T]"]
     member = min(abs(a2 - principals["M1[T]"]), abs(a2 - principals["M2[T]"]))
     equalities.append({
         "tag": "A[2T] in {M1[T], M2[T]}",
         "values": [a2, principals["M1[T]"], principals["M2[T]"]],
         "diff": member,
-        "pass": member <= match_tol,
+        "pass": member <= MATCH_TOL,
     })
 
     orderings = []
     base = principals["N[T]"]
     for other in ("D[T]", "M1[T]", "M2[T]"):
         v = principals[other]
-        rel = "=" if abs(base - v) <= match_tol else ("<" if base < v else ">")
+        rel = "=" if abs(base - v) <= MATCH_TOL else ("<" if base < v else ">")
         orderings.append({"tag": f"N[T] vs {other}", "values": [base, v], "relation": rel})
     return FirstEigenvalueReport(principals, equalities, orderings)

@@ -116,7 +116,7 @@ def test_criterion_4_decomposition_suite():
     total = skipped = 0
     for base in (QUARTIC, PARABOLIC):
         for lam in (-2.0, 0.5, 2.0):
-            for row in run_identities(base, lam, tags=tags, m=41, tol=1e-6):
+            for row in run_identities(base, lam, tags=tags, m=41):
                 total += 1
                 if row.skipped:
                     skipped += 1
@@ -133,7 +133,7 @@ def test_criterion_4_decomposition_suite():
 def test_criterion_5_spectral_unions():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        checks = verify_spectrum_unions(CONST4, (-110.0, 1.0), lam_tol=1e-6)
+        checks = verify_spectrum_unions(CONST4, (-110.0, 1.0))
     by_tag = {c.tag: c for c in checks}
     union_tags = ["N+D=P2T", "N+M1=N2T", "D+M2=D2T", "M1+M2=A2T", "N+D+M1+M2=P4T"]
     mixed_tag = "M1=M2 (reflection-symmetric coefficients)"

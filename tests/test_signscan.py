@@ -98,7 +98,7 @@ def test_classification_flips_beyond_threshold(const_fourth_op):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
-                            principal_window=(-10.0, 2.0), lam_tol=1e-4)
+                            principal_window=(-10.0, 2.0))
     inside = 0.5 * (res.lam_lo + res.lam_hi)
     assert classify_problem(const_fourth_op, BCKind.MIXED2, inside) == NONPOSITIVE
     beyond = res.lam_lo - 10 * res.lam_tol

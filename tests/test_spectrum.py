@@ -160,7 +160,7 @@ def test_spectrum_unions_constant(n, window):
     op = LinearOperator.from_exprs(n, 1.0, ["0"] * (2 * n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        checks = verify_spectrum_unions(op, window, lam_tol=1e-6)
+        checks = verify_spectrum_unions(op, window)
     assert all(c.passed for c in checks), [c.tag for c in checks if not c.passed]
     tags = {c.tag for c in checks}
     assert "M1=M2 (reflection-symmetric coefficients)" in tags
