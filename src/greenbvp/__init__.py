@@ -2,7 +2,7 @@
 problems: kernel construction, decomposition identity checks, eigenvalue
 location, constant-sign interval searches and comparison principles."""
 
-from .expressions import EvalError, ExprAst, ParseError, eval_expr, parse_expression
+from .expressions import ExprAst, ParseError, parse_expression
 from .greens import (
     BCKind,
     GreensEvaluator,

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .comparison import HypothesisError, check_solution_comparison, solve_bvp
+from .comparison import MIN_SOLVE_GRID, HypothesisError, check_solution_comparison, solve_bvp
 from .expressions import ParseError, parse_expression
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, kernel_table
 from .identities import ALL_TAGS, run_identities
@@ -32,7 +32,8 @@ EXIT_NUMERICAL = 3
 # The largest --grid (points per side of a kernel grid, or of the compare
 # solution grid) and --sweep-points accepted; larger values are refused before
 # anything is allocated.  At these bounds green and verify take about 15 s and
-# at most 350 MB, and a sweep about 15 s.
+# at most 350 MB, and a sweep about 15 s.  The least --grid is 2 for green and
+# verify, and MIN_SOLVE_GRID (odd) for compare.
 MAX_GRID = 2001
 MAX_SWEEP_POINTS = 10_001
 
@@ -98,7 +99,9 @@ def load_config(path: str) -> dict:
     return {"operator": op, "kind": kind, "lambda": lam, "extension": extension}
 
 
-def _at_most(value: int, bound: int, flag: str) -> int:
+def _size(value: int, least: int, bound: int, flag: str) -> int:
+    if value < least:
+        raise ConfigError(f"{flag} {value} is below the least of {least}")
     if value > bound:
         raise ConfigError(f"{flag} {value} is above the bound of {bound}")
     return value
@@ -123,7 +126,7 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_green(args) -> int:
-    m = _at_most(args.grid, MAX_GRID, "--grid")
+    m = _size(args.grid, 2, MAX_GRID, "--grid")
     cfg = load_config(args.config)
     problem = ProblemSpec(cfg["operator"], cfg["kind"], cfg["lambda"])
     G = build_greens(problem)
@@ -139,7 +142,7 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    m = _at_most(args.grid, MAX_GRID, "--grid")
+    m = _size(args.grid, 2, MAX_GRID, "--grid")
     cfg = load_config(args.config)
     lams = args.lam if args.lam else [cfg["lambda"]]
     tags = None if args.identity == "all" else [args.identity]
@@ -163,7 +166,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sign_intervals(args) -> int:
-    points = _at_most(args.sweep_points, MAX_SWEEP_POINTS, "--sweep-points")
+    points = _size(args.sweep_points, 0, MAX_SWEEP_POINTS, "--sweep-points")
     cfg = load_config(args.config)
     window = tuple(args.window) if args.window else None
     result = sign_interval(cfg["operator"], cfg["kind"], args.side,
@@ -185,7 +188,8 @@ def _cmd_sign_intervals(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _at_most(args.grid, MAX_GRID, "--grid")
+    if _size(args.grid, MIN_SOLVE_GRID, MAX_GRID, "--grid") % 2 == 0:
+        raise ConfigError(f"--grid {args.grid} must be odd")
     cfg = load_config(args.config)
     tag, _, case_text = args.case.partition("-")
     tag = tag.upper()

@@ -30,6 +30,13 @@ __all__ = [
 
 SLACK_REL = 1e-9
 
+# Points per side of the grid on which check_kernel_domination compares kernels.
+DOMINATION_GRID = 41
+
+# solve_bvp's grid must be odd and at least this, so that every split panel
+# keeps at least fourth-order accuracy.
+MIN_SOLVE_GRID = 41
+
 
 class HypothesisError(ValueError):
     """The source pair violates the hypothesis of the requested case."""
@@ -66,13 +73,11 @@ def _simpson_nodes(vals: np.ndarray, xs: np.ndarray) -> float:
 
 def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     """Solution samples u(t_i) of L[lam] u = sigma under the kernel's
-    boundary conditions, by Simpson quadrature split at the diagonal.
-
-    m must be odd and at least 41 so every split panel keeps at least
-    fourth-order accuracy.
+    boundary conditions, by Simpson quadrature split at the diagonal; m must
+    be odd and at least MIN_SOLVE_GRID.
     """
-    if m < 41 or m % 2 == 0:
-        raise ValueError("quadrature grid must be odd and at least 41")
+    if m < MIN_SOLVE_GRID or m % 2 == 0:
+        raise ValueError(f"quadrature grid must be odd and at least {MIN_SOLVE_GRID}")
     expr = _as_expr(sigma)
     f = compile_expr(expr)
     lam = G.problem.lam
@@ -126,13 +131,13 @@ def _check_pointwise(diff: np.ndarray, ts: np.ndarray, scale: float):
     return bool(worst >= -slack), worst, (float(ts[i]), float(ts[j]))
 
 
-def check_kernel_domination(op: LinearOperator, lam: float, m: int = 41) -> list[DominationRow]:
+def check_kernel_domination(op: LinearOperator, lam: float) -> list[DominationRow]:
     """The pointwise kernel dominations implied by a constant-sign premise:
     premise >= 0 gives A >= |B|, premise <= 0 gives A <= -|B| on the base
     square, for the pairs (N, D), (N, M1) and (M2, D)."""
     table = kernel_table(op)
     kernel = kernel_source(lam)
-    ts = np.linspace(0.0, op.length, m)
+    ts = np.linspace(0.0, op.length, DOMINATION_GRID)
     rows = []
     for tag, (premise, primary, secondary) in THEOREM_TAGS.items():
         premise_class = _classify(kernel, *table[premise])[0]

@@ -13,7 +13,6 @@ plus ``sin``/``cos``/``exp``/``abs``, with conventional precedence
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -29,9 +28,7 @@ __all__ = [
     "Call",
     "ExprAst",
     "ParseError",
-    "EvalError",
     "parse_expression",
-    "eval_expr",
     "uses_t",
     "uses_lambda",
     "compile_expr",
@@ -47,10 +44,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class EvalError(ArithmeticError):
-    """Division by zero or a non-finite intermediate during evaluation."""
 
 
 @dataclass(frozen=True)
@@ -227,52 +220,6 @@ def parse_expression(src: str) -> ExprAst:
     return node
 
 
-_CALL_TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
-
-
-def eval_expr(ast: ExprAst, t: float, lam: float) -> float:
-    """Evaluate the tree at ``(t, lambda)`` in double precision.
-
-    Division by zero and non-finite intermediates raise :class:`EvalError`.
-    The package evaluates coefficients through :func:`compile_expr`; this
-    tree walk is kept as the reference the tests compare it with.
-    """
-    value = _eval(ast, float(t), float(lam))
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite result {value!r}")
-    return value
-
-
-def _eval(ast: ExprAst, t: float, lam: float) -> float:
-    if isinstance(ast, Const):
-        return ast.value
-    if isinstance(ast, Var):
-        return t if ast.name == "t" else lam
-    if isinstance(ast, Neg):
-        return -_eval(ast.operand, t, lam)
-    if isinstance(ast, Binary):
-        left = _eval(ast.left, t, lam)
-        right = _eval(ast.right, t, lam)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvalError("division by zero")
-        return left / right
-    if isinstance(ast, Power):
-        base = _eval(ast.base, t, lam)
-        return base ** ast.exponent
-    if isinstance(ast, Call):
-        try:
-            return _CALL_TABLE[ast.func](_eval(ast.arg, t, lam))
-        except OverflowError as exc:
-            raise EvalError(str(exc)) from exc
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
 def _uses_var(ast: ExprAst, name: str) -> bool:
     if isinstance(ast, Var):
         return ast.name == name
@@ -301,8 +248,8 @@ def uses_lambda(ast: ExprAst) -> bool:
 def compile_expr(ast: ExprAst) -> Callable[[object, float], object]:
     """Compile to a closure ``f(t, lam)`` that also accepts numpy arrays.
 
-    The fast path used inside integrators; it performs no division or
-    finiteness checks (use :func:`eval_expr` for checked evaluation).
+    The package evaluates every expression this way; it performs no
+    division or finiteness checks.
     """
     if isinstance(ast, Const):
         v = ast.value

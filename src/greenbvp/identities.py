@@ -198,10 +198,8 @@ def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID) -> Identity
     values = G.eval_grid(ts, ts)
     taus = ts[:, None] - ts[None, :]
     taus = np.where(taus >= 0, taus, L + taus)
-    flat = np.unique(np.round(taus.ravel(), 14))
-    col = G.eval_grid(flat, np.array([0.0]))[:, 0]
-    lookup = dict(zip(flat, col))
-    ref = np.vectorize(lambda x: lookup[round(x, 14)])(taus)
+    flat, inverse = np.unique(np.round(taus, 14), return_inverse=True)
+    ref = G.eval_grid(flat, np.array([0.0]))[inverse.ravel(), 0].reshape(taus.shape)
     return _report("slope-one", G.problem.lam, m, values - ref, ts, ts, SELF_TOLERANCE)
 
 

@@ -17,9 +17,11 @@ vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap.  Lambda enters only as the shift of a_0 (no
 coefficient uses it), so the coefficient samples are shared by the whole
 batch, and so are the generators of larger batches (see
-_magnus_polynomial).  An adaptive Dormand-Prince 5(4) integration is kept as
-an independent reference (force_rk=True); it is the only user of
-scipy.integrate, which is imported on its first call.
+_magnus_polynomial).  An adaptive Dormand-Prince 5(4) integration of a
+single lambda is kept as an independent reference
+(integrate_fundamental(force_rk=True)).  It is the only user of scipy, which
+the package does not require: scipy.integrate is imported on the first call
+and comes with the test extra.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ _GROWTH_PER_SEGMENT = 3.0
 # on [0, 1e4] needs 3 727.
 MAX_CELLS = 200_000
 
+# The most bytes the segment end matrices of one integration may take
+# (lambdas x segments x d^2 values), checked with MAX_CELLS before anything is
+# allocated: a characteristic-function scan keeps them all for its QR march.
+# The two scans documented at spectrum.MAX_SCAN_POINTS need 9.6 and 25.6 MB;
+# u'' D over (0, 1e7) at 50 001 points (1 055 segments) would need 1.69 GB.
+MAX_BATCH_BYTES = 2 ** 28
+
 # Magnus cells per unit of rate * length, times tol^(-1/6): the local error of
 # a sixth-order cell of width h scales as (h * rate)^7.  The rate counts as at
 # least one over the piece length.
@@ -79,8 +88,9 @@ _TAYLOR = np.array([1.0 / math.factorial(k) if k <= 10 else 0.0
 
 
 class IntegrationError(RuntimeError):
-    """Integrator failure: over the cell budget, unresolved or non-finite
-    coefficients, an ill-conditioned state matrix or an RK45 failure."""
+    """Integrator failure: over the cell or memory budget, unresolved or
+    non-finite coefficients, an ill-conditioned state matrix or an RK45
+    failure."""
 
 
 def _frobenius(A: np.ndarray) -> np.ndarray:
@@ -156,14 +166,21 @@ def _over_budget(cells: float) -> IntegrationError:
 
 def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
     """Segment boundaries and frequency scale of each breakpoint interval,
-    [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments."""
+    [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments and end
+    matrices of more than MAX_BATCH_BYTES."""
     bps = op.breakpoints()
     rates = [_growth_rate(op, lo, hi, lams) for lo, hi in zip(bps[:-1], bps[1:])]
     nsub = np.diff(bps) * np.array(rates) / _GROWTH_PER_SEGMENT
     if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
         raise _over_budget(nsub.sum())
-    return [(lo, hi, np.linspace(lo, hi, max(1, math.ceil(n)) + 1), rate)
-            for lo, hi, n, rate in zip(bps[:-1], bps[1:], nsub, rates)]
+    counts = [max(1, math.ceil(n)) for n in nsub]
+    nbytes = len(lams) * sum(counts) * op.order ** 2 * np.result_type(lams, float).itemsize
+    if nbytes > MAX_BATCH_BYTES:
+        raise IntegrationError(f"the end matrices of {len(lams)} lambdas on {sum(counts)} "
+                               f"segments need {nbytes / 1e6:.3g} MB, more than "
+                               f"MAX_BATCH_BYTES = {MAX_BATCH_BYTES}")
+    return [(lo, hi, np.linspace(lo, hi, count + 1), rate)
+            for lo, hi, count, rate in zip(bps[:-1], bps[1:], counts, rates)]
 
 
 def _companion_rows(vals: list, lams: np.ndarray) -> np.ndarray:
@@ -407,17 +424,13 @@ class _RkSegment:
     d: int
     sol: object
 
-    def member(self, k: int) -> "_RkSegment":
-        rows = slice(k * self.d * self.d, (k + 1) * self.d * self.d)
-        return _RkSegment(1, self.d, lambda ts, sol=self.sol: sol(ts)[rows])
-
     def local_phi(self, ts: np.ndarray) -> np.ndarray:
         return self.sol(ts).T.reshape(len(ts), self.K, self.d, self.d)
 
 
 def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
-                tol: float, dense: bool) -> tuple:
-    """The segment's end matrices (K, d, d) and (dense, else None) its output."""
+                tol: float) -> tuple:
+    """The segment's end matrices (K, d, d) and its dense output."""
     d = op.order
     K = len(lams)
     closures = [seg.evaluate for seg in _coeff_segments(op, lo, hi)]
@@ -443,18 +456,19 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
         method="RK45",
         rtol=tol,
         atol=tol * 1e-2,
-        dense_output=dense,
+        dense_output=True,
     )
     if not result.success:
         raise IntegrationError(f"integration failed on [{lo}, {hi}]: {result.message}")
-    return result.y[:, -1].reshape(K, d, d), _RkSegment(K, d, result.sol) if dense else None
+    return result.y[:, -1].reshape(K, d, d), _RkSegment(K, d, result.sol)
 
 
 @dataclass
 class FundamentalSystem:
     """Segment propagators and local Phi (I at each segment start) for a
     batch of lambda values; global Phi is never formed.  Local Phi needs the
-    dense output (cells or rk), which integrate_fundamental always keeps."""
+    dense output (cells, or rk for the single-lambda RK45 reference), which
+    integrate_fundamental always keeps."""
 
     op: LinearOperator
     lams: np.ndarray            # (K,) lambda values, the shifts of a_0
@@ -502,12 +516,12 @@ class FundamentalSystem:
     def member(self, k: int) -> "FundamentalSystem":
         """View of the k-th lambda of the batch as a single-lambda system."""
         return replace(self, lams=self.lams[k:k + 1], segments=self.segments[:, k:k + 1],
-                       cells=None if self.cells is None else self.cells.member(k),
-                       rk=None if self.rk is None else [seg.member(k) for seg in self.rk])
+                       cells=None if self.cells is None else self.cells.member(k))
 
 
 def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
                force_rk: bool = False) -> FundamentalSystem:
+    """force_rk (single lambda, dense) selects the RK45 reference path."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lams = np.asarray(lams)
@@ -517,7 +531,7 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
     for lo, hi, nodes, rate in plan:
         if force_rk:
             for a, b in zip(nodes[:-1], nodes[1:]):
-                end, seg = _rk_segment(op, a, b, lams, tol, dense)
+                end, seg = _rk_segment(op, a, b, lams, tol)
                 ends.append(end[None])
                 rk.append(seg)
         else:
@@ -535,7 +549,7 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
         cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
                        piece, pieces, np.concatenate(cell_prefixes))
     return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=segments,
-                             cells=cells, rk=rk if dense and force_rk else None)
+                             cells=cells, rk=rk if force_rk else None)
 
 
 def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEFAULT_TOL,
@@ -550,8 +564,8 @@ def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEF
     return _integrate(op, np.array([lam]), tol, True, force_rk)
 
 
-def integrate_fundamental_batch(op: LinearOperator, lams, tol: float = DEFAULT_TOL,
-                                dense: bool = False, force_rk: bool = False) -> FundamentalSystem:
-    """One integration sweep shared by a whole vector of lambda values."""
-    return _integrate(op, np.atleast_1d(np.asarray(lams)), tol, dense, force_rk)
+def integrate_fundamental_batch(op: LinearOperator, lams, dense: bool = False) -> FundamentalSystem:
+    """One Magnus integration sweep shared by a whole vector of lambda values,
+    to DEFAULT_TOL; dense keeps the output local Phi needs."""
+    return _integrate(op, np.atleast_1d(np.asarray(lams)), DEFAULT_TOL, dense)
 

@@ -57,6 +57,9 @@ ZERO_BAND = 1e-9
 # sign_interval locates the threshold to this width in lambda.
 THRESHOLD_TOL = 1e-4
 
+# Points per side of the uniform grid of each sweep_extrema row.
+SWEEP_GRID = 41
+
 
 class SignSearchError(RuntimeError):
     """No constant-sign region adjacent to the principal eigenvalue."""
@@ -91,8 +94,7 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     if m < 41:
         raise ValueError("classification grid must have at least 41 points per side")
     pts = _sample_points(G.length, m)
-    grid = G._factor(pts)
-    values = G.eval_grid(grid, grid)
+    values = G.eval_grid(pts, pts)
     scale = float(np.abs(values).max())
     if scale == 0.0:
         zero = (0.0, 0.0)
@@ -101,33 +103,20 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
 
     ambiguous = np.abs(values) <= band
     cell = ambiguous[:-1, :-1] | ambiguous[1:, :-1] | ambiguous[:-1, 1:] | ambiguous[1:, 1:]
-    t_flags = np.zeros(len(pts) - 1, dtype=bool)
-    s_flags = np.zeros(len(pts) - 1, dtype=bool)
-    rows, cols = np.nonzero(cell)
-    t_flags[rows] = True
-    s_flags[cols] = True
-    mid_t = 0.5 * (pts[:-1] + pts[1:])[t_flags]
-    mid_s = 0.5 * (pts[:-1] + pts[1:])[s_flags]
+    ts = ss = pts
+    if cell.any():
+        # the tensor grid (pts + mid_t) x (pts + mid_s), mid_t and mid_s the
+        # midpoints of the flagged cells' rows and columns; pts x pts is known
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        mid_t, mid_s = mids[cell.any(axis=1)], mids[cell.any(axis=0)]
+        ts, ss = np.concatenate([pts, mid_t]), np.concatenate([pts, mid_s])
+        values = np.block([[values, G.eval_grid(pts, mid_s)],
+                           [G.eval_grid(mid_t, pts), G.eval_grid(mid_t, mid_s)]])
 
-    clouds = [(pts, pts, values)]
-    if mid_t.size:
-        grid_t = G._factor(mid_t)
-        clouds.append((mid_t, pts, G.eval_grid(grid_t, grid)))
-    if mid_s.size:
-        grid_s = G._factor(mid_s)
-        clouds.append((pts, mid_s, G.eval_grid(grid, grid_s)))
-    if mid_t.size and mid_s.size:
-        clouds.append((mid_t, mid_s, G.eval_grid(grid_t, grid_s)))
-
-    vmin, vmax = np.inf, -np.inf
-    argmin = argmax = (0.0, 0.0)
-    for ts, ss, vals in clouds:
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        if vals[i, j] < vmin:
-            vmin, argmin = float(vals[i, j]), (float(ts[i]), float(ss[j]))
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[i, j] > vmax:
-            vmax, argmax = float(vals[i, j]), (float(ts[i]), float(ss[j]))
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    vmin, argmin = float(values[i, j]), (float(ts[i]), float(ss[j]))
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    vmax, argmax = float(values[i, j]), (float(ts[i]), float(ss[j]))
 
     has_pos = vmax > band
     has_neg = vmin < -band
@@ -288,7 +277,7 @@ def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKin
     return table[code]
 
 
-def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101) -> list[dict]:
+def verify_sign_corollary(op: LinearOperator, lam_samples) -> list[dict]:
     """For each lambda where a premise kernel has constant sign, assert the
     implied sign of the conclusion kernel; violating rows carry the location
     of the offending extremum."""
@@ -299,7 +288,7 @@ def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101) -> list
 
         @functools.cache
         def classify(code):
-            return _classify(kernel, *table[code], m=m)
+            return _classify(kernel, *table[code])
 
         for tag, premise_code, premise_sign, conclusion_code in _COROLLARY_CASES:
             premise = classify(premise_code)[0]
@@ -318,8 +307,7 @@ def verify_sign_corollary(op: LinearOperator, lam_samples, m: int = 101) -> list
     return rows
 
 
-def sweep_extrema(op: LinearOperator, kind: BCKind, lams,
-                  m: int = 41) -> list[tuple[float, float, float]]:
+def sweep_extrema(op: LinearOperator, kind: BCKind, lams) -> list[tuple[float, float, float]]:
     """Rows (lambda, min G, max G) for plotting; resonant lambdas give NaN."""
     rows = []
     for lam in np.atleast_1d(np.asarray(lams, dtype=float)):
@@ -328,7 +316,7 @@ def sweep_extrema(op: LinearOperator, kind: BCKind, lams,
         except ResonantProblemError:
             rows.append((float(lam), float("nan"), float("nan")))
             continue
-        g = G.sample_grid(m)
+        g = G.sample_grid(SWEEP_GRID)
         rows.append((float(lam), float(g.min()), float(g.max())))
     return rows
 

@@ -71,9 +71,9 @@ LAM_TOL = 1e-6
 MATCH_TOL = 10 * LAM_TOL
 
 # The most lambda points one scan may take.  The scan integrates them as one
-# batch whose memory grows as points times segments: at this bound u'' on
-# [0, 1] over (0, 50) takes about 100 MB, and u'''' + (t-2)^4 u on [0, 2]
-# over (-50, 0) about 240 MB.
+# batch whose memory grows as points times segments (integrate.MAX_BATCH_BYTES
+# bounds that product): at this bound u'' on [0, 1] over (0, 50) takes about
+# 100 MB, and u'''' + (t-2)^4 u on [0, 2] over (-50, 0) about 240 MB.
 MAX_SCAN_POINTS = 100_000
 
 # Cells per k-section round: a lambda batch costs about as much as a single

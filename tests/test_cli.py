@@ -230,6 +230,30 @@ def test_size_inputs_above_their_bound_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["green", "--grid", "-3", "--out", "unused.csv"], "--grid -3 is below"),
+    (["verify", "--grid", "0"], "--grid 0 is below"),
+    (["verify", "--grid", "1"], "--grid 1 is below"),
+    (["compare", "--sigma1", "1", "--sigma2", "0", "--case", "ND-1", "--grid", "0"],
+     "--grid 0 is below"),
+    (["compare", "--sigma1", "1", "--sigma2", "0", "--case", "ND-1", "--grid", "42"],
+     "--grid 42 must be odd"),
+    (["sign-intervals", "--side", "neg", "--sweep", "unused.csv", "--sweep-points", "-1"],
+     "--sweep-points -1 is below"),
+], ids=["green-negative", "verify-0", "verify-1", "compare-0", "compare-even", "sweep-negative"])
+def test_size_inputs_below_their_bound_exit_2(tmp_path, capsys, argv, message):
+    # without the bounds these end in numpy's own messages, or (verify --grid 1,
+    # and compare --grid 42 where the premise does not apply) exit 0 having
+    # checked nothing
+    config = write_config(tmp_path, n=1, coefficients=["0", "0"], kind="dirichlet")
+    out = tmp_path / "unused.csv"
+    argv = [str(out) if arg == "unused.csv" else arg for arg in argv]
+    code = main(argv[:1] + ["--config", config] + argv[1:])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_identities_exit_codes(tmp_path, capsys):
     config = write_config(tmp_path, kind="neumann", T=1.0)
     code = main(["verify", "--config", config, "--identity", "N-P2T",

@@ -69,27 +69,27 @@ def test_linearity(quartic_weight_op):
 
 
 def test_kernel_domination_quartic_positive(quartic_weight_op):
-    rows = check_kernel_domination(quartic_weight_op, 2.0, m=41)
+    rows = check_kernel_domination(quartic_weight_op, 2.0)
     nd = next(r for r in rows if r.tag.startswith("ND"))
     assert nd.applicable and nd.premise == "nonnegative" and nd.passed
 
 
 def test_kernel_domination_negative_band():
     op = LinearOperator.from_exprs(2, 1.5, ["0", "0", "0", "0"])
-    rows = check_kernel_domination(op, -3.0, m=41)
+    rows = check_kernel_domination(op, -3.0)
     nd = next(r for r in rows if r.tag.startswith("ND"))
     assert nd.applicable and nd.premise == "nonpositive" and nd.passed
 
 
 def test_kernel_domination_mixed2_band(const_fourth_op):
-    rows = check_kernel_domination(const_fourth_op, -1.0, m=41)
+    rows = check_kernel_domination(const_fourth_op, -1.0)
     m2d = next(r for r in rows if r.tag.startswith("M2D"))
     assert m2d.applicable and m2d.premise == "nonnegative" and m2d.passed
 
 
 def test_kernel_domination_not_applicable(parabolic_weight_op):
     # at lambda = 15 the extended Dirichlet kernel changes sign
-    rows = check_kernel_domination(parabolic_weight_op, 15.0, m=41)
+    rows = check_kernel_domination(parabolic_weight_op, 15.0)
     m2d = next(r for r in rows if r.tag.startswith("M2D"))
     assert not m2d.applicable
 

@@ -7,16 +7,62 @@ from greenbvp.expressions import (
     Binary,
     Call,
     Const,
-    EvalError,
     Neg,
     ParseError,
     Power,
     Var,
     compile_expr,
-    eval_expr,
     parse_expression,
     uses_t,
 )
+
+
+# A checked tree walk in double precision: the reference compile_expr, which
+# the package evaluates every expression with, is compared with.
+class EvalError(ArithmeticError):
+    """Division by zero or a non-finite intermediate during evaluation."""
+
+
+_CALL_TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
+
+
+def eval_expr(ast, t: float, lam: float) -> float:
+    """Evaluate the tree at ``(t, lambda)``; division by zero and non-finite
+    intermediates raise :class:`EvalError`."""
+    value = _eval(ast, float(t), float(lam))
+    if not math.isfinite(value):
+        raise EvalError(f"non-finite result {value!r}")
+    return value
+
+
+def _eval(ast, t: float, lam: float) -> float:
+    if isinstance(ast, Const):
+        return ast.value
+    if isinstance(ast, Var):
+        return t if ast.name == "t" else lam
+    if isinstance(ast, Neg):
+        return -_eval(ast.operand, t, lam)
+    if isinstance(ast, Binary):
+        left = _eval(ast.left, t, lam)
+        right = _eval(ast.right, t, lam)
+        if ast.op == "+":
+            return left + right
+        if ast.op == "-":
+            return left - right
+        if ast.op == "*":
+            return left * right
+        if right == 0.0:
+            raise EvalError("division by zero")
+        return left / right
+    if isinstance(ast, Power):
+        base = _eval(ast.base, t, lam)
+        return base ** ast.exponent
+    if isinstance(ast, Call):
+        try:
+            return _CALL_TABLE[ast.func](_eval(ast.arg, t, lam))
+        except OverflowError as exc:
+            raise EvalError(str(exc)) from exc
+    raise TypeError(f"not an expression node: {ast!r}")
 
 
 def test_parse_polynomial_plus_parameter():

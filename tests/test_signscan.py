@@ -138,15 +138,14 @@ def test_resolve_kernel_codes(quartic_weight_op):
 
 
 def test_sweep_extrema_rows(const_fourth_op):
-    rows = sweep_extrema(const_fourth_op, BCKind.MIXED2, [-5.0, -6.2, 1.0], m=41)
+    rows = sweep_extrema(const_fourth_op, BCKind.MIXED2, [-5.0, -6.2, 1.0])
     assert len(rows) == 3
     for lam, mn, mx in rows:
         assert mn <= mx or math.isnan(mn)
 
 
 def test_sweep_marks_resonant_nan(const_fourth_op):
-    rows = sweep_extrema(const_fourth_op, BCKind.MIXED2,
-                         [-math.pi ** 4 / 16], m=41)
+    rows = sweep_extrema(const_fourth_op, BCKind.MIXED2, [-math.pi ** 4 / 16])
     assert math.isnan(rows[0][1]) and math.isnan(rows[0][2])
 
 

@@ -364,3 +364,18 @@ def test_dip_scans_do_not_grow_with_dip_cells(monkeypatch, second_order_op):
             [(pytest.approx(k * math.pi ** 2, abs=1e-6), True) for k in doubles]
         calls.append(len(scans))
     assert calls[1] == calls[0]
+
+
+def test_scan_over_the_memory_bound_is_refused_before_integrating(monkeypatch):
+    # u'' D over (0, 1e7) at 50 001 points: the end matrices of its 1 055
+    # segments would take 1.69 GB, so the scan is refused before any cell is
+    # propagated
+    from greenbvp import IntegrationError, integrate
+
+    def propagate(*args, **kwargs):
+        raise AssertionError("a batch over MAX_BATCH_BYTES reached the propagator")
+
+    monkeypatch.setattr(integrate, "_magnus_segments", propagate)
+    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    with pytest.raises(IntegrationError, match="MAX_BATCH_BYTES"):
+        find_eigenvalues(op, BCKind.DIRICHLET, (0.0, 1e7), scan_step=200.0)
