@@ -28,12 +28,13 @@ once.  Only C, the block reduction and the margin are per family.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrate import FundamentalSystem, integrate_fundamental, integrate_fundamental_batch
-from .operators import LinearOperator, extend_to_double, extend_to_quadruple
+from .operators import LinearOperator, coeff_values, extend_to_double
 
 __all__ = [
     "BCKind",
@@ -66,22 +67,46 @@ class BCKind(enum.Enum):
             raise ValueError(f"unknown boundary kind {name!r}; expected one of {valid}") from None
 
 
-def kernel_table(op: LinearOperator) -> dict[str, tuple[LinearOperator, BCKind]]:
+# kernel code -> (multiple of the base interval, boundary family)
+_KERNEL_CODES = {
+    "N": (1, BCKind.NEUMANN),
+    "D": (1, BCKind.DIRICHLET),
+    "M1": (1, BCKind.MIXED1),
+    "M2": (1, BCKind.MIXED2),
+    "P2T": (2, BCKind.PERIODIC),
+    "A2T": (2, BCKind.ANTIPERIODIC),
+    "N2T": (2, BCKind.NEUMANN),
+    "D2T": (2, BCKind.DIRICHLET),
+    "P4T": (4, BCKind.PERIODIC),
+}
+
+
+class _KernelTable(Mapping):
+    """kernel code -> (operator on its interval, boundary family); each
+    interval's operator is built on first use and shared by its codes."""
+
+    def __init__(self, op: LinearOperator):
+        self._ops = {1: op}
+
+    def __getitem__(self, code: str) -> tuple[LinearOperator, BCKind]:
+        multiple, kind = _KERNEL_CODES[code]
+        while multiple not in self._ops:  # 2T from T, 4T from 2T
+            half = max(self._ops)
+            self._ops[2 * half] = extend_to_double(self._ops[half])
+        return self._ops[multiple], kind
+
+    def __iter__(self):
+        return iter(_KERNEL_CODES)
+
+    def __len__(self) -> int:
+        return len(_KERNEL_CODES)
+
+
+def kernel_table(op: LinearOperator) -> Mapping[str, tuple[LinearOperator, BCKind]]:
     """The nine problems of the base operator: kernel code (N, D, M1, M2, P2T,
     A2T, N2T, D2T, P4T) -> (operator on its interval, boundary family); the
-    codes of one interval share one operator."""
-    op2 = extend_to_double(op)
-    return {
-        "N": (op, BCKind.NEUMANN),
-        "D": (op, BCKind.DIRICHLET),
-        "M1": (op, BCKind.MIXED1),
-        "M2": (op, BCKind.MIXED2),
-        "P2T": (op2, BCKind.PERIODIC),
-        "A2T": (op2, BCKind.ANTIPERIODIC),
-        "N2T": (op2, BCKind.NEUMANN),
-        "D2T": (op2, BCKind.DIRICHLET),
-        "P4T": (extend_to_quadruple(op), BCKind.PERIODIC),
-    }
+    codes of one interval share one operator, built on first use."""
+    return _KernelTable(op)
 
 
 @dataclass(frozen=True)
@@ -134,7 +159,8 @@ def _boundary_coeffs(kind: BCKind, n: int) -> np.ndarray:
 
 
 def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
-    """M = C W / ||C||_2 for every lambda of the batch, shape (K, d, d).
+    """M = C W / ||C||_2 for every lambda of the batch, shape (K, d, d), or
+    (c, K, d, d) for a stack of c boundary matrices C, which share W.
 
     W is an orthonormal basis of the solution graph {(x, Phi(T) x)}, marched
     segment by segment with one QR step each.  Each Q column is scaled by
@@ -151,7 +177,8 @@ def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
         r = R.diagonal(axis1=1, axis2=2)
         W = W * ((r.conj() + (r == 0)) / (abs(r) + (r == 0)))[:, None, :]
         X, Y = W[:, :d], W[:, d:]
-    return C @ np.concatenate([X, Y], axis=1) / np.linalg.norm(C, 2)
+    C = np.asarray(C)[..., None, :, :]
+    return C @ np.concatenate([X, Y], axis=1) / np.linalg.norm(C, 2, axis=(-2, -1), keepdims=True)
 
 
 def char_det_scan(op: LinearOperator, kind: BCKind, lams) -> np.ndarray:
@@ -159,8 +186,48 @@ def char_det_scan(op: LinearOperator, kind: BCKind, lams) -> np.ndarray:
     batched integration sweep.  It has the sign changes of the boundary
     determinant, vanishes exactly at eigenvalues and is bounded by one in
     magnitude (see _graph_matrix)."""
+    return _char_dets(op, _boundary_coeffs(kind, op.n), lams)
+
+
+def _char_dets(op: LinearOperator, C: np.ndarray, lams) -> np.ndarray:
+    """char_det_scan for a boundary matrix C, or a stack of them sharing one
+    integration and one graph basis, shape (K,) or (c, K)."""
     fs = integrate_fundamental_batch(op, lams, dense=False)
-    return np.linalg.det(_graph_matrix(_boundary_coeffs(kind, op.n), fs))
+    return np.linalg.det(_graph_matrix(C, fs))
+
+
+def _vanishing_ends(kind: BCKind) -> tuple[int, ...]:
+    """The ends (0 left, 1 right) at which the kernel vanishes by a boundary
+    row, on the t-line and on the s-line alike: those of a separated family
+    whose rows there are u, u'', ..., u^(2n-2).  u^(2n-1) is free at such an
+    end, so the adjoint conditions hold v = 0 there too, and u' and
+    u^(2n-2) make the first normal derivatives, in t and in s, nonzero."""
+    return tuple(end for end, step in enumerate(_SEPARATED.get(kind, (1, 1))) if step == 0)
+
+
+def _corner_problem(kind: BCKind, n: int, t_end: int, s_end: int):
+    """(C', row) for the corner (t_end, s_end) of the kernel square (0 left,
+    1 right): the lambdas where the leading coefficient d_t^j d_s^k G of
+    the corner vanishes are the eigenvalues of C' (None if no single row
+    fits).
+
+    j and k are 1 on a line where G vanishes (_vanishing_ends), else 0.
+    d_s^k G(., s_end) solves the homogeneous equation with every row of C
+    zero but the one the impulse state's u^(2n-1-k) component reaches at
+    s_end; that row is replaced by the unit functional u^(j)(t_end).  For
+    n = 1 the first derivatives jump on the diagonal, so the diagonal
+    corners of two vanishing lines have no such coefficient."""
+    C = _boundary_coeffs(kind, n)
+    d = 2 * n
+    vanishing = _vanishing_ends(kind)
+    j, k = int(t_end in vanishing), int(s_end in vanishing)
+    rows = np.flatnonzero(C[:, s_end * d + d - 1 - k])
+    if len(rows) != 1 or (j and k and n == 1 and t_end == s_end):
+        return None
+    changed = C.copy()
+    changed[rows[0]] = 0.0
+    changed[rows[0], t_end * d + j] = 1.0
+    return changed, int(rows[0])
 
 
 # the reduction stops once the block system of the relations left and C has at
@@ -394,13 +461,24 @@ class GreensEvaluator:
         """
         if not 0 <= component < self.d:
             raise ValueError(f"component must lie in [0, {self.d})")
+        return self._grid(ts, ss, component, 0)
+
+    def _grid(self, ts, ss, component: int, s_order: int) -> np.ndarray:
+        """eval_grid of the s_order-th (0 or 1) s-derivative of G, off the
+        diagonal: G is linear in the impulse state x_s = Phi_local(s)^-1 e_d,
+        whose s-derivative is -Phi_local(s)^-1 A(s) e_d."""
         ft = ts if isinstance(ts, _GridFactor) else self._factor(ts)
         fsrc = ft if ss is ts else ss if isinstance(ss, _GridFactor) else self._factor(ss)
         ts, seg_t, ss, seg_s = ft.pts, ft.seg, fsrc.pts, fsrc.seg
 
-        # impulse states x_s = Phi_local(s)^-1 e_last, shape (d, ns)
+        # impulse states x_s (or their s-derivatives), shape (d, ns); A(s) e_d
+        # is the companion matrix's last column e_(d-1) - a_(d-1)(s) e_d
         e = np.zeros((len(ss), self.d, 1))
-        e[:, -1] = 1.0
+        if s_order:
+            e[:, -2] = -1.0
+            e[:, -1, 0] = coeff_values(self.problem.operator, self.d - 1, ss)
+        else:
+            e[:, -1] = 1.0
         xs = np.linalg.solve(fsrc.phi, e)[..., 0].T
         Y = self._node_states(seg_s, xs)
         rows = ft.phi[:, component, :]

@@ -67,6 +67,14 @@ class IdentityReport:
         }
 
 
+def _grid(length: float, m: int) -> np.ndarray:
+    """The m uniform points of [0, length] on which a check samples; a grid
+    of fewer than 2 points checks nothing and is refused."""
+    if m < 2:
+        raise ValueError(f"identity grid size m must be at least 2, got {m}")
+    return np.linspace(0.0, length, m)
+
+
 def _report(tag, lam, m, diff, ts, ss, tol) -> IdentityReport:
     i, j = np.unravel_index(np.argmax(np.abs(diff)), diff.shape)
     residual = float(np.abs(diff[i, j]))
@@ -78,7 +86,7 @@ def check_symmetry(G2T: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityRepor
     """Residual of G(t,s) = G(L-t, L-s) over the full square of an
     extended-interval kernel under a reflection-closed boundary family."""
     L = G2T.length
-    ts = np.linspace(0.0, L, m)
+    ts = _grid(L, m)
     diff = G2T.eval_grid(ts, ts) - G2T.eval_grid(L - ts, L - ts)
     tag = f"symmetry-{G2T.problem.kind.value}"
     return _report(tag, G2T.problem.lam, m, diff, ts, ts, SELF_TOLERANCE)
@@ -136,7 +144,7 @@ def check_decomposition(tag: str, base: GreensEvaluator, big: GreensEvaluator,
         raise ValueError(
             f"mismatched intervals for {tag}: base length {T}, big length {big.length} "
             f"(expected factor {factor})")
-    ts = np.linspace(0.0, T, m)
+    ts = _grid(T, m)
     combo = np.zeros((m, m))
     for sign, expr in terms:
         combo += sign * big.eval_grid(_transformed(ts, expr, T), ts)
@@ -156,7 +164,7 @@ def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEval
     T = base_list[0].length
     if abs(big.length - (2 if divisor == 2 else 4) * T) > 1e-9 * max(1.0, T):
         raise ValueError(f"mismatched intervals for {tag}")
-    ts = np.linspace(0.0, T, m)
+    ts = _grid(T, m)
     bases = [G.eval_grid(ts, ts) for G in base_list]
     direct = big.eval_grid(ts, ts) - sum(bases) / divisor
     diff = np.abs(direct)
@@ -175,13 +183,13 @@ def check_mixed_reflection(op: LinearOperator, lam: float,
 
 
 def _mixed_reflection(kernel, op, lam, m) -> list[IdentityReport]:
-    ref = reflect(op)
     T = op.length
+    ts = _grid(T, m)
+    ref = reflect(op)
     GM1 = kernel(op, BCKind.MIXED1)
     GM2 = kernel(op, BCKind.MIXED2)
     GM1r = kernel(ref, BCKind.MIXED1)
     GM2r = kernel(ref, BCKind.MIXED2)
-    ts = np.linspace(0.0, T, m)
     reports = []
     diff = GM1.eval_grid(T - ts, T - ts) - GM2r.eval_grid(ts, ts)
     reports.append(_report("M1-reflection", lam, m, diff, ts, ts, DEFAULT_TOLERANCE))
@@ -194,7 +202,7 @@ def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID) -> Identity
     """Residual of the slope-one property of constant-coefficient periodic
     kernels: G(t,s) = G(t-s, 0) for s <= t and G(L+t-s, 0) otherwise."""
     L = G.length
-    ts = np.linspace(0.0, L, m)
+    ts = _grid(L, m)
     values = G.eval_grid(ts, ts)
     taus = ts[:, None] - ts[None, :]
     taus = np.where(taus >= 0, taus, L + taus)
@@ -221,6 +229,7 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
     SKIP_MARGIN are treated as resonant: identities touching them produce
     skipped reports.  Any other error propagates.
     """
+    _grid(op.length, m)  # refuses m < 2 before any kernel is built
     tags = list(tags) if tags else list(ALL_TAGS)
     table = kernel_table(op)
     op2 = table["P2T"][0]

@@ -5,14 +5,19 @@ near-boundary points: constant-sign intervals typically end where the kernel
 develops a zero at the boundary of the square, and the first violations past
 the endpoint live in thin strips or corners (scaling like t*s) that a uniform
 grid resolves far too late.  Values inside a relative zero band count as
-zero, since kernels legitimately vanish along boundary lines.  The interval
-search walks outward from the principal eigenvalue until the classification
-flips and then locates the flip point by 16-section: one batched integration
-per round, whose members give the kernels of a binary search.
+zero.  On a side where the kernel vanishes by a boundary row, its first
+normal derivative carries the sign instead, and at a corner of two such
+sides its mixed derivative.  The interval search walks outward from the
+principal eigenvalue until the classification flips.  A flip at a corner or
+an edge of the square ends at an eigenvalue of a problem with one boundary
+row changed, found by a characteristic-function search; any other flip is
+located by 16-section: one batched integration per round, whose members
+give the kernels of a binary search.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import importlib.resources
 import json
@@ -21,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
-    kernel_source, kernel_table
+    _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_source, kernel_table
 from .integrate import integrate_fundamental_batch
 from .operators import LinearOperator
-from .spectrum import SECTIONS, dyadic_points, principal_eigenvalue, splittable
+from .spectrum import SECTIONS, _k_section, dyadic_points, principal_eigenvalue, splittable
 
 __all__ = [
     "NONNEGATIVE",
@@ -57,6 +62,10 @@ ZERO_BAND = 1e-9
 # sign_interval locates the threshold to this width in lambda.
 THRESHOLD_TOL = 1e-4
 
+# The eigenvalue of a changed problem is located to this width, so that the
+# checks THRESHOLD_TOL either side of it fall on either side of the root.
+EIGEN_TOL = THRESHOLD_TOL / 10
+
 # Points per side of the uniform grid of each sweep_extrema row.
 SWEEP_GRID = 41
 
@@ -74,7 +83,12 @@ class SignReport:
     max_value: float
     argmax: tuple[float, float]
     zero_band: float
+    # "positive" / "negative" -> (region, (t, s)) of each sign found: the
+    # corner, edge or interior sample that shows it, corners and edges first
+    sites: dict
 
+
+_SIGN_REGIONS = ("corner", "edge", "interior")
 
 def _sample_points(length: float, m: int) -> np.ndarray:
     pts = set(np.linspace(0.0, length, m))
@@ -84,12 +98,23 @@ def _sample_points(length: float, m: int) -> np.ndarray:
     return np.array(sorted(pts))
 
 
+def _scaled(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """values / scale, 0 where the scale is 0."""
+    return values / np.where(scale > 0, scale, 1.0)
+
+
 def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     """Classify the kernel sign on its square.
 
-    Values within ZERO_BAND * max|G| count as zero.  One adaptive refinement
-    pass doubles the resolution inside cells whose corners touch the zero
-    band, which is where a developing sign change can hide.
+    Values within ZERO_BAND * max|G| count as zero.  On a side where G
+    vanishes by a boundary row (greens._vanishing_ends), the sign is that of
+    the inward first normal derivative, relative to its own maximum on that
+    side, and at a corner of two such sides that of the mixed derivative
+    d_t d_s G, relative to the sides' maxima over the length: a lobe that
+    grows from such a corner is seen however small it still is.  One
+    adaptive refinement pass doubles the resolution inside cells whose
+    corners off those sides touch the zero band, which is where a
+    developing sign change can hide.
     """
     if m < 41:
         raise ValueError("classification grid must have at least 41 points per side")
@@ -98,10 +123,13 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     scale = float(np.abs(values).max())
     if scale == 0.0:
         zero = (0.0, 0.0)
-        return SignReport(ZERO_ON_GRID, m, 0.0, zero, 0.0, zero, ZERO_BAND)
+        return SignReport(ZERO_ON_GRID, m, 0.0, zero, 0.0, zero, ZERO_BAND, {})
     band = ZERO_BAND * scale
+    last = len(pts) - 1
+    lines = [last * end for end in _vanishing_ends(G.problem.kind)]
 
     ambiguous = np.abs(values) <= band
+    ambiguous[lines] = ambiguous[:, lines] = False
     cell = ambiguous[:-1, :-1] | ambiguous[1:, :-1] | ambiguous[:-1, 1:] | ambiguous[1:, 1:]
     ts = ss = pts
     if cell.any():
@@ -118,8 +146,41 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     i, j = np.unravel_index(np.argmax(values), values.shape)
     vmax, argmax = float(values[i, j]), (float(ts[i]), float(ss[j]))
 
-    has_pos = vmax > band
-    has_neg = vmin < -band
+    # the sign of each sample, and its size relative to its own scale
+    lead = values / scale
+    pos, neg = values > band, values < -band
+    if lines:
+        ends = G._factor(pts)[lines]
+        inward = np.where(ends.pts == 0.0, 1.0, -1.0)
+        dt = inward[:, None] * G.eval_grid(ends, ss, component=1)
+        ds = inward * G._grid(ts, ends, 0, 1)
+        top_t, top_s = np.abs(dt).max(axis=1), np.abs(ds).max(axis=0)
+        lead[lines] = _scaled(dt, top_t[:, None])
+        lead[:, lines] = _scaled(ds, top_s)
+        corners = _scaled(np.outer(inward, inward) * G._grid(ends, ends, 1, 1),
+                          np.maximum.outer(top_t, top_s) / G.length)
+        if G.d == 2:
+            # a second-order kernel's first derivatives jump on the diagonal, so
+            # its diagonal corners have no mixed coefficient; their sides show the sign
+            corners[np.equal.outer(lines, lines)] = 0.0
+        lead[np.ix_(lines, lines)] = corners
+        for k in (lines, (slice(None), lines)):
+            pos[k], neg[k] = lead[k] > ZERO_BAND, lead[k] < -ZERO_BAND
+
+    edge = np.zeros(values.shape, dtype=bool)
+    edge[[0, last]] = edge[:, [0, last]] = True
+    corner = np.zeros_like(edge)
+    corner[np.ix_([0, last], [0, last])] = True
+    sites = {}
+    for name, found in (("positive", pos), ("negative", neg)):
+        for region, where in zip(_SIGN_REGIONS, (corner, edge, ~edge)):
+            if (found & where).any():
+                i, j = np.unravel_index(np.argmax(np.where(found & where, np.abs(lead), -1.0)),
+                                        values.shape)
+                sites[name] = (region, (float(ts[i]), float(ss[j])))
+                break
+
+    has_pos, has_neg = "positive" in sites, "negative" in sites
     if has_pos and has_neg:
         classification = SIGN_CHANGING
     elif has_pos:
@@ -128,7 +189,7 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
         classification = NONPOSITIVE
     else:
         classification = ZERO_ON_GRID
-    return SignReport(classification, m, vmin, argmin, vmax, argmax, ZERO_BAND)
+    return SignReport(classification, m, vmin, argmin, vmax, argmax, ZERO_BAND, sites)
 
 
 def _classify(kernel, op: LinearOperator, kind: BCKind,
@@ -143,9 +204,34 @@ def _classify(kernel, op: LinearOperator, kind: BCKind,
     return report.classification, report
 
 
+# the report of the last classify_problem call (None if resonant): sign_interval
+# reads where its first bad probe flipped off it
+_LAST_REPORT: contextvars.ContextVar[SignReport | None] = contextvars.ContextVar("last_report",
+                                                                                default=None)
+
+
 def classify_problem(op: LinearOperator, kind: BCKind, lam: float, m: int = 101) -> str:
     """Classification string for one problem; 'resonant' when G does not exist."""
-    return _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam)), op, kind, m)[0]
+    classification, report = _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam)),
+                                       op, kind, m)
+    _LAST_REPORT.set(report)
+    return classification
+
+
+# principal eigenvalues per (operator, kind, window) while
+# reproduce_counterexamples runs; None outside it
+_PRINCIPALS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("principals",
+                                                                         default=None)
+
+
+def _principal(op: LinearOperator, kind: BCKind, window) -> float:
+    memo = _PRINCIPALS.get()
+    if memo is None:
+        return principal_eigenvalue(op, kind, window)
+    key = (op, kind, tuple(map(float, window)))
+    if key not in memo:
+        memo[key] = principal_eigenvalue(op, kind, window)
+    return memo[key]
 
 
 @dataclass
@@ -157,6 +243,11 @@ class SignIntervalResult:
     endpoint_status: str           # "threshold-found" | "window-exhausted"
     lam_tol: float
     principal: float
+    flip: str | None               # where the first bad probe shows the wrong sign: "corner",
+                                   # "edge", "interior" or "resonant"; None if no probe flipped
+    changed_row: str | None        # "old -> new": the boundary row changed in the problem whose
+                                   # eigenvalue is the threshold; None where 16-section found it
+    bracket: tuple[float, float] | None  # (constant-sign, flipped) lambdas checked last
 
     def threshold(self) -> float:
         """The detected endpoint away from the principal eigenvalue."""
@@ -170,6 +261,9 @@ class SignIntervalResult:
             "endpoint_status": self.endpoint_status,
             "lam_tol": self.lam_tol,
             "principal": self.principal,
+            "flip": self.flip,
+            "changed_row": self.changed_row,
+            "bracket": None if self.bracket is None else list(self.bracket),
         }
 
 
@@ -179,6 +273,25 @@ _SIDES = {
 }
 
 
+def _row_name(row: np.ndarray, d: int) -> str:
+    """A boundary row as text: u'(0), or u'''(0) - u'''(T)."""
+    terms = []
+    for i in np.flatnonzero(row):
+        end, order = divmod(int(i), d)
+        sign = (" - " if row[i] < 0 else " + ") if terms else ""
+        terms.append(sign + "u" + "'" * order + ("(0)", "(T)")[end])
+    return "".join(terms)
+
+
+def _site_corners(region: str, point: tuple[float, float], length: float) -> list:
+    """The corners (t_end, s_end) of the square, 0 left and 1 right, that a
+    flip site points to: a corner itself, or both ends of an edge."""
+    if region not in ("corner", "edge"):
+        return []
+    ends = [(int(x > 0.0),) if x in (0.0, length) else (0, 1) for x in point]
+    return [(t, s) for t in ends[0] for s in ends[1]]
+
+
 def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                   search_window=None, m: int = 101,
                   principal_window=None) -> SignIntervalResult:
@@ -186,9 +299,17 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     Scans outward from the principal eigenvalue in steps of one percent of
     the window width until the classification flips (to sign-changing,
-    the opposite sign, or a resonance), then locates the flip to THRESHOLD_TOL by
-    16-section: each round integrates its 15 dyadic probes as one lambda
-    batch and classifies at most four of them.
+    the opposite sign, or a resonance).  Where the first bad probe shows the
+    wrong sign at a corner or an edge of the square, the threshold is an
+    eigenvalue of a problem with one boundary row changed
+    (greens._corner_problem), the one nearest the last good probe: one
+    lambda batch of characteristic functions brackets it, the k-section of
+    find_eigenvalues locates it to EIGEN_TOL, and one classification
+    THRESHOLD_TOL inside it and one outside, integrated as one batch,
+    confirm it.  Otherwise (an interior flip, a resonance, or no confirmed
+    candidate) the flip is located to THRESHOLD_TOL by 16-section: each
+    round integrates its 15 dyadic probes as one lambda batch and
+    classifies at most four of them.
     """
     side = _SIDES.get(side)
     if side is None:
@@ -198,7 +319,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     if principal_window is None:
         principal_window = search_window if search_window is not None else (-60.0, 10.0)
-    principal = principal_eigenvalue(op, kind, principal_window)
+    principal = _principal(op, kind, principal_window)
     if search_window is None:
         search_window = (principal - 500.0, principal + 500.0)
     lo_w, hi_w = float(search_window[0]), float(search_window[1])
@@ -218,7 +339,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
             return False
         return classify_sign(G, m=m).classification in accepted
 
-    def flip(good: float, bad: float) -> float:
+    def bisect(good: float, bad: float) -> tuple[float, tuple[float, float]]:
         # the binary search visits the lambdas bisection would visit
         while splittable(good, bad, THRESHOLD_TOL):
             x = dyadic_points(good, bad)
@@ -228,11 +349,50 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if ok_member(fs.member(mid - 1)) else (lo, mid)
             good, bad = x[lo], x[hi]
-        return float(0.5 * (good + bad))
+        return float(0.5 * (good + bad)), (float(good), float(bad))
+
+    def eigen_threshold(good: float, bad: float, site):
+        """(threshold, checked bracket, changed row) from the changed
+        problems of the corners the site points to, or of every corner if
+        none of those has an eigenvalue between the probes (the walk may
+        have stepped over a resonance); None if no eigenvalue is confirmed."""
+        corners = _site_corners(*site, op.length) if site else []
+        problems = [(*p, (t, s)) for t in (0, 1) for s in (0, 1)
+                    if (p := _corner_problem(kind, op.n, t, s)) is not None]
+        x = dyadic_points(good, bad)
+        dets = _char_dets(op, np.array([p[0] for p in problems]), x)
+        flips = np.sign(dets[:, 1:]) != np.sign(dets[:, :1])
+        first = flips.argmax(axis=1)
+        roots = [p for p in np.argsort(first, kind="stable") if flips[p].any()]
+        for p in [p for p in roots if problems[p][2] in corners] or roots:
+            C, row, _ = problems[p]
+            i = first[p]
+            a, b, _ = _k_section(lambda lams: _char_dets(op, C, lams),
+                                 [(x[i], x[i + 1], dets[p, i])], EIGEN_TOL)
+            root = float(0.5 * (a[0] + b[0]))
+            bracket = (root - direction * THRESHOLD_TOL, root + direction * THRESHOLD_TOL)
+            fs = integrate_fundamental_batch(op, bracket, dense=True)
+            if ok_member(fs.member(0)) and not ok_member(fs.member(1)):
+                base = _boundary_coeffs(kind, op.n)[row]
+                changed = f"{_row_name(base, op.order)} -> {_row_name(C[row], op.order)}"
+                return root, bracket, changed
+        return None
+
+    def flip(good: float, bad: float):
+        """(threshold, flip site, changed row, checked bracket) between the
+        last good probe and the bad one, the last classify_problem call."""
+        report = _LAST_REPORT.get()
+        wrong = "positive" if want == NONPOSITIVE else "negative"
+        site = report.sites.get(wrong) if report is not None else None
+        region = "resonant" if report is None else site[0] if site else "interior"
+        found = eigen_threshold(good, bad, site) or (*bisect(good, bad), None)
+        threshold, bracket, changed = found
+        return threshold, region, changed, bracket
 
     good = principal
     probe = principal
     status = "threshold-found"
+    region = changed = bracket = None
     while True:
         probe = probe + direction * step
         if probe < lo_w or probe > hi_w:
@@ -242,13 +402,13 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                 found = probe
                 break
             # flip sits between the last good probe and the window edge
-            found = flip(good, probe)
+            found, region, changed, bracket = flip(good, probe)
             status = "threshold-found"
             break
         if ok(probe):
             good = probe
             continue
-        found = flip(good, probe)
+        found, region, changed, bracket = flip(good, probe)
         break
 
     if status == "threshold-found" and abs(found - principal) <= 2 * THRESHOLD_TOL:
@@ -256,7 +416,8 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
             f"no {want} region adjacent to the principal eigenvalue "
             f"{principal:.8g} of the {kind.value} problem")
     lam_lo, lam_hi = (found, principal) if direction < 0 else (principal, found)
-    return SignIntervalResult(kind, side, lam_lo, lam_hi, status, THRESHOLD_TOL, principal)
+    return SignIntervalResult(kind, side, lam_lo, lam_hi, status, THRESHOLD_TOL, principal,
+                              region, changed, bracket)
 
 
 _COROLLARY_CASES = [
@@ -300,9 +461,9 @@ def verify_sign_corollary(op: LinearOperator, lam_samples) -> list[dict]:
             ok = conclusion in (premise_sign, ZERO_ON_GRID)
             row = {"tag": tag, "lambda": lam, "applicable": True,
                    "premise": premise, "conclusion": conclusion, "pass": ok}
-            if not ok and report is not None:
-                row["violation_location"] = list(
-                    report.argmin if premise_sign == NONNEGATIVE else report.argmax)
+            wrong = "negative" if premise_sign == NONNEGATIVE else "positive"
+            if not ok and report is not None and wrong in report.sites:
+                row["violation_location"] = list(report.sites[wrong][1])
             rows.append(row)
     return rows
 
@@ -345,7 +506,17 @@ def reproduce_counterexamples(fixtures: dict | None = None,
     lambdas and the threshold searches, each row pass/fail."""
     data = fixtures if fixtures is not None else _load_fixtures()
     report = ReproductionReport()
+    # the threshold rows of one problem share its principal eigenvalue
+    token = _PRINCIPALS.set({})
+    try:
+        _reproduce(data, m, report)
+    finally:
+        _PRINCIPALS.reset(token)
+    return report
 
+
+def _reproduce(data: dict, m: int, report: ReproductionReport) -> None:
+    """The rows of reproduce_counterexamples, appended to report."""
     # kernels of one lambda share their fundamental systems across scenarios
     sources = {}
     for scenario in data.get("classification_scenarios", []):
@@ -370,7 +541,7 @@ def reproduce_counterexamples(fixtures: dict | None = None,
         rel_tol = float(row.get("rel_tol", 1e-2))
         pw = tuple(row["principal_window"])
         if row["type"] == "principal":
-            observed = principal_eigenvalue(o, kind, pw)
+            observed = _principal(o, kind, pw)
         else:
             side = "neg" if row["type"] == "nonpositive" else "pos"
             result = sign_interval(o, kind, side, principal_window=pw, m=m)
@@ -384,4 +555,3 @@ def reproduce_counterexamples(fixtures: dict | None = None,
             "observed": observed,
             "pass": rel <= rel_tol,
         })
-    return report

@@ -136,13 +136,11 @@ def splittable(a, b, lam_tol):
     return (np.abs(b - a) > lam_tol) & (np.minimum(a, b) < mid) & (mid < np.maximum(a, b))
 
 
-def _refine_brackets(det_batch, brackets, lam_tol):
-    """k-section of all brackets in lockstep: each round evaluates the
-    SECTIONS - 1 dyadic probes of every splittable bracket in one batched
-    determinant sweep and keeps the first sub-cell whose ends differ in
-    sign; then a short secant polish, also batched."""
-    if not brackets:
-        return []
+def _k_section(det_batch, brackets, lam_tol):
+    """k-section of all brackets (a, b, det at a) in lockstep, to width
+    lam_tol: each round evaluates the SECTIONS - 1 dyadic probes of every
+    splittable bracket in one batched determinant sweep and keeps the first
+    sub-cell whose ends differ in sign.  Returns the arrays a, b, det at a."""
     a, b, fa = (np.array(col, dtype=float) for col in zip(*brackets))
     while (live := splittable(a, b, lam_tol)).any():
         x = dyadic_points(a[live], b[live])
@@ -152,6 +150,15 @@ def _refine_brackets(det_batch, brackets, lam_tol):
         j = np.where(flip.any(axis=1), flip.argmax(axis=1), SECTIONS - 1)
         rows = np.arange(len(x))
         a[live], b[live], fa[live] = x[rows, j], x[rows, j + 1], f[rows, j]
+    return a, b, fa
+
+
+def _refine_brackets(det_batch, brackets, lam_tol):
+    """_k_section of all brackets, then a short secant polish, also
+    batched."""
+    if not brackets:
+        return []
+    a, b, fa = _k_section(det_batch, brackets, lam_tol)
     x0, x1 = a.copy(), b.copy()
     f0, f1 = fa, det_batch(b)
     best_x = 0.5 * (a + b)

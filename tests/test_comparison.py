@@ -9,8 +9,11 @@ from greenbvp import (
     build_greens,
     check_kernel_domination,
     check_solution_comparison,
+    extend_to_double,
     solve_bvp,
 )
+from greenbvp import greens as greens_module
+from greenbvp import operators as operators_module
 
 
 def test_poisson_string_solution(second_order_op):
@@ -153,3 +156,18 @@ def test_unknown_tag_and_case(quartic_weight_op):
         check_solution_comparison("XY", 1, quartic_weight_op, 2.0, "1", "0", m=41)
     with pytest.raises(ValueError):
         check_solution_comparison("ND", 4, quartic_weight_op, 2.0, "1", "0", m=41)
+
+
+def test_kernel_domination_builds_no_quadruple_interval(quartic_weight_op, monkeypatch):
+    # the comparison premises live on the doubled interval; only the
+    # identities need the quadrupled one
+    calls = []
+
+    def counted(op):
+        calls.append(op.length)
+        return extend_to_double(op)
+
+    for module in (greens_module, operators_module):
+        monkeypatch.setattr(module, "extend_to_double", counted)
+    check_kernel_domination(quartic_weight_op, -2.0)
+    assert calls == [quartic_weight_op.length]

@@ -24,6 +24,7 @@ from greenbvp import (
 )
 from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
+from greenbvp import spectrum as spectrum_module
 from greenbvp.expressions import compile_expr, parse_expression
 from greenbvp.greens import RESONANCE_THRESHOLD, _boundary_coeffs, _graph_matrix, kernel_source
 from greenbvp.integrate import FundamentalSystem
@@ -580,3 +581,55 @@ def test_eval_grid_matches_segment_loop(second_order_op, quartic_weight_op):
         assert G.nseg > 5
         scale = np.abs(reference).max()
         assert np.abs(G.eval_grid(ft, fsrc) - reference).max() <= 1e-14 * scale
+
+
+# u'''' with every lower-order coefficient nonzero: the adjoint boundary
+# conditions differ from the problem's, and x_s' has an a_3 term
+_FULL_OP = ("(t-2)^4", "0.7*t", "cos(t)", "0.5*t")
+
+
+def test_s_derivative_matches_central_differences():
+    op = LinearOperator.from_exprs(2, 2.0, list(_FULL_OP))
+    G = build_greens(ProblemSpec(op, BCKind.MIXED2, 1.3))
+    ts, ss, h = np.linspace(0.0, 2.0, 7), np.array([0.3, 0.9, 1.7]), 1e-5
+    for component in (0, 1):
+        fd = (G.eval_grid(ts, ss + h, component) - G.eval_grid(ts, ss - h, component)) / (2 * h)
+        assert np.abs(G._grid(ts, ss, component, 1) - fd).max() <= 1e-8 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("kind", [BCKind.DIRICHLET, BCKind.MIXED1, BCKind.MIXED2])
+def test_kernel_vanishes_on_the_sides_of_its_vanishing_ends(kind):
+    op = LinearOperator.from_exprs(2, 2.0, list(_FULL_OP))
+    G = build_greens(ProblemSpec(op, kind, 1.3))
+    pts = np.linspace(0.0, 2.0, 41)
+    scale = np.abs(G.eval_grid(pts, pts)).max()
+    for end in greens_module._vanishing_ends(kind):
+        side = [2.0 * end]
+        assert np.abs(G.eval_grid(side, pts)).max() <= 1e-13 * scale
+        assert np.abs(G.eval_grid(pts, side)).max() <= 1e-13 * scale
+        assert np.abs(G.eval_grid(side, pts, 1)).max() >= 0.1 * scale
+        assert np.abs(G._grid(pts, side, 0, 1)).max() >= 0.1 * scale
+
+
+@pytest.mark.parametrize("kind", [BCKind.NEUMANN, BCKind.DIRICHLET, BCKind.MIXED2,
+                                  BCKind.PERIODIC])
+def test_corner_coefficient_vanishes_at_the_changed_problems_eigenvalue(kind):
+    # the leading coefficient d_t^j d_s^k G of each corner changes sign at
+    # the first eigenvalue in (-80, 80) of the problem with one row changed
+    op = LinearOperator.from_exprs(2, 2.0, list(_FULL_OP))
+    vanishing = greens_module._vanishing_ends(kind)
+    for t_end in (0, 1):
+        for s_end in (0, 1):
+            C, _ = greens_module._corner_problem(kind, op.n, t_end, s_end)
+            lams = np.linspace(-80.0, 80.0, 801)
+            dets = greens_module._char_dets(op, C, lams)
+            i = np.flatnonzero(np.sign(dets[1:]) != np.sign(dets[:-1]))[0]
+            a, b, _ = spectrum_module._k_section(lambda x: greens_module._char_dets(op, C, x),
+                                                 [(lams[i], lams[i + 1], dets[i])], 1e-9)
+            root = 0.5 * (a[0] + b[0])
+            signs = []
+            for lam in (root - 1e-4, root + 1e-4):
+                G = build_greens(ProblemSpec(op, kind, lam))
+                j, k = int(t_end in vanishing), int(s_end in vanishing)
+                signs.append(np.sign(G._grid([2.0 * t_end], [2.0 * s_end], j, k)[0, 0]))
+            assert signs[0] == -signs[1] != 0

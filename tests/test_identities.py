@@ -238,3 +238,15 @@ def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weigh
     # one local Phi per distinct point set of a system: t and T - t on op,
     # four sets on each extension and one on the reflection
     assert calls["local_phi"] <= 11
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_grid_below_two_points_is_refused(quartic_weight_op, quartic_kernels, m):
+    # one point would check every identity at (0, 0) alone; none would end
+    # in a numpy reshape error
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        run_identities(quartic_weight_op, 0.5, m=m)
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        check_mixed_reflection(quartic_weight_op, 0.5, m)
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        check_decomposition("N-P2T", quartic_kernels["N"], quartic_kernels["P2T"], m)

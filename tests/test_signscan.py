@@ -17,10 +17,13 @@ from greenbvp import (
     sweep_extrema,
     verify_sign_corollary,
 )
+from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
+from greenbvp import spectrum as spectrum_module
+from greenbvp.greens import GreensEvaluator
 from greenbvp.integrate import FundamentalSystem
-from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, _load_fixtures, \
-    _operator_from_fixture, resolve_kernel
+from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, THRESHOLD_TOL, ZERO_BAND, \
+    _load_fixtures, _operator_from_fixture, resolve_kernel
 
 
 def test_string_kernel_is_nonpositive(second_order_op):
@@ -176,8 +179,9 @@ def test_classify_sign_integrates_each_point_set_once(second_order_op, monkeypat
 
 
 def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
-    # thresholds of the serial bisection search, reached with less than
-    # half of its 42 integrations
+    # the M2 threshold is the eigenvalue of the problem with one boundary
+    # row changed, found with fewer than half of the 42 integrations of a
+    # serial bisection
     calls = []
     original = integrate_module._integrate
 
@@ -190,7 +194,7 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
                             principal_window=(-10.0, 2.0))
-    assert res.lam_lo == pytest.approx(-31.361620130543123, rel=1e-9)
+    assert res.lam_lo == pytest.approx(-31.285245122913707, rel=1e-9)
     assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
     assert len(calls) < 21
 
@@ -238,3 +242,112 @@ def test_neumann_threshold_rows_flip_at_a_corner(name):
 
     assert (corners(res.threshold() - d * res.lam_tol) > 0).all()
     assert (corners(res.threshold() + d * res.lam_tol) < 0).any()
+
+
+def _threshold_result(name):
+    [row] = [r for r in _load_fixtures()["thresholds"] if r["name"] == name]
+    op, kind = resolve_kernel(_operator_from_fixture(row["operator"]), row["kernel"])
+    side = "neg" if row["type"] == "nonpositive" else "pos"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return op, kind, sign_interval(op, kind, side,
+                                       principal_window=tuple(row["principal_window"]))
+
+
+def test_mixed2_corner_lobe_counts_as_a_sign_change(const_fourth_op):
+    # 0.015 past the threshold the positive lobe of u'''' M2 at the corner
+    # (0, 0) stays inside the zero band, but d_t d_s G(0, 0) has the wrong sign
+    G = build_greens(ProblemSpec(const_fourth_op, BCKind.MIXED2, -31.30))
+    report = classify_sign(G)
+    assert report.max_value <= ZERO_BAND * abs(report.min_value)
+    assert report.classification == SIGN_CHANGING
+    assert report.sites["positive"] == ("corner", (0.0, 0.0))
+
+
+@pytest.mark.parametrize("name, threshold", [
+    ("lambda_8", -31.28524),
+    ("lambda_9", 4 * math.pi ** 4),
+    ("lambda_10", -14.85757),
+    ("lambda_11", 59.43027),
+])
+def test_dirichlet_and_mixed2_thresholds_are_the_changed_problems_eigenvalues(name, threshold):
+    # the four D and M2 rows end where a corner coefficient of G changes
+    # sign: an eigenvalue of the problem with one boundary row changed
+    op, kind, res = _threshold_result(name)
+    assert abs(res.threshold() - threshold) <= THRESHOLD_TOL
+    assert res.flip == "corner" and res.changed_row is not None
+    inside, outside = res.bracket
+    want = NONPOSITIVE if res.side.startswith("nonpositive") else NONNEGATIVE
+    assert classify_problem(op, kind, inside) == want
+    assert classify_problem(op, kind, outside) == SIGN_CHANGING
+
+
+def test_sign_interval_reports_the_changed_row(const_fourth_op):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg", principal_window=(-10.0, 2.0))
+    payload = res.to_json()
+    assert payload["flip"] == "corner"
+    assert payload["changed_row"] == "u''(0) -> u'(0)"
+    assert payload["bracket"] == pytest.approx([res.lam_lo + THRESHOLD_TOL,
+                                                res.lam_lo - THRESHOLD_TOL], abs=1e-12)
+
+
+def test_interior_flip_keeps_the_k_section():
+    # lambda_2 (P2T) flips away from the corners: no changed problem has an
+    # eigenvalue between the probes, and the 16-section finds the threshold
+    _, _, res = _threshold_result("lambda_2")
+    assert res.changed_row is None
+    assert res.threshold() == 4.115821658013708
+    good, bad = res.bracket
+    assert good < res.threshold() < bad and bad - good <= THRESHOLD_TOL
+
+
+def test_reproduction_searches_each_principal_once(monkeypatch):
+    # the 12 threshold rows need the principal eigenvalues of 6 problems
+    calls = []
+    original = spectrum_module.find_eigenvalues
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "find_eigenvalues", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = reproduce_counterexamples()
+    assert report.all_passed
+    assert len(calls) == 6
+
+
+def test_resolving_a_base_code_builds_no_extension(quartic_weight_op, monkeypatch):
+    calls = []
+
+    def counted(op):
+        calls.append(op)
+        return extend_to_double(op)
+
+    monkeypatch.setattr(greens_module, "extend_to_double", counted)
+    assert resolve_kernel(quartic_weight_op, "N") == (quartic_weight_op, BCKind.NEUMANN)
+    assert resolve_kernel(quartic_weight_op, "M2") == (quartic_weight_op, BCKind.MIXED2)
+    assert not calls
+    op4, _ = resolve_kernel(quartic_weight_op, "P4T")
+    assert op4.length == 8.0 and len(calls) == 2
+
+
+def test_vanishing_sides_are_classified_without_refinement(const_fourth_op, monkeypatch):
+    # a Dirichlet kernel vanishes on all four sides: their normal derivatives
+    # carry the sign, so no cell along them is refined
+    G = build_greens(ProblemSpec(const_fourth_op, BCKind.DIRICHLET, -3.3))
+    points = []
+    original = GreensEvaluator.eval_grid
+
+    def counted(self, ts, ss, component=0):
+        values = original(self, ts, ss, component)
+        points.append(values.size)
+        return values
+
+    monkeypatch.setattr(GreensEvaluator, "eval_grid", counted)
+    report = classify_sign(G)
+    assert report.classification == NONNEGATIVE
+    assert sum(points) <= 109 ** 2 + 2 * 109
