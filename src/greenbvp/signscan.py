@@ -155,14 +155,16 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
         dt = inward[:, None] * G.eval_grid(ends, ss, component=1)
         ds = inward * G._grid(ts, ends, 0, 1)
         top_t, top_s = np.abs(dt).max(axis=1), np.abs(ds).max(axis=0)
-        lead[lines] = _scaled(dt, top_t[:, None])
-        lead[:, lines] = _scaled(ds, top_s)
+        side_t, side_s = _scaled(dt, top_t[:, None]), _scaled(ds, top_s)
+        lead[lines], lead[:, lines] = side_t, side_s
         corners = _scaled(np.outer(inward, inward) * G._grid(ends, ends, 1, 1),
                           np.maximum.outer(top_t, top_s) / G.length)
         if G.d == 2:
-            # a second-order kernel's first derivatives jump on the diagonal, so
-            # its diagonal corners have no mixed coefficient; their sides show the sign
-            corners[np.equal.outer(lines, lines)] = 0.0
+            # a second-order kernel's first derivatives jump on the diagonal:
+            # G ~ c min(t, s) at a diagonal corner, where one side's derivative
+            # is c and the other's, taken on the branch t >= s, is 0
+            diag = np.equal.outer(lines, lines)
+            corners[diag] = (side_t[:, lines] + side_s[lines])[diag]
         lead[np.ix_(lines, lines)] = corners
         for k in (lines, (slice(None), lines)):
             pos[k], neg[k] = lead[k] > ZERO_BAND, lead[k] < -ZERO_BAND

@@ -23,7 +23,7 @@ from greenbvp import spectrum as spectrum_module
 from greenbvp.greens import GreensEvaluator
 from greenbvp.integrate import FundamentalSystem
 from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, THRESHOLD_TOL, ZERO_BAND, \
-    _load_fixtures, _operator_from_fixture, resolve_kernel
+    SignSearchError, _load_fixtures, _operator_from_fixture, resolve_kernel
 
 
 def test_string_kernel_is_nonpositive(second_order_op):
@@ -351,3 +351,16 @@ def test_vanishing_sides_are_classified_without_refinement(const_fourth_op, monk
     report = classify_sign(G)
     assert report.classification == NONNEGATIVE
     assert sum(points) <= 109 ** 2 + 2 * 109
+
+
+def test_second_order_diagonal_corner_is_classified_by_its_sides():
+    # a second-order kernel behaves like c min(t, s) at a diagonal corner;
+    # for u'' + u'/2 + (2 + lam) u M2 c stays -1 above the principal
+    # eigenvalue 0.003643, so the kernel is never nonnegative there, though
+    # at 0.00385 its negative lobe is narrower than the first grid offset
+    op = LinearOperator.from_exprs(1, 1.0, ["2", "0.5"])
+    report = classify_sign(build_greens(ProblemSpec(op, BCKind.MIXED2, 0.00385)))
+    assert report.classification == SIGN_CHANGING
+    assert report.sites["negative"] == ("corner", (0.0, 0.0))
+    with pytest.raises(SignSearchError):
+        sign_interval(op, BCKind.MIXED2, "pos", principal_window=(-60.0, 10.0))
