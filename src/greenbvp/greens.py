@@ -192,7 +192,7 @@ def char_det_scan(op: LinearOperator, kind: BCKind, lams) -> np.ndarray:
 def _char_dets(op: LinearOperator, C: np.ndarray, lams) -> np.ndarray:
     """char_det_scan for a boundary matrix C, or a stack of them sharing one
     integration and one graph basis, shape (K,) or (c, K)."""
-    fs = integrate_fundamental_batch(op, lams, dense=False)
+    fs = integrate_fundamental_batch(op, lams)
     return np.linalg.det(_graph_matrix(C, fs))
 
 

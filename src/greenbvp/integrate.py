@@ -27,7 +27,7 @@ and comes with the test extra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,8 +159,9 @@ def _growth_rate(op: LinearOperator, lo: float, hi: float, lams: np.ndarray) -> 
     return rate
 
 
-def _over_budget(cells: float) -> IntegrationError:
-    return IntegrationError(f"{cells:.3g} integration cells needed, more than the budget "
+def _over_budget(cells: float, earlier: int = 0) -> IntegrationError:
+    part = f" ({earlier} of them on earlier pieces)" if earlier else ""
+    return IntegrationError(f"{cells:.3g} integration cells needed{part}, more than the budget "
                             f"of {MAX_CELLS} (coefficients or lambda too large, or too rough)")
 
 
@@ -188,15 +189,15 @@ def _companion_rows(vals: list, lams: np.ndarray) -> np.ndarray:
     return -np.stack(np.broadcast_arrays(vals[0] + lams, *vals[1:]), axis=-1)
 
 
-def _unresolved(vals: list, tol: float) -> np.ndarray:
+def _unresolved(vals: list, bars: np.ndarray) -> np.ndarray:
     """Cells whose three-node Gauss mean of some coefficient differs from the
-    mean of the rules on its two halves by more than tol times that
-    coefficient's size; vals are sampled at _CHECK_NODES, shape (9, C, .)."""
+    mean of the rules on its two halves by more than that coefficient's bar;
+    vals are sampled at _CHECK_NODES, shape (9, C, .)."""
     bad = np.zeros(vals[0].shape[1], dtype=bool)
-    for v in vals:
+    for v, bar in zip(vals, bars):
         full = _WEIGHTS @ v[:3].reshape(3, -1)
         halves = 0.5 * (_WEIGHTS @ v[3:6].reshape(3, -1) + _WEIGHTS @ v[6:].reshape(3, -1))
-        miss = np.abs(full - halves).reshape(v.shape[1:]) > tol * np.abs(v).max(initial=0.0)
+        miss = np.abs(full - halves).reshape(v.shape[1:]) > bar
         bad |= miss.any(axis=-1)
     return bad
 
@@ -269,9 +270,6 @@ class _Piece:
         """Whether the generators are polynomials in lambda (_POLYNOMIAL_BATCH)."""
         return len(self.lams) > _POLYNOMIAL_BATCH and not self.constant
 
-    def member(self, k: int) -> "_Piece":
-        return replace(self, lams=self.lams[k:k + 1])
-
     def values(self, ts: np.ndarray) -> list:
         """a_0, ..., a_{d-1} at the times ts, each of shape ts.shape + (1,):
         one evaluation per coefficient serves the whole batch."""
@@ -301,11 +299,12 @@ class _Piece:
             return ((o2[0] * lam + o1) if o2 else o1) * lam + o0
         return _magnus_generator(rows, h)
 
-    def cells(self, nodes: np.ndarray, rate: float, tol: float, spare: int):
+    def cells(self, nodes: np.ndarray, rate: float, tol: float, used: int):
         """Cells (t0, h, segment index) of the segments between the nodes and
         their companion rows: a uniform count per segment from rate and tol,
         then halvings of every cell whose coefficients the Gauss rule does
-        not resolve to tol."""
+        not resolve to tol times their largest value sampled on the piece so
+        far, checking the new halves only; used cells count to MAX_CELLS."""
         nseg = len(nodes) - 1
         if self.constant:
             return nodes[:-1], np.diff(nodes), np.arange(nseg), self.sample(None, None)
@@ -316,21 +315,28 @@ class _Piece:
         t0, h = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
         seg = np.repeat(np.arange(nseg), m)
         check_tol = max(tol, 64 * np.finfo(float).eps)
+        sizes, kept = np.zeros(len(self.coeffs)), []
         for _ in range(_MAX_SPLITS + 1):
-            if len(t0) > spare:
-                raise _over_budget(len(t0))
+            if (total := used + sum(len(cells[0]) for cells in kept) + len(t0)) > MAX_CELLS:
+                raise _over_budget(total, used)
             vals = self.values(t0 + h * _CHECK_NODES[:, None])
-            bad = _unresolved(vals, check_tol)
-            if not bad.any():
+            sizes = np.maximum(sizes, [np.abs(v).max(initial=0.0) for v in vals])
+            bad = _unresolved(vals, check_tol * sizes)
+            if not (kept or bad.any()):  # no halving: the uniform cells as they are
                 return t0, h, seg, self.rows([v[:3] for v in vals])
-            idx = np.repeat(np.arange(len(t0)), 1 + bad)
-            second = np.zeros(len(idx), dtype=bool)
-            second[1:] = idx[1:] == idx[:-1]
-            h = h[idx] / (1 + bad[idx])
-            t0 = t0[idx] + second * h
-            seg = seg[idx]
-        raise IntegrationError(f"coefficients not resolved on [{self.lo:g}, {self.hi:g}] "
-                               f"after {_MAX_SPLITS} cell halvings")
+            kept.append((t0[~bad], h[~bad], seg[~bad], [v[:3, ~bad] for v in vals]))
+            if not bad.any():
+                break
+            h = np.repeat(h[bad] / 2, 2)
+            t0 = np.repeat(t0[bad], 2) + np.tile([0.0, 1.0], int(bad.sum())) * h
+            seg = np.repeat(seg[bad], 2)
+        else:
+            raise IntegrationError(f"coefficients not resolved on [{self.lo:g}, {self.hi:g}] "
+                                   f"after {_MAX_SPLITS} cell halvings")
+        t0, h, seg, gauss = zip(*kept)
+        order = np.argsort(np.concatenate(t0), kind="stable")
+        rows = self.rows([np.concatenate(v, axis=1)[:, order] for v in zip(*gauss)])
+        return tuple(np.concatenate(part)[order] for part in (t0, h, seg)) + (rows,)
 
 
 @dataclass(frozen=True)
@@ -346,10 +352,6 @@ class _Cells:
     piece: np.ndarray
     pieces: list
     prefixes: np.ndarray
-
-    def member(self, k: int) -> "_Cells":
-        return replace(self, pieces=[piece.member(k) for piece in self.pieces],
-                       prefixes=self.prefixes[:, k:k + 1])
 
     def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Phi relative to each point's segment start, shape (nt, K, d, d):
@@ -372,7 +374,7 @@ class _Cells:
 
 
 def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
-                     dense: bool, spare: int) -> tuple:
+                     dense: bool, used: int) -> tuple:
     """Propagate every segment of one piece: blocks of cells for the
     generators and their exponentials, multiplied into each segment's end
     matrix (and, dense, its per-cell prefixes).  A segment with fewer cells
@@ -380,7 +382,7 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
     Returns the end matrices (nseg, K, d, d), the cell starts, the cell count
     of each segment and (dense, else None) the prefixes of the cells in time
     order, (cells, K, d, d)."""
-    t0, h, seg, rows = piece.cells(nodes, rate, tol, spare)
+    t0, h, seg, rows = piece.cells(nodes, rate, tol, used)
     nseg, K, d = len(nodes) - 1, len(piece.lams), rows.shape[-1]
     counts = np.bincount(seg, minlength=nseg)
     first = np.cumsum(counts) - counts
@@ -476,7 +478,7 @@ class FundamentalSystem:
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
     cells: _Cells = None        # dense output of the Magnus path
     rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
-    # the grid factors of the kernels on this system (see greens); members start empty
+    # the grid factors of the kernels on this system (see greens)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -490,7 +492,7 @@ class FundamentalSystem:
     @property
     def lam(self) -> float | complex:
         if self.K != 1:
-            raise ValueError("fundamental system holds a lambda batch; index it first")
+            raise ValueError(f"fundamental system holds a batch of {self.K} lambdas, not one")
         return self.lams[0].item()
 
     def segment_index(self, t) -> np.ndarray:
@@ -513,11 +515,6 @@ class FundamentalSystem:
             out[mask] = self.rk[k].local_phi(ts[mask])
         return out
 
-    def member(self, k: int) -> "FundamentalSystem":
-        """View of the k-th lambda of the batch as a single-lambda system."""
-        return replace(self, lams=self.lams[k:k + 1], segments=self.segments[:, k:k + 1],
-                       cells=None if self.cells is None else self.cells.member(k))
-
 
 def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
                force_rk: bool = False) -> FundamentalSystem:
@@ -536,8 +533,8 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
                 rk.append(seg)
         else:
             pieces.append(_Piece.of(op, lo, hi, lams))
-            spare = MAX_CELLS - sum(len(starts) for starts, _, _ in piece_cells)
-            end, *cells = _magnus_segments(pieces[-1], nodes, rate, tol, dense, spare)
+            used = sum(len(starts) for starts, _, _ in piece_cells)
+            end, *cells = _magnus_segments(pieces[-1], nodes, rate, tol, dense, used)
             ends.append(end)
             piece_cells.append(cells)
     segments = np.concatenate(ends)
@@ -564,8 +561,8 @@ def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEF
     return _integrate(op, np.array([lam]), tol, True, force_rk)
 
 
-def integrate_fundamental_batch(op: LinearOperator, lams, dense: bool = False) -> FundamentalSystem:
+def integrate_fundamental_batch(op: LinearOperator, lams) -> FundamentalSystem:
     """One Magnus integration sweep shared by a whole vector of lambda values,
-    to DEFAULT_TOL; dense keeps the output local Phi needs."""
-    return _integrate(op, np.atleast_1d(np.asarray(lams)), DEFAULT_TOL, dense)
+    to DEFAULT_TOL: the segment propagators, without dense output."""
+    return _integrate(op, np.atleast_1d(np.asarray(lams)), DEFAULT_TOL, False)
 

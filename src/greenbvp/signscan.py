@@ -7,12 +7,13 @@ the endpoint live in thin strips or corners (scaling like t*s) that a uniform
 grid resolves far too late.  Values inside a relative zero band count as
 zero.  On a side where the kernel vanishes by a boundary row, its first
 normal derivative carries the sign instead, and at a corner of two such
-sides its mixed derivative.  The interval search walks outward from the
-principal eigenvalue until the classification flips.  A flip at a corner or
-an edge of the square ends at an eigenvalue of a problem with one boundary
-row changed, found by a characteristic-function search; any other flip is
-located by 16-section: one batched integration per round, whose members
-give the kernels of a binary search.
+sides its mixed derivative.  A lobe narrower than the grid opens at a
+near-zero local extremum of the samples, which Newton steps polish.  The
+interval search walks outward from the principal eigenvalue until the
+classification flips.  A flip at a corner ends at an eigenvalue of a
+problem with one boundary row changed, found by a characteristic-function
+search; any other flip is the root of the polished extremum, tracked by a
+safeguarded regula falsi between classified lambdas.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import numpy as np
 
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
     _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_source, kernel_table
-from .integrate import integrate_fundamental_batch
 from .operators import LinearOperator
-from .spectrum import SECTIONS, _k_section, dyadic_points, principal_eigenvalue, splittable
+from .spectrum import _k_section, dyadic_points, principal_eigenvalue
 
 __all__ = [
     "NONNEGATIVE",
@@ -59,12 +59,20 @@ _EDGE_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3)
 # Kernel values within ZERO_BAND * max|G| count as zero.
 ZERO_BAND = 1e-9
 
+# Strict interior grid extrema below POLISH_BAND * max|G| take POLISH_STEPS
+# Newton steps (_polish), at most POLISH_MAX of them, those nearest zero.
+POLISH_BAND = 1e-2
+POLISH_STEPS = 2
+POLISH_MAX = 16
+
 # sign_interval locates the threshold to this width in lambda.
 THRESHOLD_TOL = 1e-4
 
 # The eigenvalue of a changed problem is located to this width, so that the
-# checks THRESHOLD_TOL either side of it fall on either side of the root.
+# checks THRESHOLD_TOL either side of it fall on either side of the root, by
+# rounds of EIGEN_SECTIONS cells: four from a 1 % step of the default window.
 EIGEN_TOL = THRESHOLD_TOL / 10
+EIGEN_SECTIONS = 32
 
 # Points per side of the uniform grid of each sweep_extrema row.
 SWEEP_GRID = 41
@@ -90,6 +98,9 @@ class SignReport:
 
 _SIGN_REGIONS = ("corner", "edge", "interior")
 
+_CLASSES = {(True, True): SIGN_CHANGING, (True, False): NONNEGATIVE,
+            (False, True): NONPOSITIVE, (False, False): ZERO_ON_GRID}
+
 def _sample_points(length: float, m: int) -> np.ndarray:
     pts = set(np.linspace(0.0, length, m))
     for rel in _EDGE_OFFSETS:
@@ -103,6 +114,41 @@ def _scaled(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return values / np.where(scale > 0, scale, 1.0)
 
 
+def _polish(G: GreensEvaluator, pts: np.ndarray, values: np.ndarray, scale: float) -> tuple:
+    """(i, j, value, {(i, j): (t, s)}) of the strict interior local minima of
+    the grid (maxima where its largest |G| is negative) below POLISH_BAND *
+    scale, at most POLISH_MAX nearest zero, and the lowest (highest) value
+    POLISH_STEPS Newton steps reach from each: exact gradients, their central
+    differences over the grid neighbours as the Hessian, and no step out of
+    the neighbouring cells."""
+    sign = 1.0 if values.max() >= scale else -1.0
+    v = sign * values
+    core = v[1:-1, 1:-1]  # strict minima along t first: few points pass
+    i, j = np.nonzero((core <= POLISH_BAND * scale) & (core < v[:-2, 1:-1]) & (core < v[2:, 1:-1]))
+    block = np.stack([v[i + a, j + b] for a in range(3) for b in range(3)])  # about each
+    strict = block[4] < np.delete(block, 4, axis=0).min(axis=0)
+    i, j = i[strict] + 1, j[strict] + 1
+    order = np.argsort(v[i, j], kind="stable")[:POLISH_MAX]
+    i, j = i[order], j[order]
+    best, at = v[i, j], np.stack([pts[i], pts[j]], -1)
+    if not len(i):
+        return i, j, best, {}
+    k, lo, x = np.arange(len(i)), np.stack([i - 1, j - 1], -1), at
+    mid, up = k + len(k), k + 2 * len(k)
+    around_t, around_s = (G._factor(pts)[np.concatenate([a - 1, a, a + 1])] for a in (i, j))
+    g = np.stack([G.eval_grid(around_t, around_s, 1), G._grid(around_t, around_s, 0, 1)], -1)
+    hessian = np.stack([g[up, mid] - g[k, mid], g[mid, up] - g[mid, k]], -1)
+    chord, grad = np.linalg.pinv(hessian / (pts[lo + 2] - pts[lo])[:, None, :]), g[mid, mid]
+    for _ in range(POLISH_STEPS):
+        x = np.clip(x - (chord @ grad[..., None])[..., 0], pts[lo], pts[lo + 2])
+        both = G._locate(x.T.ravel())
+        at_t, at_s = both[k], both[mid]
+        grad = np.stack([G.eval_grid(at_t, at_s, 1), G._grid(at_t, at_s, 0, 1)], -1)[k, k]
+        value = sign * G.eval_grid(at_t, at_s)[k, k]
+        best, at = np.minimum(value, best), np.where((value < best)[:, None], x, at)
+    return i, j, sign * best, {(a, b): tuple(x) for a, b, x in zip(i, j, at)}
+
+
 def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     """Classify the kernel sign on its square.
 
@@ -111,10 +157,9 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     the inward first normal derivative, relative to its own maximum on that
     side, and at a corner of two such sides that of the mixed derivative
     d_t d_s G, relative to the sides' maxima over the length: a lobe that
-    grows from such a corner is seen however small it still is.  One
-    adaptive refinement pass doubles the resolution inside cells whose
-    corners off those sides touch the zero band, which is where a
-    developing sign change can hide.
+    grows from such a corner is seen however small it still is.  Where the
+    grid shows one sign, its near-zero extrema, where a lobe narrower than
+    the grid opens, are polished in place (_polish), min_value too.
     """
     if m < 41:
         raise ValueError("classification grid must have at least 41 points per side")
@@ -128,32 +173,14 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     last = len(pts) - 1
     lines = [last * end for end in _vanishing_ends(G.problem.kind)]
 
-    ambiguous = np.abs(values) <= band
-    ambiguous[lines] = ambiguous[:, lines] = False
-    cell = ambiguous[:-1, :-1] | ambiguous[1:, :-1] | ambiguous[:-1, 1:] | ambiguous[1:, 1:]
-    ts = ss = pts
-    if cell.any():
-        # the tensor grid (pts + mid_t) x (pts + mid_s), mid_t and mid_s the
-        # midpoints of the flagged cells' rows and columns; pts x pts is known
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        mid_t, mid_s = mids[cell.any(axis=1)], mids[cell.any(axis=0)]
-        ts, ss = np.concatenate([pts, mid_t]), np.concatenate([pts, mid_s])
-        values = np.block([[values, G.eval_grid(pts, mid_s)],
-                           [G.eval_grid(mid_t, pts), G.eval_grid(mid_t, mid_s)]])
-
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    vmin, argmin = float(values[i, j]), (float(ts[i]), float(ss[j]))
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    vmax, argmax = float(values[i, j]), (float(ts[i]), float(ss[j]))
-
     # the sign of each sample, and its size relative to its own scale
     lead = values / scale
     pos, neg = values > band, values < -band
     if lines:
         ends = G._factor(pts)[lines]
         inward = np.where(ends.pts == 0.0, 1.0, -1.0)
-        dt = inward[:, None] * G.eval_grid(ends, ss, component=1)
-        ds = inward * G._grid(ts, ends, 0, 1)
+        dt = inward[:, None] * G.eval_grid(ends, pts, component=1)
+        ds = inward * G._grid(pts, ends, 0, 1)
         top_t, top_s = np.abs(dt).max(axis=1), np.abs(ds).max(axis=0)
         side_t, side_s = _scaled(dt, top_t[:, None]), _scaled(ds, top_s)
         lead[lines], lead[:, lines] = side_t, side_s
@@ -169,28 +196,31 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
         for k in (lines, (slice(None), lines)):
             pos[k], neg[k] = lead[k] > ZERO_BAND, lead[k] < -ZERO_BAND
 
+    # where the grid shows one sign, a polished extremum takes its sample's place
+    moved = {}
+    if not (pos.any() and neg.any()):
+        i, j, polished, moved = _polish(G, pts, values, scale)
+        values[i, j], lead[i, j] = polished, polished / scale
+        pos[i, j], neg[i, j] = polished > band, polished < -band
+    def point(i: int, j: int) -> tuple[float, float]:
+        return tuple(map(float, moved.get((i, j), (pts[i], pts[j]))))
     edge = np.zeros(values.shape, dtype=bool)
     edge[[0, last]] = edge[:, [0, last]] = True
     corner = np.zeros_like(edge)
     corner[np.ix_([0, last], [0, last])] = True
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    vmin, argmin = float(values[i, j]), point(i, j)
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    vmax, argmax = float(values[i, j]), point(i, j)
     sites = {}
     for name, found in (("positive", pos), ("negative", neg)):
         for region, where in zip(_SIGN_REGIONS, (corner, edge, ~edge)):
             if (found & where).any():
                 i, j = np.unravel_index(np.argmax(np.where(found & where, np.abs(lead), -1.0)),
                                         values.shape)
-                sites[name] = (region, (float(ts[i]), float(ss[j])))
+                sites[name] = (region, point(i, j))
                 break
-
-    has_pos, has_neg = "positive" in sites, "negative" in sites
-    if has_pos and has_neg:
-        classification = SIGN_CHANGING
-    elif has_pos:
-        classification = NONNEGATIVE
-    elif has_neg:
-        classification = NONPOSITIVE
-    else:
-        classification = ZERO_ON_GRID
+    classification = _CLASSES["positive" in sites, "negative" in sites]
     return SignReport(classification, m, vmin, argmin, vmax, argmax, ZERO_BAND, sites)
 
 
@@ -248,7 +278,7 @@ class SignIntervalResult:
     flip: str | None               # where the first bad probe shows the wrong sign: "corner",
                                    # "edge", "interior" or "resonant"; None if no probe flipped
     changed_row: str | None        # "old -> new": the boundary row changed in the problem whose
-                                   # eigenvalue is the threshold; None where 16-section found it
+                                   # eigenvalue is the threshold; None where f's root is
     bracket: tuple[float, float] | None  # (constant-sign, flipped) lambdas checked last
 
     def threshold(self) -> float:
@@ -285,15 +315,6 @@ def _row_name(row: np.ndarray, d: int) -> str:
     return "".join(terms)
 
 
-def _site_corners(region: str, point: tuple[float, float], length: float) -> list:
-    """The corners (t_end, s_end) of the square, 0 left and 1 right, that a
-    flip site points to: a corner itself, or both ends of an edge."""
-    if region not in ("corner", "edge"):
-        return []
-    ends = [(int(x > 0.0),) if x in (0.0, length) else (0, 1) for x in point]
-    return [(t, s) for t in ends[0] for s in ends[1]]
-
-
 def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                   search_window=None, m: int = 101,
                   principal_window=None) -> SignIntervalResult:
@@ -301,17 +322,13 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     Scans outward from the principal eigenvalue in steps of one percent of
     the window width until the classification flips (to sign-changing,
-    the opposite sign, or a resonance).  Where the first bad probe shows the
-    wrong sign at a corner or an edge of the square, the threshold is an
-    eigenvalue of a problem with one boundary row changed
-    (greens._corner_problem), the one nearest the last good probe: one
-    lambda batch of characteristic functions brackets it, the k-section of
-    find_eigenvalues locates it to EIGEN_TOL, and one classification
-    THRESHOLD_TOL inside it and one outside, integrated as one batch,
-    confirm it.  Otherwise (an interior flip, a resonance, or no confirmed
-    candidate) the flip is located to THRESHOLD_TOL by 16-section: each
-    round integrates its 15 dyadic probes as one lambda batch and
-    classifies at most four of them.
+    the opposite sign, or a resonance).  The threshold is the eigenvalue
+    nearest the last good probe, of a problem with one boundary row changed
+    (greens._corner_problem), that classifications THRESHOLD_TOL inside and
+    outside it confirm; a batch scan and k-section locate it to EIGEN_TOL.
+    Without one, it is the root of f, the polished wrong-sign extremum over
+    max|G| (classify_sign), bracketed to THRESHOLD_TOL between classified
+    lambdas by a safeguarded regula falsi.
     """
     side = _SIDES.get(side)
     if side is None:
@@ -334,83 +351,68 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     def ok(lam: float) -> bool:
         return classify_problem(op, kind, lam, m=m) in accepted
 
-    def ok_member(fs) -> bool:
-        try:
-            G = GreensEvaluator(ProblemSpec(op, kind, fs.lam), fs)
-        except ResonantProblemError:
-            return False
-        return classify_sign(G, m=m).classification in accepted
+    def extremum() -> float | None:
+        """f of the last classify_problem call, positive where it kept the sign."""
+        r = _LAST_REPORT.get()  # None where resonant
+        return r and (r.min_value if direction > 0 else -r.max_value) / (
+            max(-r.min_value, r.max_value) or 1.0)
 
-    def bisect(good: float, bad: float) -> tuple[float, tuple[float, float]]:
-        # the binary search visits the lambdas bisection would visit
-        while splittable(good, bad, THRESHOLD_TOL):
-            x = dyadic_points(good, bad)
-            fs = integrate_fundamental_batch(op, x[1:-1], dense=True)
-            lo, hi = 0, SECTIONS
-            while hi - lo > 1 and abs(x[hi] - x[lo]) > THRESHOLD_TOL:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if ok_member(fs.member(mid - 1)) else (lo, mid)
-            good, bad = x[lo], x[hi]
-        return float(0.5 * (good + bad)), (float(good), float(bad))
+    def track(good: float, bad: float, f_bad) -> tuple[float, tuple[float, float]]:
+        """(threshold, checked bracket): the root of f between a good and a
+        bad lambda by Illinois regula falsi, whose proposals are classified
+        to pick the end they replace; bisection where a proposal leaves the
+        bracket or the bracket did not halve in the last two steps."""
+        ends = {True: (good, None), False: (bad, f_bad)}
+        widths, last = [np.inf, np.inf], None
+        while True:
+            (a, fa), (b, fb) = ends[True], ends[False]
+            x = mid = 0.5 * (a + b)
+            if abs(b - a) <= THRESHOLD_TOL or not min(a, b) < mid < max(a, b):
+                return float(mid), (float(a), float(b))
+            if None not in (fa, fb) and fa != fb and abs(b - a) <= widths[-2] / 2:
+                x = b - fb * (b - a) / (fb - fa)
+            x = x if min(a, b) < x < max(a, b) else mid
+            widths.append(abs(b - a))
+            kept = ok(x)
+            if kept == last:  # an end kept twice in a row halves its f
+                end, f = ends[not kept]
+                ends[not kept] = end, f and f / 2
+            ends[kept], last = (x, extremum()), kept
 
-    def eigen_threshold(good: float, bad: float, site):
-        """(threshold, checked bracket, changed row) from the changed
-        problems of the corners the site points to, or of every corner if
-        none of those has an eigenvalue between the probes (the walk may
-        have stepped over a resonance); None if no eigenvalue is confirmed."""
-        corners = _site_corners(*site, op.length) if site else []
-        problems = [(*p, (t, s)) for t in (0, 1) for s in (0, 1)
-                    if (p := _corner_problem(kind, op.n, t, s)) is not None]
-        x = dyadic_points(good, bad)
-        dets = _char_dets(op, np.array([p[0] for p in problems]), x)
+    def eigen_threshold(good: float, bad: float):
+        """(threshold, bracket, changed row) of the nearest confirmed root, or None."""
+        problems = [p for t in (0, 1) for s in (0, 1) if (p := _corner_problem(kind, op.n, t, s))]
+        x = dyadic_points(good, bad, EIGEN_SECTIONS)
+        dets = _char_dets(op, np.array([C for C, _ in problems]), x)
         flips = np.sign(dets[:, 1:]) != np.sign(dets[:, :1])
         first = flips.argmax(axis=1)
-        roots = [p for p in np.argsort(first, kind="stable") if flips[p].any()]
-        for p in [p for p in roots if problems[p][2] in corners] or roots:
-            C, row, _ = problems[p]
-            i = first[p]
+        for p in [p for p in np.argsort(first, kind="stable") if flips[p].any()]:
+            (C, row), i = problems[p], first[p]
             a, b, _ = _k_section(lambda lams: _char_dets(op, C, lams),
-                                 [(x[i], x[i + 1], dets[p, i])], EIGEN_TOL)
+                                 [(x[i], x[i + 1], dets[p, i])], EIGEN_TOL, EIGEN_SECTIONS)
             root = float(0.5 * (a[0] + b[0]))
             bracket = (root - direction * THRESHOLD_TOL, root + direction * THRESHOLD_TOL)
-            fs = integrate_fundamental_batch(op, bracket, dense=True)
-            if ok_member(fs.member(0)) and not ok_member(fs.member(1)):
+            if ok(bracket[0]) and not ok(bracket[1]):
                 base = _boundary_coeffs(kind, op.n)[row]
                 changed = f"{_row_name(base, op.order)} -> {_row_name(C[row], op.order)}"
                 return root, bracket, changed
         return None
 
-    def flip(good: float, bad: float):
-        """(threshold, flip site, changed row, checked bracket) between the
-        last good probe and the bad one, the last classify_problem call."""
-        report = _LAST_REPORT.get()
-        wrong = "positive" if want == NONPOSITIVE else "negative"
-        site = report.sites.get(wrong) if report is not None else None
-        region = "resonant" if report is None else site[0] if site else "interior"
-        found = eigen_threshold(good, bad, site) or (*bisect(good, bad), None)
-        threshold, bracket, changed = found
-        return threshold, region, changed, bracket
-
-    good = principal
-    probe = principal
-    status = "threshold-found"
-    region = changed = bracket = None
+    good = probe = principal
+    status, region, changed, bracket = "threshold-found", None, None, None
     while True:
-        probe = probe + direction * step
-        if probe < lo_w or probe > hi_w:
-            status = "window-exhausted"
-            probe = lo_w if direction < 0 else hi_w
-            if probe == good or ok(probe):
-                found = probe
-                break
-            # flip sits between the last good probe and the window edge
-            found, region, changed, bracket = flip(good, probe)
-            status = "threshold-found"
-            break
-        if ok(probe):
+        probe = min(max(probe + direction * step, lo_w), hi_w)
+        if probe == good or ok(probe):
             good = probe
+            if probe in (lo_w, hi_w):
+                found, status = probe, "window-exhausted"
+                break
             continue
-        found, region, changed, bracket = flip(good, probe)
+        # the flip sits between the last good probe and this, the last classified one
+        report, f = _LAST_REPORT.get(), extremum()
+        site = report and report.sites.get("positive" if want == NONPOSITIVE else "negative")
+        region = "resonant" if report is None else site[0] if site else "interior"
+        found, bracket, changed = eigen_threshold(good, probe) or (*track(good, probe, f), None)
         break
 
     if status == "threshold-found" and abs(found - principal) <= 2 * THRESHOLD_TOL:

@@ -114,14 +114,14 @@ class Spectrum:
         }
 
 
-def dyadic_points(a, b) -> np.ndarray:
-    """a, b and the SECTIONS - 1 points between them that log2(SECTIONS)
+def dyadic_points(a, b, sections: int = SECTIONS) -> np.ndarray:
+    """a, b and the sections - 1 points between them that log2(sections)
     bisection steps on [a, b] can visit, each computed as the midpoint of
-    its two parents as bisection computes it; shape (..., SECTIONS + 1)."""
+    its two parents as bisection computes it; shape (..., sections + 1)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x = np.empty(a.shape + (SECTIONS + 1,))
+    x = np.empty(a.shape + (sections + 1,))
     x[..., 0], x[..., -1] = a, b
-    step = SECTIONS
+    step = sections
     while step > 1:
         x[..., step // 2::step] = 0.5 * (x[..., :-1:step] + x[..., step::step])
         step //= 2
@@ -136,18 +136,18 @@ def splittable(a, b, lam_tol):
     return (np.abs(b - a) > lam_tol) & (np.minimum(a, b) < mid) & (mid < np.maximum(a, b))
 
 
-def _k_section(det_batch, brackets, lam_tol):
+def _k_section(det_batch, brackets, lam_tol, sections: int = SECTIONS):
     """k-section of all brackets (a, b, det at a) in lockstep, to width
-    lam_tol: each round evaluates the SECTIONS - 1 dyadic probes of every
+    lam_tol: each round evaluates the sections - 1 dyadic probes of every
     splittable bracket in one batched determinant sweep and keeps the first
     sub-cell whose ends differ in sign.  Returns the arrays a, b, det at a."""
     a, b, fa = (np.array(col, dtype=float) for col in zip(*brackets))
     while (live := splittable(a, b, lam_tol)).any():
-        x = dyadic_points(a[live], b[live])
-        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
+        x = dyadic_points(a[live], b[live], sections)
+        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), sections - 1)
         f = np.concatenate([fa[live, None], f], axis=1)
         flip = np.sign(f[:, 1:]) != np.sign(f[:, :1])
-        j = np.where(flip.any(axis=1), flip.argmax(axis=1), SECTIONS - 1)
+        j = np.where(flip.any(axis=1), flip.argmax(axis=1), sections - 1)
         rows = np.arange(len(x))
         a[live], b[live], fa[live] = x[rows, j], x[rows, j + 1], f[rows, j]
     return a, b, fa

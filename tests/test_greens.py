@@ -20,7 +20,6 @@ from greenbvp import (
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
-    integrate_fundamental_batch,
 )
 from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
@@ -352,22 +351,6 @@ def test_long_interval_kernel_closed_form(tmp_path):
     exact = np.sin(w * lo) * np.sin(w * (hi - T)) / (w * math.sin(w * T))
     assert np.abs(values - exact).max() < 1e-8 * np.abs(exact).max()
     assert float(elapsed) < 10.0
-
-
-def test_batch_member_kernels_match_single_builds(quartic_weight_op, const_fourth_op):
-    # kernels built on the members of one lambda batch equal separate
-    # builds: to RK tolerance where the batch shares its adaptive steps, and
-    # bit for bit on matrix-exponential segments
-    for op, kind, lo, hi, rel in [
-        (extend_to_double(quartic_weight_op), BCKind.PERIODIC, -1.7, 8.3, 1e-9),
-        (const_fourth_op, BCKind.MIXED2, -31.4, -6.1, 0.0),
-    ]:
-        lams = np.linspace(lo, hi, 17)[1:-1]
-        batch = integrate_fundamental_batch(op, lams, dense=True)
-        for k, lam in enumerate(lams):
-            member = GreensEvaluator(ProblemSpec(op, kind, lam), batch.member(k)).sample_grid(41)
-            single = build_greens(ProblemSpec(op, kind, lam)).sample_grid(41)
-            assert np.abs(member - single).max() <= rel * np.abs(single).max()
 
 
 def test_complex_lambda_char_det_has_boundary_determinant_argument(second_order_op):

@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import mpmath
 import numpy as np
@@ -124,7 +125,7 @@ def test_segments_never_straddle_breakpoints(parabolic_weight_op):
 
 def test_batched_matches_single(quartic_weight_op):
     lams = np.array([-2.0, 0.5, 2.0])
-    batch = integrate_fundamental_batch(quartic_weight_op, lams, dense=False)
+    batch = integrate_fundamental_batch(quartic_weight_op, lams)
     ends = phi_end(batch)
     for i, lam in enumerate(lams):
         single = integrate_fundamental(quartic_weight_op, lam)
@@ -209,6 +210,28 @@ def test_rough_coefficients_are_refined(a0):
     assert np.abs(end - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+def test_refused_budget_counts_every_piece_and_checks_only_new_cells(monkeypatch):
+    # u'''' + sin^3(-t^2) u''' + |sin t^4| (u'' + u' + u), T = 11.96, doubled:
+    # the first piece resolves in 177 924 cells after 38 rounds of halving,
+    # and the second piece passes the budget.  Each round checks only the
+    # halves of the cells it flagged, so the checks stay within a small
+    # multiple of the cells: work counts, not wall time
+    op = extend_to_double(LinearOperator.from_exprs(
+        2, 11.96, ["abs(sin(t^4))", "abs(sin(t^4))", "abs(sin(t^4))", "sin(-t^2)^3"]))
+    checked, unresolved = [], integrate._unresolved
+    monkeypatch.setattr(integrate, "_unresolved",
+                        lambda vals, bars: checked.append(vals[0].shape[1]) or unresolved(vals, bars))
+    with pytest.raises(integrate.IntegrationError) as refusal:
+        integrate_fundamental(op, 0.0)
+    assert sum(checked) <= 3 * MAX_CELLS
+    message = re.match(r"(\S+) integration cells needed \((\d+) of them on earlier pieces\), "
+                       f"more than the budget of {MAX_CELLS}", str(refusal.value))
+    assert message is not None, str(refusal.value)
+    total, earlier = float(message[1]), int(message[2])
+    assert earlier == 177_924 and total > MAX_CELLS
+    assert sum(checked) <= 3 * total
+
+
 def test_cell_exponential_per_matrix_scaling():
     # stiff companion generators of widely different norms: each agrees with
     # scipy's expm, and a matrix gets bit for bit the same result alone as
@@ -255,11 +278,11 @@ def _members_on_batch_cells(op, lams):
     segments and cells the whole batch uses, shape (N, K, d, d)."""
     ends = []
     for lo, hi, nodes, rate in integrate._segment_nodes(op, lams):
-        piece = integrate._Piece.of(op, lo, hi, lams)
-        assert piece.polynomial and not piece.member(0).polynomial
+        members = [integrate._Piece.of(op, lo, hi, lams[k:k + 1]) for k in range(len(lams))]
+        assert integrate._Piece.of(op, lo, hi, lams).polynomial and not members[0].polynomial
         ends.append(np.concatenate([
-            integrate._magnus_segments(piece.member(k), nodes, rate, DEFAULT_TOL, False,
-                                       MAX_CELLS)[0] for k in range(len(lams))], axis=1))
+            integrate._magnus_segments(member, nodes, rate, DEFAULT_TOL, False, 0)[0]
+            for member in members], axis=1))
     return np.concatenate(ends)
 
 
@@ -270,7 +293,7 @@ def test_polynomial_batch_matches_members_on_same_cells(quartic_weight_op, case)
     lams = np.linspace(-110.0, 10.0, 41)
     if case == "2T complex":
         lams = lams + 1j * np.linspace(-3.0, 3.0, 41)
-    fs = integrate_fundamental_batch(op, lams, dense=True)
+    fs = integrate._integrate(op, lams, DEFAULT_TOL, True)
     # a complex batch of real coefficient rows must stay complex
     assert fs.segments.dtype == lams.dtype and fs.cells.prefixes.dtype == lams.dtype
     ref = _members_on_batch_cells(op, lams)
@@ -291,11 +314,11 @@ def test_polynomial_generators_only_for_lambda_free_batches(monkeypatch, quartic
         for lo, hi, nodes, rate in integrate._segment_nodes(op, batch):
             piece = integrate._Piece.of(op, lo, hi, batch)
             assert not piece.polynomial
-            _, h, _, rows = piece.cells(nodes, rate, DEFAULT_TOL, MAX_CELLS)
+            _, h, _, rows = piece.cells(nodes, rate, DEFAULT_TOL, 0)
             direct = (h[:, None, None, None] * integrate._companion(rows) if piece.constant
                       else integrate._magnus_generator(rows, h))
             assert np.array_equal(piece.generators(rows, h), direct)
-        integrate_fundamental_batch(op, batch, dense=True).local_phi(0, [0.3])
+        integrate._integrate(op, batch, DEFAULT_TOL, True).local_phi(0, [0.3])
     assert not calls
     integrate_fundamental_batch(quartic_weight_op, lams)  # the control: a (t-2)^4 batch
     assert calls

@@ -19,6 +19,7 @@ from greenbvp import (
 )
 from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
+from greenbvp import signscan as signscan_module
 from greenbvp import spectrum as spectrum_module
 from greenbvp.greens import GreensEvaluator
 from greenbvp.integrate import FundamentalSystem
@@ -244,14 +245,19 @@ def test_neumann_threshold_rows_flip_at_a_corner(name):
     assert (corners(res.threshold() + d * res.lam_tol) < 0).any()
 
 
-def _threshold_result(name):
+def _fixture_problem(name):
+    """(operator, kind, side, principal window) of a threshold row."""
     [row] = [r for r in _load_fixtures()["thresholds"] if r["name"] == name]
     op, kind = resolve_kernel(_operator_from_fixture(row["operator"]), row["kernel"])
     side = "neg" if row["type"] == "nonpositive" else "pos"
+    return op, kind, side, tuple(row["principal_window"])
+
+
+def _threshold_result(name, m=101):
+    op, kind, side, window = _fixture_problem(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return op, kind, sign_interval(op, kind, side,
-                                       principal_window=tuple(row["principal_window"]))
+        return op, kind, sign_interval(op, kind, side, m=m, principal_window=window)
 
 
 def test_mixed2_corner_lobe_counts_as_a_sign_change(const_fourth_op):
@@ -293,14 +299,44 @@ def test_sign_interval_reports_the_changed_row(const_fourth_op):
                                                 res.lam_lo - THRESHOLD_TOL], abs=1e-12)
 
 
-def test_interior_flip_keeps_the_k_section():
-    # lambda_2 (P2T) flips away from the corners: no changed problem has an
-    # eigenvalue between the probes, and the 16-section finds the threshold
-    _, _, res = _threshold_result("lambda_2")
-    assert res.changed_row is None
-    assert res.threshold() == 4.115821658013708
-    good, bad = res.bracket
-    assert good < res.threshold() < bad and bad - good <= THRESHOLD_TOL
+def test_interior_lobe_between_grid_points_is_polished():
+    # at 4.1140 the negative lobe of lambda_2's P2T kernel opens around
+    # (0.8652, 3.1348), between the points of the 101-grid, where every
+    # sample is still positive: the polished minimum shows it
+    op, kind, *_ = _fixture_problem("lambda_2")
+    report = classify_sign(build_greens(ProblemSpec(op, kind, 4.1140)), m=101)
+    assert report.classification == SIGN_CHANGING
+    assert report.sites["negative"][0] == "interior"
+    assert sorted(report.argmin) == pytest.approx([0.8652, 3.1348], abs=1e-3)
+
+
+# the root of the polished minimum of lambda_2's P2T kernel over max|G|
+LAMBDA_2 = 4.11272
+
+
+def test_interior_flip_is_the_root_of_the_polished_minimum():
+    # lambda_2 (P2T) flips away from the corners: no changed problem has a
+    # confirmed eigenvalue between the probes, and the tracked root of f
+    # does not depend on the grid
+    thresholds = []
+    for m in (101, 201):
+        _, _, res = _threshold_result("lambda_2", m=m)
+        assert res.changed_row is None
+        assert abs(res.threshold() - LAMBDA_2) <= THRESHOLD_TOL
+        good, bad = res.bracket
+        assert good < res.threshold() < bad and bad - good <= THRESHOLD_TOL
+        thresholds.append(res.threshold())
+    assert abs(thresholds[0] - thresholds[1]) <= THRESHOLD_TOL
+
+
+def test_lambda_2_agrees_with_a_fine_grid(monkeypatch):
+    # another route to lambda_2: the 801-grid alone, without the polish,
+    # keeps the sign THRESHOLD_TOL inside the tracked root and loses it
+    # THRESHOLD_TOL outside
+    monkeypatch.setattr(signscan_module, "POLISH_BAND", 0.0)
+    op, kind, *_ = _fixture_problem("lambda_2")
+    assert classify_problem(op, kind, LAMBDA_2 - THRESHOLD_TOL, m=801) == NONNEGATIVE
+    assert classify_problem(op, kind, LAMBDA_2 + THRESHOLD_TOL, m=801) == SIGN_CHANGING
 
 
 def test_reproduction_searches_each_principal_once(monkeypatch):
@@ -364,3 +400,21 @@ def test_second_order_diagonal_corner_is_classified_by_its_sides():
     assert report.sites["negative"] == ("corner", (0.0, 0.0))
     with pytest.raises(SignSearchError):
         sign_interval(op, BCKind.MIXED2, "pos", principal_window=(-60.0, 10.0))
+
+
+def test_polish_skips_ties_and_takes_at_most_polish_max():
+    # u'' N at lambda = -1e6 decays like exp(-1000 |t - s|): most samples are
+    # exactly zero, a plateau of tied minima that the polish leaves alone,
+    # and the rest of that region is rounding noise, whose strict minima it
+    # takes up to POLISH_MAX of; so it does of samples with 81 minima
+    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    G = build_greens(ProblemSpec(op, BCKind.NEUMANN, -1e6))
+    pts = signscan_module._sample_points(G.length, 101)
+    values = G.eval_grid(pts, pts)
+    assert (values == 0.0).sum() > len(pts) ** 2 / 3
+    i, j, polished, moved = signscan_module._polish(G, pts, values, np.abs(values).max())
+    assert len(i) <= signscan_module.POLISH_MAX and (values[i, j] != 0.0).all()
+    assert classify_sign(G).classification == NONPOSITIVE
+    ripple = 1e-3 + np.add.outer(*2 * [np.sin(10 * np.pi * pts) ** 2])
+    i, j, polished, moved = signscan_module._polish(G, pts, ripple, np.abs(ripple).max())
+    assert len(i) == len(polished) == len(moved) == signscan_module.POLISH_MAX
