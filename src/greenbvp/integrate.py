@@ -373,16 +373,15 @@ class _Cells:
         return out
 
 
-def _magnus_segments(piece: _Piece, nodes: np.ndarray, rate: float, tol: float,
-                     dense: bool, used: int) -> tuple:
-    """Propagate every segment of one piece: blocks of cells for the
-    generators and their exponentials, multiplied into each segment's end
-    matrix (and, dense, its per-cell prefixes).  A segment with fewer cells
-    than the most is padded with zero-width cells, whose propagator is I.
-    Returns the end matrices (nseg, K, d, d), the cell starts, the cell count
-    of each segment and (dense, else None) the prefixes of the cells in time
-    order, (cells, K, d, d)."""
-    t0, h, seg, rows = piece.cells(nodes, rate, tol, used)
+def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool) -> tuple:
+    """Propagate every segment of one piece over its cells (_Piece.cells):
+    blocks of cells for the generators and their exponentials, multiplied
+    into each segment's end matrix (and, dense, its per-cell prefixes).  A
+    segment with fewer cells than the most is padded with zero-width cells,
+    whose propagator is I.  Returns the end matrices (nseg, K, d, d), the
+    cell starts, the cell count of each segment and (dense, else None) the
+    prefixes of the cells in time order, (cells, K, d, d)."""
+    t0, h, seg, rows = cells
     nseg, K, d = len(nodes) - 1, len(piece.lams), rows.shape[-1]
     counts = np.bincount(seg, minlength=nseg)
     first = np.cumsum(counts) - counts
@@ -524,19 +523,21 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
     lams = np.asarray(lams)
     lams = lams.astype(np.result_type(lams, float))
     plan = _segment_nodes(op, lams)
-    ends, rk, pieces, piece_cells = [], [], [], []
+    ends, rk, pieces, planned, piece_cells = [], [], [], [], []
     for lo, hi, nodes, rate in plan:
         if force_rk:
             for a, b in zip(nodes[:-1], nodes[1:]):
                 end, seg = _rk_segment(op, a, b, lams, tol)
                 ends.append(end[None])
                 rk.append(seg)
-        else:
+        else:  # every piece's cells, counted to MAX_CELLS, before any is propagated
             pieces.append(_Piece.of(op, lo, hi, lams))
-            used = sum(len(starts) for starts, _, _ in piece_cells)
-            end, *cells = _magnus_segments(pieces[-1], nodes, rate, tol, dense, used)
-            ends.append(end)
-            piece_cells.append(cells)
+            used = sum(len(cells[0]) for cells in planned)
+            planned.append(pieces[-1].cells(nodes, rate, tol, used))
+    for piece, (_, _, nodes, _), cells in zip(pieces, plan, planned):
+        end, *output = _magnus_segments(piece, nodes, cells, dense)
+        ends.append(end)
+        piece_cells.append(output)
     segments = np.concatenate(ends)
     nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
     cells = None

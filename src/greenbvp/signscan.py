@@ -1,15 +1,13 @@
 """Sign classification of kernels and constant-sign lambda intervals.
 
-A kernel is classified on a uniform grid augmented with geometrically spaced
-near-boundary points: constant-sign intervals typically end where the kernel
-develops a zero at the boundary of the square, and the first violations past
-the endpoint live in thin strips or corners (scaling like t*s) that a uniform
-grid resolves far too late.  Values inside a relative zero band count as
-zero.  On a side where the kernel vanishes by a boundary row, its first
-normal derivative carries the sign instead, and at a corner of two such
-sides its mixed derivative.  A lobe narrower than the grid opens at a
-near-zero local extremum of the samples, which Newton steps polish.  The
-interval search walks outward from the principal eigenvalue until the
+A kernel is classified on a uniform grid.  Values inside a relative zero
+band count as zero.  On a side where the kernel vanishes by a boundary row,
+its first normal derivative carries the sign instead, and at a corner of
+two such sides its mixed derivative, so a lobe that grows from the boundary
+counts at once.  A lobe narrower than the grid opens at a near-zero local
+extremum of the samples, which Newton steps polish.  The lambdas of
+constant sign form an interval, so the interval search reaches outward from
+the principal eigenvalue in steps that grow fourfold until the
 classification flips.  A flip at a corner ends at an eigenvalue of a
 problem with one boundary row changed, found by a characteristic-function
 search; any other flip is the root of the polished extremum, tracked by a
@@ -53,9 +51,6 @@ NONPOSITIVE = "nonpositive"
 SIGN_CHANGING = "sign-changing"
 ZERO_ON_GRID = "identically-zero-on-grid"
 
-# Relative offsets of the extra near-boundary sample points.
-_EDGE_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3)
-
 # Kernel values within ZERO_BAND * max|G| count as zero.
 ZERO_BAND = 1e-9
 
@@ -70,7 +65,8 @@ THRESHOLD_TOL = 1e-4
 
 # The eigenvalue of a changed problem is located to this width, so that the
 # checks THRESHOLD_TOL either side of it fall on either side of the root, by
-# rounds of EIGEN_SECTIONS cells: four from a 1 % step of the default window.
+# rounds of EIGEN_SECTIONS cells: five from a 4 % step of the default window,
+# where rounds of SECTIONS cells take six.
 EIGEN_TOL = THRESHOLD_TOL / 10
 EIGEN_SECTIONS = 32
 
@@ -100,13 +96,6 @@ _SIGN_REGIONS = ("corner", "edge", "interior")
 
 _CLASSES = {(True, True): SIGN_CHANGING, (True, False): NONNEGATIVE,
             (False, True): NONPOSITIVE, (False, False): ZERO_ON_GRID}
-
-def _sample_points(length: float, m: int) -> np.ndarray:
-    pts = set(np.linspace(0.0, length, m))
-    for rel in _EDGE_OFFSETS:
-        pts.add(rel * length)
-        pts.add((1.0 - rel) * length)
-    return np.array(sorted(pts))
 
 
 def _scaled(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -150,7 +139,7 @@ def _polish(G: GreensEvaluator, pts: np.ndarray, values: np.ndarray, scale: floa
 
 
 def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
-    """Classify the kernel sign on its square.
+    """Classify the kernel sign on its square, sampled on an m x m uniform grid.
 
     Values within ZERO_BAND * max|G| count as zero.  On a side where G
     vanishes by a boundary row (greens._vanishing_ends), the sign is that of
@@ -163,7 +152,7 @@ def classify_sign(G: GreensEvaluator, m: int = 101) -> SignReport:
     """
     if m < 41:
         raise ValueError("classification grid must have at least 41 points per side")
-    pts = _sample_points(G.length, m)
+    pts = np.linspace(0.0, G.length, m)
     values = G.eval_grid(pts, pts)
     scale = float(np.abs(values).max())
     if scale == 0.0:
@@ -320,12 +309,14 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                   principal_window=None) -> SignIntervalResult:
     """Maximal constant-sign lambda interval abutting the principal eigenvalue.
 
-    Scans outward from the principal eigenvalue in steps of one percent of
-    the window width until the classification flips (to sign-changing,
-    the opposite sign, or a resonance).  The threshold is the eigenvalue
-    nearest the last good probe, of a problem with one boundary row changed
-    (greens._corner_problem), that classifications THRESHOLD_TOL inside and
-    outside it confirm; a batch scan and k-section locate it to EIGEN_TOL.
+    Probes outward from the principal eigenvalue until the classification
+    flips (to sign-changing, the opposite sign, or a resonance): the first
+    probe one percent of the window width away, each next one four times
+    the last step beyond the last good probe.  The threshold is the
+    eigenvalue nearest the last good probe, of a problem with one boundary
+    row changed (greens._corner_problem), that classifications THRESHOLD_TOL
+    inside and outside it confirm; a batch scan and k-section locate every
+    such root between the probes to EIGEN_TOL, nearest first.
     Without one, it is the root of f, the polished wrong-sign extremum over
     max|G| (classify_sign), bracketed to THRESHOLD_TOL between classified
     lambdas by a safeguarded regula falsi.
@@ -384,10 +375,9 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         problems = [p for t in (0, 1) for s in (0, 1) if (p := _corner_problem(kind, op.n, t, s))]
         x = dyadic_points(good, bad, EIGEN_SECTIONS)
         dets = _char_dets(op, np.array([C for C, _ in problems]), x)
-        flips = np.sign(dets[:, 1:]) != np.sign(dets[:, :1])
-        first = flips.argmax(axis=1)
-        for p in [p for p in np.argsort(first, kind="stable") if flips[p].any()]:
-            (C, row), i = problems[p], first[p]
+        # every sign-change cell of every problem, nearest the good end first
+        for i, p in zip(*np.nonzero((np.sign(dets[:, 1:]) != np.sign(dets[:, :-1])).T)):
+            C, row = problems[p]
             a, b, _ = _k_section(lambda lams: _char_dets(op, C, lams),
                                  [(x[i], x[i + 1], dets[p, i])], EIGEN_TOL, EIGEN_SECTIONS)
             root = float(0.5 * (a[0] + b[0]))
@@ -398,12 +388,12 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                 return root, bracket, changed
         return None
 
-    good = probe = principal
+    good = principal
     status, region, changed, bracket = "threshold-found", None, None, None
     while True:
-        probe = min(max(probe + direction * step, lo_w), hi_w)
+        probe = min(max(good + direction * step, lo_w), hi_w)
         if probe == good or ok(probe):
-            good = probe
+            good, step = probe, 4 * step
             if probe in (lo_w, hi_w):
                 found, status = probe, "window-exhausted"
                 break

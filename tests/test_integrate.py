@@ -215,14 +215,19 @@ def test_refused_budget_counts_every_piece_and_checks_only_new_cells(monkeypatch
     # the first piece resolves in 177 924 cells after 38 rounds of halving,
     # and the second piece passes the budget.  Each round checks only the
     # halves of the cells it flagged, so the checks stay within a small
-    # multiple of the cells: work counts, not wall time
+    # multiple of the cells: work counts, not wall time.  Every piece's
+    # cells are counted before any piece is propagated
     op = extend_to_double(LinearOperator.from_exprs(
         2, 11.96, ["abs(sin(t^4))", "abs(sin(t^4))", "abs(sin(t^4))", "sin(-t^2)^3"]))
     checked, unresolved = [], integrate._unresolved
     monkeypatch.setattr(integrate, "_unresolved",
                         lambda vals, bars: checked.append(vals[0].shape[1]) or unresolved(vals, bars))
+    propagated, propagate = [], integrate._magnus_segments
+    monkeypatch.setattr(integrate, "_magnus_segments",
+                        lambda *args: propagated.append(args) or propagate(*args))
     with pytest.raises(integrate.IntegrationError) as refusal:
         integrate_fundamental(op, 0.0)
+    assert not propagated
     assert sum(checked) <= 3 * MAX_CELLS
     message = re.match(r"(\S+) integration cells needed \((\d+) of them on earlier pieces\), "
                        f"more than the budget of {MAX_CELLS}", str(refusal.value))
@@ -281,7 +286,8 @@ def _members_on_batch_cells(op, lams):
         members = [integrate._Piece.of(op, lo, hi, lams[k:k + 1]) for k in range(len(lams))]
         assert integrate._Piece.of(op, lo, hi, lams).polynomial and not members[0].polynomial
         ends.append(np.concatenate([
-            integrate._magnus_segments(member, nodes, rate, DEFAULT_TOL, False, 0)[0]
+            integrate._magnus_segments(member, nodes, member.cells(nodes, rate, DEFAULT_TOL, 0),
+                                       False)[0]
             for member in members], axis=1))
     return np.concatenate(ends)
 

@@ -23,8 +23,8 @@ from greenbvp import signscan as signscan_module
 from greenbvp import spectrum as spectrum_module
 from greenbvp.greens import GreensEvaluator
 from greenbvp.integrate import FundamentalSystem
-from greenbvp.signscan import NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, THRESHOLD_TOL, ZERO_BAND, \
-    SignSearchError, _load_fixtures, _operator_from_fixture, resolve_kernel
+from greenbvp.signscan import EIGEN_TOL, NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, THRESHOLD_TOL, \
+    ZERO_BAND, SignSearchError, _load_fixtures, _operator_from_fixture, resolve_kernel
 
 
 def test_string_kernel_is_nonpositive(second_order_op):
@@ -163,8 +163,9 @@ def test_reproduction_suite_passes():
 
 
 def test_classify_sign_integrates_each_point_set_once(second_order_op, monkeypatch):
-    # the Dirichlet kernel vanishes on the boundary, so the refinement pass
-    # adds midpoints in t and in s: three point sets, one local Phi each
+    # the grid's points take one local Phi, which the sides' normal
+    # derivatives of the vanishing Dirichlet kernel and the polish's
+    # neighbours reuse: at most the grid and the polish's two Newton steps
     G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET))
     assert G.nseg == 1
     calls = []
@@ -175,14 +176,15 @@ def test_classify_sign_integrates_each_point_set_once(second_order_op, monkeypat
         return original(self, seg, ts)
 
     monkeypatch.setattr(FundamentalSystem, "local_phi", counted)
-    assert classify_sign(G).classification == NONPOSITIVE
-    assert len(calls) <= 3
+    assert classify_sign(G, m=101).classification == NONPOSITIVE
+    assert len(calls) <= 3 and calls[0] == 101
 
 
 def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
     # the M2 threshold is the eigenvalue of the problem with one boundary
     # row changed, found with fewer than half of the 42 integrations of a
-    # serial bisection
+    # serial bisection, to EIGEN_TOL: the characteristic function of the
+    # problem changed at the corner (0, 0) changes sign across it
     calls = []
     original = integrate_module._integrate
 
@@ -195,9 +197,14 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
                             principal_window=(-10.0, 2.0))
-    assert res.lam_lo == pytest.approx(-31.285245122913707, rel=1e-9)
+    assert res.lam_lo == pytest.approx(-31.285243334774364, rel=1e-9)
+    assert abs(res.lam_lo - -31.285245122913707) <= EIGEN_TOL
     assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
     assert len(calls) < 21
+    C, _ = greens_module._corner_problem(BCKind.MIXED2, 2, 0, 0)
+    dets = greens_module._char_dets(const_fourth_op, C, [res.lam_lo - EIGEN_TOL,
+                                                         res.lam_lo + EIGEN_TOL])
+    assert dets[0] * dets[1] < 0
 
 
 def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch):
@@ -258,6 +265,21 @@ def _threshold_result(name, m=101):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return op, kind, sign_interval(op, kind, side, m=m, principal_window=window)
+
+
+def test_no_threshold_lies_past_an_eigenvalue_of_its_own_problem():
+    # the kernel has a pole at each eigenvalue of its problem, so no
+    # constant-sign interval reaches past one: between the principal and
+    # each fixture threshold the problem has no other eigenvalue.  For
+    # lambda_6 (u'''' N on [0, 3]) the first probe lies past -(pi/3)^4
+    names = [r["name"] for r in _load_fixtures()["thresholds"] if r["type"] != "principal"]
+    for name in names:
+        op, kind, res = _threshold_result(name)
+        assert res.endpoint_status == "threshold-found"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spectrum = spectrum_module.find_eigenvalues(op, kind, (res.lam_lo, res.lam_hi))
+        assert all(lam == pytest.approx(res.principal, abs=1e-6) for lam in spectrum.lams()), name
 
 
 def test_mixed2_corner_lobe_counts_as_a_sign_change(const_fourth_op):
@@ -386,14 +408,14 @@ def test_vanishing_sides_are_classified_without_refinement(const_fourth_op, monk
     monkeypatch.setattr(GreensEvaluator, "eval_grid", counted)
     report = classify_sign(G)
     assert report.classification == NONNEGATIVE
-    assert sum(points) <= 109 ** 2 + 2 * 109
+    assert sum(points) <= 101 ** 2 + 2 * 101
 
 
 def test_second_order_diagonal_corner_is_classified_by_its_sides():
     # a second-order kernel behaves like c min(t, s) at a diagonal corner;
     # for u'' + u'/2 + (2 + lam) u M2 c stays -1 above the principal
     # eigenvalue 0.003643, so the kernel is never nonnegative there, though
-    # at 0.00385 its negative lobe is narrower than the first grid offset
+    # at 0.00385 its negative lobe is narrower than 1e-4 of the length
     op = LinearOperator.from_exprs(1, 1.0, ["2", "0.5"])
     report = classify_sign(build_greens(ProblemSpec(op, BCKind.MIXED2, 0.00385)))
     assert report.classification == SIGN_CHANGING
@@ -409,7 +431,7 @@ def test_polish_skips_ties_and_takes_at_most_polish_max():
     # takes up to POLISH_MAX of; so it does of samples with 81 minima
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     G = build_greens(ProblemSpec(op, BCKind.NEUMANN, -1e6))
-    pts = signscan_module._sample_points(G.length, 101)
+    pts = np.linspace(0.0, G.length, 101)
     values = G.eval_grid(pts, pts)
     assert (values == 0.0).sum() > len(pts) ** 2 / 3
     i, j, polished, moved = signscan_module._polish(G, pts, values, np.abs(values).max())
