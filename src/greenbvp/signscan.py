@@ -27,7 +27,7 @@ import numpy as np
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
     _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_source, kernel_table
 from .operators import LinearOperator
-from .spectrum import _k_section, dyadic_points, principal_eigenvalue
+from .spectrum import _refine_brackets, dyadic_points, principal_eigenvalue
 
 __all__ = [
     "NONNEGATIVE",
@@ -63,12 +63,10 @@ POLISH_MAX = 16
 # sign_interval locates the threshold to this width in lambda.
 THRESHOLD_TOL = 1e-4
 
-# The eigenvalue of a changed problem is located to this width, so that the
-# checks THRESHOLD_TOL either side of it fall on either side of the root, by
-# rounds of EIGEN_SECTIONS cells: five from a 4 % step of the default window,
-# where rounds of SECTIONS cells take six.
+# The eigenvalue of a changed problem is k-sectioned to a bracket this wide
+# and read at its false-position point, well inside the checks THRESHOLD_TOL
+# either side of the root.
 EIGEN_TOL = THRESHOLD_TOL / 10
-EIGEN_SECTIONS = 32
 
 # Points per side of the uniform grid of each sweep_extrema row.
 SWEEP_GRID = 41
@@ -315,8 +313,9 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     the last step beyond the last good probe.  The threshold is the
     eigenvalue nearest the last good probe, of a problem with one boundary
     row changed (greens._corner_problem), that classifications THRESHOLD_TOL
-    inside and outside it confirm; a batch scan and k-section locate every
-    such root between the probes to EIGEN_TOL, nearest first.
+    inside and outside it confirm.  A batch scan of each distinct changed
+    problem brackets its roots between the probes, and, nearest first, each
+    is k-sectioned to EIGEN_TOL and read at its false-position point.
     Without one, it is the root of f, the polished wrong-sign extremum over
     max|G| (classify_sign), bracketed to THRESHOLD_TOL between classified
     lambdas by a safeguarded regula falsi.
@@ -372,15 +371,16 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     def eigen_threshold(good: float, bad: float):
         """(threshold, bracket, changed row) of the nearest confirmed root, or None."""
-        problems = [p for t in (0, 1) for s in (0, 1) if (p := _corner_problem(kind, op.n, t, s))]
-        x = dyadic_points(good, bad, EIGEN_SECTIONS)
+        corners = (_corner_problem(kind, op.n, t, s) for t in (0, 1) for s in (0, 1))
+        problems = list({C.tobytes(): (C, row) for C, row in filter(None, corners)}.values())
+        x = dyadic_points(good, bad)
         dets = _char_dets(op, np.array([C for C, _ in problems]), x)
         # every sign-change cell of every problem, nearest the good end first
         for i, p in zip(*np.nonzero((np.sign(dets[:, 1:]) != np.sign(dets[:, :-1])).T)):
             C, row = problems[p]
-            a, b, _ = _k_section(lambda lams: _char_dets(op, C, lams),
-                                 [(x[i], x[i + 1], dets[p, i])], EIGEN_TOL, EIGEN_SECTIONS)
-            root = float(0.5 * (a[0] + b[0]))
+            [(root, _)] = _refine_brackets(lambda lams: _char_dets(op, C, lams),
+                                           [(x[i], x[i + 1], dets[p, i], dets[p, i + 1])],
+                                           EIGEN_TOL)
             bracket = (root - direction * THRESHOLD_TOL, root + direction * THRESHOLD_TOL)
             if ok(bracket[0]) and not ok(bracket[1]):
                 base = _boundary_coeffs(kind, op.n)[row]

@@ -3,13 +3,14 @@
 Eigenvalues are the zeros of the characteristic function det(C W) of
 char_det_scan: the boundary functionals C on an orthonormal basis W of the
 solution graph, the same matrix whose smallest singular value is a kernel's
-resonance margin.  A scan over a lambda window finds sign-change brackets
-(refined by 16-section, one batched sweep per round, plus a short secant
-polish).  Where |det| dips between scan points of one sign, the roots near
-the dip are counted by the argument principle (det is entire in lambda): the
-dip is zoomed until it shows a sign change or closes on a root of even
-multiplicity, which really occur (periodic and antiperiodic problems carry
-double eigenvalues inherited from two two-point problems at once).
+resonance margin.  A scan over a lambda window finds sign-change brackets,
+refined by 16-section (one batched sweep per round) and read at the
+false-position point of the final bracket.  Where |det| dips between scan
+points of one sign, the roots near the dip are counted by the argument
+principle (det is entire in lambda): the dip is zoomed until it shows a
+sign change or closes on a root of even multiplicity, which really occur
+(periodic and antiperiodic problems carry double eigenvalues inherited from
+two two-point problems at once).
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ class Spectrum:
         }
 
 
-def dyadic_points(a, b, sections: int = SECTIONS) -> np.ndarray:
-    """a, b and the sections - 1 points between them that log2(sections)
+def dyadic_points(a, b) -> np.ndarray:
+    """a, b and the SECTIONS - 1 points between them that log2(SECTIONS)
     bisection steps on [a, b] can visit, each computed as the midpoint of
-    its two parents as bisection computes it; shape (..., sections + 1)."""
+    its two parents as bisection computes it; shape (..., SECTIONS + 1)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x = np.empty(a.shape + (sections + 1,))
+    x = np.empty(a.shape + (SECTIONS + 1,))
     x[..., 0], x[..., -1] = a, b
-    step = sections
+    step = SECTIONS
     while step > 1:
         x[..., step // 2::step] = 0.5 * (x[..., :-1:step] + x[..., step::step])
         step //= 2
@@ -136,46 +137,33 @@ def splittable(a, b, lam_tol):
     return (np.abs(b - a) > lam_tol) & (np.minimum(a, b) < mid) & (mid < np.maximum(a, b))
 
 
-def _k_section(det_batch, brackets, lam_tol, sections: int = SECTIONS):
-    """k-section of all brackets (a, b, det at a) in lockstep, to width
-    lam_tol: each round evaluates the sections - 1 dyadic probes of every
-    splittable bracket in one batched determinant sweep and keeps the first
-    sub-cell whose ends differ in sign.  Returns the arrays a, b, det at a."""
-    a, b, fa = (np.array(col, dtype=float) for col in zip(*brackets))
+def _k_section(det_batch, brackets, lam_tol):
+    """k-section of all brackets (a, b, det at a, det at b) in lockstep to
+    width lam_tol: each round evaluates the SECTIONS - 1 dyadic probes of
+    every splittable bracket in one batched determinant sweep and keeps the
+    first sub-cell whose right end differs in sign from det at a.  Returns
+    the arrays a, b and the det at each."""
+    a, b, fa, fb = (np.array(col, dtype=float) for col in zip(*brackets))
     while (live := splittable(a, b, lam_tol)).any():
-        x = dyadic_points(a[live], b[live], sections)
-        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), sections - 1)
-        f = np.concatenate([fa[live, None], f], axis=1)
-        flip = np.sign(f[:, 1:]) != np.sign(f[:, :1])
-        j = np.where(flip.any(axis=1), flip.argmax(axis=1), sections - 1)
+        x = dyadic_points(a[live], b[live])
+        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
+        f = np.concatenate([fa[live, None], f, fb[live, None]], axis=1)
+        j = np.argmax(np.sign(f[:, 1:]) != np.sign(f[:, :1]), axis=1)
         rows = np.arange(len(x))
-        a[live], b[live], fa[live] = x[rows, j], x[rows, j + 1], f[rows, j]
-    return a, b, fa
+        a[live], b[live] = x[rows, j], x[rows, j + 1]
+        fa[live], fb[live] = f[rows, j], f[rows, j + 1]
+    return a, b, fa, fb
 
 
 def _refine_brackets(det_batch, brackets, lam_tol):
-    """_k_section of all brackets, then a short secant polish, also
-    batched."""
+    """(root, width) of each bracket (a, b, det at a, det at b): the
+    false-position point of its _k_section cell, and that cell's width, at
+    least lam_tol."""
     if not brackets:
         return []
-    a, b, fa = _k_section(det_batch, brackets, lam_tol)
-    x0, x1 = a.copy(), b.copy()
-    f0, f1 = fa, det_batch(b)
-    best_x = 0.5 * (a + b)
-    best_f = det_batch(best_x)
-    for _ in range(3):
-        denom = f1 - f0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x2 = x1 - f1 * (x1 - x0) / denom
-        bad = ~np.isfinite(x2) | (x2 < a) | (x2 > b)
-        x2 = np.where(bad, best_x, x2)
-        f2 = det_batch(x2)
-        better = np.abs(f2) < np.abs(best_f)
-        best_x = np.where(better, x2, best_x)
-        best_f = np.where(better, f2, best_f)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    widths = np.maximum(b - a, lam_tol)
-    return [(float(x), float(w)) for x, w in zip(best_x, widths)]
+    a, b, fa, fb = _k_section(det_batch, brackets, lam_tol)
+    roots = a - fa * (b - a) / (fb - fa)
+    return [(float(x), float(w)) for x, w in zip(roots, np.maximum(abs(b - a), lam_tol))]
 
 
 def _root_counts(det_batch, a, b) -> np.ndarray:
@@ -223,7 +211,8 @@ def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
         f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
         f = np.concatenate([fa[live, None], f, fb[live, None]], axis=1)
         flip = np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0
-        brackets += [(x[r, j], x[r, j + 1], f[r, j]) for r, j in zip(*np.nonzero(flip))]
+        r, j = np.nonzero(flip)
+        brackets += zip(x[r, j], x[r, j + 1], f[r, j], f[r, j + 1])
         rows = np.nonzero(~flip.any(axis=1))[0]
         j = 1 + np.argmin(np.abs(f[rows, 1:-1]), axis=1)
         a, b, fa, fb = x[rows, j - 1], x[rows, j + 1], f[rows, j - 1], f[rows, j + 1]
@@ -283,7 +272,7 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
         roots.append((float(grid[i]), 0.0, bool(even)))
 
     cut = np.nonzero((signs[:-1] * signs[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
-    brackets = list(zip(grid[cut], grid[cut + 1], dets[cut]))
+    brackets = list(zip(grid[cut], grid[cut + 1], dets[cut], dets[cut + 1]))
     dip = 1 + np.nonzero((absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:])
                          & (signs[:-2] == signs[1:-1]) & (signs[1:-1] == signs[2:])
                          & ~(exact[:-2] | exact[1:-1] | exact[2:]))[0]

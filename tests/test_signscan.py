@@ -182,9 +182,10 @@ def test_classify_sign_integrates_each_point_set_once(second_order_op, monkeypat
 
 def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
     # the M2 threshold is the eigenvalue of the problem with one boundary
-    # row changed, found with fewer than half of the 42 integrations of a
-    # serial bisection, to EIGEN_TOL: the characteristic function of the
-    # problem changed at the corner (0, 0) changes sign across it
+    # row changed, found with 16 of the 42 integrations of a serial
+    # bisection: the false-position point of its EIGEN_TOL bracket, across
+    # which the characteristic function of the problem changed at the
+    # corner (0, 0) changes sign within 1e-9
     calls = []
     original = integrate_module._integrate
 
@@ -197,14 +198,33 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
                             principal_window=(-10.0, 2.0))
-    assert res.lam_lo == pytest.approx(-31.285243334774364, rel=1e-9)
+    assert res.lam_lo == pytest.approx(-31.285243858777164, rel=1e-9)
     assert abs(res.lam_lo - -31.285245122913707) <= EIGEN_TOL
     assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
-    assert len(calls) < 21
+    assert len(calls) <= 16
     C, _ = greens_module._corner_problem(BCKind.MIXED2, 2, 0, 0)
-    dets = greens_module._char_dets(const_fourth_op, C, [res.lam_lo - EIGEN_TOL,
-                                                         res.lam_lo + EIGEN_TOL])
+    dets = greens_module._char_dets(const_fourth_op, C, [res.lam_lo - 1e-9, res.lam_lo + 1e-9])
     assert dets[0] * dets[1] < 0
+
+
+def test_periodic_changed_problems_are_k_sectioned_once(monkeypatch):
+    # a periodic kind gives each of its two changed problems at two
+    # corners; each distinct problem is searched and confirmed once
+    op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
+    o, kind = resolve_kernel(op, "P4T")
+    calls = []
+    original = signscan_module.classify_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(signscan_module, "classify_problem", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sign_interval(o, kind, "neg")
+    assert res.threshold() == pytest.approx(1.257260777566494, abs=THRESHOLD_TOL)
+    assert len(calls) <= 21
 
 
 def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch):
@@ -308,6 +328,19 @@ def test_dirichlet_and_mixed2_thresholds_are_the_changed_problems_eigenvalues(na
     want = NONPOSITIVE if res.side.startswith("nonpositive") else NONNEGATIVE
     assert classify_problem(op, kind, inside) == want
     assert classify_problem(op, kind, outside) == SIGN_CHANGING
+
+
+@pytest.mark.parametrize("sections", [8, 32])
+def test_thresholds_do_not_depend_on_the_section_count(sections, monkeypatch):
+    # every search ends at the false-position point of its final bracket,
+    # so the cells per k-section round change no answer
+    names = ("lambda_8", "lambda_11")
+    default = [_threshold_result(name)[2] for name in names]
+    monkeypatch.setattr(spectrum_module, "SECTIONS", sections)
+    for name, res in zip(names, default):
+        other = _threshold_result(name)[2]
+        assert other.threshold() == pytest.approx(res.threshold(), abs=1e-9)
+        assert other.principal == pytest.approx(res.principal, abs=1e-9)
 
 
 def test_sign_interval_reports_the_changed_row(const_fourth_op):

@@ -256,7 +256,7 @@ def test_resonant_window_endpoint_shrinks_and_warns(const_fourth_op):
 
 def test_refine_brackets_k_section_rounds():
     # three simple roots, one of them on a bisection midpoint, located to
-    # lam_tol in ceil(log16(w0 / lam_tol)) rounds plus the five polish sweeps
+    # lam_tol in ceil(log16(w0 / lam_tol)) rounds
     roots = np.array([0.123456789, math.sqrt(3.0), 2.5])
     calls = []
 
@@ -266,11 +266,11 @@ def test_refine_brackets_k_section_rounds():
         return np.prod(xs[:, None] - roots, axis=1)
 
     lam_tol, w0 = 1e-6, 0.1
-    brackets = [(r0, r0 + w0, det_batch([r0])[0]) for r0 in (0.1, 1.7, 2.45)]
+    brackets = [(r0, r0 + w0, *det_batch([r0, r0 + w0])) for r0 in (0.1, 1.7, 2.45)]
     calls.clear()
     found = _refine_brackets(det_batch, brackets, lam_tol)
     assert np.abs(np.array([x for x, _ in found]) - roots).max() <= lam_tol
-    assert len(calls) <= math.ceil(math.log(w0 / lam_tol, 16)) + 5
+    assert len(calls) <= math.ceil(math.log(w0 / lam_tol, 16))
 
 
 def test_refine_brackets_stops_at_float_spacing():
@@ -284,7 +284,7 @@ def test_refine_brackets_stops_at_float_spacing():
             raise AssertionError("k-section does not terminate")
         return np.sin(np.sqrt(np.asarray(xs, dtype=float)))
 
-    [(x, width)] = _refine_brackets(det_batch, [(5.0, 15.0, det_batch([5.0])[0])], 1e-16)
+    [(x, width)] = _refine_brackets(det_batch, [(5.0, 15.0, *det_batch([5.0, 15.0]))], 1e-16)
     assert x == pytest.approx(math.pi ** 2, rel=1e-14)
     assert width <= 4 * np.spacing(math.pi ** 2)
 
