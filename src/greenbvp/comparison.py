@@ -56,25 +56,30 @@ def _as_expr(sigma) -> ExprAst:
     return sigma
 
 
-def _simpson_nodes(vals: np.ndarray, xs: np.ndarray) -> float:
-    """Composite Simpson on the given nodes (>= 2 subintervals)."""
-    n = len(xs) - 1
-    h = xs[1] - xs[0]
-    total = 0.0
-    start = 0
-    if n % 2 == 1:
-        total += 3 * h / 8 * (vals[0] + 3 * vals[1] + 3 * vals[2] + vals[3])
-        start = 3
-    seg = vals[start:]
-    if len(seg) >= 3:
-        total += h / 3 * (seg[0] + 4 * seg[1:-1:2].sum() + 2 * seg[2:-2:2].sum() + seg[-1])
-    return float(total)
+def _simpson_weights(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Weight, in steps, of the local node k of a composite rule over n
+    uniform subintervals, 0 off [0, n]: Simpson, after a 3/8 rule on the
+    first three subintervals for odd n >= 3; the two-node weights of
+    Simpson's rule for n = 1, whose midpoint term solve_bvp adds."""
+    odd = n % 2 == 1
+    # node j of the Simpson part's p subintervals
+    j, p = np.where(odd, k - 3, k), np.where(odd, n - 3, n)
+    simpson = np.where((j == 0) | (j == p), 1.0, np.where(j % 2 == 1, 4.0, 2.0)) / 3.0
+    weights = np.where((p >= 2) & (0 <= j) & (j <= p), simpson, 0.0)
+    eighths = np.where(k % 3 == 0, 3.0, 9.0) / 8.0
+    weights += np.where(odd & (n >= 3) & (0 <= k) & (k <= 3), eighths, 0.0)
+    return weights + np.where((n == 1) & (0 <= k) & (k <= 1), 1.0 / 6.0, 0.0)
 
 
 def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     """Solution samples u(t_i) of L[lam] u = sigma under the kernel's
     boundary conditions, by Simpson quadrature split at the diagonal; m must
     be odd and at least MIN_SOLVE_GRID.
+
+    Row i integrates G(t_i, s) sigma(s) over [0, t_i] (i subintervals) and
+    over [t_i, T] (m - 1 - i subintervals), each by _simpson_weights; the
+    two one-subinterval rows take the midpoint term of Simpson's rule from
+    one more kernel evaluation.
     """
     if m < MIN_SOLVE_GRID or m % 2 == 0:
         raise ValueError(f"quadrature grid must be odd and at least {MIN_SOLVE_GRID}")
@@ -83,23 +88,14 @@ def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     lam = G.problem.lam
     ts = np.linspace(0.0, G.length, m)
     sig = np.broadcast_to(np.asarray(f(ts, lam), dtype=float), ts.shape)
-    grid = G.eval_grid(ts, ts)
-    values = np.empty(m)
-    for i in range(m):
-        left = grid[i, : i + 1] * sig[: i + 1]
-        right = grid[i, i:] * sig[i:]
-        total = 0.0
-        for vals, xs, lo_idx in ((left, ts[: i + 1], 0), (right, ts[i:], i)):
-            n = len(xs) - 1
-            if n == 0:
-                continue
-            if n == 1:
-                mid = 0.5 * (xs[0] + xs[1])
-                gm = G(ts[i], mid) * float(f(mid, lam))
-                total += (xs[1] - xs[0]) / 6.0 * (vals[0] + 4 * gm + vals[1])
-            else:
-                total += _simpson_nodes(vals, xs)
-        values[i] = total
+    i, j = np.arange(m)[:, None], np.arange(m)
+    weights = _simpson_weights(i, j) + _simpson_weights(m - 1 - i, j - i)
+    values = (weights * G.eval_grid(ts, ts)) @ sig
+    # the midpoints of [t_0, t_1] for row 1 and of [t_(m-2), t_(m-1)] for row m - 2
+    rows, mids = np.array([1, m - 2]), 0.5 * (ts[[0, m - 2]] + ts[[1, m - 1]])
+    gm = np.diagonal(G.eval_grid(ts[rows], mids))
+    values[rows] += (4.0 / 6.0) * gm * np.broadcast_to(np.asarray(f(mids, lam), dtype=float), 2)
+    values *= ts[1] - ts[0]
     source = sigma if isinstance(sigma, str) else "<expr>"
     return SampledSolution(G.problem.kind, ts, values, source)
 

@@ -22,7 +22,10 @@ reduction also gives eigenfunctions their node states (homogeneous_states).
 All boundary families of one operator and lambda solve the same equation:
 their kernels share one fundamental system, whose segment end matrices and
 grid factors (segment indices and local Phi of a point set) are computed
-once.  Only C, the block reduction and the margin are per family.
+once.  Only C, the block reduction and the margin are per family, and so
+are the node states of a set of source points, which a kernel keeps for
+the grids that reuse the set.  In kernel_source the extensions and the
+reflection of an operator derive their systems from its own.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import FundamentalSystem, integrate_fundamental, integrate_fundamental_batch
-from .operators import LinearOperator, coeff_values, extend_to_double
+from .integrate import (FundamentalSystem, integrate_fundamental, integrate_fundamental_batch,
+                        mirror_fundamental)
+from .operators import LinearOperator, coeff_values, extend_to_double, mirror_of
 
 __all__ = [
     "BCKind",
@@ -377,6 +381,17 @@ def homogeneous_states(C: np.ndarray, ends: np.ndarray):
         return None
 
 
+def _keep_last(store: dict, key, value, size: int):
+    """value, kept in store under key if it covers over one point, where
+    the eight latest stay: point sets repeat across grids, single points
+    rarely."""
+    if size > 1:
+        if len(store) >= 8:
+            del store[next(iter(store))]
+        store[key] = value
+    return value
+
+
 @dataclass(frozen=True)
 class _GridFactor:
     """Points of one grid axis, their segments and local Phi (n, d, d)."""
@@ -422,6 +437,7 @@ class GreensEvaluator:
                                  if np.isfinite(Z).all() else 0.0)
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
+        self._sources = {}  # (points, s_order) -> _source
 
     def _locate(self, pts) -> _GridFactor:
         """Segment indices and local Phi of one point set, not kept."""
@@ -441,16 +457,29 @@ class GreensEvaluator:
         key = pts.tobytes()
         if key in factors:
             return factors[key]
-        factor = self._locate(pts)
-        if pts.size > 1:
-            if len(factors) >= 8:
-                del factors[next(iter(factors))]
-            factors[key] = factor
-        return factor
+        return _keep_last(factors, key, self._locate(pts), pts.size)
 
     def _node_states(self, seg_s: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Solve the block system for every s: result (N+1, d, ns)."""
         return self._system.solve_impulses(seg_s, np.einsum("nij,jn->ni", self._ends[seg_s], xs))
+
+    def _source(self, fsrc: _GridFactor, s_order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The impulse states x_s (d, ns) of the source points (or their
+        s_order-th s-derivatives, see _grid) and the node states (N+1, d, ns)
+        they give; the last eight sets of over one point stay on the kernel."""
+        key = (fsrc.pts.tobytes(), s_order)
+        if key in self._sources:
+            return self._sources[key]
+        # A(s) e_d is the companion matrix's last column e_(d-1) - a_(d-1)(s) e_d
+        e = np.zeros((len(fsrc.pts), self.d, 1))
+        if s_order:
+            e[:, -2] = -1.0
+            e[:, -1, 0] = coeff_values(self.problem.operator, self.d - 1, fsrc.pts)
+        else:
+            e[:, -1] = 1.0
+        xs = np.linalg.solve(fsrc.phi, e)[..., 0].T
+        return _keep_last(self._sources, key, (xs, self._node_states(fsrc.seg, xs)),
+                          len(fsrc.pts))
 
     def eval_grid(self, ts, ss, component: int = 0) -> np.ndarray:
         """Kernel values on the tensor grid, shape (len(ts), len(ss)).
@@ -470,24 +499,19 @@ class GreensEvaluator:
         ft = ts if isinstance(ts, _GridFactor) else self._factor(ts)
         fsrc = ft if ss is ts else ss if isinstance(ss, _GridFactor) else self._factor(ss)
         ts, seg_t, ss, seg_s = ft.pts, ft.seg, fsrc.pts, fsrc.seg
-
-        # impulse states x_s (or their s-derivatives), shape (d, ns); A(s) e_d
-        # is the companion matrix's last column e_(d-1) - a_(d-1)(s) e_d
-        e = np.zeros((len(ss), self.d, 1))
-        if s_order:
-            e[:, -2] = -1.0
-            e[:, -1, 0] = coeff_values(self.problem.operator, self.d - 1, ss)
-        else:
-            e[:, -1] = 1.0
-        xs = np.linalg.solve(fsrc.phi, e)[..., 0].T
-        Y = self._node_states(seg_s, xs)
+        xs, Y = self._source(fsrc, s_order)
         rows = ft.phi[:, component, :]
 
-        # homogeneous part: each t's row times the node states of its segment
-        G = sum(rows[:, j, None] * Y[seg_t, j] for j in range(self.d))
+        # homogeneous part: each t's row times the node states of its segment,
+        # gathered for at most d blocks of rows, so a block holds nt ns values
+        G = np.empty((len(ts), len(ss)), dtype=np.result_type(rows, Y))
+        block = max(1, -(-len(ts) // self.d))
+        for i in range(0, len(ts), block):
+            part = slice(i, i + block)
+            np.matmul(rows[part, None, :], Y[seg_t[part]], out=G[part, None, :])
         # impulse part, where t and s share a segment and t >= s
         same = (seg_t[:, None] == seg_s) & (ts[:, None] >= ss)
-        return G + np.where(same, rows @ xs, 0.0)
+        return np.add(G, rows @ xs, out=G, where=same)
 
     def __call__(self, t: float, s: float) -> float:
         """G(t, s): both points share one local Phi evaluation, not kept."""
@@ -511,16 +535,32 @@ def build_greens(problem: ProblemSpec) -> GreensEvaluator:
 
 def kernel_source(lam: float):
     """kernel(op, kind) -> the kernel of (op, kind) at lam, kept for repeated
-    requests.  Each distinct operator is integrated once, on first use, and its
-    kernels share that system; a resonant problem raises on every request."""
+    requests; a resonant problem raises on every request.  Each distinct
+    operator gets one fundamental system, on first use, shared by its
+    kernels.  An extension or reflection of another operator
+    (operators.mirror_of) derives it from that operator's system
+    (integrate.mirror_fundamental), so the nine problems of kernel_table and
+    the reflected operator integrate the base operator alone; any other
+    operator is integrated."""
     systems, kernels = {}, {}
 
     def kernel(op: LinearOperator, kind: BCKind) -> GreensEvaluator:
         G = kernels.get((op, kind))
         if G is None:
-            if op not in systems:
-                systems[op] = integrate_fundamental(op, lam)
-            G = kernels[op, kind] = GreensEvaluator(ProblemSpec(op, kind, lam), systems[op])
+            fs = _system(systems, op, lam)
+            G = kernels[op, kind] = GreensEvaluator(ProblemSpec(op, kind, lam), fs)
         return G
 
     return kernel
+
+
+def _system(systems: dict, op: LinearOperator, lam: float) -> FundamentalSystem:
+    """The fundamental system of op at lam, kept in systems: derived from its
+    base operator's where op has one (kernel_source), else integrated.  A
+    module function, not a closure of kernel_source, so that no reference
+    cycle keeps the systems alive after their kernel source."""
+    if op not in systems:
+        link = mirror_of(op)
+        systems[op] = (mirror_fundamental(op, _system(systems, link[0], lam), *link[1:])
+                       if link else integrate_fundamental(op, lam))
+    return systems[op]

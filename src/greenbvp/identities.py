@@ -219,9 +219,9 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
                    m: int = DEFAULT_GRID) -> list[IdentityReport]:
     """Run the requested identity checks (default: all applicable) for the
     base operator at one lambda, sharing kernel builds across identities.
-    Each operator (the base one, its extensions and its reflection) is
-    integrated once, and its kernels share that system, its graph basis and
-    its grid factors.
+    The base operator alone is integrated: its extensions and its
+    reflection derive their systems from the base's (greens.kernel_source),
+    and the kernels of each operator share its system and grid factors.
 
     Problems refused as resonant or whose resonance margin (the smallest
     singular value of the boundary functionals on the orthonormal solution

@@ -17,11 +17,13 @@ vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap.  Lambda enters only as the shift of a_0 (no
 coefficient uses it), so the coefficient samples are shared by the whole
 batch, and so are the generators of larger batches (see
-_magnus_polynomial).  An adaptive Dormand-Prince 5(4) integration of a
-single lambda is kept as an independent reference
-(integrate_fundamental(force_rk=True)).  It is the only user of scipy, which
-the package does not require: scipy.integrate is imported on the first call
-and comes with the test extra.
+_magnus_polynomial).  The doubled, quadrupled and reflected operators
+carry the base operator reflected, so mirror_fundamental builds their
+systems from the base's, with no integration of their own.  An adaptive
+Dormand-Prince 5(4) integration of a single lambda is kept as an
+independent reference (integrate_fundamental(force_rk=True)).  It is the
+only user of scipy, which the package does not require: scipy.integrate is
+imported on the first call and comes with the test extra.
 """
 
 from __future__ import annotations
@@ -356,21 +358,73 @@ class _Cells:
     def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Phi relative to each point's segment start, shape (nt, K, d, d):
         one partial Magnus step from the start of the cell that holds t,
-        times the propagator up to that cell.  The points of one piece share
-        one exponential call."""
+        times the propagator up to that cell.  The generators of every piece
+        share one exponential call."""
         cell = np.clip(np.searchsorted(self.starts, ts, side="right") - 1,
                        self.first[seg], self.first[seg + 1] - 1)
         t0 = self.starts[cell]
         h = ts - t0
         piece_of = self.piece[cell]
-        out = np.empty((len(ts),) + self.prefixes.shape[1:], dtype=self.prefixes.dtype)
+        generators = np.empty((len(ts),) + self.prefixes.shape[1:], dtype=self.prefixes.dtype)
         for i in np.unique(piece_of):
             sel = piece_of == i
             piece = self.pieces[i]
-            out[sel] = expm(piece.generators(piece.sample(t0[sel], h[sel]), h[sel]))
+            generators[sel] = piece.generators(piece.sample(t0[sel], h[sel]), h[sel])
+        out = expm(generators)
         inner = cell > self.first[seg]
         out[inner] = out[inner] @ self.prefixes[cell[inner] - 1]
         return out
+
+
+@dataclass(frozen=True)
+class _Mirrored:
+    """Dense output of a system derived from base's by the reflection
+    t -> about - t (mirror_fundamental): its first kept segments are base's
+    own, and the later ones mirror base's segments, last first.  On the
+    mirror of base segment k, local Phi is S Phi_k(about - t) E_k^-1 S, with
+    Phi_k base's local Phi, E_k its propagator and S = diag((-1)^j)."""
+
+    base: "_Cells | _Mirrored"
+    about: float
+    kept: int
+    inverses: np.ndarray   # (N, K, d, d) E_k^-1 of every base segment
+    flip: np.ndarray       # (d, d) (-1)^(i+j): S X S = X * flip
+
+    def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        own = seg < self.kept
+        out = np.empty((len(ts),) + self.inverses.shape[1:], dtype=self.inverses.dtype)
+        if own.any():
+            out[own] = self.base.local_phi(seg[own], ts[own])
+        if not own.all():
+            k = len(self.inverses) - 1 - (seg[~own] - self.kept)
+            phi = self.base.local_phi(k, self.about - ts[~own])
+            out[~own] = (phi @ self.inverses[k]) * self.flip
+        return out
+
+
+def mirror_fundamental(op: LinearOperator, base: "FundamentalSystem", about: float,
+                       keep: bool) -> "FundamentalSystem":
+    """The system of op from base's, for op whose coefficients are
+    a_j(t) = (-1)^j b_j(about - t), b_j base's, on the mirrored part of its
+    interval, after base's own interval where keep (operators.mirror_of).
+
+    If u solves base's equation, u(about - t) solves op's there, with state
+    S x_u(about - t), S = diag((-1)^j).  So the mirror of base segment k has
+    the propagator S E_k^-1 S: op's propagators are base's E_1 ... E_N
+    (where keep) followed by S E_N^-1 S ... S E_1^-1 S, and its dense output
+    is a view of base's (_Mirrored).  The segment growth bound keeps every
+    E_k well conditioned; Phi over the whole interval is never inverted."""
+    s = (-1.0) ** np.arange(base.d)
+    flip = s[:, None] * s
+    inverses = np.linalg.inv(base.segments)
+    segments = inverses[::-1] * flip
+    nodes = about - base.nodes[::-1]
+    kept = len(base.segments) if keep else 0
+    if keep:
+        segments = np.concatenate([base.segments, segments])
+        nodes = np.concatenate([base.nodes, nodes[1:]])
+    return FundamentalSystem(op=op, lams=base.lams, nodes=nodes, segments=segments,
+                             cells=_Mirrored(base.cells, about, kept, inverses, flip))
 
 
 def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool) -> tuple:
@@ -475,7 +529,7 @@ class FundamentalSystem:
     lams: np.ndarray            # (K,) lambda values, the shifts of a_0
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
-    cells: _Cells = None        # dense output of the Magnus path
+    cells: _Cells | _Mirrored = None  # dense output: the Magnus path's, or a mirrored view
     rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
     # the grid factors of the kernels on this system (see greens)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)

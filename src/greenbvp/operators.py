@@ -113,7 +113,8 @@ class LinearOperator:
             return value
 
     def __getstate__(self) -> dict:
-        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("_hash", "_mirror")}
 
     @classmethod
     def from_exprs(cls, n: int, length: float, coeffs) -> "LinearOperator":
@@ -158,7 +159,8 @@ def extend_to_double(op: LinearOperator) -> LinearOperator:
             for seg in reversed(segs)
         )
         new_coeffs.append(segs + mirrored)
-    return LinearOperator(n=op.n, length=2 * L, coeffs=tuple(new_coeffs))
+    doubled = LinearOperator(n=op.n, length=2 * L, coeffs=tuple(new_coeffs))
+    return _mirrored(doubled, op, 2 * L, True)
 
 
 def extend_to_quadruple(op: LinearOperator) -> LinearOperator:
@@ -177,7 +179,23 @@ def reflect(op: LinearOperator) -> LinearOperator:
                 for seg in reversed(segs)
             )
         )
-    return LinearOperator(n=op.n, length=L, coeffs=tuple(new_coeffs))
+    return _mirrored(LinearOperator(n=op.n, length=L, coeffs=tuple(new_coeffs)), op, L, False)
+
+
+def _mirrored(op: LinearOperator, base: LinearOperator, about: float,
+              keep: bool) -> LinearOperator:
+    """op, noted as base reflected by t -> about - t, after base itself where
+    keep: greens.kernel_source derives op's fundamental system from base's
+    (integrate.mirror_fundamental).  The note is not a field, so equality
+    and hashing ignore it, and pickles drop it."""
+    op.__dict__["_mirror"] = (base, about, keep)
+    return op
+
+
+def mirror_of(op: LinearOperator) -> tuple | None:
+    """(base, about, keep) of an operator made by extend_to_double (keep) or
+    reflect, else None (see _mirrored)."""
+    return op.__dict__.get("_mirror")
 
 
 def coeff_values(op: LinearOperator, k: int, ts: np.ndarray) -> np.ndarray:

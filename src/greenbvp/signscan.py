@@ -310,15 +310,17 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     Probes outward from the principal eigenvalue until the classification
     flips (to sign-changing, the opposite sign, or a resonance): the first
     probe one percent of the window width away, each next one four times
-    the last step beyond the last good probe.  The threshold is the
-    eigenvalue nearest the last good probe, of a problem with one boundary
-    row changed (greens._corner_problem), that classifications THRESHOLD_TOL
-    inside and outside it confirm.  A batch scan of each distinct changed
-    problem brackets its roots between the probes, and, nearest first, each
-    is k-sectioned to EIGEN_TOL and read at its false-position point.
-    Without one, it is the root of f, the polished wrong-sign extremum over
-    max|G| (classify_sign), bracketed to THRESHOLD_TOL between classified
-    lambdas by a safeguarded regula falsi.
+    the last step beyond the last good probe.  Where the first bad probe
+    shows the wrong sign at a corner of the kernel square, the threshold is
+    the eigenvalue nearest the last good probe, of a problem with one
+    boundary row changed (greens._corner_problem), that classifications
+    THRESHOLD_TOL inside and outside it confirm.  A batch scan of each
+    distinct changed problem brackets its roots between the probes, and,
+    nearest first, each is k-sectioned to EIGEN_TOL and read at its
+    false-position point.  Elsewhere (an edge, the interior or a
+    resonance), or without a confirmed root, it is the root of f, the
+    polished wrong-sign extremum over max|G| (classify_sign), bracketed to
+    THRESHOLD_TOL between classified lambdas by a safeguarded regula falsi.
     """
     side = _SIDES.get(side)
     if side is None:
@@ -402,7 +404,8 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         report, f = _LAST_REPORT.get(), extremum()
         site = report and report.sites.get("positive" if want == NONPOSITIVE else "negative")
         region = "resonant" if report is None else site[0] if site else "interior"
-        found, bracket, changed = eigen_threshold(good, probe) or (*track(good, probe, f), None)
+        corner = region == "corner" and eigen_threshold(good, probe)
+        found, bracket, changed = corner or (*track(good, probe, f), None)
         break
 
     if status == "threshold-found" and abs(found - principal) <= 2 * THRESHOLD_TOL:

@@ -6,11 +6,13 @@ forms the global Phi(t) = local Phi(t) Phi(start of t's segment).  These
 helpers build it from the products of the segment propagators, for the tests
 of the propagator's dense output and end matrices against closed forms.
 block_solve assembles the whole block system that greens reduces level by
-level and solves it with one dense LU.
+level and solves it with one dense LU.  solve_bvp_loop is the row-by-row
+form of comparison.solve_bvp's quadrature.
 """
 
 import numpy as np
 
+from greenbvp.expressions import compile_expr, parse_expression
 from greenbvp.greens import ProblemSpec, _boundary_coeffs
 from greenbvp.integrate import FundamentalSystem, IntegrationError
 
@@ -75,3 +77,47 @@ def block_solve(C: np.ndarray, ends: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     A[N, :, 0], A[N, :, N] = C[:, :d], C[:, d:]
     dim = (N + 1) * d
     return np.linalg.solve(A.reshape(dim, dim), rhs.reshape(dim, -1)).reshape(N + 1, d, -1)
+
+
+
+def _simpson_nodes(vals: np.ndarray, xs: np.ndarray) -> float:
+    """Composite Simpson on the given nodes (>= 2 subintervals)."""
+    n = len(xs) - 1
+    h = xs[1] - xs[0]
+    total = 0.0
+    start = 0
+    if n % 2 == 1:
+        total += 3 * h / 8 * (vals[0] + 3 * vals[1] + 3 * vals[2] + vals[3])
+        start = 3
+    seg = vals[start:]
+    if len(seg) >= 3:
+        total += h / 3 * (seg[0] + 4 * seg[1:-1:2].sum() + 2 * seg[2:-2:2].sum() + seg[-1])
+    return float(total)
+
+
+def solve_bvp_loop(G, sigma: str, m: int) -> np.ndarray:
+    """The samples of comparison.solve_bvp, one row at a time: Simpson sums
+    on each side of the diagonal, with a midpoint kernel value for a side of
+    one subinterval."""
+    f = compile_expr(parse_expression(sigma))
+    lam = G.problem.lam
+    ts = np.linspace(0.0, G.length, m)
+    sig = np.broadcast_to(np.asarray(f(ts, lam), dtype=float), ts.shape)
+    grid = G.eval_grid(ts, ts)
+    values = np.empty(m)
+    for i in range(m):
+        left = grid[i, : i + 1] * sig[: i + 1]
+        right = grid[i, i:] * sig[i:]
+        total = 0.0
+        for vals, xs, lo_idx in ((left, ts[: i + 1], 0), (right, ts[i:], i)):
+            n = len(xs) - 1
+            if n == 0:
+                continue
+            if n == 1:
+                mid = 0.5 * (xs[0] + xs[1])
+                gm = G(ts[i], mid) * float(f(mid, lam))
+                total += (xs[1] - xs[0]) / 6.0 * (vals[0] + 4 * gm + vals[1])
+            else:
+                total += _simpson_nodes(vals, xs)
+        values[i] = total
+    return values

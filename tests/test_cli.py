@@ -134,6 +134,19 @@ def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
     assert "integration cells needed" in capsys.readouterr().err
 
 
+def test_green_pole_inside_the_interval_exits_3(tmp_path, capsys):
+    # a coefficient unbounded at t = 4.535: the cells around the pole stay
+    # unresolved through every halving, and the input is refused quickly
+    config = write_config(tmp_path, T=18.59, kind="mixed2", extension="double",
+                          coefficients=["20.45", "0", "15.92/abs(4.535 - t)", "0"],
+                          **{"lambda": -1.35e6})
+    t0 = time.perf_counter()
+    code = main(["green", "--config", config, "--grid", "5", "--out", str(tmp_path / "g.csv")])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_NUMERICAL
+    assert "coefficients not resolved" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("a1, code, message", [
     ("t / t", EXIT_CONFIG, "non-finite values"),
     ("(t / t)^0", EXIT_NUMERICAL, "resonant"),

@@ -15,6 +15,8 @@ from greenbvp import (
 from greenbvp import greens as greens_module
 from greenbvp import operators as operators_module
 
+from reference import solve_bvp_loop
+
 
 def test_poisson_string_solution(second_order_op):
     G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET))
@@ -61,6 +63,21 @@ def test_simpson_fourth_order_convergence():
     # halving h cuts the error by about 2^4 until the kernel accuracy floor
     assert errors[1] < errors[0] / 8
     assert errors[2] < errors[1] / 8 or errors[2] < 1e-11
+
+
+@pytest.mark.parametrize("m", [41, 81, 161])
+def test_solve_matches_the_row_loop(m, quartic_weight_op, const_fourth_op):
+    # the weights of every row at once against the row-by-row Simpson sums
+    for op, kind, lam, sigma in [
+        (quartic_weight_op, BCKind.NEUMANN, 2.0, "sin(3*t) + t"),
+        (LinearOperator.from_exprs(2, 2.0, ["(t-2)^4", "0.7*t", "cos(t)", "0.5*t"]),
+         BCKind.MIXED2, -1.0, "1 + t^2/4"),
+        (const_fourth_op, BCKind.MIXED1, -0.2, "0-1-t"),
+    ]:
+        G = build_greens(ProblemSpec(op, kind, lam))
+        ref = solve_bvp_loop(G, sigma, m)
+        values = solve_bvp(G, sigma, m).values
+        assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_linearity(quartic_weight_op):

@@ -25,9 +25,11 @@ from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
 from greenbvp import spectrum as spectrum_module
 from greenbvp.expressions import compile_expr, parse_expression
-from greenbvp.greens import RESONANCE_THRESHOLD, _boundary_coeffs, _graph_matrix, kernel_source
+from greenbvp.greens import (RESONANCE_THRESHOLD, _boundary_coeffs, _graph_matrix, kernel_source,
+                             kernel_table)
+from greenbvp.identities import run_identities
 from greenbvp.integrate import FundamentalSystem
-from greenbvp.operators import coeff_values
+from greenbvp.operators import coeff_values, mirror_of, reflect
 
 from conftest import fd_stencil
 from reference import block_solve, boundary_matrix
@@ -389,6 +391,7 @@ def test_pointwise_calls_retain_bounded_factors(second_order_op):
         if i % 100 == 0:
             G.eval_grid([t, s, r], [s, r])
         assert len(G.fs.memo.get("factors", ())) <= 8
+        assert len(G._sources) <= 8
 
 
 def test_pointwise_call_makes_one_local_phi_call(monkeypatch, second_order_op):
@@ -617,3 +620,96 @@ def test_corner_coefficient_vanishes_at_the_changed_problems_eigenvalue(kind):
                 j, k = int(t_end in vanishing), int(s_end in vanishing)
                 signs.append(np.sign(G._grid([2.0 * t_end], [2.0 * s_end], j, k)[0, 0]))
             assert signs[0] == -signs[1] != 0
+
+
+# the operators on which the derived systems of the extensions and the
+# reflection are checked against direct integration
+_ROUTE_OPS = {
+    "quartic": (2, 2.0, ["(t-2)^4", "0", "0", "0"]),
+    "parabolic": (2, 1.5, ["t*(t-3)", "0", "0", "0"]),
+    "variable": (2, 2.0, list(_FULL_OP)),
+    "second-order": (1, 1.0, ["10*t^2", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUTE_OPS))
+def test_derived_systems_match_direct_integration(name):
+    # kernel_source derives the 2T, 4T and reflected operators' systems from
+    # the base operator's (integrate.mirror_fundamental); an equal operator
+    # built from the fields has no note of its base and is integrated
+    op = LinearOperator.from_exprs(*_ROUTE_OPS[name])
+    problems = list(kernel_table(op).values()) + [(reflect(op), BCKind.MIXED1),
+                                                  (reflect(op), BCKind.MIXED2)]
+    for lam in (2.25, -2.5, -30.0, 5.0, 1e4, -1e4, -2e5):
+        derived, direct = kernel_source(lam), kernel_source(lam)
+        for o, kind in problems:
+            plain = LinearOperator(o.n, o.length, o.coeffs)
+            try:
+                G = direct(plain, kind)
+            except ResonantProblemError:
+                with pytest.raises(ResonantProblemError):
+                    derived(o, kind)
+                continue
+            H = derived(o, kind)
+            mirrored = isinstance(H.fs.cells, integrate_module._Mirrored)
+            assert mirrored == (mirror_of(o) is not None)
+            assert not isinstance(G.fs.cells, integrate_module._Mirrored)
+            ref = G.sample_grid(41)
+            assert np.abs(H.sample_grid(41) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", list(_ROUTE_OPS))
+def test_identities_hold_on_derived_and_direct_systems(monkeypatch, name):
+    # run_identities integrates the base operator alone; with the notes
+    # ignored it integrates every operator, and both stay inside their bars
+    op = LinearOperator.from_exprs(*_ROUTE_OPS[name])
+    for lam in (2.25, -30.0, 1e4):
+        derived = run_identities(op, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(greens_module, "mirror_of", lambda o: None)
+            direct = run_identities(op, lam)
+        assert [r.tag for r in derived] == [r.tag for r in direct]
+        assert [r.skipped for r in derived] == [r.skipped for r in direct]
+        assert all(r.passed for r in derived + direct)
+
+
+@pytest.mark.parametrize("case", ["u2-D-3.9e6", "variable-N", "variable-P4T"])
+def test_grid_product_matches_the_sum_form(case, second_order_op):
+    # _grid forms the homogeneous part by batched products over row blocks
+    # and adds the impulse part in place; the reference sums the d terms of
+    # each t's row times the node states of its segment
+    if case == "u2-D-3.9e6":
+        G = build_greens(ProblemSpec(second_order_op, BCKind.DIRICHLET, 3.9e6))
+        assert G.nseg == 659
+    else:
+        op = LinearOperator.from_exprs(*_ROUTE_OPS["variable"])
+        code = case.split("-")[1]
+        G = kernel_source(2.25)(*kernel_table(op)[code])
+    ft, fsrc = G._factor(np.linspace(0.0, G.length, 53)), G._factor(np.linspace(0.0, G.length, 47))
+    same = (ft.seg[:, None] == fsrc.seg) & (ft.pts[:, None] >= fsrc.pts)
+    for s_order in (0, 1):
+        xs, Y = G._source(fsrc, s_order)
+        for component in range(G.d):
+            rows = ft.phi[:, component, :]
+            ref = sum(rows[:, j, None] * Y[ft.seg, j] for j in range(G.d))
+            ref = ref + np.where(same, rows @ xs, 0.0)
+            grid = G._grid(ft, fsrc, component, s_order)
+            assert np.abs(grid - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_kernel_source_frees_its_systems_without_the_cycle_collector(quartic_weight_op):
+    # the systems of a kernel source, derived ones included, go with it by
+    # reference counting alone: a pass's grids would otherwise stay in
+    # memory until the cyclic collector runs
+    import gc
+    import weakref
+
+    kernel = kernel_source(0.7)
+    systems = [weakref.ref(kernel(*kernel_table(quartic_weight_op)[code]).fs)
+               for code in ("N", "P2T", "P4T")]
+    gc.disable()
+    try:
+        del kernel
+        assert all(ref() is None for ref in systems)
+    finally:
+        gc.enable()

@@ -212,8 +212,9 @@ def test_residual_symmetric_under_side_swap(quartic_kernels):
 
 
 def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weight_op):
-    # op, its doubled and quadrupled extensions and its reflection: one
-    # fundamental system each, shared by all their kernels and grid factors
+    # op alone is integrated: its doubled and quadrupled extensions and its
+    # reflection derive their fundamental systems from op's, and each system
+    # is shared by all its kernels and grid factors
     from greenbvp import comparison, greens, identities, integrate, signscan
 
     calls = {"integrate": 0, "local_phi": 0}
@@ -234,7 +235,7 @@ def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weigh
     monkeypatch.setattr(integrate.FundamentalSystem, "local_phi", counted_local_phi)
     reports = run_identities(quartic_weight_op, 0.7, m=41)
     assert len(reports) == 24 and all(r.passed for r in reports)
-    assert calls["integrate"] == 4
+    assert calls["integrate"] == 1
     # one local Phi per distinct point set of a system: t and T - t on op,
     # four sets on each extension and one on the reflection
     assert calls["local_phi"] <= 11

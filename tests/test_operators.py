@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greenbvp import LinearOperator, extend_to_double, extend_to_quadruple, reflect
-from greenbvp.operators import coeff_values
+from greenbvp.operators import coeff_values, mirror_of
 
 
 def coeff_value(op, k, t):
@@ -136,3 +136,21 @@ def test_operator_hash_is_computed_once(monkeypatch, quartic_weight_op):
     assert twin == op and hash(twin) == first
     restored = pickle.loads(pickle.dumps(op))
     assert restored == op and hash(restored) == first
+
+
+def test_extensions_note_their_base_outside_equality_and_pickles(quartic_weight_op):
+    # extend_to_double and reflect note the operator they mirror and where;
+    # an equal operator built from the fields has no note and still compares
+    # and hashes equal, and a pickle drops the note
+    import pickle
+
+    op2 = extend_to_double(quartic_weight_op)
+    assert mirror_of(quartic_weight_op) is None
+    for op, note in [(op2, (quartic_weight_op, 4.0, True)),
+                     (extend_to_quadruple(quartic_weight_op), (op2, 8.0, True)),
+                     (reflect(quartic_weight_op), (quartic_weight_op, 2.0, False))]:
+        assert mirror_of(op) == note
+        for twin in (LinearOperator(op.n, op.length, op.coeffs),
+                     pickle.loads(pickle.dumps(op))):
+            assert mirror_of(twin) is None
+            assert twin == op and hash(twin) == hash(op)

@@ -209,31 +209,41 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
 
 def test_periodic_changed_problems_are_k_sectioned_once(monkeypatch):
     # a periodic kind gives each of its two changed problems at two
-    # corners; each distinct problem is searched and confirmed once
+    # corners; each distinct problem is searched and confirmed once, and
+    # only for a flip at a corner: this one flips on an edge, so the
+    # changed problems are not scanned at all and the tracker ends it
     op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
     o, kind = resolve_kernel(op, "P4T")
-    calls = []
+    calls, integrations = [], []
     original = signscan_module.classify_problem
+    integrate = integrate_module._integrate
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(signscan_module, "classify_problem", counted)
+    monkeypatch.setattr(integrate_module, "_integrate",
+                        lambda *args: integrations.append(1) or integrate(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(o, kind, "neg")
-    assert res.threshold() == pytest.approx(1.257260777566494, abs=THRESHOLD_TOL)
-    assert len(calls) <= 21
+    assert res.threshold() == pytest.approx(1.257260777566494, rel=1e-12)
+    assert (res.flip, res.changed_row) == ("edge", None)
+    assert res.bracket == pytest.approx((1.2572607778283942, 1.2572607773045938), rel=1e-12)
+    assert len(calls) <= 17
+    assert len(integrations) <= 28
 
 
 def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch):
     # the codes of one scenario, and scenarios of one lambda, share their
-    # fundamental systems: one integration per distinct (operator, lambda)
+    # fundamental systems, and the 2T and 4T operators derive theirs from the
+    # base operator's: one integration per distinct (base operator, lambda)
     fixtures = _load_fixtures()
     scenarios = fixtures["classification_scenarios"]
     pairs = {(resolve_kernel(_operator_from_fixture(s["operator"]), code)[0], s["lambda"])
              for s in scenarios for code in s["expected"]}
+    bases = {(_operator_from_fixture(s["operator"]), s["lambda"]) for s in scenarios}
     calls = []
     original = integrate_module._integrate
 
@@ -244,8 +254,8 @@ def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch
     monkeypatch.setattr(integrate_module, "_integrate", counted)
     report = reproduce_counterexamples({"classification_scenarios": scenarios, "thresholds": []})
     assert len(report.rows) == 20 and report.all_passed
-    assert len(pairs) == 9
-    assert len(calls) == len(pairs)
+    assert len(pairs) == 9 and len(bases) == 6
+    assert len(calls) == len(bases)
 
 
 @pytest.mark.parametrize("name", ["lambda_1", "lambda_3", "lambda_4", "lambda_5",
