@@ -322,6 +322,8 @@ class _Piece:
             if (total := used + sum(len(cells[0]) for cells in kept) + len(t0)) > MAX_CELLS:
                 raise _over_budget(total, used)
             vals = self.values(t0 + h * _CHECK_NODES[:, None])
+            if not all(np.isfinite(v).all() for v in vals):
+                raise IntegrationError(f"coefficients not finite on [{self.lo:g}, {self.hi:g}]")
             sizes = np.maximum(sizes, [np.abs(v).max(initial=0.0) for v in vals])
             bad = _unresolved(vals, check_tol * sizes)
             if not (kept or bad.any()):  # no halving: the uniform cells as they are

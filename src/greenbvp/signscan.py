@@ -10,8 +10,8 @@ constant sign form an interval, so the interval search reaches outward from
 the principal eigenvalue in steps that grow fourfold until the
 classification flips.  A flip at a corner ends at an eigenvalue of a
 problem with one boundary row changed, found by a characteristic-function
-search; any other flip is the root of the polished extremum, tracked by a
-safeguarded regula falsi between classified lambdas.
+search; any other flip is the root of the polished extremum, narrowed by
+the eigenvalue search's solver with classifications deciding each side.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
     _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_source, kernel_table
 from .operators import LinearOperator
-from .spectrum import _refine_brackets, dyadic_points, principal_eigenvalue
+from .spectrum import _bracketed_roots, _refine_brackets, dyadic_points, principal_eigenvalue
 
 __all__ = [
     "NONNEGATIVE",
@@ -63,7 +63,7 @@ POLISH_MAX = 16
 # sign_interval locates the threshold to this width in lambda.
 THRESHOLD_TOL = 1e-4
 
-# The eigenvalue of a changed problem is k-sectioned to a bracket this wide
+# The eigenvalue of a changed problem is narrowed to a bracket this wide
 # and read at its false-position point, well inside the checks THRESHOLD_TOL
 # either side of the root.
 EIGEN_TOL = THRESHOLD_TOL / 10
@@ -316,11 +316,11 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     boundary row changed (greens._corner_problem), that classifications
     THRESHOLD_TOL inside and outside it confirm.  A batch scan of each
     distinct changed problem brackets its roots between the probes, and,
-    nearest first, each is k-sectioned to EIGEN_TOL and read at its
-    false-position point.  Elsewhere (an edge, the interior or a
-    resonance), or without a confirmed root, it is the root of f, the
-    polished wrong-sign extremum over max|G| (classify_sign), bracketed to
-    THRESHOLD_TOL between classified lambdas by a safeguarded regula falsi.
+    nearest first, each is narrowed to EIGEN_TOL (spectrum._refine_brackets).
+    Elsewhere (an edge, the interior or a resonance), or without a confirmed
+    root, it is the root of f, the polished wrong-sign extremum over max|G|
+    (classify_sign), narrowed to THRESHOLD_TOL by the same solver with each
+    proposal classified; either is read at its bracket's false-position point.
     """
     side = _SIDES.get(side)
     if side is None:
@@ -350,26 +350,13 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
             max(-r.min_value, r.max_value) or 1.0)
 
     def track(good: float, bad: float, f_bad) -> tuple[float, tuple[float, float]]:
-        """(threshold, checked bracket): the root of f between a good and a
-        bad lambda by Illinois regula falsi, whose proposals are classified
-        to pick the end they replace; bisection where a proposal leaves the
-        bracket or the bracket did not halve in the last two steps."""
-        ends = {True: (good, None), False: (bad, f_bad)}
-        widths, last = [np.inf, np.inf], None
-        while True:
-            (a, fa), (b, fb) = ends[True], ends[False]
-            x = mid = 0.5 * (a + b)
-            if abs(b - a) <= THRESHOLD_TOL or not min(a, b) < mid < max(a, b):
-                return float(mid), (float(a), float(b))
-            if None not in (fa, fb) and fa != fb and abs(b - a) <= widths[-2] / 2:
-                x = b - fb * (b - a) / (fb - fa)
-            x = x if min(a, b) < x < max(a, b) else mid
-            widths.append(abs(b - a))
-            kept = ok(x)
-            if kept == last:  # an end kept twice in a row halves its f
-                end, f = ends[not kept]
-                ends[not kept] = end, f and f / 2
-            ends[kept], last = (x, extremum()), kept
+        """(root of f, checked bracket) between a good and a bad lambda, the
+        side of each proposal decided by its classification."""
+        def probe(x):
+            kept = ok(x[0])
+            return x[:, None], np.array([[extremum()]], dtype=float), np.array([[kept]])
+        [root], [a], [b] = _bracketed_roots(probe, [good], [bad], [np.nan], [f_bad], THRESHOLD_TOL)
+        return float(root), (float(a), float(b))
 
     def eigen_threshold(good: float, bad: float):
         """(threshold, bracket, changed row) of the nearest confirmed root, or None."""

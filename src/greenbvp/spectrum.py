@@ -4,13 +4,13 @@ Eigenvalues are the zeros of the characteristic function det(C W) of
 char_det_scan: the boundary functionals C on an orthonormal basis W of the
 solution graph, the same matrix whose smallest singular value is a kernel's
 resonance margin.  A scan over a lambda window finds sign-change brackets,
-refined by 16-section (one batched sweep per round) and read at the
-false-position point of the final bracket.  Where |det| dips between scan
-points of one sign, the roots near the dip are counted by the argument
-principle (det is entire in lambda): the dip is zoomed until it shows a
-sign change or closes on a root of even multiplicity, which really occur
-(periodic and antiperiodic problems carry double eigenvalues inherited from
-two two-point problems at once).
+narrowed by the safeguarded regula falsi that sign_interval shares and read
+at the false-position point of the final bracket.  Where |det| dips between
+scan points of one sign, the roots near the dip are counted by the argument
+principle (det is entire in lambda): the dip is zoomed until it shows a sign
+change or closes on a root of even multiplicity, which really occur (periodic
+and antiperiodic problems carry double eigenvalues inherited from two
+two-point problems at once).
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ MATCH_TOL = 10 * LAM_TOL
 # 100 MB, and u'''' + (t-2)^4 u on [0, 2] over (-50, 0) about 240 MB.
 MAX_SCAN_POINTS = 100_000
 
-# Cells per k-section round: a lambda batch costs about as much as a single
-# lambda, so one batched sweep does the work of four bisection steps.
+# Cells per round of the dip zoom and of sign_interval's changed-problem
+# scan: a lambda batch costs about as much as a single lambda.
 SECTIONS = 16
 
 
@@ -131,38 +131,61 @@ def dyadic_points(a, b) -> np.ndarray:
 
 def splittable(a, b, lam_tol):
     """Brackets wider than lam_tol whose midpoint lies strictly inside them.
-    Below the float spacing at a root the dyadic points collapse onto the
-    ends and another k-section round would not shrink the bracket."""
+    Below the float spacing at a root the midpoint collapses onto an end
+    and no further point would shrink the bracket."""
     mid = 0.5 * (a + b)
     return (np.abs(b - a) > lam_tol) & (np.minimum(a, b) < mid) & (mid < np.maximum(a, b))
 
 
-def _k_section(det_batch, brackets, lam_tol):
-    """k-section of all brackets (a, b, det at a, det at b) in lockstep to
-    width lam_tol: each round evaluates the SECTIONS - 1 dyadic probes of
-    every splittable bracket in one batched determinant sweep and keeps the
-    first sub-cell whose right end differs in sign from det at a.  Returns
-    the arrays a, b and the det at each."""
-    a, b, fa, fb = (np.array(col, dtype=float) for col in zip(*brackets))
-    while (live := splittable(a, b, lam_tol)).any():
-        x = dyadic_points(a[live], b[live])
-        f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
-        f = np.concatenate([fa[live, None], f, fb[live, None]], axis=1)
-        j = np.argmax(np.sign(f[:, 1:]) != np.sign(f[:, :1]), axis=1)
-        rows = np.arange(len(x))
-        a[live], b[live] = x[rows, j], x[rows, j + 1]
-        fa[live], fb[live] = f[rows, j], f[rows, j + 1]
-    return a, b, fa, fb
+def _bracketed_roots(probe, a, b, fa, fb, tol):
+    """Roots of f in brackets (a, b) with ends on its two sides and values
+    fa, fb there (NaN where unknown), narrowed in lockstep to width tol by
+    Illinois regula falsi, which bisects where an end value is unknown or two
+    rounds did not halve the bracket and never proposes a point within tol / 2
+    of an end (Dekker).  probe(x) returns points (k, p) about the proposals,
+    f there and whether each lies on a's side; the bracket becomes the first
+    cell from a whose right end does not.  Returns the false-position points
+    of the final brackets from unhalved end values (else midpoints), a and b."""
+    ends, f = np.array([a, b], dtype=float).T, np.array([fa, fb], dtype=float).T
+    g, moved = f.copy(), np.zeros(ends.shape, bool)  # Illinois-halved f, ends moved last
+    last = np.full((2, len(ends)), np.inf)  # bracket widths one and two rounds ago
+    while (live := splittable(*ends.T, tol)).any():
+        (A, B), (ga, gb) = ends[live].T, g[live].T
+        lo, hi, mid = np.minimum(A, B), np.maximum(A, B), 0.5 * (A + B)
+        with np.errstate(all="ignore"):
+            x = B - gb * (B - A) / (gb - ga)
+        x = np.where((hi - lo <= last[1, live] / 2) & (lo < x) & (x < hi), x, mid)
+        last[:, live] = hi - lo, last[0, live]
+        pts, fp, near = probe(np.clip(x, lo + tol / 2, hi - tol / 2))
+        # the points in order from a; the next bracket ends at the first off a's side
+        rows, order = np.arange(len(A))[:, None], np.argsort(abs(pts - A[:, None]), axis=1)
+        xs = np.concatenate([A[:, None], pts[rows, order], B[:, None]], axis=1)
+        fs = np.concatenate([f[live, :1], fp[rows, order], f[live, 1:]], axis=1)
+        j = 1 + np.argmin(np.pad(near[rows, order], ((0, 0), (0, 1))), axis=1)
+        cell = j[:, None] - [1, 0]
+        now = cell != [0, xs.shape[1] - 1]  # the ends this round moves
+        twice = (now == moved[live]).all(axis=1) & (now.sum(axis=1) == 1)
+        ends[live], f[live], moved[live] = xs[rows, cell], fs[rows, cell], now
+        g[live] = np.where(now, f[live], np.where(twice, 0.5, 1.0)[:, None] * g[live])
+    (a, b), (fa, fb) = ends.T, f.T
+    with np.errstate(all="ignore"):
+        x = a - fa * (b - a) / (fb - fa)
+    return np.where((np.minimum(a, b) <= x) & (x <= np.maximum(a, b)), x, 0.5 * (a + b)), a, b
 
 
 def _refine_brackets(det_batch, brackets, lam_tol):
-    """(root, width) of each bracket (a, b, det at a, det at b): the
-    false-position point of its _k_section cell, and that cell's width, at
-    least lam_tol."""
-    if not brackets:
-        return []
-    a, b, fa, fb = _k_section(det_batch, brackets, lam_tol)
-    roots = a - fa * (b - a) / (fb - fa)
+    """(root, width) of each bracket (a, b, det at a, det at b) by
+    _bracketed_roots, det evaluated at each proposal and lam_tol / 2 either
+    side of it in one batch; the width is at least lam_tol."""
+    ends = np.array(brackets, dtype=float).reshape(-1, 4)
+    ends[ends[:, 2] < 0] = ends[ends[:, 2] < 0][:, [1, 0, 3, 2]]  # det > 0 at each a
+
+    def probe(x):
+        pts = x[:, None] + lam_tol / 2 * np.array([-1.0, 0.0, 1.0])
+        f = det_batch(pts.ravel()).reshape(pts.shape)
+        return pts, f, f > 0
+
+    roots, a, b = _bracketed_roots(probe, *ends.T, lam_tol)
     return [(float(x), float(w)) for x, w in zip(roots, np.maximum(abs(b - a), lam_tol))]
 
 
@@ -281,18 +304,15 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
                                      dets[dip - 1], dets[dip + 1], lam_tol)
         brackets += zoomed
         roots += doubles
-    for x, w in _refine_brackets(det_batch, brackets, lam_tol):
-        roots.append((x, max(w, lam_tol), False))
+    roots += [(x, w, False) for x, w in _refine_brackets(det_batch, brackets, lam_tol)]
 
     # deduplicate within 10 * lam_tol, preferring the narrower bracket
-    roots.sort()
     merged: list[tuple[float, float, bool]] = []
-    for r in roots:
+    for r in sorted(roots):
         if merged and abs(r[0] - merged[-1][0]) <= 10 * lam_tol:
-            if r[1] < merged[-1][1]:
-                merged[-1] = r
-            continue
-        merged.append(r)
+            merged[-1] = min(merged[-1], r, key=lambda e: e[1])
+        else:
+            merged.append(r)
 
     hits = []
     for lam, wdt, even in merged:
@@ -385,10 +405,8 @@ def principal_eigenvalue(op: LinearOperator, kind: BCKind, window) -> float:
     """The eigenvalue in the window whose eigenfunction has no interior sign
     change; when several qualify the largest is returned with a warning."""
     spec = find_eigenvalues(op, kind, window)
-    candidates = [e.lam for e in spec.eigenvalues if e.sign_changes == 0]
-    for e in spec.eigenvalues:
-        if e.even_multiplicity and _constant_sign_combination(op, kind, e.lam):
-            candidates.append(e.lam)
+    candidates = [e.lam for e in spec.eigenvalues if e.sign_changes == 0 or (
+        e.even_multiplicity and _constant_sign_combination(op, kind, e.lam))]
     if not candidates:
         raise ValueError(f"no constant-sign eigenvalue of the {kind.value} problem "
                          f"in window {tuple(window)}")
@@ -409,14 +427,8 @@ class UnionCheck:
 
 def _match_sets(a: list[float], b: list[float], tol: float) -> list[float]:
     """Symmetric difference of two eigenvalue sets at tolerance tol."""
-    unmatched = []
-    for x in a:
-        if not any(abs(x - y) <= tol for y in b):
-            unmatched.append(x)
-    for y in b:
-        if not any(abs(y - x) <= tol for x in a):
-            unmatched.append(y)
-    return unmatched
+    return ([x for x in a if not any(abs(x - y) <= tol for y in b)]
+            + [y for y in b if not any(abs(y - x) <= tol for x in a)])
 
 
 def _is_reflection_symmetric(op: LinearOperator, ref: LinearOperator) -> bool:
@@ -449,10 +461,9 @@ def verify_spectrum_unions(op: LinearOperator, window) -> list[UnionCheck]:
 
     def union(*sets):
         vals: list[float] = []
-        for s in sets:
-            for x in s:
-                if not any(abs(x - y) <= MATCH_TOL for y in vals):
-                    vals.append(x)
+        for x in (y for s in sets for y in s):
+            if not any(abs(x - y) <= MATCH_TOL for y in vals):
+                vals.append(x)
         return sorted(vals)
 
     checks = []

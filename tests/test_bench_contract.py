@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from greenbvp import BCKind, LinearOperator
-from greenbvp import integrate, spectrum
+from greenbvp import integrate, signscan, spectrum
 
 
 def _load(name):
@@ -59,3 +59,27 @@ def test_first_task_of_each_workload_runs():
         task = workloads.build_tasks(workload, workloads.make_inputs(workload, 7))[0]
         outcome = task.run()
         assert outcome.status == "ok", (workload, task.label, outcome.detail)
+
+
+def test_trace_recorder_counts_the_interval_probes():
+    # the tracer counts a sign search's probes as the classify_problem calls
+    # inside sign_interval: every classification of the search, those of the
+    # tracker on this edge flip included, must come through that name
+    spans = _load("spans")
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
+        res = signscan.sign_interval(*signscan.resolve_kernel(op, "P4T"), "neg")
+    finally:
+        recorder.uninstall()
+    assert res.flip == "edge"
+    found = recorder.spans
+
+    def under(name, ancestor):
+        return [i for i, span in enumerate(found) if span.name == name
+                and spans._under(found, i, ancestor)]
+
+    classified = under("signscan.classify", "signscan.interval")
+    assert classified and classified == under("signscan.classify", "signscan.probe")
+    assert len(under("signscan.probe", "signscan.interval")) == len(classified)

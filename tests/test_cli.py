@@ -136,15 +136,25 @@ def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
 
 def test_green_pole_inside_the_interval_exits_3(tmp_path, capsys):
     # a coefficient unbounded at t = 4.535: the cells around the pole stay
-    # unresolved through every halving, and the input is refused quickly
-    config = write_config(tmp_path, T=18.59, kind="mixed2", extension="double",
-                          coefficients=["20.45", "0", "15.92/abs(4.535 - t)", "0"],
-                          **{"lambda": -1.35e6})
-    t0 = time.perf_counter()
-    code = main(["green", "--config", config, "--grid", "5", "--out", str(tmp_path / "g.csv")])
-    assert time.perf_counter() - t0 < 5.0
-    assert code == EXIT_NUMERICAL
-    assert "coefficients not resolved" in capsys.readouterr().err
+    # unresolved through every halving; one unbounded at t = 1: a cell
+    # samples it as a non-finite value.  Each input is refused quickly
+    cases = [
+        (dict(T=18.59, kind="mixed2", extension="double",
+              coefficients=["20.45", "0", "15.92/abs(4.535 - t)", "0"], **{"lambda": -1.35e6}),
+         "coefficients not resolved"),
+        (dict(T=1.45, kind="neumann", coefficients=["t", "0", "t", "1/(1 - t)"]),
+         "coefficients not finite"),
+        (dict(T=1.45, kind="neumann", coefficients=["t", "0", "t", "25.31/(1 - t)"]),
+         "coefficients not finite"),
+    ]
+    for overrides, message in cases:
+        config = write_config(tmp_path, **overrides)
+        t0 = time.perf_counter()
+        code = main(["green", "--config", config, "--grid", "5",
+                     "--out", str(tmp_path / "g.csv")])
+        assert time.perf_counter() - t0 < 5.0
+        assert code == EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("a1, code, message", [

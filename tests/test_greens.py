@@ -610,10 +610,9 @@ def test_corner_coefficient_vanishes_at_the_changed_problems_eigenvalue(kind):
             lams = np.linspace(-80.0, 80.0, 801)
             dets = greens_module._char_dets(op, C, lams)
             i = np.flatnonzero(np.sign(dets[1:]) != np.sign(dets[:-1]))[0]
-            a, b, _, _ = spectrum_module._k_section(
+            [(root, _)] = spectrum_module._refine_brackets(
                 lambda x: greens_module._char_dets(op, C, x),
                 [(lams[i], lams[i + 1], dets[i], dets[i + 1])], 1e-9)
-            root = 0.5 * (a[0] + b[0])
             signs = []
             for lam in (root - 1e-4, root + 1e-4):
                 G = build_greens(ProblemSpec(op, kind, lam))

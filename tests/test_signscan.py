@@ -182,7 +182,7 @@ def test_classify_sign_integrates_each_point_set_once(second_order_op, monkeypat
 
 def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
     # the M2 threshold is the eigenvalue of the problem with one boundary
-    # row changed, found with 16 of the 42 integrations of a serial
+    # row changed, found with 13 of the 42 integrations of a serial
     # bisection: the false-position point of its EIGEN_TOL bracket, across
     # which the characteristic function of the problem changed at the
     # corner (0, 0) changes sign within 1e-9
@@ -201,7 +201,7 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
     assert res.lam_lo == pytest.approx(-31.285243858777164, rel=1e-9)
     assert abs(res.lam_lo - -31.285245122913707) <= EIGEN_TOL
     assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
-    assert len(calls) <= 16
+    assert len(calls) <= 13
     C, _ = greens_module._corner_problem(BCKind.MIXED2, 2, 0, 0)
     dets = greens_module._char_dets(const_fourth_op, C, [res.lam_lo - 1e-9, res.lam_lo + 1e-9])
     assert dets[0] * dets[1] < 0
@@ -211,7 +211,8 @@ def test_periodic_changed_problems_are_k_sectioned_once(monkeypatch):
     # a periodic kind gives each of its two changed problems at two
     # corners; each distinct problem is searched and confirmed once, and
     # only for a flip at a corner: this one flips on an edge, so the
-    # changed problems are not scanned at all and the tracker ends it
+    # changed problems are not scanned at all and the tracker ends it, at
+    # the false-position point of its final bracket
     op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
     o, kind = resolve_kernel(op, "P4T")
     calls, integrations = [], []
@@ -228,11 +229,30 @@ def test_periodic_changed_problems_are_k_sectioned_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(o, kind, "neg")
-    assert res.threshold() == pytest.approx(1.257260777566494, rel=1e-12)
+    assert res.threshold() == pytest.approx(1.2572607773043083, rel=1e-12)
+    assert abs(res.threshold() - 1.257260777566494) <= THRESHOLD_TOL
     assert (res.flip, res.changed_row) == ("edge", None)
-    assert res.bracket == pytest.approx((1.2572607778283942, 1.2572607773045938), rel=1e-12)
+    assert res.bracket == pytest.approx((1.2572906221223508, 1.2572406221223507), rel=1e-12)
     assert len(calls) <= 17
     assert len(integrations) <= 28
+
+
+def test_tracker_ends_near_the_zoomed_root(monkeypatch):
+    # quartic P4T flips on an edge on its positive side: the tracker's
+    # threshold lies within 1e-5 of the root of the zoomed local minimum,
+    # -1.4316964286, in at most 20 classifications
+    op = LinearOperator.from_exprs(2, 2.0, ["(t-2)^4", "0", "0", "0"])
+    o, kind = resolve_kernel(op, "P4T")
+    calls = []
+    original = signscan_module.classify_problem
+    monkeypatch.setattr(signscan_module, "classify_problem",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sign_interval(o, kind, "pos")
+    assert res.flip == "edge"
+    assert abs(res.threshold() - -1.4316964286) <= 1e-5
+    assert len(calls) <= 20
 
 
 def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch):
@@ -343,7 +363,7 @@ def test_dirichlet_and_mixed2_thresholds_are_the_changed_problems_eigenvalues(na
 @pytest.mark.parametrize("sections", [8, 32])
 def test_thresholds_do_not_depend_on_the_section_count(sections, monkeypatch):
     # every search ends at the false-position point of its final bracket,
-    # so the cells per k-section round change no answer
+    # so the cells of the changed-problem scan change no answer
     names = ("lambda_8", "lambda_11")
     default = [_threshold_result(name)[2] for name in names]
     monkeypatch.setattr(spectrum_module, "SECTIONS", sections)
