@@ -24,8 +24,9 @@ their kernels share one fundamental system, whose segment end matrices and
 grid factors (segment indices and local Phi of a point set) are computed
 once.  Only C, the block reduction and the margin are per family, and so
 are the node states of a set of source points, which a kernel keeps for
-the grids that reuse the set.  In kernel_source the extensions and the
-reflection of an operator derive their systems from its own.
+the grids that reuse the set.  The extensions and the reflection of an
+operator derive their systems from its own (integrate.mirror_fundamental)
+on every route, and kernel_source's kernels share one base integration.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import (FundamentalSystem, integrate_fundamental, integrate_fundamental_batch,
-                        mirror_fundamental)
-from .operators import LinearOperator, coeff_values, extend_to_double, mirror_of
+from .integrate import FundamentalSystem, _system, integrate_fundamental, integrate_fundamental_batch
+from .operators import LinearOperator, coeff_values, extend_to_double
 
 __all__ = [
     "BCKind",
@@ -537,30 +537,17 @@ def kernel_source(lam: float):
     """kernel(op, kind) -> the kernel of (op, kind) at lam, kept for repeated
     requests; a resonant problem raises on every request.  Each distinct
     operator gets one fundamental system, on first use, shared by its
-    kernels.  An extension or reflection of another operator
-    (operators.mirror_of) derives it from that operator's system
-    (integrate.mirror_fundamental), so the nine problems of kernel_table and
-    the reflected operator integrate the base operator alone; any other
-    operator is integrated."""
+    kernels, and its extensions and reflection derive theirs from it
+    (integrate._system): the nine problems of kernel_table and the reflected
+    operator share one integration of the base operator."""
     systems, kernels = {}, {}
 
     def kernel(op: LinearOperator, kind: BCKind) -> GreensEvaluator:
         G = kernels.get((op, kind))
         if G is None:
-            fs = _system(systems, op, lam)
+            fs = _system(op, np.array([lam]), True, systems)
             G = kernels[op, kind] = GreensEvaluator(ProblemSpec(op, kind, lam), fs)
         return G
 
     return kernel
 
-
-def _system(systems: dict, op: LinearOperator, lam: float) -> FundamentalSystem:
-    """The fundamental system of op at lam, kept in systems: derived from its
-    base operator's where op has one (kernel_source), else integrated.  A
-    module function, not a closure of kernel_source, so that no reference
-    cycle keeps the systems alive after their kernel source."""
-    if op not in systems:
-        link = mirror_of(op)
-        systems[op] = (mirror_fundamental(op, _system(systems, link[0], lam), *link[1:])
-                       if link else integrate_fundamental(op, lam))
-    return systems[op]

@@ -219,9 +219,9 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
                    m: int = DEFAULT_GRID) -> list[IdentityReport]:
     """Run the requested identity checks (default: all applicable) for the
     base operator at one lambda, sharing kernel builds across identities.
-    The base operator alone is integrated: its extensions and its
-    reflection derive their systems from the base's (greens.kernel_source),
-    and the kernels of each operator share its system and grid factors.
+    The base operator alone is integrated (its extensions and reflection
+    derive their systems from it, integrate._system), and the kernels of
+    each operator share its system and grid factors (greens.kernel_source).
 
     Problems refused as resonant or whose resonance margin (the smallest
     singular value of the boundary functionals on the orthonormal solution

@@ -18,8 +18,8 @@ determinant scans cheap.  Lambda enters only as the shift of a_0 (no
 coefficient uses it), so the coefficient samples are shared by the whole
 batch, and so are the generators of larger batches (see
 _magnus_polynomial).  The doubled, quadrupled and reflected operators
-carry the base operator reflected, so mirror_fundamental builds their
-systems from the base's, with no integration of their own.  An adaptive
+carry the base operator reflected: every route (_system) derives their
+systems from the base's, whose cells alone are integrated.  An adaptive
 Dormand-Prince 5(4) integration of a single lambda is kept as an
 independent reference (integrate_fundamental(force_rk=True)).  It is the
 only user of scipy, which the package does not require: scipy.integrate is
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import LinearOperator
+from .operators import LinearOperator, mirror_of
 
 __all__ = [
     "IntegrationError",
@@ -167,6 +167,15 @@ def _over_budget(cells: float, earlier: int = 0) -> IntegrationError:
                             f"of {MAX_CELLS} (coefficients or lambda too large, or too rough)")
 
 
+def _check_bytes(lams: np.ndarray, nseg: int, d: int):
+    """Refuses end matrices of more than MAX_BATCH_BYTES for lams on nseg segments."""
+    nbytes = len(lams) * nseg * d ** 2 * np.result_type(lams, float).itemsize
+    if nbytes > MAX_BATCH_BYTES:
+        raise IntegrationError(f"the end matrices of {len(lams)} lambdas on {nseg} "
+                               f"segments need {nbytes / 1e6:.3g} MB, more than "
+                               f"MAX_BATCH_BYTES = {MAX_BATCH_BYTES}")
+
+
 def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
     """Segment boundaries and frequency scale of each breakpoint interval,
     [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments and end
@@ -177,11 +186,7 @@ def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
     if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
         raise _over_budget(nsub.sum())
     counts = [max(1, math.ceil(n)) for n in nsub]
-    nbytes = len(lams) * sum(counts) * op.order ** 2 * np.result_type(lams, float).itemsize
-    if nbytes > MAX_BATCH_BYTES:
-        raise IntegrationError(f"the end matrices of {len(lams)} lambdas on {sum(counts)} "
-                               f"segments need {nbytes / 1e6:.3g} MB, more than "
-                               f"MAX_BATCH_BYTES = {MAX_BATCH_BYTES}")
+    _check_bytes(lams, sum(counts), op.order)
     return [(lo, hi, np.linspace(lo, hi, count + 1), rate)
             for lo, hi, count, rate in zip(bps[:-1], bps[1:], counts, rates)]
 
@@ -414,8 +419,13 @@ def mirror_fundamental(op: LinearOperator, base: "FundamentalSystem", about: flo
     S x_u(about - t), S = diag((-1)^j).  So the mirror of base segment k has
     the propagator S E_k^-1 S: op's propagators are base's E_1 ... E_N
     (where keep) followed by S E_N^-1 S ... S E_1^-1 S, and its dense output
-    is a view of base's (_Mirrored).  The segment growth bound keeps every
-    E_k well conditioned; Phi over the whole interval is never inverted."""
+    is a view of base's (_Mirrored) where base has one.  The segment growth
+    bound keeps every E_k well conditioned; Phi over the whole interval is
+    never inverted.  op's segments count to the budgets before they exist."""
+    nseg = len(base.segments) * (2 if keep else 1)
+    if nseg > MAX_CELLS:
+        raise _over_budget(nseg)
+    _check_bytes(base.lams, nseg, base.d)
     s = (-1.0) ** np.arange(base.d)
     flip = s[:, None] * s
     inverses = np.linalg.inv(base.segments)
@@ -425,8 +435,8 @@ def mirror_fundamental(op: LinearOperator, base: "FundamentalSystem", about: flo
     if keep:
         segments = np.concatenate([base.segments, segments])
         nodes = np.concatenate([base.nodes, nodes[1:]])
-    return FundamentalSystem(op=op, lams=base.lams, nodes=nodes, segments=segments,
-                             cells=_Mirrored(base.cells, about, kept, inverses, flip))
+    cells = _Mirrored(base.cells, about, kept, inverses, flip) if base.cells is not None else None
+    return FundamentalSystem(op=op, lams=base.lams, nodes=nodes, segments=segments, cells=cells)
 
 
 def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool) -> tuple:
@@ -615,11 +625,24 @@ def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEF
     integration on every segment, constant ones included, independent of
     the Magnus propagator (used to check it against closed forms).
     """
-    return _integrate(op, np.array([lam]), tol, True, force_rk)
+    lams = np.array([lam])
+    return _integrate(op, lams, tol, True, True) if force_rk else _system(op, lams, True, {}, tol)
 
 
 def integrate_fundamental_batch(op: LinearOperator, lams) -> FundamentalSystem:
     """One Magnus integration sweep shared by a whole vector of lambda values,
     to DEFAULT_TOL: the segment propagators, without dense output."""
-    return _integrate(op, np.atleast_1d(np.asarray(lams)), DEFAULT_TOL, False)
+    return _system(op, np.atleast_1d(np.asarray(lams)), False, {})
+
+
+def _system(op: LinearOperator, lams: np.ndarray, dense: bool, systems: dict,
+            tol: float = DEFAULT_TOL) -> FundamentalSystem:
+    """The fundamental system of op for lams, kept in systems by operator:
+    derived from its base operator's where op extends or reflects one
+    (operators.mirror_of, mirror_fundamental), else integrated."""
+    if op not in systems:
+        link = mirror_of(op)
+        systems[op] = (mirror_fundamental(op, _system(link[0], lams, dense, systems, tol), *link[1:])
+                       if link else _integrate(op, lams, tol, dense))
+    return systems[op]
 

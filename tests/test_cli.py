@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from greenbvp import cli, greens
+from greenbvp import integrate as integrate_module
 from greenbvp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, MAX_GRID, \
     MAX_SWEEP_POINTS, load_config, main
 from greenbvp.expressions import Binary, Call, Const, Neg, Power, Var
@@ -134,6 +135,19 @@ def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
     assert "integration cells needed" in capsys.readouterr().err
 
 
+def test_green_derived_segments_over_budget_exit_3(tmp_path, capsys):
+    # u'' D at lambda 4e8, quadrupled from T = 20: the base integration fits
+    # the budget (1.3e5 cells), the 2T system it derives would have twice
+    # its segments and is refused before mirroring allocates them
+    config = write_config(tmp_path, n=1, T=20.0, coefficients=["0", "0"], kind="dirichlet",
+                          extension="quadruple", **{"lambda": 4e8})
+    t0 = time.perf_counter()
+    code = main(["green", "--config", config, "--grid", "5", "--out", str(tmp_path / "g.csv")])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_NUMERICAL
+    assert "integration cells needed" in capsys.readouterr().err
+
+
 def test_green_pole_inside_the_interval_exits_3(tmp_path, capsys):
     # a coefficient unbounded at t = 4.535: the cells around the pole stay
     # unresolved through every halving; one unbounded at t = 1: a cell
@@ -208,9 +222,14 @@ def test_green_command_ends_in_a_documented_exit_code(n, data, T, kind, extensio
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), n=n, T=T, coefficients=coefficients, kind=kind,
                               extension=extension, **{"lambda": lam})
+        t0 = time.perf_counter()
         code = main(["green", "--config", config, "--grid", "5",
                      "--out", str(Path(tmp) / "grid.csv")])
+        seconds = time.perf_counter() - t0
     assert code in (0, 1, 2, 3)
+    # and in bounded time: a draw that takes over 60 s fails, named in the message
+    assert seconds <= 60.0, f"{seconds:.1f} s for {coefficients}, T = {T}, {kind}, " \
+                            f"{extension}, lambda = {lam}"
 
 
 def test_spectrum_reports_mixed2_eigenvalue(tmp_path, capsys):
@@ -333,13 +352,13 @@ def test_solution_csv_integrates_the_operator_once(tmp_path, monkeypatch):
     config = write_config(tmp_path, n=2, T=2.0, coefficients=["(t-2)^4", "0", "0", "0"],
                           **{"lambda": 2.0})
     calls = []
-    integrate = greens.integrate_fundamental
+    integrate = integrate_module._integrate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(greens, "integrate_fundamental", counted)
+    monkeypatch.setattr(integrate_module, "_integrate", counted)
     out = tmp_path / "solutions.csv"
     cfg = load_config(config)
     cli._write_solution_csv(str(out), cfg["operator"], greens.kernel_source(cfg["lambda"]),
@@ -355,13 +374,13 @@ def test_compare_out_integrates_each_length_once(tmp_path, monkeypatch, case):
     config = write_config(tmp_path, n=2, T=2.0, coefficients=["(t-2)^4", "0", "0", "0"],
                           **{"lambda": 2.0})
     lengths = []
-    integrate = greens.integrate_fundamental
+    integrate = integrate_module._integrate
 
     def counted(op, *args, **kwargs):
         lengths.append(op.length)
         return integrate(op, *args, **kwargs)
 
-    monkeypatch.setattr(greens, "integrate_fundamental", counted)
+    monkeypatch.setattr(integrate_module, "_integrate", counted)
     out = tmp_path / "solutions.csv"
     sigma1, sigma2 = {"ND-1": ("2", "sin(3*t)"), "NM1-2": ("1", "0.5"),
                       "M2D-3": ("-1", "-0.5")}[case]

@@ -422,6 +422,12 @@ def _constant_root(op, kind, k):
     return mu ** 2 if op.n == 1 else -mu ** 4
 
 
+def _twin(op):
+    """op without the note of an operator it extends or reflects: integrated
+    directly (operators.mirror_of)."""
+    return LinearOperator(op.n, op.length, op.coeffs)
+
+
 def _margins(op, kind, lam):
     """The kernel's resonance margin (None where it refuses) and sigma_min
     of the QR-marched graph matrix C W / ||C||_2, on one system."""
@@ -437,15 +443,18 @@ def test_block_reduction_margin_matches_graph_march(second_order_op, const_fourt
                                                     quartic_weight_op):
     # the margin read off the block reduction, 1 / (||C|| ||Z||), is sigma_min of the
     # graph matrix, and the two refuse the same problems: six families, T, 2T
-    # and 4T, lambda = root + delta down to delta = 0, and stiff lambda
+    # and 4T, lambda = root + delta down to delta = 0, and stiff lambda.  The
+    # extensions are integrated directly, as twins without the note of their
+    # base: on the derived 4T system, antiperiodic root + 1e-10 |root| puts the
+    # two criteria 2.4e-16 apart on either side of RESONANCE_THRESHOLD
     cases = []
     for base in (second_order_op, const_fourth_op):
-        for op in (base, extend_to_double(base), extend_to_quadruple(base)):
+        for op in map(_twin, (base, extend_to_double(base), extend_to_quadruple(base))):
             for kind in BCKind:
                 for root in (_constant_root(op, kind, 0), _constant_root(op, kind, 3)):
                     cases += [(op, kind, root + delta * abs(root))
                               for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0)]
-    for op in (quartic_weight_op, extend_to_double(quartic_weight_op)):
+    for op in (quartic_weight_op, _twin(extend_to_double(quartic_weight_op))):
         cases += [(op, kind, lam) for kind in BCKind for lam in (-37.3, 0.7, 60.1)]
     cases += [
         (second_order_op, BCKind.DIRICHLET, 0.5 * ((636 * math.pi) ** 2 + (637 * math.pi) ** 2)),
@@ -665,11 +674,40 @@ def test_identities_hold_on_derived_and_direct_systems(monkeypatch, name):
     for lam in (2.25, -30.0, 1e4):
         derived = run_identities(op, lam)
         with monkeypatch.context() as patch:
-            patch.setattr(greens_module, "mirror_of", lambda o: None)
+            patch.setattr(integrate_module, "mirror_of", lambda o: None)
             direct = run_identities(op, lam)
         assert [r.tag for r in derived] == [r.tag for r in direct]
         assert [r.skipped for r in derived] == [r.skipped for r in direct]
         assert all(r.passed for r in derived + direct)
+
+
+def test_every_route_integrates_only_operators_without_a_note(monkeypatch, quartic_weight_op):
+    # the extensions and the reflection derive their systems from the base
+    # operator's on every route (integrate._system), so a kernel's digits do
+    # not depend on the entry point that built it
+    from greenbvp.signscan import sign_interval
+    from greenbvp.spectrum import eigenfunction_at, find_eigenvalues
+
+    op = quartic_weight_op
+    received, integrate = [], integrate_module._integrate
+    monkeypatch.setattr(integrate_module, "_integrate",
+                        lambda o, *args: received.append(o) or integrate(o, *args))
+    problems = list(kernel_table(op).values()) + [(reflect(op), BCKind.MIXED1),
+                                                  (reflect(op), BCKind.MIXED2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for o, kind in problems:
+            build_greens(ProblemSpec(o, kind, 0.7))
+            char_det_scan(o, kind, np.linspace(-20.0, 5.0, 11))
+            found = find_eigenvalues(o, kind, (-20.0, 5.0)).eigenvalues
+            eigenfunction_at(o, kind, found[0].lam)
+        sign_interval(*kernel_table(op)["P2T"], "neg")
+        run_identities(op, 0.7, m=41)
+    assert received and all(mirror_of(o) is None for o in received)
+    for o, kind in (kernel_table(op)["P2T"], kernel_table(op)["P4T"],
+                    (reflect(op), BCKind.MIXED1)):
+        direct = build_greens(ProblemSpec(o, kind, 0.7)).sample_grid(41)
+        assert np.array_equal(direct, kernel_source(0.7)(o, kind).sample_grid(41))
 
 
 @pytest.mark.parametrize("case", ["u2-D-3.9e6", "variable-N", "variable-P4T"])

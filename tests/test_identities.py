@@ -215,10 +215,10 @@ def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weigh
     # op alone is integrated: its doubled and quadrupled extensions and its
     # reflection derive their fundamental systems from op's, and each system
     # is shared by all its kernels and grid factors
-    from greenbvp import comparison, greens, identities, integrate, signscan
+    from greenbvp import integrate
 
     calls = {"integrate": 0, "local_phi": 0}
-    original = integrate.integrate_fundamental
+    original = integrate._integrate
     local_phi = integrate.FundamentalSystem.local_phi
 
     def counted(*args, **kwargs):
@@ -229,9 +229,7 @@ def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weigh
         calls["local_phi"] += 1
         return local_phi(self, *args, **kwargs)
 
-    for module in (integrate, greens, identities, comparison, signscan):
-        if hasattr(module, "integrate_fundamental"):
-            monkeypatch.setattr(module, "integrate_fundamental", counted)
+    monkeypatch.setattr(integrate, "_integrate", counted)
     monkeypatch.setattr(integrate.FundamentalSystem, "local_phi", counted_local_phi)
     reports = run_identities(quartic_weight_op, 0.7, m=41)
     assert len(reports) == 24 and all(r.passed for r in reports)

@@ -10,6 +10,7 @@ from greenbvp import (
     BCKind,
     LinearOperator,
     ProblemSpec,
+    char_det_scan,
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
@@ -216,9 +217,12 @@ def test_refused_budget_counts_every_piece_and_checks_only_new_cells(monkeypatch
     # and the second piece passes the budget.  Each round checks only the
     # halves of the cells it flagged, so the checks stay within a small
     # multiple of the cells: work counts, not wall time.  Every piece's
-    # cells are counted before any piece is propagated
-    op = extend_to_double(LinearOperator.from_exprs(
+    # cells are counted before any piece is propagated.  The twin without the
+    # note of its base is integrated over 2T (the noted extension integrates
+    # T alone and fits the budget)
+    doubled = extend_to_double(LinearOperator.from_exprs(
         2, 11.96, ["abs(sin(t^4))", "abs(sin(t^4))", "abs(sin(t^4))", "sin(-t^2)^3"]))
+    op = LinearOperator(doubled.n, doubled.length, doubled.coeffs)
     checked, unresolved = [], integrate._unresolved
     monkeypatch.setattr(integrate, "_unresolved",
                         lambda vals, bars: checked.append(vals[0].shape[1]) or unresolved(vals, bars))
@@ -235,6 +239,24 @@ def test_refused_budget_counts_every_piece_and_checks_only_new_cells(monkeypatch
     total, earlier = float(message[1]), int(message[2])
     assert earlier == 177_924 and total > MAX_CELLS
     assert sum(checked) <= 3 * total
+
+
+def test_derived_scan_over_the_memory_bound_is_refused_before_mirroring(monkeypatch):
+    # a quadrupled operator's scan integrates the base alone, whose end
+    # matrices fit MAX_BATCH_BYTES, and derives the 2T and 4T systems; the
+    # 4N end matrices of the 4T system do not fit, and are refused before
+    # the mirroring allocates them
+    base = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    lams = np.linspace(1e6, 1.1e6, 9)
+    ends = integrate_fundamental_batch(base, lams).segments
+    monkeypatch.setattr(integrate, "MAX_BATCH_BYTES", 2 * ends.nbytes)
+    inverted, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+    with pytest.raises(integrate.IntegrationError, match=f"on {4 * len(ends)} segments"):
+        char_det_scan(extend_to_quadruple(base), BCKind.PERIODIC, lams)
+    # the base's end matrices were inverted for the 2T system, and the 2T
+    # system's were not for the 4T one
+    assert inverted == [ends.shape]
 
 
 def test_cell_exponential_per_matrix_scaling():
