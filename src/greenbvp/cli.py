@@ -52,6 +52,14 @@ def _finite_number(raw: dict, key: str, default=None) -> float:
     return float(value)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: nan and inf exit 2, naming the flag."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def load_config(path: str) -> dict:
     """Read and validate a ProblemConfig JSON file."""
     try:
@@ -262,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--identity", default="all",
                    help="identity tag or 'all' (tags: %s)" % ", ".join(ALL_TAGS))
-    p.add_argument("--lambda", dest="lam", type=float, nargs="*",
+    p.add_argument("--lambda", dest="lam", type=_finite_float, nargs="*",
                    help="lambda values (default: the config's lambda)")
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--out")
@@ -270,16 +278,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="locate eigenvalues in a lambda window")
     p.add_argument("--config", required=True)
-    p.add_argument("--window", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--scan-step", type=float, default=None)
+    p.add_argument("--window", type=_finite_float, nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--scan-step", type=_finite_float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("sign-intervals", help="maximal constant-sign lambda interval")
     p.add_argument("--config", required=True)
     p.add_argument("--side", required=True, choices=["pos", "neg"])
-    p.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--principal-window", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--window", type=_finite_float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--principal-window", type=_finite_float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--sweep", help="also write a (lambda, min G, max G) CSV sweep")
     p.add_argument("--sweep-points", type=int, default=41)
     p.add_argument("--out")

@@ -25,8 +25,8 @@ grid factors (segment indices and local Phi of a point set) are computed
 once.  Only C, the block reduction and the margin are per family, and so
 are the node states of a set of source points, which a kernel keeps for
 the grids that reuse the set.  The extensions and the reflection of an
-operator derive their systems from its own (integrate.mirror_fundamental)
-on every route, and kernel_source's kernels share one base integration.
+operator derive their systems from its own in one step on every route
+(integrate.mirror_fundamental): kernel_source's share one integration.
 """
 
 from __future__ import annotations

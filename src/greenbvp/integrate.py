@@ -17,9 +17,9 @@ vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap.  Lambda enters only as the shift of a_0 (no
 coefficient uses it), so the coefficient samples are shared by the whole
 batch, and so are the generators of larger batches (see
-_magnus_polynomial).  The doubled, quadrupled and reflected operators
-carry the base operator reflected: every route (_system) derives their
-systems from the base's, whose cells alone are integrated.  An adaptive
+_magnus_polynomial).  The extended and reflected operators are copies of
+a root operator's interval: every route (_system) derives their systems
+from the root's in one step, whose cells alone are integrated.  An adaptive
 Dormand-Prince 5(4) integration of a single lambda is kept as an
 independent reference (integrate_fundamental(force_rk=True)).  It is the
 only user of scipy, which the package does not require: scipy.integrate is
@@ -384,59 +384,54 @@ class _Cells:
 
 
 @dataclass(frozen=True)
-class _Mirrored:
-    """Dense output of a system derived from base's by the reflection
-    t -> about - t (mirror_fundamental): its first kept segments are base's
-    own, and the later ones mirror base's segments, last first.  On the
-    mirror of base segment k, local Phi is S Phi_k(about - t) E_k^-1 S, with
-    Phi_k base's local Phi, E_k its propagator and S = diag((-1)^j)."""
+class _Copies:
+    """Dense output of a system laid out as copies of its root's interval
+    (mirror_fundamental): segment k of a copy is root segment k, or root
+    segment N-1-k when the copy is mirrored.  There local Phi is
+    S Phi_k(origin - t) E_k^-1 S, with Phi_k the root's local Phi, E_k its
+    propagator and S = diag((-1)^j); elsewhere it is Phi_k(t - origin)."""
 
-    base: "_Cells | _Mirrored"
-    about: float
-    kept: int
-    inverses: np.ndarray   # (N, K, d, d) E_k^-1 of every base segment
+    root: _Cells
+    mirrored: np.ndarray   # (copies,) whether each copy is mirrored
+    origins: np.ndarray    # (copies,) the origin of each copy
+    inverses: np.ndarray   # (N, K, d, d) E_k^-1 of every root segment
     flip: np.ndarray       # (d, d) (-1)^(i+j): S X S = X * flip
 
     def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        own = seg < self.kept
-        out = np.empty((len(ts),) + self.inverses.shape[1:], dtype=self.inverses.dtype)
-        if own.any():
-            out[own] = self.base.local_phi(seg[own], ts[own])
-        if not own.all():
-            k = len(self.inverses) - 1 - (seg[~own] - self.kept)
-            phi = self.base.local_phi(k, self.about - ts[~own])
-            out[~own] = (phi @ self.inverses[k]) * self.flip
+        nseg = len(self.inverses)
+        copy, k = np.divmod(seg, nseg)
+        mirrored, origin = self.mirrored[copy], self.origins[copy]
+        k = np.where(mirrored, nseg - 1 - k, k)
+        out = self.root.local_phi(k, np.where(mirrored, origin - ts, ts - origin))
+        out[mirrored] = (out[mirrored] @ self.inverses[k[mirrored]]) * self.flip
         return out
 
 
-def mirror_fundamental(op: LinearOperator, base: "FundamentalSystem", about: float,
-                       keep: bool) -> "FundamentalSystem":
-    """The system of op from base's, for op whose coefficients are
-    a_j(t) = (-1)^j b_j(about - t), b_j base's, on the mirrored part of its
-    interval, after base's own interval where keep (operators.mirror_of).
-
-    If u solves base's equation, u(about - t) solves op's there, with state
-    S x_u(about - t), S = diag((-1)^j).  So the mirror of base segment k has
-    the propagator S E_k^-1 S: op's propagators are base's E_1 ... E_N
-    (where keep) followed by S E_N^-1 S ... S E_1^-1 S, and its dense output
-    is a view of base's (_Mirrored) where base has one.  The segment growth
-    bound keeps every E_k well conditioned; Phi over the whole interval is
-    never inverted.  op's segments count to the budgets before they exist."""
-    nseg = len(base.segments) * (2 if keep else 1)
+def mirror_fundamental(op: LinearOperator, root: "FundamentalSystem",
+                       copies: tuple) -> "FundamentalSystem":
+    """The system of op, copies (mirrored, origin) of its root's interval
+    (operators.mirror_of), from the root's.  If u solves the root's
+    equation, u(origin - t) solves op's on a mirrored copy, with state
+    S x_u(origin - t), S = diag((-1)^j).  So a copy's propagators are the
+    root's E_1 ... E_N, or S E_N^-1 S ... S E_1^-1 S where mirrored: the
+    root's N end matrices are inverted once (the segment growth bound keeps
+    them well conditioned), and the dense output is a view of the root's
+    (_Copies).  op's segments count to the budgets before they exist."""
+    nseg = len(root.segments) * len(copies)
     if nseg > MAX_CELLS:
         raise _over_budget(nseg)
-    _check_bytes(base.lams, nseg, base.d)
-    s = (-1.0) ** np.arange(base.d)
+    _check_bytes(root.lams, nseg, root.d)
+    s = (-1.0) ** np.arange(root.d)
     flip = s[:, None] * s
-    inverses = np.linalg.inv(base.segments)
-    segments = inverses[::-1] * flip
-    nodes = about - base.nodes[::-1]
-    kept = len(base.segments) if keep else 0
-    if keep:
-        segments = np.concatenate([base.segments, segments])
-        nodes = np.concatenate([base.nodes, nodes[1:]])
-    cells = _Mirrored(base.cells, about, kept, inverses, flip) if base.cells is not None else None
-    return FundamentalSystem(op=op, lams=base.lams, nodes=nodes, segments=segments, cells=cells)
+    inverses = np.linalg.inv(root.segments)
+    reverse = inverses[::-1] * flip
+    segments = np.concatenate([reverse if mirrored else root.segments for mirrored, _ in copies])
+    nodes = np.concatenate([[0.0]] + [(origin - root.nodes[::-1] if mirrored else
+                                       origin + root.nodes)[1:] for mirrored, origin in copies])
+    mirrored, origins = map(np.array, zip(*copies))
+    cells = (_Copies(root.cells, mirrored, origins, inverses, flip)
+             if root.cells is not None else None)
+    return FundamentalSystem(op=op, lams=root.lams, nodes=nodes, segments=segments, cells=cells)
 
 
 def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool) -> tuple:
@@ -541,7 +536,7 @@ class FundamentalSystem:
     lams: np.ndarray            # (K,) lambda values, the shifts of a_0
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
-    cells: _Cells | _Mirrored = None  # dense output: the Magnus path's, or a mirrored view
+    cells: _Cells | _Copies = None  # dense output: the Magnus path's, or a view of its root's
     rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
     # the grid factors of the kernels on this system (see greens)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -638,11 +633,12 @@ def integrate_fundamental_batch(op: LinearOperator, lams) -> FundamentalSystem:
 def _system(op: LinearOperator, lams: np.ndarray, dense: bool, systems: dict,
             tol: float = DEFAULT_TOL) -> FundamentalSystem:
     """The fundamental system of op for lams, kept in systems by operator:
-    derived from its base operator's where op extends or reflects one
-    (operators.mirror_of, mirror_fundamental), else integrated."""
+    integrated where op has no note, else derived in one step from its root
+    operator's, integrated once (operators.mirror_of, mirror_fundamental)."""
     if op not in systems:
-        link = mirror_of(op)
-        systems[op] = (mirror_fundamental(op, _system(link[0], lams, dense, systems, tol), *link[1:])
-                       if link else _integrate(op, lams, tol, dense))
+        root, copies = mirror_of(op) or (op, None)
+        if root not in systems:
+            systems[root] = _integrate(root, lams, tol, dense)
+        if copies:
+            systems[op] = mirror_fundamental(op, systems[root], copies)
     return systems[op]
-

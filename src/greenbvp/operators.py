@@ -4,7 +4,8 @@ An operator of order ``2n`` is ``u^(2n) + a_{2n-1} u^(2n-1) + ... + a_0 u``
 on ``[0, L]`` with unit leading coefficient.  Coefficients are stored as
 piecewise segments whose evaluation maps are affine in ``t``, so the even and
 odd reflection extensions (to the doubled and quadrupled intervals) and the
-coefficient reflection are represented exactly rather than resampled.
+coefficient reflection are represented exactly rather than resampled, and
+note the copies of their root operator's interval they are made of.
 Breakpoints between segments fall on multiples of the base interval length,
 and integrators must treat them as hard boundaries: odd extensions of
 nonvanishing coefficients jump there.  Coefficients are functions of ``t``
@@ -47,16 +48,11 @@ class CoeffSegment:
         with np.errstate(all="ignore"):  # nan and inf are refused by finiteness checks
             return self.sign * f(self.shift + self.scale * np.asarray(t, dtype=float), 0.0)
 
-    def mapped(self, new_lo: float, new_hi: float, about: float, flip_sign: bool) -> "CoeffSegment":
-        """Segment for the reflection t -> about - t, relocated to [new_lo, new_hi]."""
-        return CoeffSegment(
-            lo=new_lo,
-            hi=new_hi,
-            expr=self.expr,
-            shift=self.shift + self.scale * about,
-            scale=-self.scale,
-            sign=-self.sign if flip_sign else self.sign,
-        )
+    def mapped(self, about: float, flip_sign: bool) -> "CoeffSegment":
+        """Segment for the reflection t -> about - t, on [about - hi, about - lo]."""
+        return CoeffSegment(lo=about - self.hi, hi=about - self.lo, expr=self.expr,
+                            shift=self.shift + self.scale * about, scale=-self.scale,
+                            sign=-self.sign if flip_sign else self.sign)
 
     def is_constant(self) -> bool:
         return not uses_t(self.expr)
@@ -151,16 +147,7 @@ class LinearOperator:
 def extend_to_double(op: LinearOperator) -> LinearOperator:
     """Extend to [0, 2L]: even-index coefficients reflect evenly about L,
     odd-index ones oddly (value -a(2L - t) on the new half)."""
-    L = op.length
-    new_coeffs = []
-    for k, segs in enumerate(op.coeffs):
-        mirrored = tuple(
-            seg.mapped(2 * L - seg.hi, 2 * L - seg.lo, about=2 * L, flip_sign=(k % 2 == 1))
-            for seg in reversed(segs)
-        )
-        new_coeffs.append(segs + mirrored)
-    doubled = LinearOperator(n=op.n, length=2 * L, coeffs=tuple(new_coeffs))
-    return _mirrored(doubled, op, 2 * L, True)
+    return _mirror(op, 2 * op.length, True)
 
 
 def extend_to_quadruple(op: LinearOperator) -> LinearOperator:
@@ -170,31 +157,30 @@ def extend_to_quadruple(op: LinearOperator) -> LinearOperator:
 
 def reflect(op: LinearOperator) -> LinearOperator:
     """Coefficient reflection: a_k(t) becomes (-1)^k a_k(L - t)."""
-    L = op.length
-    new_coeffs = []
-    for k, segs in enumerate(op.coeffs):
-        new_coeffs.append(
-            tuple(
-                seg.mapped(L - seg.hi, L - seg.lo, about=L, flip_sign=(k % 2 == 1))
-                for seg in reversed(segs)
-            )
-        )
-    return _mirrored(LinearOperator(n=op.n, length=L, coeffs=tuple(new_coeffs)), op, L, False)
+    return _mirror(op, op.length, False)
 
 
-def _mirrored(op: LinearOperator, base: LinearOperator, about: float,
-              keep: bool) -> LinearOperator:
-    """op, noted as base reflected by t -> about - t, after base itself where
-    keep: greens.kernel_source derives op's fundamental system from base's
-    (integrate.mirror_fundamental).  The note is not a field, so equality
-    and hashing ignore it, and pickles drop it."""
-    op.__dict__["_mirror"] = (base, about, keep)
-    return op
+def _mirror(op: LinearOperator, about: float, keep: bool) -> LinearOperator:
+    """The operator on [0, about] with coefficients (-1)^k a_k(about - t), after
+    op's own where keep (about = 2L), noted as copies (mirrored, origin) of
+    its root's interval: a copy holds the root's coefficients at t - origin,
+    or (-1)^k times them at origin - t.  Reflection flips each copy, maps its
+    origin to about - origin and reverses their order, so 4L is ((F, 0),
+    (T, 2L), (F, 2L), (T, 4L)).  The note is not a field: equality and
+    hashing ignore it, and pickles drop it (integrate.mirror_fundamental)."""
+    coeffs = tuple((segs if keep else ()) + tuple(seg.mapped(about, k % 2 == 1)
+                                                  for seg in reversed(segs))
+                   for k, segs in enumerate(op.coeffs))
+    root, copies = mirror_of(op) or (op, ((False, 0.0),))
+    mirrored = tuple((not flag, about - origin) for flag, origin in reversed(copies))
+    out = LinearOperator(n=op.n, length=about, coeffs=coeffs)
+    out.__dict__["_mirror"] = (root, (copies if keep else ()) + mirrored)
+    return out
 
 
 def mirror_of(op: LinearOperator) -> tuple | None:
-    """(base, about, keep) of an operator made by extend_to_double (keep) or
-    reflect, else None (see _mirrored)."""
+    """(root, copies) of an operator made by extend_to_double or reflect,
+    else None (see _mirror)."""
     return op.__dict__.get("_mirror")
 
 

@@ -137,8 +137,8 @@ def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
 
 def test_green_derived_segments_over_budget_exit_3(tmp_path, capsys):
     # u'' D at lambda 4e8, quadrupled from T = 20: the base integration fits
-    # the budget (1.3e5 cells), the 2T system it derives would have twice
-    # its segments and is refused before mirroring allocates them
+    # the budget (1.3e5 cells), the 4T system it derives would have four
+    # times its segments and is refused before mirroring allocates them
     config = write_config(tmp_path, n=1, T=20.0, coefficients=["0", "0"], kind="dirichlet",
                           extension="quadruple", **{"lambda": 4e8})
     t0 = time.perf_counter()
@@ -294,6 +294,27 @@ def test_size_inputs_below_their_bound_exit_2(tmp_path, capsys, argv, message):
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--lambda", "nan"], "--lambda"),
+    (["verify", "--lambda", "0", "inf"], "--lambda"),
+    (["spectrum", "--window", "-5", "inf"], "--window"),
+    (["spectrum", "--window", "0", "50", "--scan-step", "nan"], "--scan-step"),
+    (["sign-intervals", "--side", "neg", "--window", "0", "1e999"], "--window"),
+    (["sign-intervals", "--side", "neg", "--principal-window", "nan", "1"],
+     "--principal-window"),
+], ids=["lambda-nan", "lambda-inf", "window-inf", "scan-step-nan", "window-overflow",
+        "principal-window-nan"])
+def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv, flag):
+    # refused as configuration errors naming the flag; without the check nan
+    # and inf reach the integrator or the scan and end in exit 3 or in a
+    # message about nan points
+    config = write_config(tmp_path, n=1, coefficients=["0", "0"], kind="dirichlet")
+    with pytest.raises(SystemExit) as refusal:
+        main(argv[:1] + ["--config", config] + argv[1:])
+    assert refusal.value.code == EXIT_CONFIG
+    assert f"argument {flag}: " in capsys.readouterr().err
 
 
 def test_verify_identities_exit_codes(tmp_path, capsys):

@@ -642,12 +642,17 @@ _ROUTE_OPS = {
 
 @pytest.mark.parametrize("name", list(_ROUTE_OPS))
 def test_derived_systems_match_direct_integration(name):
-    # kernel_source derives the 2T, 4T and reflected operators' systems from
-    # the base operator's (integrate.mirror_fundamental); an equal operator
-    # built from the fields has no note of its base and is integrated
+    # kernel_source derives the 2T, 4T, reflected and composed operators'
+    # systems from the root operator's (integrate.mirror_fundamental); an
+    # equal operator built from the fields has no note of its root and is
+    # integrated.  reflect(extend_to_double(op)) equals extend_to_double(op),
+    # so it comes first, before kernel_table's 2T operator shares its system
     op = LinearOperator.from_exprs(*_ROUTE_OPS[name])
-    problems = list(kernel_table(op).values()) + [(reflect(op), BCKind.MIXED1),
-                                                  (reflect(op), BCKind.MIXED2)]
+    problems = [(reflect(extend_to_double(op)), kind)
+                for kind in (BCKind.PERIODIC, BCKind.MIXED1)]
+    problems += [(extend_to_double(reflect(op)), kind) for kind in BCKind]
+    problems += list(kernel_table(op).values()) + [(reflect(op), BCKind.MIXED1),
+                                                   (reflect(op), BCKind.MIXED2)]
     for lam in (2.25, -2.5, -30.0, 5.0, 1e4, -1e4, -2e5):
         derived, direct = kernel_source(lam), kernel_source(lam)
         for o, kind in problems:
@@ -659,9 +664,9 @@ def test_derived_systems_match_direct_integration(name):
                     derived(o, kind)
                 continue
             H = derived(o, kind)
-            mirrored = isinstance(H.fs.cells, integrate_module._Mirrored)
-            assert mirrored == (mirror_of(o) is not None)
-            assert not isinstance(G.fs.cells, integrate_module._Mirrored)
+            copied = isinstance(H.fs.cells, integrate_module._Copies)
+            assert copied == (mirror_of(o) is not None)
+            assert not isinstance(G.fs.cells, integrate_module._Copies)
             ref = G.sample_grid(41)
             assert np.abs(H.sample_grid(41) - ref).max() <= 1e-10 * np.abs(ref).max()
 

@@ -243,9 +243,9 @@ def test_refused_budget_counts_every_piece_and_checks_only_new_cells(monkeypatch
 
 def test_derived_scan_over_the_memory_bound_is_refused_before_mirroring(monkeypatch):
     # a quadrupled operator's scan integrates the base alone, whose end
-    # matrices fit MAX_BATCH_BYTES, and derives the 2T and 4T systems; the
+    # matrices fit MAX_BATCH_BYTES, and derives the 4T system from it; the
     # 4N end matrices of the 4T system do not fit, and are refused before
-    # the mirroring allocates them
+    # the mirroring inverts or allocates anything
     base = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     lams = np.linspace(1e6, 1.1e6, 9)
     ends = integrate_fundamental_batch(base, lams).segments
@@ -254,9 +254,33 @@ def test_derived_scan_over_the_memory_bound_is_refused_before_mirroring(monkeypa
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
     with pytest.raises(integrate.IntegrationError, match=f"on {4 * len(ends)} segments"):
         char_det_scan(extend_to_quadruple(base), BCKind.PERIODIC, lams)
-    # the base's end matrices were inverted for the 2T system, and the 2T
-    # system's were not for the 4T one
-    assert inverted == [ends.shape]
+    # no 2T system was derived on the way, and nothing was inverted
+    assert inverted == []
+
+
+def test_quadrupled_system_repeats_the_base_propagators(quartic_weight_op):
+    # the 4T operator is the periodic continuation of the 2T one, so its
+    # third quarter of segments is the base's E_1 ... E_N, not an inversion
+    # of the 2T system's inverses
+    lams = np.linspace(-110.0, 10.0, 41)
+    base = integrate_fundamental_batch(quartic_weight_op, lams)
+    fs = integrate_fundamental_batch(extend_to_quadruple(quartic_weight_op), lams)
+    N = len(base.segments)
+    assert len(fs.segments) == 4 * N
+    assert np.array_equal(fs.segments[:N], base.segments)
+    assert np.array_equal(fs.segments[2 * N:3 * N], base.segments)
+    assert np.array_equal(fs.nodes[2 * N:3 * N + 1], 4.0 + base.nodes)
+
+
+def test_quadrupled_scan_inverts_the_base_propagators_once(monkeypatch, quartic_weight_op):
+    # a P[4T] scan integrates the base alone and inverts its N end matrices
+    # once; no derived system's end matrices are inverted
+    lams = np.linspace(-110.0, 10.0, 41)
+    N = len(integrate_fundamental_batch(quartic_weight_op, lams).segments)
+    inverted, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+    char_det_scan(extend_to_quadruple(quartic_weight_op), BCKind.PERIODIC, lams)
+    assert inverted == [(N, len(lams), 4, 4)]
 
 
 def test_cell_exponential_per_matrix_scaling():

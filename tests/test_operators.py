@@ -139,17 +139,21 @@ def test_operator_hash_is_computed_once(monkeypatch, quartic_weight_op):
 
 
 def test_extensions_note_their_base_outside_equality_and_pickles(quartic_weight_op):
-    # extend_to_double and reflect note the operator they mirror and where;
-    # an equal operator built from the fields has no note and still compares
-    # and hashes equal, and a pickle drops the note
+    # extend_to_double and reflect note their root operator and the copies
+    # (mirrored, origin) of its interval that they lay out, composed through
+    # every step; an equal operator built from the fields has no note and
+    # still compares and hashes equal, and a pickle drops the note
     import pickle
 
-    op2 = extend_to_double(quartic_weight_op)
-    assert mirror_of(quartic_weight_op) is None
-    for op, note in [(op2, (quartic_weight_op, 4.0, True)),
-                     (extend_to_quadruple(quartic_weight_op), (op2, 8.0, True)),
-                     (reflect(quartic_weight_op), (quartic_weight_op, 2.0, False))]:
-        assert mirror_of(op) == note
+    root = quartic_weight_op
+    assert mirror_of(root) is None
+    for op, copies in [(extend_to_double(root), ((False, 0.0), (True, 4.0))),
+                       (extend_to_quadruple(root),
+                        ((False, 0.0), (True, 4.0), (False, 4.0), (True, 8.0))),
+                       (reflect(root), ((True, 2.0),)),
+                       (extend_to_double(reflect(root)), ((True, 2.0), (False, 2.0))),
+                       (reflect(extend_to_double(root)), ((False, 0.0), (True, 4.0)))]:
+        assert mirror_of(op) == (root, copies)
         for twin in (LinearOperator(op.n, op.length, op.coeffs),
                      pickle.loads(pickle.dumps(op))):
             assert mirror_of(twin) is None
