@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 
 import numpy as np
@@ -304,6 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-examples", help="run the full reproduction suite")
     p.set_defaults(func=_cmd_paper_examples)
+    # argparse reads only -digits and -digits.digits as negative numbers, and
+    # any other word after a dash as a flag: -1e3 is a value too
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

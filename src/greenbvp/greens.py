@@ -16,8 +16,8 @@ the solution graph {(x, Phi(T) x)}.  det M is the characteristic function
 whose zeros are the eigenvalues, and sigma_min(M) is the resonance margin of
 a kernel; both are bounded by one and do not depend on the segment count.
 char_det_scan marches W over the segments, so that Phi(T) is never formed;
-a kernel reads sigma_min(M) off the end states of its block reduction.  The
-reduction also gives eigenfunctions their node states (homogeneous_states).
+a kernel reads sigma_min(M) off the end states of its block reduction,
+which also gives eigenfunctions their node states (spectrum._null_functions).
 
 All boundary families of one operator and lambda solve the same equation:
 their kernels share one fundamental system, whose segment end matrices and
@@ -366,19 +366,6 @@ class _BlockReduction:
         rhs[rel, :, cols] = u[..., 0]
         top = (self._last_inverse @ rhs.reshape(-1, k)).reshape(-1, d, k)
         return self._back_substitute(top, tops)
-
-
-def homogeneous_states(C: np.ndarray, ends: np.ndarray):
-    """The node states H (N+1, d, d) of the d solutions with C [H_0; H_N] = I
-    for the functionals C and the segment propagators ends (N, d, d); None if
-    the block system is exactly singular.  Z = [H_0; H_N] is W S for the
-    orthonormal graph basis W, so sigma(M) = 1 / (||C||_2 sigma(Z)), and H v,
-    v the top right singular vector of Z, holds the node states of the
-    solution of sigma_min(M)."""
-    try:
-        return _BlockReduction(C, ends).homogeneous()
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _keep_last(store: dict, key, value, size: int):

@@ -477,22 +477,27 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-@dataclass
-class _RkSegment:
-    """Dense output of one segment solved by an adaptive RK 5(4) pair (the
-    reference path): sol maps times to the K flattened d x d matrices."""
+@dataclass(frozen=True)
+class _RkCells:
+    """Dense output of the RK45 reference: sols[k] maps times on segment k
+    to the K flattened d x d matrices of local Phi."""
 
-    K: int
+    sols: list
+    lams: np.ndarray
     d: int
-    sol: object
 
-    def local_phi(self, ts: np.ndarray) -> np.ndarray:
-        return self.sol(ts).T.reshape(len(ts), self.K, self.d, self.d)
+    def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        shape = (len(self.lams), self.d, self.d)
+        out = np.empty((len(ts),) + shape, dtype=self.lams.dtype)
+        for k in np.unique(seg):
+            mask = seg == k
+            out[mask] = self.sols[k](ts[mask]).T.reshape((-1,) + shape)
+        return out
 
 
 def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
                 tol: float) -> tuple:
-    """The segment's end matrices (K, d, d) and its dense output."""
+    """The segment's end matrices (K, d, d) and its dense solution."""
     d = op.order
     K = len(lams)
     closures = [seg.evaluate for seg in _coeff_segments(op, lo, hi)]
@@ -522,22 +527,21 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
     )
     if not result.success:
         raise IntegrationError(f"integration failed on [{lo}, {hi}]: {result.message}")
-    return result.y[:, -1].reshape(K, d, d), _RkSegment(K, d, result.sol)
+    return result.y[:, -1].reshape(K, d, d), result.sol
 
 
 @dataclass
 class FundamentalSystem:
     """Segment propagators and local Phi (I at each segment start) for a
     batch of lambda values; global Phi is never formed.  Local Phi needs the
-    dense output (cells, or rk for the single-lambda RK45 reference), which
-    integrate_fundamental always keeps."""
+    dense output (cells), which integrate_fundamental always keeps."""
 
     op: LinearOperator
     lams: np.ndarray            # (K,) lambda values, the shifts of a_0
     nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
-    cells: _Cells | _Copies = None  # dense output: the Magnus path's, or a view of its root's
-    rk: list = None             # dense output of the RK45 path, one _RkSegment per segment
+    # dense output: the Magnus path's, a view of its root's, or the RK45 reference's
+    cells: _Cells | _Copies | _RkCells = None
     # the grid factors of the kernels on this system (see greens)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -549,12 +553,6 @@ class FundamentalSystem:
     def K(self) -> int:
         return len(self.lams)
 
-    @property
-    def lam(self) -> float | complex:
-        if self.K != 1:
-            raise ValueError(f"fundamental system holds a batch of {self.K} lambdas, not one")
-        return self.lams[0].item()
-
     def segment_index(self, t) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.searchsorted(self.nodes[1:-1], ts, side="right")
@@ -563,17 +561,10 @@ class FundamentalSystem:
     def local_phi(self, seg, ts) -> np.ndarray:
         """Phi relative to the start of segment seg (one index, or one per
         t), shape (nt, K, d, d)."""
-        if self.cells is None and self.rk is None:
+        if self.cells is None:
             raise IntegrationError("fundamental system was integrated without dense output")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        seg = np.broadcast_to(seg, ts.shape)
-        if self.cells is not None:
-            return self.cells.local_phi(seg, ts)
-        out = np.empty((len(ts), self.K, self.d, self.d), dtype=self.segments.dtype)
-        for k in np.unique(seg):
-            mask = seg == k
-            out[mask] = self.rk[k].local_phi(ts[mask])
-        return out
+        return self.cells.local_phi(np.broadcast_to(seg, ts.shape), ts)
 
 
 def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
@@ -584,13 +575,13 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
     lams = np.asarray(lams)
     lams = lams.astype(np.result_type(lams, float))
     plan = _segment_nodes(op, lams)
-    ends, rk, pieces, planned, piece_cells = [], [], [], [], []
+    ends, sols, pieces, planned, piece_cells = [], [], [], [], []
     for lo, hi, nodes, rate in plan:
         if force_rk:
             for a, b in zip(nodes[:-1], nodes[1:]):
-                end, seg = _rk_segment(op, a, b, lams, tol)
+                end, sol = _rk_segment(op, a, b, lams, tol)
                 ends.append(end[None])
-                rk.append(seg)
+                sols.append(sol)
         else:  # every piece's cells, counted to MAX_CELLS, before any is propagated
             pieces.append(_Piece.of(op, lo, hi, lams))
             used = sum(len(cells[0]) for cells in planned)
@@ -601,14 +592,13 @@ def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
         piece_cells.append(output)
     segments = np.concatenate(ends)
     nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
-    cells = None
+    cells = _RkCells(sols, lams, op.order) if force_rk else None
     if dense and not force_rk:
         starts, counts, cell_prefixes = zip(*piece_cells)
         piece = np.repeat(np.arange(len(pieces)), [len(c) for c in starts])
         cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
                        piece, pieces, np.concatenate(cell_prefixes))
-    return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=segments,
-                             cells=cells, rk=rk if force_rk else None)
+    return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=segments, cells=cells)
 
 
 def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEFAULT_TOL,

@@ -58,17 +58,6 @@ class CoeffSegment:
         return not uses_t(self.expr)
 
 
-def _as_segments(coeff, length: float) -> tuple[CoeffSegment, ...]:
-    if isinstance(coeff, str):
-        coeff = parse_expression(coeff)
-    if isinstance(coeff, CoeffSegment):
-        return (coeff,)
-    if isinstance(coeff, (tuple, list)) and coeff and isinstance(coeff[0], CoeffSegment):
-        return tuple(coeff)
-    # a bare ExprAst covers the whole interval
-    return (CoeffSegment(0.0, length, coeff),)
-
-
 @dataclass(frozen=True)
 class LinearOperator:
     """Operator u^(2n) + sum a_k u^(k) on [0, length]."""
@@ -114,9 +103,12 @@ class LinearOperator:
 
     @classmethod
     def from_exprs(cls, n: int, length: float, coeffs) -> "LinearOperator":
-        """Build from 2n expression strings or ASTs, lowest order (a_0) first."""
-        segs = tuple(_as_segments(c, float(length)) for c in coeffs)
-        return cls(n=n, length=float(length), coeffs=segs)
+        """Build from 2n expression strings or ASTs, lowest order (a_0) first,
+        each covering the whole interval."""
+        length = float(length)
+        segs = tuple((CoeffSegment(0.0, length, parse_expression(c) if isinstance(c, str) else c),)
+                     for c in coeffs)
+        return cls(n=n, length=length, coeffs=segs)
 
     @property
     def order(self) -> int:

@@ -27,7 +27,8 @@ import numpy as np
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
     _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_source, kernel_table
 from .operators import LinearOperator
-from .spectrum import _bracketed_roots, _refine_brackets, dyadic_points, principal_eigenvalue
+from . import spectrum
+from .spectrum import _bracketed_roots, _refine_brackets, principal_eigenvalue
 
 __all__ = [
     "NONNEGATIVE",
@@ -362,7 +363,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         """(threshold, bracket, changed row) of the nearest confirmed root, or None."""
         corners = (_corner_problem(kind, op.n, t, s) for t in (0, 1) for s in (0, 1))
         problems = list({C.tobytes(): (C, row) for C, row in filter(None, corners)}.values())
-        x = dyadic_points(good, bad)
+        x = np.linspace(good, bad, spectrum.SECTIONS + 1)
         dets = _char_dets(op, np.array([C for C, _ in problems]), x)
         # every sign-change cell of every problem, nearest the good end first
         for i, p in zip(*np.nonzero((np.sign(dets[:, 1:]) != np.sign(dets[:, :-1])).T)):

@@ -7,10 +7,10 @@ resonance margin.  A scan over a lambda window finds sign-change brackets,
 narrowed by the safeguarded regula falsi that sign_interval shares and read
 at the false-position point of the final bracket.  Where |det| dips between
 scan points of one sign, the roots near the dip are counted by the argument
-principle (det is entire in lambda): the dip is zoomed until it shows a sign
-change or closes on a root of even multiplicity, which really occur (periodic
-and antiperiodic problems carry double eigenvalues inherited from two
-two-point problems at once).
+principle (det is entire in lambda): the dip is zoomed, SECTIONS uniform
+cells a round, until it shows a sign change or closes on a root of even
+multiplicity, which really occur (periodic and antiperiodic problems carry
+double eigenvalues inherited from two two-point problems at once).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import BCKind, _boundary_coeffs, char_det_scan, homogeneous_states, kernel_table
+from .greens import BCKind, _BlockReduction, _boundary_coeffs, char_det_scan, kernel_table
 from .integrate import integrate_fundamental
 from .operators import LinearOperator, coeff_values, reflect
 
@@ -77,8 +77,8 @@ MATCH_TOL = 10 * LAM_TOL
 # 100 MB, and u'''' + (t-2)^4 u on [0, 2] over (-50, 0) about 240 MB.
 MAX_SCAN_POINTS = 100_000
 
-# Cells per round of the dip zoom and of sign_interval's changed-problem
-# scan: a lambda batch costs about as much as a single lambda.
+# Uniform cells per round of the dip zoom and of sign_interval's
+# changed-problem scan: a lambda batch costs about as much as a single lambda.
 SECTIONS = 16
 
 
@@ -113,20 +113,6 @@ class Spectrum:
                 for e in self.eigenvalues
             ],
         }
-
-
-def dyadic_points(a, b) -> np.ndarray:
-    """a, b and the SECTIONS - 1 points between them that log2(SECTIONS)
-    bisection steps on [a, b] can visit, each computed as the midpoint of
-    its two parents as bisection computes it; shape (..., SECTIONS + 1)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x = np.empty(a.shape + (SECTIONS + 1,))
-    x[..., 0], x[..., -1] = a, b
-    step = SECTIONS
-    while step > 1:
-        x[..., step // 2::step] = 0.5 * (x[..., :-1:step] + x[..., step::step])
-        step //= 2
-    return x
 
 
 def splittable(a, b, lam_tol):
@@ -216,8 +202,8 @@ def _root_counts(det_batch, a, b) -> np.ndarray:
 def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
     """(sign-change brackets, flagged roots) in dip cells [a, b] whose ends
     share a sign.  Cells that hold roots are zoomed in lockstep, one batched
-    sweep of their dyadic probes per round keeping the two sub-cells around
-    the smallest |det|, until the probes change sign or the cell is narrower
+    sweep of SECTIONS uniform cells per round keeping the two around the
+    smallest |det|, until the probes change sign or the cell is narrower
     than lam_tol / 10 (or a few float spacings).  Then a nonzero count (even,
     as the ends share a sign) is one flagged root; zero is a non-real pair
     or a near miss."""
@@ -230,7 +216,7 @@ def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
         narrow += zip(a[~live], b[~live])
         if not live.any():
             break
-        x = dyadic_points(a[live], b[live])
+        x = np.linspace(a[live], b[live], SECTIONS + 1, axis=-1)
         f = det_batch(x[:, 1:-1].ravel()).reshape(len(x), SECTIONS - 1)
         f = np.concatenate([fa[live, None], f, fb[live, None]], axis=1)
         flip = np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0
@@ -329,7 +315,11 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
 def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     """The singular values sigma_1 <= ... <= sigma_d of M at lam_star and,
     column j for sigma_(j+1), the values at ts of the solutions M maps to
-    them, from their node states (greens.homogeneous_states) and local Phi.
+    them, from local Phi and their node states, which the block reduction
+    (greens._BlockReduction) gives as H v for the node states H of the d
+    solutions with C [H_0; H_N] = I and v a right singular vector of its end
+    states Z = [H_0; H_N]: Z is W S for the orthonormal graph basis W, so
+    sigma(M) = 1 / (||C||_2 sigma(Z)).
 
     The SVD of the end states reads sigma_2 to about eps * sigma_2 / sigma_1
     relative.  Where the block system is exactly singular, or sigma_1 is too small
@@ -339,13 +329,16 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     C = _boundary_coeffs(kind, op.n)
     norm_c = np.linalg.norm(C, 2)
     for lam in (lam_star, lam_star + OFF_ROOT * max(abs(lam_star), 1.0)):
-        fs = integrate_fundamental(op, lam)
-        H = homogeneous_states(C, fs.segments[:, 0])
-        if H is not None:
-            _, sz, vt = np.linalg.svd(H[[0, -1]].reshape(-1, op.order))
-            if norm_c * sz[0] * np.finfo(float).eps * SIMPLE_SIGN_TOL <= 1.0:
-                break
-    states = H @ (vt.T / sz)  # each with unit end states [y(0); y(T)]
+        system = integrate_fundamental(op, lam)
+        try:
+            reduction = _BlockReduction(C, system.segments[:, 0])
+        except np.linalg.LinAlgError:
+            continue
+        fs = system
+        _, sz, vt = np.linalg.svd(reduction.end_states)
+        if norm_c * sz[0] * np.finfo(float).eps * SIMPLE_SIGN_TOL <= 1.0:
+            break
+    states = reduction.homogeneous() @ (vt.T / sz)  # each with unit end states [y(0); y(T)]
     seg = fs.segment_index(ts)
     rows = fs.local_phi(seg, ts)[:, 0, 0]
     return 1.0 / (norm_c * sz), np.einsum("nj,njk->nk", rows, states[seg])

@@ -317,6 +317,25 @@ def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv, flag):
     assert f"argument {flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, exponent, plain", [
+    (["spectrum", "--window", "{}", "10"], "-1e3", "-1000"),
+    (["verify", "--identity", "N-P2T", "--grid", "21", "--lambda", "{}"], "-1e-3", "-0.001"),
+    (["sign-intervals", "--side", "neg", "--principal-window", "{}", "2"], "-1e1", "-10"),
+], ids=["window", "lambda", "principal-window"])
+def test_negative_float_flags_take_an_exponent(tmp_path, capsys, argv, exponent, plain):
+    # argparse alone reads -1e3 as a flag: "expected 2 arguments", or
+    # "unrecognized arguments" after --lambda, and exit 2
+    config = write_config(tmp_path)
+    payloads = []
+    for value in (exponent, plain):
+        code = main(argv[:1] + ["--config", config] + [a.format(value) for a in argv[1:]])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        del payload["generated_at"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_verify_identities_exit_codes(tmp_path, capsys):
     config = write_config(tmp_path, kind="neumann", T=1.0)
     code = main(["verify", "--config", config, "--identity", "N-P2T",

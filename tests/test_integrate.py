@@ -192,7 +192,7 @@ def test_complex_lambda_closed_form():
     w = cmath.sqrt(lam)
     for force_rk in (False, True):
         fs = integrate_fundamental(op, lam, tol=1e-12, force_rk=force_rk)
-        assert fs.lam == lam
+        assert fs.lams.tolist() == [lam]
         for t in (0.3, 1.0):
             exact = np.array([[cmath.cos(w * t), cmath.sin(w * t) / w],
                               [-w * cmath.sin(w * t), cmath.cos(w * t)]])

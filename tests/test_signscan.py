@@ -131,6 +131,25 @@ def test_sign_corollary_d2t_mixed2(const_fourth_op):
     assert neg["applicable"] and neg["conclusion"] == NONPOSITIVE and neg["pass"]
 
 
+def test_sign_corollary_skips_a_resonant_premise(const_fourth_op):
+    # at -pi^4 the periodic problem on [0, 2] is resonant: it has no kernel,
+    # so neither P[2T] premise holds or fails
+    rows = verify_sign_corollary(const_fourth_op, [-math.pi ** 4])
+    p2t = [r for r in rows if r["tag"].startswith("P2T")]
+    assert len(p2t) == 2
+    assert all(r["premise"] == "resonant" and not r["applicable"] and r["pass"] for r in p2t)
+
+
+def test_sign_interval_stops_at_the_end_of_its_window(const_fourth_op):
+    # the u'''' Neumann kernel on [0, 1] keeps its sign from the principal
+    # eigenvalue 0 to the end of the window: no flip, the window's end
+    res = sign_interval(const_fourth_op, BCKind.NEUMANN, "pos", search_window=(-1.0, 1.0),
+                        principal_window=(-1.0, 1.0))
+    assert res.endpoint_status == "window-exhausted"
+    assert res.lam_lo == pytest.approx(0.0, abs=1e-6) and res.lam_hi == 1.0
+    assert res.flip is None and res.changed_row is None and res.bracket is None
+
+
 def test_resolve_kernel_codes(quartic_weight_op):
     op2, kind = resolve_kernel(quartic_weight_op, "P2T")
     assert kind is BCKind.PERIODIC

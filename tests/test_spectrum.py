@@ -19,7 +19,7 @@ from greenbvp import (
 )
 from greenbvp.expressions import parse_expression
 from greenbvp.operators import CoeffSegment
-from greenbvp.spectrum import _refine_brackets
+from greenbvp.spectrum import COUNT_NODES, _refine_brackets, _root_counts
 
 
 def test_second_order_dirichlet_eigenvalues():
@@ -164,6 +164,35 @@ def test_spectrum_unions_constant(n, window):
     assert all(c.passed for c in checks), [c.tag for c in checks if not c.passed]
     tags = {c.tag for c in checks}
     assert "M1=M2 (reflection-symmetric coefficients)" in tags
+
+
+def test_spectrum_unions_without_reflection_symmetry():
+    # a_0 = t is not a_0(1 - t): M1 and M2 need not share eigenvalues, so
+    # that row is left out, and the reflected rows still match
+    op = LinearOperator.from_exprs(1, 1.0, ["t", "0"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        checks = {c.tag: c for c in verify_spectrum_unions(op, (-5.0, 30.0))}
+    assert all(c.passed for c in checks.values()), [t for t, c in checks.items() if not c.passed]
+    assert not any(tag.startswith("M1=M2 ") for tag in checks)
+    M1, M2 = checks["M1=M2-reflected"].left, checks["M2=M1-reflected"].left
+    assert len(M1) == len(M2) == 2 and abs(M1[0] - M2[0]) > 0.1
+
+
+def test_root_counts_double_the_nodes_until_the_phase_steps_resolve():
+    # 21 roots in [0.4, 0.6]: on the first COUNT_NODES intervals the phase of
+    # det steps by up to about 21 / 8 rad, more than pi / 2, so a second
+    # batch doubles the nodes of both boxes; [0, 0.3] holds no root
+    roots = 0.5 + 0.01 * (np.arange(21) - 10)
+    batches = []
+
+    def det_batch(z):
+        batches.append(len(z))
+        return np.prod(z[:, None] - roots, axis=1)
+
+    counts = _root_counts(det_batch, np.array([0.0, 0.0]), np.array([1.0, 0.3]))
+    assert counts.tolist() == [21, 0]
+    assert batches == [2 * (COUNT_NODES + 1), 2 * COUNT_NODES]
 
 
 @pytest.mark.parametrize("kind,expected", [
