@@ -21,7 +21,7 @@ from .identities import ALL_TAGS, run_identities
 from .integrate import IntegrationError
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
 from .signscan import SignSearchError, reproduce_counterexamples, sign_interval, sweep_extrema
-from .spectrum import find_eigenvalues
+from .spectrum import find_eigenvalues, principal_eigenvalue
 
 __all__ = ["main", "load_config"]
 
@@ -178,10 +178,9 @@ def _cmd_sign_intervals(args) -> int:
     points = _size(args.sweep_points, 0, MAX_SWEEP_POINTS, "--sweep-points")
     cfg = load_config(args.config)
     window = tuple(args.window) if args.window else None
-    result = sign_interval(cfg["operator"], cfg["kind"], args.side,
-                           search_window=window,
-                           principal_window=tuple(args.principal_window)
-                           if args.principal_window else None)
+    principal = principal_eigenvalue(cfg["operator"], cfg["kind"],
+                                     tuple(args.principal_window or window or (-60.0, 10.0)))
+    result = sign_interval(cfg["operator"], cfg["kind"], args.side, principal, window)
     payload = result.to_json()
     if args.sweep:
         lo, hi = result.lam_lo - 1.0, result.lam_hi + 1.0

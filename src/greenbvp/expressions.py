@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "abs")
-_VARIABLES = ("t", "lambda")
 
 
 class ParseError(ValueError):

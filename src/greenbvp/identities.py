@@ -162,7 +162,7 @@ def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEval
     if len(base_list) != len(pair):
         raise ValueError(f"{tag} needs {len(pair)} base kernels, got {len(base_list)}")
     T = base_list[0].length
-    if abs(big.length - (2 if divisor == 2 else 4) * T) > 1e-9 * max(1.0, T):
+    if abs(big.length - divisor * T) > 1e-9 * max(1.0, T):
         raise ValueError(f"mismatched intervals for {tag}")
     ts = _grid(T, m)
     bases = [G.eval_grid(ts, ts) for G in base_list]
@@ -179,13 +179,12 @@ def check_mixed_reflection(op: LinearOperator, lam: float,
     """Residuals of the two mixed-problem reflection identities:
     G_M1(T-t, T-s) equals the mixed-2 kernel of the reflected operator
     (and vice versa)."""
-    return _mixed_reflection(kernel_source(lam), op, lam, m)
+    return _mixed_reflection(kernel_source(lam), op, reflect(op), lam, m)
 
 
-def _mixed_reflection(kernel, op, lam, m) -> list[IdentityReport]:
+def _mixed_reflection(kernel, op, ref, lam, m) -> list[IdentityReport]:
     T = op.length
     ts = _grid(T, m)
-    ref = reflect(op)
     GM1 = kernel(op, BCKind.MIXED1)
     GM2 = kernel(op, BCKind.MIXED2)
     GM1r = kernel(ref, BCKind.MIXED1)
@@ -234,10 +233,11 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
     table = kernel_table(op)
     op2 = table["P2T"][0]
     kernels = kernel_source(lam)
+    reflected = {}  # the mixed problems of reflect(op), once mixed-reflection asks
 
     def kernel(code: str) -> GreensEvaluator | None:
         try:
-            G = kernels(*table[code])
+            G = kernels(*(reflected.get(code) or table[code]))
         except ResonantProblemError:
             return None
         return None if G.resonance_margin < SKIP_MARGIN else G
@@ -267,12 +267,11 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
                 row = skip(f"symmetry-{code.lower()}", [code], SELF_TOLERANCE)
                 reports.append(row or check_symmetry(kernel(code), m))
         elif tag == "mixed-reflection":
-            try:
-                reports.extend(_mixed_reflection(kernels, op, lam, m))
-            except ResonantProblemError as exc:  # resonance in the reflected problems
-                reports.append(IdentityReport("mixed-reflection", lam, m, 0.0,
-                                              (0.0, 0.0), True, DEFAULT_TOLERANCE, skipped=True,
-                                              reason=str(exc)))
+            ref = reflect(op)
+            reflected.update({"reflected M1": (ref, BCKind.MIXED1),
+                              "reflected M2": (ref, BCKind.MIXED2)})
+            row = skip(tag, ["M1", "M2", "reflected M1", "reflected M2"])
+            reports.extend([row] if row else _mixed_reflection(kernels, op, ref, lam, m))
         elif tag == "slope-one":
             if not all(op2.is_t_constant_on(lo, hi) for lo, hi in
                        zip(op2.breakpoints()[:-1], op2.breakpoints()[1:])):

@@ -16,7 +16,6 @@ the eigenvalue search's solver with classifications deciding each side.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import importlib.resources
 import json
@@ -224,34 +223,11 @@ def _classify(kernel, op: LinearOperator, kind: BCKind,
     return report.classification, report
 
 
-# the report of the last classify_problem call (None if resonant): sign_interval
-# reads where its first bad probe flipped off it
-_LAST_REPORT: contextvars.ContextVar[SignReport | None] = contextvars.ContextVar("last_report",
-                                                                                default=None)
-
-
-def classify_problem(op: LinearOperator, kind: BCKind, lam: float, m: int = 101) -> str:
-    """Classification string for one problem; 'resonant' when G does not exist."""
-    classification, report = _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam)),
-                                       op, kind, m)
-    _LAST_REPORT.set(report)
-    return classification
-
-
-# principal eigenvalues per (operator, kind, window) while
-# reproduce_counterexamples runs; None outside it
-_PRINCIPALS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("principals",
-                                                                         default=None)
-
-
-def _principal(op: LinearOperator, kind: BCKind, window) -> float:
-    memo = _PRINCIPALS.get()
-    if memo is None:
-        return principal_eigenvalue(op, kind, window)
-    key = (op, kind, tuple(map(float, window)))
-    if key not in memo:
-        memo[key] = principal_eigenvalue(op, kind, window)
-    return memo[key]
+def classify_problem(op: LinearOperator, kind: BCKind, lam: float,
+                     m: int = 101) -> tuple[str, SignReport | None]:
+    """(classification, report) of one problem, classify_sign's report of
+    its kernel; ('resonant', None) when that kernel does not exist."""
+    return _classify(lambda o, k: build_greens(ProblemSpec(o, k, lam)), op, kind, m)
 
 
 @dataclass
@@ -303,10 +279,11 @@ def _row_name(row: np.ndarray, d: int) -> str:
     return "".join(terms)
 
 
-def sign_interval(op: LinearOperator, kind: BCKind, side: str,
-                  search_window=None, m: int = 101,
-                  principal_window=None) -> SignIntervalResult:
-    """Maximal constant-sign lambda interval abutting the principal eigenvalue.
+def sign_interval(op: LinearOperator, kind: BCKind, side: str, principal: float,
+                  search_window=None, m: int = 101) -> SignIntervalResult:
+    """Maximal constant-sign lambda interval abutting principal, the principal
+    eigenvalue of (op, kind) (spectrum.principal_eigenvalue), inside
+    search_window, by default the 500 either side of it.
 
     Probes outward from the principal eigenvalue until the classification
     flips (to sign-changing, the opposite sign, or a resonance): the first
@@ -322,6 +299,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     root, it is the root of f, the polished wrong-sign extremum over max|G|
     (classify_sign), narrowed to THRESHOLD_TOL by the same solver with each
     proposal classified; either is read at its bracket's false-position point.
+    Every probe is classified by classify_problem, whose report it reads.
     """
     side = _SIDES.get(side)
     if side is None:
@@ -329,9 +307,6 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     want = NONPOSITIVE if side.startswith("nonpositive") else NONNEGATIVE
     direction = -1.0 if side.startswith("nonpositive") else +1.0
 
-    if principal_window is None:
-        principal_window = search_window if search_window is not None else (-60.0, 10.0)
-    principal = _principal(op, kind, principal_window)
     if search_window is None:
         search_window = (principal - 500.0, principal + 500.0)
     lo_w, hi_w = float(search_window[0]), float(search_window[1])
@@ -341,12 +316,13 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
 
     accepted = (want, ZERO_ON_GRID)
 
-    def ok(lam: float) -> bool:
-        return classify_problem(op, kind, lam, m=m) in accepted
+    def classify(lam: float) -> tuple[bool, SignReport | None]:
+        """(whether the kernel at lam keeps the sign, its report)."""
+        classification, report = classify_problem(op, kind, lam, m=m)
+        return classification in accepted, report
 
-    def extremum() -> float | None:
-        """f of the last classify_problem call, positive where it kept the sign."""
-        r = _LAST_REPORT.get()  # None where resonant
+    def extremum(r: SignReport | None) -> float | None:
+        """f of a report, positive where it kept the sign; None where resonant."""
         return r and (r.min_value if direction > 0 else -r.max_value) / (
             max(-r.min_value, r.max_value) or 1.0)
 
@@ -354,8 +330,8 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
         """(root of f, checked bracket) between a good and a bad lambda, the
         side of each proposal decided by its classification."""
         def probe(x):
-            kept = ok(x[0])
-            return x[:, None], np.array([[extremum()]], dtype=float), np.array([[kept]])
+            kept, report = classify(x[0])
+            return x[:, None], np.array([[extremum(report)]], dtype=float), np.array([[kept]])
         [root], [a], [b] = _bracketed_roots(probe, [good], [bad], [np.nan], [f_bad], THRESHOLD_TOL)
         return float(root), (float(a), float(b))
 
@@ -372,7 +348,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
                                            [(x[i], x[i + 1], dets[p, i], dets[p, i + 1])],
                                            EIGEN_TOL)
             bracket = (root - direction * THRESHOLD_TOL, root + direction * THRESHOLD_TOL)
-            if ok(bracket[0]) and not ok(bracket[1]):
+            if classify(bracket[0])[0] and not classify(bracket[1])[0]:
                 base = _boundary_coeffs(kind, op.n)[row]
                 changed = f"{_row_name(base, op.order)} -> {_row_name(C[row], op.order)}"
                 return root, bracket, changed
@@ -382,18 +358,18 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str,
     status, region, changed, bracket = "threshold-found", None, None, None
     while True:
         probe = min(max(good + direction * step, lo_w), hi_w)
-        if probe == good or ok(probe):
+        kept, report = (True, None) if probe == good else classify(probe)
+        if kept:
             good, step = probe, 4 * step
             if probe in (lo_w, hi_w):
                 found, status = probe, "window-exhausted"
                 break
             continue
-        # the flip sits between the last good probe and this, the last classified one
-        report, f = _LAST_REPORT.get(), extremum()
+        # the flip sits between the last good probe and this one
         site = report and report.sites.get("positive" if want == NONPOSITIVE else "negative")
         region = "resonant" if report is None else site[0] if site else "interior"
         corner = region == "corner" and eigen_threshold(good, probe)
-        found, bracket, changed = corner or (*track(good, probe, f), None)
+        found, bracket, changed = corner or (*track(good, probe, extremum(report)), None)
         break
 
     if status == "threshold-found" and abs(found - principal) <= 2 * THRESHOLD_TOL:
@@ -488,20 +464,11 @@ class ReproductionReport:
 def reproduce_counterexamples(fixtures: dict | None = None,
                               m: int = 101) -> ReproductionReport:
     """Run the fixed scenario list: sign classifications at the quoted
-    lambdas and the threshold searches, each row pass/fail."""
+    lambdas and the threshold searches, each row pass/fail.  The principal
+    eigenvalue of each distinct (operator, kind, principal window) is
+    searched once, and its threshold rows start from it."""
     data = fixtures if fixtures is not None else _load_fixtures()
     report = ReproductionReport()
-    # the threshold rows of one problem share its principal eigenvalue
-    token = _PRINCIPALS.set({})
-    try:
-        _reproduce(data, m, report)
-    finally:
-        _PRINCIPALS.reset(token)
-    return report
-
-
-def _reproduce(data: dict, m: int, report: ReproductionReport) -> None:
-    """The rows of reproduce_counterexamples, appended to report."""
     # kernels of one lambda share their fundamental systems across scenarios
     sources = {}
     for scenario in data.get("classification_scenarios", []):
@@ -519,18 +486,19 @@ def _reproduce(data: dict, m: int, report: ReproductionReport) -> None:
                 "pass": observed == expected,
             })
 
+    principals = {}
     for row in data.get("thresholds", []):
         op = _operator_from_fixture(row["operator"])
         o, kind = resolve_kernel(op, row["kernel"])
         expected = float(row["value"])
         rel_tol = float(row.get("rel_tol", 1e-2))
-        pw = tuple(row["principal_window"])
-        if row["type"] == "principal":
-            observed = _principal(o, kind, pw)
-        else:
+        key = (o, kind, tuple(row["principal_window"]))
+        if key not in principals:
+            principals[key] = principal_eigenvalue(*key)
+        observed = principals[key]
+        if row["type"] != "principal":
             side = "neg" if row["type"] == "nonpositive" else "pos"
-            result = sign_interval(o, kind, side, principal_window=pw, m=m)
-            observed = result.threshold()
+            observed = sign_interval(o, kind, side, observed, m=m).threshold()
         rel = abs(observed - expected) / abs(expected)
         report.rows.append({
             "scenario": row["name"],
@@ -540,3 +508,4 @@ def _reproduce(data: dict, m: int, report: ReproductionReport) -> None:
             "observed": observed,
             "pass": rel <= rel_tol,
         })
+    return report

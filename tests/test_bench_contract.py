@@ -70,7 +70,9 @@ def test_trace_recorder_counts_the_interval_probes():
     recorder.install()
     try:
         op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
-        res = signscan.sign_interval(*signscan.resolve_kernel(op, "P4T"), "neg")
+        o, kind = signscan.resolve_kernel(op, "P4T")
+        principal = spectrum.principal_eigenvalue(o, kind, (-60.0, 10.0))
+        res = signscan.sign_interval(o, kind, "neg", principal)
     finally:
         recorder.uninstall()
     assert res.flip == "edge"

@@ -691,7 +691,7 @@ def test_every_route_integrates_only_operators_without_a_note(monkeypatch, quart
     # operator's on every route (integrate._system), so a kernel's digits do
     # not depend on the entry point that built it
     from greenbvp.signscan import sign_interval
-    from greenbvp.spectrum import eigenfunction_at, find_eigenvalues
+    from greenbvp.spectrum import eigenfunction_at, find_eigenvalues, principal_eigenvalue
 
     op = quartic_weight_op
     received, integrate = [], integrate_module._integrate
@@ -706,7 +706,8 @@ def test_every_route_integrates_only_operators_without_a_note(monkeypatch, quart
             char_det_scan(o, kind, np.linspace(-20.0, 5.0, 11))
             found = find_eigenvalues(o, kind, (-20.0, 5.0)).eigenvalues
             eigenfunction_at(o, kind, found[0].lam)
-        sign_interval(*kernel_table(op)["P2T"], "neg")
+        o, kind = kernel_table(op)["P2T"]
+        sign_interval(o, kind, "neg", principal_eigenvalue(o, kind, (-60.0, 10.0)))
         run_identities(op, 0.7, m=41)
     assert received and all(mirror_of(o) is None for o in received)
     for o, kind in (kernel_table(op)["P2T"], kernel_table(op)["P4T"],

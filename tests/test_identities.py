@@ -168,6 +168,17 @@ def test_run_identities_skips_resonant(const_fourth_op):
     assert by_tag["N-P2T"].passed
 
 
+def test_mixed_reflection_skips_below_the_skip_margin(const_fourth_op):
+    # just off the first mixed eigenvalue -(pi/2)^4 the M1 and M2 kernels
+    # exist, with a margin of about 1.2e-9, below SKIP_MARGIN: mixed-reflection
+    # is skipped, as every other row that touches them is
+    lam = -(math.pi / 2) ** 4 * (1 + 1e-8)
+    reports = run_identities(const_fourth_op, lam, tags=["M1-A2T", "mixed-reflection"])
+    assert [(r.tag, r.skipped) for r in reports] == [("M1-A2T", True),
+                                                     ("mixed-reflection", True)]
+    assert reports[1].reason == "resonant: M1, M2, reflected M1, reflected M2"
+
+
 def test_residual_shrinks_with_grid_and_tolerance(quartic_weight_op):
     lam = 0.5
     op2 = extend_to_double(quartic_weight_op)

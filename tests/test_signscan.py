@@ -12,6 +12,7 @@ from greenbvp import (
     classify_problem,
     classify_sign,
     extend_to_double,
+    principal_eigenvalue,
     reproduce_counterexamples,
     sign_interval,
     sweep_extrema,
@@ -38,13 +39,13 @@ def test_string_kernel_is_nonpositive(second_order_op):
 def test_neumann_nonnegative_inside_reported_interval():
     # inside (0, 24.7192) the Neumann kernel on [0, 3/2] is nonnegative
     op = LinearOperator.from_exprs(2, 1.5, ["0", "0", "0", "0"])
-    assert classify_problem(op, BCKind.NEUMANN, 10.0) == NONNEGATIVE
+    assert classify_problem(op, BCKind.NEUMANN, 10.0)[0] == NONNEGATIVE
 
 
 def test_extended_dirichlet_changes_sign_at_15(parabolic_weight_op):
     # reported behaviour of the parabolic-weight operator on [0, 3]
     op2 = extend_to_double(parabolic_weight_op)
-    assert classify_problem(op2, BCKind.DIRICHLET, 15.0) == SIGN_CHANGING
+    assert classify_problem(op2, BCKind.DIRICHLET, 15.0)[0] == SIGN_CHANGING
 
 
 def test_classification_monotone_in_resolution(parabolic_weight_op):
@@ -64,7 +65,8 @@ def test_sign_interval_neumann_neg_side():
     op = LinearOperator.from_exprs(2, 1.5, ["0", "0", "0", "0"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = sign_interval(op, BCKind.NEUMANN, "neg", principal_window=(-4.0, 4.0))
+        res = sign_interval(op, BCKind.NEUMANN, "neg",
+                            principal_eigenvalue(op, BCKind.NEUMANN, (-4.0, 4.0)))
     assert res.lam_hi == pytest.approx(0.0, abs=1e-5)
     assert res.lam_lo == pytest.approx(-6.1798, abs=1e-2)
     assert res.endpoint_status == "threshold-found"
@@ -75,7 +77,8 @@ def test_sign_interval_neumann_pos_side_longer():
     op = LinearOperator.from_exprs(2, 3.0, ["0", "0", "0", "0"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = sign_interval(op, BCKind.NEUMANN, "pos", principal_window=(-0.9, 4.0))
+        res = sign_interval(op, BCKind.NEUMANN, "pos",
+                            principal_eigenvalue(op, BCKind.NEUMANN, (-0.9, 4.0)))
     assert res.lam_lo == pytest.approx(0.0, abs=1e-5)
     assert res.lam_hi == pytest.approx(1.5449, abs=1e-2)
 
@@ -84,7 +87,7 @@ def test_sign_interval_mixed2_pos_side(const_fourth_op):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "pos",
-                            principal_window=(-10.0, 2.0))
+                            principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0)))
     assert res.lam_lo == pytest.approx(-math.pi ** 4 / 16, abs=1e-5)
     assert res.lam_hi == pytest.approx(389.6365, abs=0.5)
 
@@ -93,7 +96,7 @@ def test_interval_endpoint_is_principal(const_fourth_op):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
-                            principal_window=(-10.0, 2.0))
+                            principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0)))
     assert res.lam_hi == res.principal
     assert res.threshold() == res.lam_lo
 
@@ -102,11 +105,39 @@ def test_classification_flips_beyond_threshold(const_fourth_op):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
-                            principal_window=(-10.0, 2.0))
+                            principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0)))
     inside = 0.5 * (res.lam_lo + res.lam_hi)
-    assert classify_problem(const_fourth_op, BCKind.MIXED2, inside) == NONPOSITIVE
+    assert classify_problem(const_fourth_op, BCKind.MIXED2, inside)[0] == NONPOSITIVE
     beyond = res.lam_lo - 10 * res.lam_tol
-    assert classify_problem(const_fourth_op, BCKind.MIXED2, beyond) == SIGN_CHANGING
+    assert classify_problem(const_fourth_op, BCKind.MIXED2, beyond)[0] == SIGN_CHANGING
+
+
+def test_classify_problem_returns_the_report_of_its_kernel(const_fourth_op):
+    lam = -20.0
+    classification, report = classify_problem(const_fourth_op, BCKind.MIXED2, lam)
+    assert report == classify_sign(build_greens(ProblemSpec(const_fourth_op, BCKind.MIXED2, lam)))
+    assert classification == report.classification == NONPOSITIVE
+
+
+def test_classify_problem_reports_a_resonant_problem_without_a_report():
+    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    assert classify_problem(op, BCKind.DIRICHLET, math.pi ** 2) == ("resonant", None)
+
+
+def test_sign_interval_searches_no_eigenvalue_when_given_its_principal(const_fourth_op,
+                                                                         monkeypatch):
+    principal = principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigenvalue search")
+
+    monkeypatch.setattr(spectrum_module, "find_eigenvalues", refused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg", principal)
+    assert res.principal == principal == pytest.approx(-6.0881, abs=1e-4)
+    assert res.lam_lo == pytest.approx(-31.2852, abs=1e-4)
+    assert res.changed_row == "u''(0) -> u'(0)"
 
 
 def test_sign_corollary_on_quartic(quartic_weight_op):
@@ -143,8 +174,9 @@ def test_sign_corollary_skips_a_resonant_premise(const_fourth_op):
 def test_sign_interval_stops_at_the_end_of_its_window(const_fourth_op):
     # the u'''' Neumann kernel on [0, 1] keeps its sign from the principal
     # eigenvalue 0 to the end of the window: no flip, the window's end
-    res = sign_interval(const_fourth_op, BCKind.NEUMANN, "pos", search_window=(-1.0, 1.0),
-                        principal_window=(-1.0, 1.0))
+    res = sign_interval(const_fourth_op, BCKind.NEUMANN, "pos",
+                        principal_eigenvalue(const_fourth_op, BCKind.NEUMANN, (-1.0, 1.0)),
+                        search_window=(-1.0, 1.0))
     assert res.endpoint_status == "window-exhausted"
     assert res.lam_lo == pytest.approx(0.0, abs=1e-6) and res.lam_hi == 1.0
     assert res.flip is None and res.changed_row is None and res.bracket is None
@@ -216,7 +248,7 @@ def test_sign_interval_k_section_pinned(const_fourth_op, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
-                            principal_window=(-10.0, 2.0))
+                            principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0)))
     assert res.lam_lo == pytest.approx(-31.285243858777164, rel=1e-9)
     assert abs(res.lam_lo - -31.285245122913707) <= EIGEN_TOL
     assert res.lam_hi == pytest.approx(-6.088068189625154, rel=1e-9)
@@ -247,7 +279,7 @@ def test_periodic_changed_problems_are_k_sectioned_once(monkeypatch):
                         lambda *args: integrations.append(1) or integrate(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = sign_interval(o, kind, "neg")
+        res = sign_interval(o, kind, "neg", principal_eigenvalue(o, kind, (-60.0, 10.0)))
     assert res.threshold() == pytest.approx(1.2572607773043083, rel=1e-12)
     assert abs(res.threshold() - 1.257260777566494) <= THRESHOLD_TOL
     assert (res.flip, res.changed_row) == ("edge", None)
@@ -268,7 +300,7 @@ def test_tracker_ends_near_the_zoomed_root(monkeypatch):
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = sign_interval(o, kind, "pos")
+        res = sign_interval(o, kind, "pos", principal_eigenvalue(o, kind, (-60.0, 10.0)))
     assert res.flip == "edge"
     assert abs(res.threshold() - -1.4316964286) <= 1e-5
     assert len(calls) <= 20
@@ -309,8 +341,8 @@ def test_neumann_threshold_rows_flip_at_a_corner(name):
     side = "neg" if row["type"] == "nonpositive" else "pos"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = sign_interval(op, BCKind.NEUMANN, side,
-                            principal_window=tuple(row["principal_window"]))
+        principal = principal_eigenvalue(op, BCKind.NEUMANN, tuple(row["principal_window"]))
+        res = sign_interval(op, BCKind.NEUMANN, side, principal)
     d = -1.0 if side == "neg" else 1.0
 
     def corners(lam):
@@ -333,7 +365,7 @@ def _threshold_result(name, m=101):
     op, kind, side, window = _fixture_problem(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return op, kind, sign_interval(op, kind, side, m=m, principal_window=window)
+        return op, kind, sign_interval(op, kind, side, principal_eigenvalue(op, kind, window), m=m)
 
 
 def test_no_threshold_lies_past_an_eigenvalue_of_its_own_problem():
@@ -375,8 +407,8 @@ def test_dirichlet_and_mixed2_thresholds_are_the_changed_problems_eigenvalues(na
     assert res.flip == "corner" and res.changed_row is not None
     inside, outside = res.bracket
     want = NONPOSITIVE if res.side.startswith("nonpositive") else NONNEGATIVE
-    assert classify_problem(op, kind, inside) == want
-    assert classify_problem(op, kind, outside) == SIGN_CHANGING
+    assert classify_problem(op, kind, inside)[0] == want
+    assert classify_problem(op, kind, outside)[0] == SIGN_CHANGING
 
 
 @pytest.mark.parametrize("sections", [8, 32])
@@ -395,7 +427,8 @@ def test_thresholds_do_not_depend_on_the_section_count(sections, monkeypatch):
 def test_sign_interval_reports_the_changed_row(const_fourth_op):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg", principal_window=(-10.0, 2.0))
+        res = sign_interval(const_fourth_op, BCKind.MIXED2, "neg",
+                            principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0)))
     payload = res.to_json()
     assert payload["flip"] == "corner"
     assert payload["changed_row"] == "u''(0) -> u'(0)"
@@ -439,8 +472,8 @@ def test_lambda_2_agrees_with_a_fine_grid(monkeypatch):
     # THRESHOLD_TOL outside
     monkeypatch.setattr(signscan_module, "POLISH_BAND", 0.0)
     op, kind, *_ = _fixture_problem("lambda_2")
-    assert classify_problem(op, kind, LAMBDA_2 - THRESHOLD_TOL, m=801) == NONNEGATIVE
-    assert classify_problem(op, kind, LAMBDA_2 + THRESHOLD_TOL, m=801) == SIGN_CHANGING
+    assert classify_problem(op, kind, LAMBDA_2 - THRESHOLD_TOL, m=801)[0] == NONNEGATIVE
+    assert classify_problem(op, kind, LAMBDA_2 + THRESHOLD_TOL, m=801)[0] == SIGN_CHANGING
 
 
 def test_reproduction_searches_each_principal_once(monkeypatch):
@@ -503,7 +536,8 @@ def test_second_order_diagonal_corner_is_classified_by_its_sides():
     assert report.classification == SIGN_CHANGING
     assert report.sites["negative"] == ("corner", (0.0, 0.0))
     with pytest.raises(SignSearchError):
-        sign_interval(op, BCKind.MIXED2, "pos", principal_window=(-60.0, 10.0))
+        sign_interval(op, BCKind.MIXED2, "pos",
+                      principal_eigenvalue(op, BCKind.MIXED2, (-60.0, 10.0)))
 
 
 def test_polish_skips_ties_and_takes_at_most_polish_max():
