@@ -56,6 +56,19 @@ def _as_expr(sigma) -> ExprAst:
     return sigma
 
 
+def _samples(f, ts: np.ndarray, lam: float, name: str) -> np.ndarray:
+    """The source f at the points ts, of shape ts.shape; non-finite samples
+    and a division by zero are refused, naming the source."""
+    try:
+        with np.errstate(all="ignore"):
+            values = np.broadcast_to(np.asarray(f(ts, lam), dtype=float), ts.shape)
+    except ZeroDivisionError:
+        values = np.nan
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name}: non-finite values or a division by zero")
+    return values
+
+
 def _simpson_weights(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Weight, in steps, of the local node k of a composite rule over n
     uniform subintervals, 0 off [0, n]: Simpson, after a 3/8 rule on the
@@ -87,14 +100,14 @@ def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     f = compile_expr(expr)
     lam = G.problem.lam
     ts = np.linspace(0.0, G.length, m)
-    sig = np.broadcast_to(np.asarray(f(ts, lam), dtype=float), ts.shape)
+    sig = _samples(f, ts, lam, "sigma")
     i, j = np.arange(m)[:, None], np.arange(m)
     weights = _simpson_weights(i, j) + _simpson_weights(m - 1 - i, j - i)
     values = (weights * G.eval_grid(ts, ts)) @ sig
     # the midpoints of [t_0, t_1] for row 1 and of [t_(m-2), t_(m-1)] for row m - 2
     rows, mids = np.array([1, m - 2]), 0.5 * (ts[[0, m - 2]] + ts[[1, m - 1]])
     gm = np.diagonal(G.eval_grid(ts[rows], mids))
-    values[rows] += (4.0 / 6.0) * gm * np.broadcast_to(np.asarray(f(mids, lam), dtype=float), 2)
+    values[rows] += (4.0 / 6.0) * gm * _samples(f, mids, lam, "sigma")
     values *= ts[1] - ts[0]
     source = sigma if isinstance(sigma, str) else "<expr>"
     return SampledSolution(G.problem.kind, ts, values, source)
@@ -196,8 +209,8 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
     f1 = compile_expr(_as_expr(sigma1))
     f2 = compile_expr(_as_expr(sigma2))
     ts = np.linspace(0.0, op.length, m)
-    s1 = np.broadcast_to(np.asarray(f1(ts, lam), dtype=float), ts.shape)
-    s2 = np.broadcast_to(np.asarray(f2(ts, lam), dtype=float), ts.shape)
+    s1 = _samples(f1, ts, lam, "sigma1")
+    s2 = _samples(f2, ts, lam, "sigma2")
     htol = 1e-12 * max(1.0, np.abs(s1).max(), np.abs(s2).max())
     if case == 1:
         if not np.all(np.abs(s2) <= s1 + htol):

@@ -38,6 +38,8 @@ SKIP_MARGIN = 1e-8
 DEFAULT_GRID = 41
 # The bar of the decomposition, connecting and mixed-reflection identities;
 # symmetry and slope-one compare one kernel with itself and use SELF_TOLERANCE.
+# Each is relative to the largest |value| of the kernel grids a row evaluates,
+# where that exceeds 1: near resonance kernels grow large (_report).
 DEFAULT_TOLERANCE = 1e-6
 SELF_TOLERANCE = 1e-7
 
@@ -75,11 +77,14 @@ def _grid(length: float, m: int) -> np.ndarray:
     return np.linspace(0.0, length, m)
 
 
-def _report(tag, lam, m, diff, ts, ss, tol) -> IdentityReport:
+def _report(tag, lam, m, diff, ts, tol, grids) -> IdentityReport:
+    """The worst point of diff on ts x ts; the bar is tol times the largest
+    |value| of the row's kernel grids, where that exceeds 1."""
     i, j = np.unravel_index(np.argmax(np.abs(diff)), diff.shape)
     residual = float(np.abs(diff[i, j]))
-    return IdentityReport(tag, lam, m, residual, (float(ts[i]), float(ss[j])),
-                          residual <= tol, tol)
+    bar = tol * max(1.0, *(float(np.abs(g).max()) for g in grids))
+    return IdentityReport(tag, lam, m, residual, (float(ts[i]), float(ts[j])),
+                          residual <= bar, bar)
 
 
 def check_symmetry(G2T: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityReport:
@@ -87,9 +92,9 @@ def check_symmetry(G2T: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityRepor
     extended-interval kernel under a reflection-closed boundary family."""
     L = G2T.length
     ts = _grid(L, m)
-    diff = G2T.eval_grid(ts, ts) - G2T.eval_grid(L - ts, L - ts)
+    grids = [G2T.eval_grid(ts, ts), G2T.eval_grid(L - ts, L - ts)]
     tag = f"symmetry-{G2T.problem.kind.value}"
-    return _report(tag, G2T.problem.lam, m, diff, ts, ts, SELF_TOLERANCE)
+    return _report(tag, G2T.problem.lam, m, grids[0] - grids[1], ts, SELF_TOLERANCE, grids)
 
 
 # tag -> (base kernel, big kernel, interval factor, signed argument transforms)
@@ -145,11 +150,12 @@ def check_decomposition(tag: str, base: GreensEvaluator, big: GreensEvaluator,
             f"mismatched intervals for {tag}: base length {T}, big length {big.length} "
             f"(expected factor {factor})")
     ts = _grid(T, m)
+    grids = [big.eval_grid(_transformed(ts, expr, T), ts) for _, expr in terms]
     combo = np.zeros((m, m))
-    for sign, expr in terms:
-        combo += sign * big.eval_grid(_transformed(ts, expr, T), ts)
-    diff = base.eval_grid(ts, ts) - combo
-    return _report(tag, base.problem.lam, m, diff, ts, ts, DEFAULT_TOLERANCE)
+    for (sign, _), grid in zip(terms, grids):
+        combo += sign * grid
+    grids.append(base.eval_grid(ts, ts))
+    return _report(tag, base.problem.lam, m, grids[-1] - combo, ts, DEFAULT_TOLERANCE, grids)
 
 
 def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEvaluator,
@@ -166,12 +172,12 @@ def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEval
         raise ValueError(f"mismatched intervals for {tag}")
     ts = _grid(T, m)
     bases = [G.eval_grid(ts, ts) for G in base_list]
-    direct = big.eval_grid(ts, ts) - sum(bases) / divisor
-    diff = np.abs(direct)
+    grids = bases + [big.eval_grid(ts, ts)]
+    diff = np.abs(grids[-1] - sum(bases) / divisor)
     if has_reflected:
-        reflected = big.eval_grid(2 * T - ts, ts) - (bases[0] - bases[1]) / divisor
-        diff = np.maximum(diff, np.abs(reflected))
-    return _report(tag, big.problem.lam, m, diff, ts, ts, DEFAULT_TOLERANCE)
+        grids.append(big.eval_grid(2 * T - ts, ts))
+        diff = np.maximum(diff, np.abs(grids[-1] - (bases[0] - bases[1]) / divisor))
+    return _report(tag, big.problem.lam, m, diff, ts, DEFAULT_TOLERANCE, grids)
 
 
 def check_mixed_reflection(op: LinearOperator, lam: float,
@@ -190,10 +196,9 @@ def _mixed_reflection(kernel, op, ref, lam, m) -> list[IdentityReport]:
     GM1r = kernel(ref, BCKind.MIXED1)
     GM2r = kernel(ref, BCKind.MIXED2)
     reports = []
-    diff = GM1.eval_grid(T - ts, T - ts) - GM2r.eval_grid(ts, ts)
-    reports.append(_report("M1-reflection", lam, m, diff, ts, ts, DEFAULT_TOLERANCE))
-    diff = GM2.eval_grid(T - ts, T - ts) - GM1r.eval_grid(ts, ts)
-    reports.append(_report("M2-reflection", lam, m, diff, ts, ts, DEFAULT_TOLERANCE))
+    for tag, G, Gr in (("M1-reflection", GM1, GM2r), ("M2-reflection", GM2, GM1r)):
+        grids = [G.eval_grid(T - ts, T - ts), Gr.eval_grid(ts, ts)]
+        reports.append(_report(tag, lam, m, grids[0] - grids[1], ts, DEFAULT_TOLERANCE, grids))
     return reports
 
 
@@ -207,7 +212,8 @@ def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID) -> Identity
     taus = np.where(taus >= 0, taus, L + taus)
     flat, inverse = np.unique(np.round(taus, 14), return_inverse=True)
     ref = G.eval_grid(flat, np.array([0.0]))[inverse.ravel(), 0].reshape(taus.shape)
-    return _report("slope-one", G.problem.lam, m, values - ref, ts, ts, SELF_TOLERANCE)
+    return _report("slope-one", G.problem.lam, m, values - ref, ts, SELF_TOLERANCE,
+                   [values, ref])
 
 
 ALL_TAGS = (list(DECOMPOSITION_TAGS) + list(CONNECTING_TAGS)

@@ -19,11 +19,11 @@ coefficient uses it), so the coefficient samples are shared by the whole
 batch, and so are the generators of larger batches (see
 _magnus_polynomial).  The extended and reflected operators are copies of
 a root operator's interval: every route (_system) derives their systems
-from the root's in one step, whose cells alone are integrated.  An adaptive
-Dormand-Prince 5(4) integration of a single lambda is kept as an
-independent reference (integrate_fundamental(force_rk=True)).  It is the
-only user of scipy, which the package does not require: scipy.integrate is
-imported on the first call and comes with the test extra.
+from the root's in one step, whose cells alone are integrated, to
+DEFAULT_TOL.  An adaptive Dormand-Prince 5(4) integration of one lambda
+(_rk_reference) is the tests' independent reference, which no route calls.
+It is the only user of scipy, which the package does not require:
+scipy.integrate is imported on the first call and comes with the test extra.
 """
 
 from __future__ import annotations
@@ -306,12 +306,14 @@ class _Piece:
             return ((o2[0] * lam + o1) if o2 else o1) * lam + o0
         return _magnus_generator(rows, h)
 
-    def cells(self, nodes: np.ndarray, rate: float, tol: float, used: int):
+    def cells(self, nodes: np.ndarray, rate: float, used: int):
         """Cells (t0, h, segment index) of the segments between the nodes and
-        their companion rows: a uniform count per segment from rate and tol,
-        then halvings of every cell whose coefficients the Gauss rule does
-        not resolve to tol times their largest value sampled on the piece so
-        far, checking the new halves only; used cells count to MAX_CELLS."""
+        their companion rows: a uniform count per segment from rate and
+        DEFAULT_TOL, then halvings of every cell whose coefficients the Gauss
+        rule does not resolve to DEFAULT_TOL times their largest value sampled
+        on the piece so far, checking the new halves only; used cells count
+        to MAX_CELLS."""
+        tol = DEFAULT_TOL
         nseg = len(nodes) - 1
         if self.constant:
             return nodes[:-1], np.diff(nodes), np.arange(nseg), self.sample(None, None)
@@ -470,9 +472,94 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool
     return ends, t0, counts, prefixes[~pad] if dense else None
 
 
+@dataclass
+class FundamentalSystem:
+    """Segment propagators and local Phi (I at each segment start) for a
+    batch of lambda values; global Phi is never formed.  Local Phi needs the
+    dense output (cells), which integrate_fundamental always keeps."""
+
+    op: LinearOperator
+    lams: np.ndarray            # (K,) lambda values, the shifts of a_0
+    nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
+    segments: np.ndarray        # (N, K, d, d) propagator across each segment
+    # dense output: the Magnus path's, a view of its root's, or the RK45 reference's
+    cells: _Cells | _Copies | _RkCells = None
+    # the grid factors of the kernels on this system (see greens)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def d(self) -> int:
+        return self.op.order
+
+    @property
+    def K(self) -> int:
+        return len(self.lams)
+
+    def segment_index(self, t) -> np.ndarray:
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        idx = np.searchsorted(self.nodes[1:-1], ts, side="right")
+        return idx
+
+    def local_phi(self, seg, ts) -> np.ndarray:
+        """Phi relative to the start of segment seg (one index, or one per
+        t), shape (nt, K, d, d)."""
+        if self.cells is None:
+            raise IntegrationError("fundamental system was integrated without dense output")
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return self.cells.local_phi(np.broadcast_to(seg, ts.shape), ts)
+
+
+def _integrate(op: LinearOperator, lams: np.ndarray, dense: bool) -> FundamentalSystem:
+    """The Magnus integration of op for lams: the cells of every piece,
+    counted to MAX_CELLS, before any piece is propagated."""
+    lams = np.asarray(lams)
+    lams = lams.astype(np.result_type(lams, float))
+    plan = _segment_nodes(op, lams)
+    pieces, planned = [], []
+    for lo, hi, nodes, rate in plan:
+        pieces.append(_Piece.of(op, lo, hi, lams))
+        planned.append(pieces[-1].cells(nodes, rate, sum(len(cells[0]) for cells in planned)))
+    ends, starts, counts, prefixes = zip(*(
+        _magnus_segments(piece, nodes, cells, dense)
+        for piece, (_, _, nodes, _), cells in zip(pieces, plan, planned)))
+    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
+    cells = None
+    if dense:
+        piece = np.repeat(np.arange(len(pieces)), [len(c) for c in starts])
+        cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
+                       piece, pieces, np.concatenate(prefixes))
+    return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=np.concatenate(ends),
+                             cells=cells)
+
+
+def integrate_fundamental(op: LinearOperator, lam: float = 0.0) -> FundamentalSystem:
+    """Fundamental system of L[lam] u = 0 with canonical initial data at t=0,
+    to DEFAULT_TOL, with dense output."""
+    return _system(op, np.array([lam]), True, {})
+
+
+def integrate_fundamental_batch(op: LinearOperator, lams) -> FundamentalSystem:
+    """One Magnus integration sweep shared by a whole vector of lambda values,
+    to DEFAULT_TOL: the segment propagators, without dense output."""
+    return _system(op, np.atleast_1d(np.asarray(lams)), False, {})
+
+
+def _system(op: LinearOperator, lams: np.ndarray, dense: bool, systems: dict) -> FundamentalSystem:
+    """The fundamental system of op for lams, kept in systems by operator:
+    integrated where op has no note, else derived in one step from its root
+    operator's, integrated once (operators.mirror_of, mirror_fundamental)."""
+    if op not in systems:
+        root, copies = mirror_of(op) or (op, None)
+        if root not in systems:
+            systems[root] = _integrate(root, lams, dense)
+        if copies:
+            systems[op] = mirror_fundamental(op, systems[root], copies)
+    return systems[op]
+
+
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call so that only the
-    force_rk reference path pays for the import."""
+    RK45 reference pays for the import."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
@@ -482,7 +569,7 @@ class _RkCells:
     """Dense output of the RK45 reference: sols[k] maps times on segment k
     to the K flattened d x d matrices of local Phi."""
 
-    sols: list
+    sols: tuple
     lams: np.ndarray
     d: int
 
@@ -530,105 +617,14 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
     return result.y[:, -1].reshape(K, d, d), result.sol
 
 
-@dataclass
-class FundamentalSystem:
-    """Segment propagators and local Phi (I at each segment start) for a
-    batch of lambda values; global Phi is never formed.  Local Phi needs the
-    dense output (cells), which integrate_fundamental always keeps."""
-
-    op: LinearOperator
-    lams: np.ndarray            # (K,) lambda values, the shifts of a_0
-    nodes: np.ndarray           # (N+1,) segment boundaries, nodes[0] = 0
-    segments: np.ndarray        # (N, K, d, d) propagator across each segment
-    # dense output: the Magnus path's, a view of its root's, or the RK45 reference's
-    cells: _Cells | _Copies | _RkCells = None
-    # the grid factors of the kernels on this system (see greens)
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def d(self) -> int:
-        return self.op.order
-
-    @property
-    def K(self) -> int:
-        return len(self.lams)
-
-    def segment_index(self, t) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.nodes[1:-1], ts, side="right")
-        return idx
-
-    def local_phi(self, seg, ts) -> np.ndarray:
-        """Phi relative to the start of segment seg (one index, or one per
-        t), shape (nt, K, d, d)."""
-        if self.cells is None:
-            raise IntegrationError("fundamental system was integrated without dense output")
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.cells.local_phi(np.broadcast_to(seg, ts.shape), ts)
-
-
-def _integrate(op: LinearOperator, lams: np.ndarray, tol: float, dense: bool,
-               force_rk: bool = False) -> FundamentalSystem:
-    """force_rk (single lambda, dense) selects the RK45 reference path."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    lams = np.asarray(lams)
-    lams = lams.astype(np.result_type(lams, float))
-    plan = _segment_nodes(op, lams)
-    ends, sols, pieces, planned, piece_cells = [], [], [], [], []
-    for lo, hi, nodes, rate in plan:
-        if force_rk:
-            for a, b in zip(nodes[:-1], nodes[1:]):
-                end, sol = _rk_segment(op, a, b, lams, tol)
-                ends.append(end[None])
-                sols.append(sol)
-        else:  # every piece's cells, counted to MAX_CELLS, before any is propagated
-            pieces.append(_Piece.of(op, lo, hi, lams))
-            used = sum(len(cells[0]) for cells in planned)
-            planned.append(pieces[-1].cells(nodes, rate, tol, used))
-    for piece, (_, _, nodes, _), cells in zip(pieces, plan, planned):
-        end, *output = _magnus_segments(piece, nodes, cells, dense)
-        ends.append(end)
-        piece_cells.append(output)
-    segments = np.concatenate(ends)
-    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
-    cells = _RkCells(sols, lams, op.order) if force_rk else None
-    if dense and not force_rk:
-        starts, counts, cell_prefixes = zip(*piece_cells)
-        piece = np.repeat(np.arange(len(pieces)), [len(c) for c in starts])
-        cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
-                       piece, pieces, np.concatenate(cell_prefixes))
-    return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=segments, cells=cells)
-
-
-def integrate_fundamental(op: LinearOperator, lam: float = 0.0, tol: float = DEFAULT_TOL,
-                          force_rk: bool = False) -> FundamentalSystem:
-    """Fundamental system of L[lam] u = 0 with canonical initial data at t=0,
-    with dense output.
-
-    force_rk selects the RK45 reference path: an adaptive Dormand-Prince
-    integration on every segment, constant ones included, independent of
-    the Magnus propagator (used to check it against closed forms).
-    """
+def _rk_reference(op: LinearOperator, lam, tol: float) -> FundamentalSystem:
+    """Fundamental system of L[lam] u = 0 with dense output from an adaptive
+    Dormand-Prince integration (rtol tol) on every segment of the Magnus
+    path's plan, constant ones included: the tests' reference, independent
+    of the Magnus propagator.  op is integrated as it is, noted or not."""
     lams = np.array([lam])
-    return _integrate(op, lams, tol, True, True) if force_rk else _system(op, lams, True, {}, tol)
-
-
-def integrate_fundamental_batch(op: LinearOperator, lams) -> FundamentalSystem:
-    """One Magnus integration sweep shared by a whole vector of lambda values,
-    to DEFAULT_TOL: the segment propagators, without dense output."""
-    return _system(op, np.atleast_1d(np.asarray(lams)), False, {})
-
-
-def _system(op: LinearOperator, lams: np.ndarray, dense: bool, systems: dict,
-            tol: float = DEFAULT_TOL) -> FundamentalSystem:
-    """The fundamental system of op for lams, kept in systems by operator:
-    integrated where op has no note, else derived in one step from its root
-    operator's, integrated once (operators.mirror_of, mirror_fundamental)."""
-    if op not in systems:
-        root, copies = mirror_of(op) or (op, None)
-        if root not in systems:
-            systems[root] = _integrate(root, lams, tol, dense)
-        if copies:
-            systems[op] = mirror_fundamental(op, systems[root], copies)
-    return systems[op]
+    lams = lams.astype(np.result_type(lams, float))
+    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in _segment_nodes(op, lams)])
+    ends, sols = zip(*(_rk_segment(op, a, b, lams, tol) for a, b in zip(nodes[:-1], nodes[1:])))
+    return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=np.stack(ends),
+                             cells=_RkCells(sols, lams, op.order))

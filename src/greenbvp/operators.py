@@ -82,7 +82,10 @@ class LinearOperator:
                 if uses_lambda(seg.expr):
                     raise ValueError(f"coefficient {k}: uses 'lambda'; the spectral parameter "
                                      "is the problem's shift of a_0, not part of a coefficient")
-                vals = seg.evaluate(np.linspace(seg.lo, seg.hi, 9))
+                try:
+                    vals = seg.evaluate(np.linspace(seg.lo, seg.hi, 9))
+                except ZeroDivisionError:  # a constant divided by zero
+                    vals = np.nan
                 if not np.all(np.isfinite(vals)):
                     raise ValueError(f"coefficient {k}: non-finite values on [{seg.lo}, {seg.hi}]")
             if not math.isclose(cursor, self.length, abs_tol=1e-12 * max(1.0, self.length)):

@@ -46,7 +46,7 @@ def test_trace_recorder_sees_the_rk_engine():
     recorder.install()
     try:
         op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
-        integrate.integrate_fundamental(op, 2.0, force_rk=True)
+        integrate._rk_reference(op, 2.0, integrate.DEFAULT_TOL)
     finally:
         recorder.uninstall()
     rk = [span for span in recorder.spans if span.name == "integrate.rk"]

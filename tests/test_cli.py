@@ -439,6 +439,40 @@ def test_compare_bad_case_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_verify_coefficient_divided_by_zero_exits_2(tmp_path, capsys):
+    # 1/0 divides two constants, which raises where t/0 gives numpy's inf: both
+    # are coefficients with non-finite values, a configuration error
+    config = write_config(tmp_path, coefficients=["1/0", "0", "0", "0"], kind="neumann")
+    code = main(["verify", "--config", config, "--identity", "N-P2T", "--grid", "5"])
+    assert code == EXIT_CONFIG
+    assert "coefficient 0: non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma1", ["1e400", "1/0"])
+def test_compare_non_finite_sigma1_exits_2(tmp_path, capsys, sigma1):
+    # 1e400 is inf: |sigma2| <= sigma1 held, and the check passed with an
+    # Infinity in its JSON
+    config = write_config(tmp_path, n=2, T=2.0, kind="neumann",
+                          coefficients=["(t-2)^4", "0", "0", "0"], **{"lambda": 2.0})
+    code = main(["compare", "--config", config, "--sigma1", sigma1, "--sigma2", "0",
+                 "--case", "ND-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert "sigma1: non-finite values" in captured.err
+
+
+def test_compare_non_finite_sigma2_exits_2(tmp_path, capsys):
+    # u'' on [0, 1] at lambda = -1: 0 <= sigma2 <= sigma1 held within a bar
+    # of inf, and the NaN solutions failed the theorem with exit 1
+    config = write_config(tmp_path, n=1, T=1.0, kind="neumann", coefficients=["0", "0"],
+                          **{"lambda": -1.0})
+    code = main(["compare", "--config", config, "--sigma1", "0", "--sigma2", "1e400",
+                 "--case", "ND-2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert "sigma2: non-finite values" in captured.err
+
+
 def test_cli_module_entry_point():
     result = subprocess.run([sys.executable, "-m", "greenbvp.cli", "--help"],
                             capture_output=True, text=True)
@@ -450,8 +484,9 @@ def test_default_paths_load_no_scipy():
     # kernels, grids, characteristic functions, eigenfunctions and the
     # constant-sign test at a double root (the antiperiodic principal of
     # u'''' on [0, 2], -pi^4 / 16) run on numpy alone; scipy.integrate (the
-    # force_rk reference) is imported on first use.  A top-level scipy import
-    # would cost every command about 0.3 s of start-up
+    # tests' RK45 reference, integrate._rk_reference) is imported on first
+    # use.  A top-level scipy import would cost every command about 0.3 s of
+    # start-up
     probe = """
 import math, sys
 import greenbvp, greenbvp.cli

@@ -20,6 +20,8 @@ from greenbvp import (
     integrate_fundamental,
     run_identities,
 )
+from greenbvp.greens import kernel_source, kernel_table
+from greenbvp.identities import DEFAULT_TOLERANCE, SELF_TOLERANCE
 
 
 @pytest.fixture(scope="module")
@@ -179,12 +181,36 @@ def test_mixed_reflection_skips_below_the_skip_margin(const_fourth_op):
     assert reports[1].reason == "resonant: M1, M2, reflected M1, reflected M2"
 
 
-def test_residual_shrinks_with_grid_and_tolerance(quartic_weight_op):
+def test_identity_bars_scale_with_the_kernels_near_a_mixed_eigenvalue(const_fourth_op):
+    # just off -(pi/2)^4 the M1 margin (1.2e-7) is above SKIP_MARGIN and max|G|
+    # is about 3.3e5: residuals of 1e-5 to 3.7e-4 are about 1e-9 of the
+    # kernels, and the rows that touch them pass against bars of that size
+    lam = -(math.pi / 2) ** 4 * (1 + 1e-6)
+    reports = run_identities(const_fourth_op, lam, m=41)
+    assert not any(r.skipped for r in reports)
+    assert all(r.passed for r in reports), [(r.tag, r.residual, r.tol) for r in reports]
+    scaled = [r for r in reports if r.residual > SELF_TOLERANCE]
+    assert len(scaled) == 13 and min(r.residual for r in scaled) > 1e-5
+    # a wrong combination still fails: M2 is not M1's half of A[2T]
+    kernels, table = kernel_source(lam), kernel_table(const_fourth_op)
+    wrong = check_decomposition("M1-A2T", kernels(*table["M2"]), kernels(*table["A2T"]), m=41)
+    assert not wrong.passed and wrong.residual > 1e5
+
+
+def test_identity_bars_stay_put_for_kernels_within_one(quartic_weight_op):
+    reports = run_identities(quartic_weight_op, 0.7, m=21)
+    assert {r.tol for r in reports} == {DEFAULT_TOLERANCE, SELF_TOLERANCE}
+
+
+def test_residual_shrinks_with_grid_and_tolerance(monkeypatch, quartic_weight_op):
+    from greenbvp import integrate
+
     lam = 0.5
     op2 = extend_to_double(quartic_weight_op)
 
     def kernel(op, kind, tol):
-        return GreensEvaluator(ProblemSpec(op, kind, lam), integrate_fundamental(op, lam, tol=tol))
+        monkeypatch.setattr(integrate, "DEFAULT_TOL", tol)
+        return GreensEvaluator(ProblemSpec(op, kind, lam), integrate_fundamental(op, lam))
 
     r_coarse = check_decomposition("N-P2T", kernel(quartic_weight_op, BCKind.NEUMANN, 1e-6),
                                    kernel(op2, BCKind.PERIODIC, 1e-6), m=21).residual

@@ -17,7 +17,7 @@ from greenbvp import (
     integrate_fundamental_batch,
 )
 from greenbvp import integrate
-from greenbvp.integrate import DEFAULT_TOL, MAX_CELLS, expm
+from greenbvp.integrate import MAX_CELLS, expm
 
 from reference import boundary_matrix, cauchy_value, phi, phi_end, transition
 
@@ -45,7 +45,7 @@ def test_harmonic_oscillator_closed_form():
 
 def test_harmonic_oscillator_rk_path_matches():
     op = LinearOperator.from_exprs(1, 2.0, ["1", "0"])
-    fs = integrate_fundamental(op, tol=1e-12, force_rk=True)
+    fs = integrate._rk_reference(op, 0.0, 1e-12)
     t = 1.7
     expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
     assert phi(fs, [t])[0] == pytest.approx(expected, abs=1e-10)
@@ -108,7 +108,7 @@ def test_tolerance_halving_is_convergent():
     tols = [1e-5, 5e-6, 2.5e-6, 1.25e-6, 6.25e-7]
     errors = []
     for tol in tols:
-        fs = integrate_fundamental(op, tol=tol, force_rk=True)
+        fs = integrate._rk_reference(op, 0.0, tol)
         errors.append(np.abs(phi(fs, [t])[0] - expected).max())
     for a, b in zip(errors, errors[1:]):
         assert b <= 4 * a + 1e-15
@@ -137,12 +137,6 @@ def test_nonsingular_transition_matrices(quartic_weight_op):
     fs = integrate_fundamental(quartic_weight_op, lam=2.0)
     for t in np.linspace(0, 2, 9):
         assert abs(np.linalg.det(phi(fs, [t])[0])) > 1e-8
-
-
-def test_invalid_tolerance():
-    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
-    with pytest.raises(ValueError):
-        integrate_fundamental(op, tol=0.0)
 
 
 def _mp_fundamental_end(pieces, lam):
@@ -190,8 +184,7 @@ def test_complex_lambda_closed_form():
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     lam = 30.0 + 7.5j
     w = cmath.sqrt(lam)
-    for force_rk in (False, True):
-        fs = integrate_fundamental(op, lam, tol=1e-12, force_rk=force_rk)
+    for fs in (integrate_fundamental(op, lam), integrate._rk_reference(op, lam, 1e-12)):
         assert fs.lams.tolist() == [lam]
         for t in (0.3, 1.0):
             exact = np.array([[cmath.cos(w * t), cmath.sin(w * t) / w],
@@ -206,7 +199,7 @@ def test_rough_coefficients_are_refined(a0):
     # oscillating, kinked and steep coefficients: cells are halved until the
     # Gauss rule resolves them, so Phi(T) meets the RK45 reference
     op = LinearOperator.from_exprs(1, 1.0, [a0, "0"])
-    ref = phi_end(integrate_fundamental(op, 0.0, tol=1e-12, force_rk=True))[0]
+    ref = phi_end(integrate._rk_reference(op, 0.0, 1e-12))[0]
     end = phi_end(integrate_fundamental(op, 0.0))[0]
     assert np.abs(end - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -332,7 +325,7 @@ def _members_on_batch_cells(op, lams):
         members = [integrate._Piece.of(op, lo, hi, lams[k:k + 1]) for k in range(len(lams))]
         assert integrate._Piece.of(op, lo, hi, lams).polynomial and not members[0].polynomial
         ends.append(np.concatenate([
-            integrate._magnus_segments(member, nodes, member.cells(nodes, rate, DEFAULT_TOL, 0),
+            integrate._magnus_segments(member, nodes, member.cells(nodes, rate, 0),
                                        False)[0]
             for member in members], axis=1))
     return np.concatenate(ends)
@@ -345,7 +338,7 @@ def test_polynomial_batch_matches_members_on_same_cells(quartic_weight_op, case)
     lams = np.linspace(-110.0, 10.0, 41)
     if case == "2T complex":
         lams = lams + 1j * np.linspace(-3.0, 3.0, 41)
-    fs = integrate._integrate(op, lams, DEFAULT_TOL, True)
+    fs = integrate._integrate(op, lams, True)
     # a complex batch of real coefficient rows must stay complex
     assert fs.segments.dtype == lams.dtype and fs.cells.prefixes.dtype == lams.dtype
     ref = _members_on_batch_cells(op, lams)
@@ -366,11 +359,11 @@ def test_polynomial_generators_only_for_lambda_free_batches(monkeypatch, quartic
         for lo, hi, nodes, rate in integrate._segment_nodes(op, batch):
             piece = integrate._Piece.of(op, lo, hi, batch)
             assert not piece.polynomial
-            _, h, _, rows = piece.cells(nodes, rate, DEFAULT_TOL, 0)
+            _, h, _, rows = piece.cells(nodes, rate, 0)
             direct = (h[:, None, None, None] * integrate._companion(rows) if piece.constant
                       else integrate._magnus_generator(rows, h))
             assert np.array_equal(piece.generators(rows, h), direct)
-        integrate._integrate(op, batch, DEFAULT_TOL, True).local_phi(0, [0.3])
+        integrate._integrate(op, batch, True).local_phi(0, [0.3])
     assert not calls
     integrate_fundamental_batch(quartic_weight_op, lams)  # the control: a (t-2)^4 batch
     assert calls
