@@ -17,7 +17,7 @@ import numpy as np
 from .expressions import ExprAst, compile_expr, parse_expression
 from .greens import BCKind, GreensEvaluator, kernel_source, kernel_table
 from .operators import LinearOperator
-from .signscan import NONNEGATIVE, NONPOSITIVE, ZERO_ON_GRID, _classify
+from .signscan import NONNEGATIVE, NONPOSITIVE, THEOREM_TAGS, ZERO_ON_GRID, _classify
 
 __all__ = [
     "SampledSolution",
@@ -92,7 +92,8 @@ def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     Row i integrates G(t_i, s) sigma(s) over [0, t_i] (i subintervals) and
     over [t_i, T] (m - 1 - i subintervals), each by _simpson_weights; the
     two one-subinterval rows take the midpoint term of Simpson's rule from
-    one more kernel evaluation.
+    one more kernel evaluation.  A sum that overflows is refused with a
+    FloatingPointError naming the kernel's family.
     """
     if m < MIN_SOLVE_GRID or m % 2 == 0:
         raise ValueError(f"quadrature grid must be odd and at least {MIN_SOLVE_GRID}")
@@ -103,23 +104,20 @@ def solve_bvp(G: GreensEvaluator, sigma, m: int = 81) -> SampledSolution:
     sig = _samples(f, ts, lam, "sigma")
     i, j = np.arange(m)[:, None], np.arange(m)
     weights = _simpson_weights(i, j) + _simpson_weights(m - 1 - i, j - i)
-    values = (weights * G.eval_grid(ts, ts)) @ sig
+    grid = G.eval_grid(ts, ts)
     # the midpoints of [t_0, t_1] for row 1 and of [t_(m-2), t_(m-1)] for row m - 2
     rows, mids = np.array([1, m - 2]), 0.5 * (ts[[0, m - 2]] + ts[[1, m - 1]])
     gm = np.diagonal(G.eval_grid(ts[rows], mids))
-    values[rows] += (4.0 / 6.0) * gm * _samples(f, mids, lam, "sigma")
-    values *= ts[1] - ts[0]
+    sig_mids = _samples(f, mids, lam, "sigma")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (weights * grid) @ sig
+        values[rows] += (4.0 / 6.0) * gm * sig_mids
+        values *= ts[1] - ts[0]
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"{G.problem.kind.value} solution not finite: "
+                                 "the Green integral of the source overflows")
     source = sigma if isinstance(sigma, str) else "<expr>"
     return SampledSolution(G.problem.kind, ts, values, source)
-
-
-# theorem tag -> kernel codes (greens.kernel_table) of the premise on the
-#                doubled interval, the primary and the secondary problem
-THEOREM_TAGS = {
-    "ND": ("P2T", "N", "D"),
-    "NM1": ("N2T", "N", "M1"),
-    "M2D": ("D2T", "M2", "D"),
-}
 
 
 @dataclass
@@ -186,25 +184,36 @@ class ComparisonReport:
                 "conclusions": self.conclusions}
 
 
+# case -> (sign the premise kernel needs, the sources' hypothesis, whether
+#          samples (s1, s2) meet it within a bar, the conclusions as (name,
+#          slack of the samples (u1, u2), nonnegative where the conclusion holds))
+_CASES = {
+    1: (NONNEGATIVE, "|sigma2| <= sigma1",
+        lambda s1, s2, tol: np.all(np.abs(s2) <= s1 + tol),
+        [("|u2| <= u1", lambda u1, u2: u1 - np.abs(u2))]),
+    2: (NONPOSITIVE, "0 <= sigma2 <= sigma1",
+        lambda s1, s2, tol: np.all(s2 >= -tol) and np.all(s2 <= s1 + tol),
+        [("u1 <= 0", lambda u1, u2: -u1), ("u1 <= u2", lambda u1, u2: u2 - u1)]),
+    3: (NONPOSITIVE, "sigma1 <= sigma2 <= 0",
+        lambda s1, s2, tol: np.all(s2 <= tol) and np.all(s1 <= s2 + tol),
+        [("u1 >= 0", lambda u1, u2: u1), ("u2 <= u1", lambda u1, u2: u1 - u2)]),
+}
+
+
 def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: float,
                               sigma1, sigma2, m: int = 81) -> ComparisonReport:
-    """One comparison theorem case.
-
-    Case 1 (premise >= 0, |sigma2| <= sigma1): |u_secondary| <= u_primary.
-    Case 2 (premise <= 0, 0 <= sigma2 <= sigma1): u_primary <= 0 and
-    u_primary <= u_secondary.
-    Case 3 (premise <= 0, sigma1 <= sigma2 <= 0): u_primary >= 0 and
-    u_secondary <= u_primary.
-
-    The sigma hypothesis is verified on the quadrature grid and violations
-    are rejected before solving; a premise kernel of the wrong sign yields a
-    not-applicable report.
+    """One case of a comparison theorem (THEOREM_TAGS): the premise sign,
+    source hypothesis and conclusions on u1 (primary) and u2 (secondary)
+    are the case's row of _CASES.  The hypothesis is verified on the
+    quadrature grid and violations are rejected before solving; a premise
+    kernel of the wrong sign yields a not-applicable report.
     """
     if tag not in THEOREM_TAGS:
         raise ValueError(f"unknown theorem tag {tag!r}; expected one of {list(THEOREM_TAGS)}")
-    if case not in (1, 2, 3):
+    if case not in _CASES:
         raise ValueError("case must be 1, 2 or 3")
     premise, primary, secondary = THEOREM_TAGS[tag]
+    required, hypothesis, holds, conclusions = _CASES[case]
 
     f1 = compile_expr(_as_expr(sigma1))
     f2 = compile_expr(_as_expr(sigma2))
@@ -212,20 +221,12 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
     s1 = _samples(f1, ts, lam, "sigma1")
     s2 = _samples(f2, ts, lam, "sigma2")
     htol = 1e-12 * max(1.0, np.abs(s1).max(), np.abs(s2).max())
-    if case == 1:
-        if not np.all(np.abs(s2) <= s1 + htol):
-            raise HypothesisError("case 1 needs |sigma2| <= sigma1 on the interval")
-    elif case == 2:
-        if not (np.all(s2 >= -htol) and np.all(s2 <= s1 + htol)):
-            raise HypothesisError("case 2 needs 0 <= sigma2 <= sigma1 on the interval")
-    else:
-        if not (np.all(s2 <= htol) and np.all(s1 <= s2 + htol)):
-            raise HypothesisError("case 3 needs sigma1 <= sigma2 <= 0 on the interval")
+    if not holds(s1, s2, htol):
+        raise HypothesisError(f"case {case} needs {hypothesis} on the interval")
 
     table = kernel_table(op)
     kernel = kernel_source(lam)
     premise_class = _classify(kernel, *table[premise])[0]
-    required = NONNEGATIVE if case == 1 else NONPOSITIVE
     if premise_class not in (required, ZERO_ON_GRID):
         report = ComparisonReport(tag, case, False, premise_class, True, [])
         report.kernel = kernel
@@ -235,24 +236,13 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
     u2 = solve_bvp(kernel(*table[secondary]), sigma2, m)
     scale = max(np.abs(u1.values).max(), np.abs(u2.values).max(), 1e-300)
     slack = SLACK_REL * scale
-
-    conclusions = []
-
-    def record(name, diff):
+    rows = []
+    for name, slack_of in conclusions:
+        diff = slack_of(u1.values, u2.values)
         worst = float(diff.min())
-        k = int(np.argmin(diff))
-        conclusions.append({"conclusion": name, "worst_slack": worst,
-                            "location": float(ts[k]), "pass": bool(worst >= -slack)})
-
-    if case == 1:
-        record("|u2| <= u1", u1.values - np.abs(u2.values))
-    elif case == 2:
-        record("u1 <= 0", -u1.values)
-        record("u1 <= u2", u2.values - u1.values)
-    else:
-        record("u1 >= 0", u1.values)
-        record("u2 <= u1", u1.values - u2.values)
-    passed = all(c["pass"] for c in conclusions)
-    report = ComparisonReport(tag, case, True, premise_class, passed, conclusions, u1, u2)
+        rows.append({"conclusion": name, "worst_slack": worst,
+                     "location": float(ts[int(np.argmin(diff))]), "pass": bool(worst >= -slack)})
+    passed = all(c["pass"] for c in rows)
+    report = ComparisonReport(tag, case, True, premise_class, passed, rows, u1, u2)
     report.kernel = kernel
     return report

@@ -66,6 +66,7 @@ class IdentityReport:
             "pass": self.passed,
             "skipped": self.skipped,
             "reason": self.reason,
+            "tol": self.tol,
         }
 
 
@@ -97,63 +98,57 @@ def check_symmetry(G2T: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityRepor
     return _report(tag, G2T.problem.lam, m, grids[0] - grids[1], ts, SELF_TOLERANCE, grids)
 
 
-# tag -> (base kernel, big kernel, interval factor, signed argument transforms)
-# transforms give the t argument passed to the big kernel; T is the base length.
+# tag -> (base kernel, big kernel, signed images (sign, a, b)): base(t, s) is
+# the sum of sign * big(a*T + b*t, s) over the images, T the base length and
+# the big interval as many times T as there are images.
 DECOMPOSITION_TAGS = {
-    "N-P2T": ("N", "P2T", 2, [(+1, "t"), (+1, "2T-t")]),
-    "D-P2T": ("D", "P2T", 2, [(+1, "t"), (-1, "2T-t")]),
-    "N-N2T": ("N", "N2T", 2, [(+1, "t"), (+1, "2T-t")]),
-    "D-D2T": ("D", "D2T", 2, [(+1, "t"), (-1, "2T-t")]),
-    "M1-A2T": ("M1", "A2T", 2, [(+1, "t"), (-1, "2T-t")]),
-    "M2-A2T": ("M2", "A2T", 2, [(+1, "t"), (+1, "2T-t")]),
-    "M1-N2T": ("M1", "N2T", 2, [(+1, "t"), (-1, "2T-t")]),
-    "M2-D2T": ("M2", "D2T", 2, [(+1, "t"), (+1, "2T-t")]),
-    "N-P4T": ("N", "P4T", 4, [(+1, "t"), (+1, "4T-t"), (+1, "2T-t"), (+1, "2T+t")]),
-    "D-P4T": ("D", "P4T", 4, [(+1, "t"), (-1, "4T-t"), (-1, "2T-t"), (+1, "2T+t")]),
-    "M1-P4T": ("M1", "P4T", 4, [(+1, "t"), (+1, "4T-t"), (-1, "2T-t"), (-1, "2T+t")]),
-    "M2-P4T": ("M2", "P4T", 4, [(+1, "t"), (-1, "4T-t"), (+1, "2T-t"), (-1, "2T+t")]),
+    "N-P2T": ("N", "P2T", [(+1, 0, 1), (+1, 2, -1)]),
+    "D-P2T": ("D", "P2T", [(+1, 0, 1), (-1, 2, -1)]),
+    "N-N2T": ("N", "N2T", [(+1, 0, 1), (+1, 2, -1)]),
+    "D-D2T": ("D", "D2T", [(+1, 0, 1), (-1, 2, -1)]),
+    "M1-A2T": ("M1", "A2T", [(+1, 0, 1), (-1, 2, -1)]),
+    "M2-A2T": ("M2", "A2T", [(+1, 0, 1), (+1, 2, -1)]),
+    "M1-N2T": ("M1", "N2T", [(+1, 0, 1), (-1, 2, -1)]),
+    "M2-D2T": ("M2", "D2T", [(+1, 0, 1), (+1, 2, -1)]),
+    "N-P4T": ("N", "P4T", [(+1, 0, 1), (+1, 4, -1), (+1, 2, -1), (+1, 2, 1)]),
+    "D-P4T": ("D", "P4T", [(+1, 0, 1), (-1, 4, -1), (-1, 2, -1), (+1, 2, 1)]),
+    "M1-P4T": ("M1", "P4T", [(+1, 0, 1), (+1, 4, -1), (-1, 2, -1), (-1, 2, 1)]),
+    "M2-P4T": ("M2", "P4T", [(+1, 0, 1), (-1, 4, -1), (+1, 2, -1), (-1, 2, 1)]),
 }
 
-# tag -> (big kernel, base pair, has reflected companion)
-# direct:    big(t, s)      = (sum of base pair) / divisor
-# reflected: big(2T - t, s) = (difference of base pair) / divisor
+# tag -> (big kernel, base kernels, has reflected companion), the big interval
+# as many times T as there are base kernels: big(t, s) is their mean, and the
+# companion big(2T - t, s) half the difference of a base pair
 CONNECTING_TAGS = {
-    "P2T-ND": ("P2T", ("N", "D"), 2, True),
-    "A2T-M2M1": ("A2T", ("M2", "M1"), 2, True),
-    "N2T-NM1": ("N2T", ("N", "M1"), 2, True),
-    "D2T-M2D": ("D2T", ("M2", "D"), 2, True),
-    "P4T-QUARTER": ("P4T", ("N", "D", "M1", "M2"), 4, False),
+    "P2T-ND": ("P2T", ("N", "D"), True),
+    "A2T-M2M1": ("A2T", ("M2", "M1"), True),
+    "N2T-NM1": ("N2T", ("N", "M1"), True),
+    "D2T-M2D": ("D2T", ("M2", "D"), True),
+    "P4T-QUARTER": ("P4T", ("N", "D", "M1", "M2"), False),
 }
 
 
-def _transformed(ts: np.ndarray, expr: str, T: float) -> np.ndarray:
-    if expr == "t":
-        return ts
-    if expr == "2T-t":
-        return 2 * T - ts
-    if expr == "4T-t":
-        return 4 * T - ts
-    if expr == "2T+t":
-        return 2 * T + ts
-    raise ValueError(f"unknown transform {expr!r}")
+def _base_length(tag: str, base: GreensEvaluator, big: GreensEvaluator, factor: int) -> float:
+    """The base length T, once the big kernel's interval is factor * T."""
+    T = base.length
+    if abs(big.length - factor * T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"mismatched intervals for {tag}: base length {T}, "
+                         f"big length {big.length} (expected factor {factor})")
+    return T
 
 
 def check_decomposition(tag: str, base: GreensEvaluator, big: GreensEvaluator,
                         m: int = DEFAULT_GRID) -> IdentityReport:
-    """Residual of base(t,s) = signed combination of big-kernel values on I x I."""
+    """Residual of base(t,s) = sum of sign * big(a*T + b*t, s) over the
+    tag's images (DECOMPOSITION_TAGS) on I x I."""
     if tag not in DECOMPOSITION_TAGS:
         raise ValueError(f"unknown decomposition tag {tag!r}")
-    _, _, factor, terms = DECOMPOSITION_TAGS[tag]
-    T = base.length
-    if abs(big.length - factor * T) > 1e-9 * max(1.0, T):
-        raise ValueError(
-            f"mismatched intervals for {tag}: base length {T}, big length {big.length} "
-            f"(expected factor {factor})")
+    terms = DECOMPOSITION_TAGS[tag][2]
+    T = _base_length(tag, base, big, len(terms))
     ts = _grid(T, m)
-    grids = [big.eval_grid(_transformed(ts, expr, T), ts) for _, expr in terms]
-    combo = np.zeros((m, m))
-    for (sign, _), grid in zip(terms, grids):
-        combo += sign * grid
+    grids = [big.eval_grid(ts if (a, b) == (0, 1) else a * T + b * ts, ts)
+             for _, a, b in terms]
+    combo = sum(sign * grid for (sign, _, _), grid in zip(terms, grids))
     grids.append(base.eval_grid(ts, ts))
     return _report(tag, base.problem.lam, m, grids[-1] - combo, ts, DEFAULT_TOLERANCE, grids)
 
@@ -164,42 +159,32 @@ def check_connecting(tag: str, base_list: list[GreensEvaluator], big: GreensEval
     at the reflected argument where the formula provides one."""
     if tag not in CONNECTING_TAGS:
         raise ValueError(f"unknown connecting tag {tag!r}")
-    _, pair, divisor, has_reflected = CONNECTING_TAGS[tag]
+    _, pair, has_reflected = CONNECTING_TAGS[tag]
     if len(base_list) != len(pair):
         raise ValueError(f"{tag} needs {len(pair)} base kernels, got {len(base_list)}")
-    T = base_list[0].length
-    if abs(big.length - divisor * T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"mismatched intervals for {tag}")
+    T = _base_length(tag, base_list[0], big, len(pair))
     ts = _grid(T, m)
     bases = [G.eval_grid(ts, ts) for G in base_list]
     grids = bases + [big.eval_grid(ts, ts)]
-    diff = np.abs(grids[-1] - sum(bases) / divisor)
+    diff = np.abs(grids[-1] - sum(bases) / len(pair))
     if has_reflected:
         grids.append(big.eval_grid(2 * T - ts, ts))
-        diff = np.maximum(diff, np.abs(grids[-1] - (bases[0] - bases[1]) / divisor))
+        diff = np.maximum(diff, np.abs(grids[-1] - (bases[0] - bases[1]) / len(pair)))
     return _report(tag, big.problem.lam, m, diff, ts, DEFAULT_TOLERANCE, grids)
 
 
-def check_mixed_reflection(op: LinearOperator, lam: float,
-                           m: int = DEFAULT_GRID) -> list[IdentityReport]:
-    """Residuals of the two mixed-problem reflection identities:
-    G_M1(T-t, T-s) equals the mixed-2 kernel of the reflected operator
-    (and vice versa)."""
-    return _mixed_reflection(kernel_source(lam), op, reflect(op), lam, m)
-
-
-def _mixed_reflection(kernel, op, ref, lam, m) -> list[IdentityReport]:
-    T = op.length
+def check_mixed_reflection(G: GreensEvaluator, G_reflected: GreensEvaluator,
+                           m: int = DEFAULT_GRID) -> IdentityReport:
+    """Residual of a mixed-problem reflection identity: G(T-t, T-s) equals
+    G_reflected(t, s), where G is the M1 (M2) kernel of an operator and
+    G_reflected the M2 (M1) kernel of its reflection (operators.reflect)."""
+    tag = {BCKind.MIXED1: "M1-reflection", BCKind.MIXED2: "M2-reflection"}.get(G.problem.kind)
+    if tag is None:
+        raise ValueError(f"mixed reflection needs an M1 or M2 kernel, got {G.problem.kind.value}")
+    T = G.length
     ts = _grid(T, m)
-    GM1 = kernel(op, BCKind.MIXED1)
-    GM2 = kernel(op, BCKind.MIXED2)
-    GM1r = kernel(ref, BCKind.MIXED1)
-    GM2r = kernel(ref, BCKind.MIXED2)
-    reports = []
-    for tag, G, Gr in (("M1-reflection", GM1, GM2r), ("M2-reflection", GM2, GM1r)):
-        grids = [G.eval_grid(T - ts, T - ts), Gr.eval_grid(ts, ts)]
-        reports.append(_report(tag, lam, m, grids[0] - grids[1], ts, DEFAULT_TOLERANCE, grids))
-    return reports
+    grids = [G.eval_grid(T - ts, T - ts), G_reflected.eval_grid(ts, ts)]
+    return _report(tag, G.problem.lam, m, grids[0] - grids[1], ts, DEFAULT_TOLERANCE, grids)
 
 
 def check_slope_constancy(G: GreensEvaluator, m: int = DEFAULT_GRID) -> IdentityReport:
@@ -223,7 +208,8 @@ ALL_TAGS = (list(DECOMPOSITION_TAGS) + list(CONNECTING_TAGS)
 def run_identities(op: LinearOperator, lam: float, tags=None,
                    m: int = DEFAULT_GRID) -> list[IdentityReport]:
     """Run the requested identity checks (default: all applicable) for the
-    base operator at one lambda, sharing kernel builds across identities.
+    base operator at one lambda, sharing kernel builds across identities;
+    every row that is not skipped comes from its public check.
     The base operator alone is integrated (its extensions and reflection
     derive their systems from it, integrate._system), and the kernels of
     each operator share its system and grid factors (greens.kernel_source).
@@ -259,12 +245,12 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
     reports = []
     for tag in tags:
         if tag in DECOMPOSITION_TAGS:
-            base_code, big_code, _, _ = DECOMPOSITION_TAGS[tag]
+            base_code, big_code, _ = DECOMPOSITION_TAGS[tag]
             row = skip(tag, [base_code, big_code])
             reports.append(row or check_decomposition(tag, kernel(base_code),
                                                       kernel(big_code), m))
         elif tag in CONNECTING_TAGS:
-            big_code, pair, _, _ = CONNECTING_TAGS[tag]
+            big_code, pair, _ = CONNECTING_TAGS[tag]
             row = skip(tag, [big_code, *pair])
             reports.append(row or check_connecting(tag, [kernel(c) for c in pair],
                                                    kernel(big_code), m))
@@ -277,7 +263,9 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
             reflected.update({"reflected M1": (ref, BCKind.MIXED1),
                               "reflected M2": (ref, BCKind.MIXED2)})
             row = skip(tag, ["M1", "M2", "reflected M1", "reflected M2"])
-            reports.extend([row] if row else _mixed_reflection(kernels, op, ref, lam, m))
+            reports.extend([row] if row else
+                           [check_mixed_reflection(kernel("M1"), kernel("reflected M2"), m),
+                            check_mixed_reflection(kernel("M2"), kernel("reflected M1"), m)])
         elif tag == "slope-one":
             if not all(op2.is_t_constant_on(lo, hi) for lo, hi in
                        zip(op2.breakpoints()[:-1], op2.breakpoints()[1:])):

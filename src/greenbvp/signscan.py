@@ -381,14 +381,18 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str, principal: float,
                               region, changed, bracket)
 
 
-_COROLLARY_CASES = [
-    ("P2T<=0 => N<=0", "P2T", NONPOSITIVE, "N"),
-    ("P2T>=0 => N>=0", "P2T", NONNEGATIVE, "N"),
-    ("N2T<=0 => N<=0", "N2T", NONPOSITIVE, "N"),
-    ("N2T>=0 => N>=0", "N2T", NONNEGATIVE, "N"),
-    ("D2T<=0 => M2<=0", "D2T", NONPOSITIVE, "M2"),
-    ("D2T>=0 => M2>=0", "D2T", NONNEGATIVE, "M2"),
-]
+# theorem tag -> kernel codes (greens.kernel_table) of the premise on the
+#                doubled interval, the primary and the secondary problem
+THEOREM_TAGS = {
+    "ND": ("P2T", "N", "D"),
+    "NM1": ("N2T", "N", "M1"),
+    "M2D": ("D2T", "M2", "D"),
+}
+
+# (tag, premise, its sign, primary) of each theorem's constant-sign corollary
+_COROLLARY_CASES = [(f"{premise}{rel}0 => {primary}{rel}0", premise, sign, primary)
+                    for premise, primary, _ in THEOREM_TAGS.values()
+                    for sign, rel in ((NONPOSITIVE, "<="), (NONNEGATIVE, ">="))]
 
 
 def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKind]:
@@ -400,9 +404,9 @@ def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKin
 
 
 def verify_sign_corollary(op: LinearOperator, lam_samples) -> list[dict]:
-    """For each lambda where a premise kernel has constant sign, assert the
-    implied sign of the conclusion kernel; violating rows carry the location
-    of the offending extremum."""
+    """For each lambda and theorem (THEOREM_TAGS) whose premise kernel has a
+    constant sign, assert that sign of its primary kernel (_COROLLARY_CASES);
+    violating rows carry the location of the offending extremum."""
     rows = []
     table = kernel_table(op)
     for lam in lam_samples:

@@ -473,6 +473,35 @@ def test_compare_non_finite_sigma2_exits_2(tmp_path, capsys):
     assert "sigma2: non-finite values" in captured.err
 
 
+@pytest.mark.parametrize("sigma2", ["0", "1e308"])
+def test_compare_overflowing_solution_exits_3(tmp_path, capsys, sigma2):
+    # a finite source of 1e308 overflows the Green integral: the check passed
+    # with "worst_slack": Infinity (invalid JSON), or failed on NaN
+    config = write_config(tmp_path, n=2, T=2.0, kind="neumann",
+                          coefficients=["(t-2)^4", "0", "0", "0"], **{"lambda": 2.0})
+    code = main(["compare", "--config", config, "--sigma1", "1e308", "--sigma2", sigma2,
+                 "--case", "ND-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL and captured.out == ""
+    assert captured.err.startswith("error: neumann solution not finite")
+    assert captured.err.count("\n") == 1
+    assert "Infinity" not in captured.err and "NaN" not in captured.err
+
+
+def test_verify_rows_carry_the_bar_that_decided_pass(tmp_path, capsys):
+    # u'''' on [0, 1] just off the first mixed eigenvalue -(pi/2)^4: the bars
+    # of the rows near it scale with kernels of about 3.3e5
+    config = write_config(tmp_path, kind="neumann")
+    code = main(["verify", "--config", config, "--identity", "all", "--lambda",
+                 "0.7", repr(-(math.pi / 2) ** 4 * (1 + 1e-6)), "--grid", "21"])
+    assert code == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["identities"]
+    assert all("tol" in row for row in rows)
+    done = [row for row in rows if not row["skipped"]]
+    assert done and all(row["pass"] == (row["residual"] <= row["tol"]) for row in done)
+    assert max(row["tol"] for row in done) > 1e-3
+
+
 def test_cli_module_entry_point():
     result = subprocess.run([sys.executable, "-m", "greenbvp.cli", "--help"],
                             capture_output=True, text=True)

@@ -18,6 +18,7 @@ from greenbvp import (
     extend_to_double,
     extend_to_quadruple,
     integrate_fundamental,
+    reflect,
     run_identities,
 )
 from greenbvp.greens import kernel_source, kernel_table
@@ -99,13 +100,39 @@ def test_connecting_relations(const_fourth_op):
 
 
 def test_mixed_reflection_constant(const_fourth_op):
-    reports = check_mixed_reflection(const_fourth_op, 1.0, m=41)
+    reports = run_identities(const_fourth_op, 1.0, tags=["mixed-reflection"], m=41)
     assert all(r.residual <= 1e-6 for r in reports)
 
 
 def test_mixed_reflection_parabolic(parabolic_weight_op):
-    reports = check_mixed_reflection(parabolic_weight_op, 1.5, m=41)
+    reports = run_identities(parabolic_weight_op, 1.5, tags=["mixed-reflection"], m=41)
     assert all(r.residual <= 1e-6 for r in reports)
+
+
+def test_run_identities_checks_mixed_reflection_through_the_public_check(
+        monkeypatch, parabolic_weight_op):
+    # both rows come from check_mixed_reflection, so a caller and the traced
+    # public check see the same computation
+    from greenbvp import identities
+
+    calls = []
+    check = identities.check_mixed_reflection
+
+    def counted(G, G_reflected, m):
+        calls.append((G.problem.kind, G_reflected.problem.kind))
+        return check(G, G_reflected, m)
+
+    monkeypatch.setattr(identities, "check_mixed_reflection", counted)
+    reports = run_identities(parabolic_weight_op, 1.5, tags=["mixed-reflection"], m=21)
+    assert [r.tag for r in reports] == ["M1-reflection", "M2-reflection"]
+    assert calls == [(BCKind.MIXED1, BCKind.MIXED2), (BCKind.MIXED2, BCKind.MIXED1)]
+
+
+def test_check_mixed_reflection_refuses_a_neumann_kernel(quartic_kernels, quartic_weight_op):
+    kernels = kernel_source(2.0)
+    with pytest.raises(ValueError, match="needs an M1 or M2 kernel"):
+        check_mixed_reflection(quartic_kernels["N"],
+                               kernels(reflect(quartic_weight_op), BCKind.MIXED2), m=21)
 
 
 def test_mixed_reflection_negative_control(quartic_weight_op):
@@ -282,7 +309,9 @@ def test_grid_below_two_points_is_refused(quartic_weight_op, quartic_kernels, m)
     # in a numpy reshape error
     with pytest.raises(ValueError, match="m must be at least 2"):
         run_identities(quartic_weight_op, 0.5, m=m)
+    kernels = kernel_source(0.5)
     with pytest.raises(ValueError, match="m must be at least 2"):
-        check_mixed_reflection(quartic_weight_op, 0.5, m)
+        check_mixed_reflection(kernels(quartic_weight_op, BCKind.MIXED1),
+                               kernels(reflect(quartic_weight_op), BCKind.MIXED2), m)
     with pytest.raises(ValueError, match="m must be at least 2"):
         check_decomposition("N-P2T", quartic_kernels["N"], quartic_kernels["P2T"], m)
