@@ -20,24 +20,33 @@ a kernel reads sigma_min(M) off the end states of its block reduction,
 which also gives eigenfunctions their node states (spectrum._null_functions).
 
 All boundary families of one operator and lambda solve the same equation:
-their kernels share one fundamental system, whose segment end matrices and
-grid factors (segment indices and local Phi of a point set) are computed
+their kernels share one fundamental system, whose segment end matrices,
+grid factors (segment indices and local Phi of a point set) and impulse
+states x_s = Phi_local(s)^-1 e_d of a set of source points are computed
 once.  Only C, the block reduction and the margin are per family, and so
-are the node states of a set of source points, which a kernel keeps for
-the grids that reuse the set.  The extensions and the reflection of an
-operator derive their systems from its own in one step on every route
-(integrate.mirror_fundamental): kernel_source's share one integration.
+are the node states of a set of source points and the grids themselves,
+which a kernel keeps for the requests that repeat them.  The extensions
+and the reflection of an operator derive their systems from its own in one
+step on every route (integrate.mirror_fundamental): kernel_source's share
+one integration, and every copy whose points map back onto the root's
+bitwise shares the root's local Phi (integrate._Cells).  Each store keeps
+its last eight point sets or grids of 2 to 65 536 points or values
+(integrate._keep_last) and lives as long as the kernel or system that
+holds it; kept grids and local Phi are handed out as copies and grid
+factors are read-only, so a caller cannot alter what a store keeps.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import FundamentalSystem, _system, integrate_fundamental, integrate_fundamental_batch
+from .integrate import (FundamentalSystem, _keep_last, _system, integrate_fundamental,
+                        integrate_fundamental_batch)
 from .operators import LinearOperator, coeff_values, extend_to_double
 
 __all__ = [
@@ -160,6 +169,12 @@ def _boundary_coeffs(kind: BCKind, n: int) -> np.ndarray:
     C[k, k + left] = 1.0
     C[k + 1, d + k + right] = 1.0
     return C
+
+
+@functools.cache
+def _boundary_norm(kind: BCKind, n: int) -> float:
+    """||C||_2 of _boundary_coeffs(kind, n), computed once."""
+    return float(np.linalg.norm(_boundary_coeffs(kind, n), 2))
 
 
 def _graph_matrix(C: np.ndarray, fs: FundamentalSystem) -> np.ndarray:
@@ -368,17 +383,6 @@ class _BlockReduction:
         return self._back_substitute(top, tops)
 
 
-def _keep_last(store: dict, key, value, size: int):
-    """value, kept in store under key if it covers over one point, where
-    the eight latest stay: point sets repeat across grids, single points
-    rarely."""
-    if size > 1:
-        if len(store) >= 8:
-            del store[next(iter(store))]
-        store[key] = value
-    return value
-
-
 @dataclass(frozen=True)
 class _GridFactor:
     """Points of one grid axis, their segments and local Phi (n, d, d)."""
@@ -414,31 +418,36 @@ class GreensEvaluator:
         self._ends = fs.segments[:, 0]
         self.nseg = len(self._ends)
         # margin 1 / (||C||_2 ||Z||_2); 0 for an exactly singular system or non-finite Z
-        C = _boundary_coeffs(problem.kind, problem.operator.n)
+        kind, n = problem.kind, problem.operator.n
         try:
-            self._system = _BlockReduction(C, self._ends)
+            self._system = _BlockReduction(_boundary_coeffs(kind, n), self._ends)
             Z = self._system.end_states
         except np.linalg.LinAlgError:
             Z = np.inf
-        self.resonance_margin = (float(1.0 / (np.linalg.norm(C, 2) * np.linalg.norm(Z, 2)))
+        self.resonance_margin = (float(1.0 / (_boundary_norm(kind, n) * np.linalg.norm(Z, 2)))
                                  if np.isfinite(Z).all() else 0.0)
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
-        self._sources = {}  # (points, s_order) -> _source
+        self._sources = {}  # (points, s_order) -> node states
+        self._grids = {}    # (t points, s points, component, s_order) -> grid
 
     def _locate(self, pts) -> _GridFactor:
-        """Segment indices and local Phi of one point set, not kept."""
+        """Segment indices and local Phi of one point set, not kept; its
+        arrays are read-only, as a kept factor is shared."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         eps = 1e-12 * max(1.0, self.length)
         if pts.size and (pts.min() < -eps or pts.max() > self.length + eps):
             raise ValueError("grid points outside the problem interval")
         pts = np.clip(pts, 0.0, self.length)
         seg = self.fs.segment_index(pts)
-        return _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
+        factor = _GridFactor(pts, seg, self.fs.local_phi(seg, pts)[:, 0])
+        for array in (factor.pts, factor.seg, factor.phi):
+            array.flags.writeable = False
+        return factor
 
     def _factor(self, pts) -> _GridFactor:
-        """_locate for either axis of eval_grid; the last eight sets of over
-        one point stay on the system."""
+        """_locate for either axis of eval_grid, kept on the system for all
+        its kernels (_keep_last)."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         factors = self.fs.memo.setdefault("factors", {})
         key = pts.tobytes()
@@ -452,19 +461,24 @@ class GreensEvaluator:
 
     def _source(self, fsrc: _GridFactor, s_order: int) -> tuple[np.ndarray, np.ndarray]:
         """The impulse states x_s (d, ns) of the source points (or their
-        s_order-th s-derivatives, see _grid) and the node states (N+1, d, ns)
-        they give; the last eight sets of over one point stay on the kernel."""
+        s_order-th s-derivatives, see _grid), kept on the system for all its
+        kernels, and the node states (N+1, d, ns) they give, kept on the
+        kernel (_keep_last)."""
         key = (fsrc.pts.tobytes(), s_order)
         if key in self._sources:
             return self._sources[key]
-        # A(s) e_d is the companion matrix's last column e_(d-1) - a_(d-1)(s) e_d
-        e = np.zeros((len(fsrc.pts), self.d, 1))
-        if s_order:
-            e[:, -2] = -1.0
-            e[:, -1, 0] = coeff_values(self.problem.operator, self.d - 1, fsrc.pts)
-        else:
-            e[:, -1] = 1.0
-        xs = np.linalg.solve(fsrc.phi, e)[..., 0].T
+        impulses = self.fs.memo.setdefault("impulses", {})
+        xs = impulses.get(key)
+        if xs is None:
+            # A(s) e_d is the companion matrix's last column e_(d-1) - a_(d-1)(s) e_d
+            e = np.zeros((len(fsrc.pts), self.d, 1))
+            if s_order:
+                e[:, -2] = -1.0
+                e[:, -1, 0] = coeff_values(self.problem.operator, self.d - 1, fsrc.pts)
+            else:
+                e[:, -1] = 1.0
+            xs = _keep_last(impulses, key, np.linalg.solve(fsrc.phi, e)[..., 0].T,
+                            len(fsrc.pts))
         return _keep_last(self._sources, key, (xs, self._node_states(fsrc.seg, xs)),
                           len(fsrc.pts))
 
@@ -481,10 +495,22 @@ class GreensEvaluator:
 
     def _grid(self, ts, ss, component: int, s_order: int) -> np.ndarray:
         """eval_grid of the s_order-th (0 or 1) s-derivative of G, off the
-        diagonal: G is linear in the impulse state x_s = Phi_local(s)^-1 e_d,
-        whose s-derivative is -Phi_local(s)^-1 A(s) e_d."""
+        diagonal, as a copy of its one computation on this kernel where the
+        grid is kept (_keep_last)."""
         ft = ts if isinstance(ts, _GridFactor) else self._factor(ts)
         fsrc = ft if ss is ts else ss if isinstance(ss, _GridFactor) else self._factor(ss)
+        key = (ft.pts.tobytes(), fsrc.pts.tobytes(), component, s_order)
+        G = self._grids.get(key)
+        if G is None:
+            G = _keep_last(self._grids, key, self._evaluate(ft, fsrc, component, s_order),
+                           len(ft.pts) * len(fsrc.pts))
+        return G.copy() if key in self._grids else G
+
+    def _evaluate(self, ft: _GridFactor, fsrc: _GridFactor, component: int,
+                  s_order: int) -> np.ndarray:
+        """_grid, computed: G is linear in the impulse state
+        x_s = Phi_local(s)^-1 e_d, whose s-derivative is
+        -Phi_local(s)^-1 A(s) e_d."""
         ts, seg_t, ss, seg_s = ft.pts, ft.seg, fsrc.pts, fsrc.seg
         xs, Y = self._source(fsrc, s_order)
         rows = ft.phi[:, component, :]

@@ -350,6 +350,24 @@ class _Piece:
         return tuple(np.concatenate(part)[order] for part in (t0, h, seg)) + (rows,)
 
 
+# The most points (or grid values) a kept value may cover: a store holds at
+# most eight such values, so a kernel's grid store at most 4 MiB of real values.
+_KEEP_MOST = 1 << 16
+
+
+def _keep_last(store: dict, key, value, size: int):
+    """value, kept in store under key if it covers 2 to _KEEP_MOST points
+    (or grid values), where the eight latest stay: point sets repeat across
+    grids, single points rarely, and a large grid is rarely asked for twice.
+    Every store lives on one kernel or system, so a kernel source
+    (greens.kernel_source) and whatever it made are freed together."""
+    if 1 < size <= _KEEP_MOST:
+        if len(store) >= 8:
+            del store[next(iter(store))]
+        store[key] = value
+    return value
+
+
 @dataclass(frozen=True)
 class _Cells:
     """Dense output of a Magnus integration: the cells of every segment in
@@ -363,12 +381,23 @@ class _Cells:
     piece: np.ndarray
     pieces: list
     prefixes: np.ndarray
+    # (seg, ts) bytes -> local Phi, for this system and every copy of it
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Phi relative to each point's segment start, shape (nt, K, d, d):
-        one partial Magnus step from the start of the cell that holds t,
-        times the propagator up to that cell.  The generators of every piece
-        share one exponential call."""
+        """Phi relative to each point's segment start, shape (nt, K, d, d),
+        a copy of the one computation of these (seg, ts) on this system and
+        its copies (_Copies), whose points map back here (_keep_last)."""
+        key = (seg.tobytes(), ts.tobytes())
+        out = self.memo.get(key)
+        if out is None:
+            out = _keep_last(self.memo, key, self._local_phi(seg, ts), len(ts))
+        return out.copy() if key in self.memo else out
+
+    def _local_phi(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """local_phi, computed: one partial Magnus step from the start of the
+        cell that holds t, times the propagator up to that cell.  The
+        generators of every piece share one exponential call."""
         cell = np.clip(np.searchsorted(self.starts, ts, side="right") - 1,
                        self.first[seg], self.first[seg + 1] - 1)
         t0 = self.starts[cell]
@@ -484,7 +513,7 @@ class FundamentalSystem:
     segments: np.ndarray        # (N, K, d, d) propagator across each segment
     # dense output: the Magnus path's, a view of its root's, or the RK45 reference's
     cells: _Cells | _Copies | _RkCells = None
-    # the grid factors of the kernels on this system (see greens)
+    # the grid factors and impulse states of the kernels on this system (see greens)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

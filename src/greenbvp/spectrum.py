@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import BCKind, _BlockReduction, _boundary_coeffs, char_det_scan, kernel_table
+from .greens import (BCKind, _BlockReduction, _boundary_coeffs, _boundary_norm, char_det_scan,
+                     kernel_table)
 from .integrate import integrate_fundamental
 from .operators import LinearOperator, coeff_values, reflect
 
@@ -327,7 +328,7 @@ def _null_functions(op: LinearOperator, kind: BCKind, lam_star: float, ts):
     (absolute below |lam_star| = 1): that keeps double roots double.
     """
     C = _boundary_coeffs(kind, op.n)
-    norm_c = np.linalg.norm(C, 2)
+    norm_c = _boundary_norm(kind, op.n)
     for lam in (lam_star, lam_star + OFF_ROOT * max(abs(lam_star), 1.0)):
         system = integrate_fundamental(op, lam)
         try:

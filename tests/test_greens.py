@@ -25,8 +25,8 @@ from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
 from greenbvp import spectrum as spectrum_module
 from greenbvp.expressions import compile_expr, parse_expression
-from greenbvp.greens import (RESONANCE_THRESHOLD, _boundary_coeffs, _graph_matrix, kernel_source,
-                             kernel_table)
+from greenbvp.greens import (RESONANCE_THRESHOLD, _boundary_coeffs, _boundary_norm, _graph_matrix,
+                             kernel_source, kernel_table)
 from greenbvp.identities import run_identities
 from greenbvp.integrate import FundamentalSystem
 from greenbvp.operators import coeff_values, mirror_of, reflect
@@ -391,7 +391,40 @@ def test_pointwise_calls_retain_bounded_factors(second_order_op):
         if i % 100 == 0:
             G.eval_grid([t, s, r], [s, r])
         assert len(G.fs.memo.get("factors", ())) <= 8
+        assert len(G.fs.memo.get("impulses", ())) <= 8
+        assert len(G.fs.cells.memo) <= 8
         assert len(G._sources) <= 8
+        assert len(G._grids) <= 8
+
+
+def test_stored_grids_factors_and_local_phi_cannot_be_altered(quartic_weight_op):
+    # grids, grid factors and local Phi are kept for repeated requests, so
+    # what a caller is handed must not write through to the stores
+    G = kernel_source(0.7)(extend_to_double(quartic_weight_op), BCKind.PERIODIC)
+    ts = np.linspace(0.0, G.length, 21)
+    grid = G.eval_grid(ts, ts)
+    expected = grid.copy()
+    grid[:] = 0.0
+    assert np.array_equal(G.eval_grid(ts, ts), expected)
+    factor = G._factor(ts)
+    phi = factor.phi.copy()
+    for array in (factor.pts, factor.seg, factor.phi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert np.array_equal(G._factor(ts).phi, phi)
+    # the doubled system is mirrored copies of the base interval: its local
+    # Phi is the root's, transformed where mirrored, so the root's stored
+    # result must not be the one transformed
+    local = G.fs.local_phi(factor.seg, ts)
+    assert np.array_equal(local[:, 0], phi)
+    local[:] = 0.0
+    assert np.array_equal(G.fs.local_phi(factor.seg, ts)[:, 0], phi)
+
+
+def test_boundary_norm_is_the_boundary_matrix_norm():
+    for kind in BCKind:
+        for n in (1, 2, 3):
+            assert _boundary_norm(kind, n) == np.linalg.norm(_boundary_coeffs(kind, n), 2)
 
 
 def test_pointwise_call_makes_one_local_phi_call(monkeypatch, second_order_op):

@@ -303,6 +303,87 @@ def test_run_identities_integrates_each_operator_once(monkeypatch, quartic_weigh
     assert calls["local_phi"] <= 11
 
 
+def test_run_identities_computes_each_grid_and_root_local_phi_once(monkeypatch,
+                                                                  quartic_weight_op):
+    # the checks read the same kernels at the same points again and again:
+    # each kernel computes a grid key once, each root system a local Phi
+    # point set once for itself and all its copies (extensions, reflection),
+    # and the kernels of one system share its impulse states
+    from greenbvp import greens, integrate
+
+    kernels, grids, phi_requests, phi_computed = [], [], [], []
+    init, evaluate = greens.GreensEvaluator.__init__, greens.GreensEvaluator._evaluate
+    local_phi, compute_phi = integrate._Cells.local_phi, integrate._Cells._local_phi
+
+    def counted_init(self, *args):
+        kernels.append(self)
+        init(self, *args)
+
+    def counted_evaluate(self, ft, fsrc, component, s_order):
+        grids.append((id(self), ft.pts.tobytes(), fsrc.pts.tobytes(), component, s_order))
+        return evaluate(self, ft, fsrc, component, s_order)
+
+    def phi_key(cells, seg, ts):
+        return id(cells), seg.tobytes(), ts.tobytes()
+
+    def counted_local_phi(self, seg, ts):
+        phi_requests.append((self, phi_key(self, seg, ts)))
+        return local_phi(self, seg, ts)
+
+    def counted_compute_phi(self, seg, ts):
+        phi_computed.append(phi_key(self, seg, ts))
+        return compute_phi(self, seg, ts)
+
+    monkeypatch.setattr(greens.GreensEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(greens.GreensEvaluator, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(integrate._Cells, "local_phi", counted_local_phi)
+    monkeypatch.setattr(integrate._Cells, "_local_phi", counted_compute_phi)
+    eval_grid_calls = []
+    eval_grid = greens.GreensEvaluator.eval_grid
+    monkeypatch.setattr(greens.GreensEvaluator, "eval_grid",
+                        lambda self, *args: eval_grid_calls.append(1) or eval_grid(self, *args))
+    reports = run_identities(quartic_weight_op, 0.7, m=101)
+    assert len(reports) == 24 and all(r.passed for r in reports)
+    assert len(grids) == len(set(grids)) < len(eval_grid_calls)
+    distinct_phi = {key for _, key in phi_requests}
+    assert len(phi_computed) == len(set(phi_computed)) == len(distinct_phi) < len(phi_requests)
+    shared = 0
+    for G in kernels:
+        impulses = G.fs.memo.get("impulses", {})
+        for key, (xs, _) in G._sources.items():
+            assert xs is impulses[key]
+            shared += 1
+    assert shared > len({id(G.fs) for G in kernels})
+
+
+def test_shared_stores_equal_a_fresh_store_free_source_per_check(monkeypatch, quartic_weight_op):
+    # every row of run_identities, field for field, against its check run on
+    # the kernels of a fresh kernel_source that keeps no grid, factor,
+    # impulse state or local Phi
+    from greenbvp import greens, integrate
+    from greenbvp.identities import CONNECTING_TAGS, DECOMPOSITION_TAGS
+
+    lam, m, op = 0.7, 101, quartic_weight_op
+    reports = run_identities(op, lam, m=m)
+    for module in (greens, integrate):
+        monkeypatch.setattr(module, "_keep_last", lambda store, key, value, size: value)
+    table, ref = kernel_table(op), reflect(op)
+
+    def fresh(*problems):
+        kernels = kernel_source(lam)
+        return [kernels(*problem) for problem in problems]
+
+    oracle = [check_decomposition(tag, *fresh(table[base], table[big]), m)
+              for tag, (base, big, _) in DECOMPOSITION_TAGS.items()]
+    oracle += [check_connecting(tag, fresh(*(table[c] for c in pair)), *fresh(table[big]), m)
+               for tag, (big, pair, _) in CONNECTING_TAGS.items()]
+    oracle += [check_symmetry(*fresh(table[code]), m) for code in ("P2T", "A2T", "N2T", "D2T")]
+    oracle += [check_mixed_reflection(*fresh(table["M1"], (ref, BCKind.MIXED2)), m),
+               check_mixed_reflection(*fresh(table["M2"], (ref, BCKind.MIXED1)), m)]
+    assert reports[-1].tag == "slope-one" and reports[-1].skipped
+    assert reports[:-1] == oracle
+
+
 @pytest.mark.parametrize("m", [1, 0, -3])
 def test_grid_below_two_points_is_refused(quartic_weight_op, quartic_kernels, m):
     # one point would check every identity at (0, 0) alone; none would end
