@@ -157,17 +157,21 @@ _SEPARATED = {
 _PAIRED = {BCKind.PERIODIC: -1.0, BCKind.ANTIPERIODIC: 1.0}
 
 
+@functools.cache
 def _boundary_coeffs(kind: BCKind, n: int) -> np.ndarray:
     """The d x 2d matrix C = [left | right] of the boundary functionals'
-    coefficients on the states at 0 and at the right end (d = 2n)."""
+    coefficients on the states at 0 and at the right end (d = 2n), made
+    once and read-only."""
     d = 2 * n
     if kind in _PAIRED:
-        return np.hstack([np.eye(d), np.diag(np.full(d, _PAIRED[kind]))])
-    left, right = _SEPARATED[kind]
-    C = np.zeros((d, 2 * d))
-    k = np.arange(0, d, 2)
-    C[k, k + left] = 1.0
-    C[k + 1, d + k + right] = 1.0
+        C = np.hstack([np.eye(d), np.diag(np.full(d, _PAIRED[kind]))])
+    else:
+        left, right = _SEPARATED[kind]
+        C = np.zeros((d, 2 * d))
+        k = np.arange(0, d, 2)
+        C[k, k + left] = 1.0
+        C[k + 1, d + k + right] = 1.0
+    C.flags.writeable = False
     return C
 
 

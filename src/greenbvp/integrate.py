@@ -15,12 +15,16 @@ tolerance and the segment's frequency scale, and cells whose coefficients
 the Gauss rule does not resolve are halved.  Everything is batched over a
 vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap.  Lambda enters only as the shift of a_0 (no
-coefficient uses it), so the coefficient samples are shared by the whole
-batch, and so are the generators of larger batches (see
-_magnus_polynomial).  The extended and reflected operators are copies of
-a root operator's interval: every route (_system) derives their systems
-from the root's in one step, whose cells alone are integrated, to
-DEFAULT_TOL.  An adaptive Dormand-Prince 5(4) integration of one lambda
+coefficient uses it), so the coefficients are sampled once per operator:
+its integration plan (_plan), kept on the operator object, holds per
+breakpoint interval the sups that set the segment count, a constant
+interval's coefficients and a non-constant one's cells with their
+Gauss-node samples, for every batch; the generators of larger batches are
+shared too (see _magnus_polynomial).  A constant interval's segments are
+exponentiated once per distinct width.  The extended and reflected
+operators are copies of a root operator's interval: every route (_system)
+derives their systems from the root's in one step, whose cells alone are
+integrated, to DEFAULT_TOL.  An adaptive Dormand-Prince 5(4) integration of one lambda
 (_rk_reference) is the tests' independent reference, which no route calls.
 It is the only user of scipy, which the package does not require:
 scipy.integrate is imported on the first call and comes with the test extra.
@@ -28,12 +32,13 @@ scipy.integrate is imported on the first call and comes with the test extra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import LinearOperator, mirror_of
+from .operators import LinearOperator, mirror_of, noted
 
 __all__ = [
     "IntegrationError",
@@ -107,8 +112,10 @@ def expm(A: np.ndarray) -> np.ndarray:
     own power of two, so that alpha = max(||A^3||^(1/3), ||A^4||^(1/4)) in
     the Frobenius norm falls below 1/8 (Al-Mohy & Higham 2009): that bounds
     the truncated tail by 8^-11 / 11! ~ 3e-18, and for companion-like
-    matrices alpha is far below ||A||; Magnus cells need no squaring.  A
-    matrix gets the same result alone as inside a stack.
+    matrices alpha is far below ||A||; Magnus cells need no squaring.  The
+    identity and X, X^2, X^3 fill one array, and a stack in which no matrix
+    is scaled or squared skips the scalings by one.  A matrix gets the same
+    result alone as inside a stack.
     """
     A = np.asarray(A)
     norm = _frobenius(A)
@@ -116,19 +123,22 @@ def expm(A: np.ndarray) -> np.ndarray:
         raise IntegrationError("non-finite generator: a coefficient sample overflowed")
     # first scale below 1 in norm, so the powers cannot overflow
     first = np.maximum(np.frexp(norm)[1], 0)
-    X = A * np.exp2(-first)[..., None, None]
-    X2 = X @ X
-    X3 = X2 @ X
+    powers = np.empty((4,) + A.shape, dtype=np.result_type(A, float))
+    powers[0] = np.eye(A.shape[-1])
+    powers[1] = A * np.exp2(-first)[..., None, None] if first.any() else A
+    X, X2, X3 = powers[1:]
+    np.matmul(X, X, out=X2)
+    np.matmul(X2, X, out=X3)
     X4 = X2 @ X2
     alpha = np.maximum(_frobenius(X3) ** (1.0 / 3.0), _frobenius(X4) ** 0.25) * np.exp2(first)
     squarings = np.maximum(np.frexp(alpha)[1] + 3, 0)
-    undo = np.exp2(first - squarings)[..., None, None]
-    X = X * undo
-    X2 = X2 * undo ** 2
-    X4 = X4 * undo ** 4
-    eye = np.broadcast_to(np.eye(A.shape[-1]), X.shape)
-    powers = np.stack([eye, X, X2, X3 * undo ** 3])
-    blocks = (_TAYLOR @ powers.reshape(4, -1)).reshape((len(_TAYLOR),) + X.shape)
+    if first.any() or squarings.any():  # else undo is 1
+        undo = np.exp2(first - squarings)[..., None, None]
+        X *= undo
+        X2 *= undo ** 2
+        X3 *= undo ** 3
+        X4 *= undo ** 4
+    blocks = (_TAYLOR @ powers.reshape(4, -1)).reshape((len(_TAYLOR),) + A.shape)
     X = blocks[-1]
     for block in blocks[-2::-1]:
         X = X @ X4 + block
@@ -141,24 +151,12 @@ def expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
-def _coeff_segments(op: LinearOperator, lo: float, hi: float) -> list:
-    """The segments of a_0, ..., a_{d-1} on the breakpoint interval [lo, hi]."""
-    return [op.coeff_segment_at(k, 0.5 * (lo + hi)) for k in range(op.order)]
-
-
-def _growth_rate(op: LinearOperator, lo: float, hi: float, lams: np.ndarray) -> float:
-    """Crude frequency scale: max_k sup|a_k|^(1/(2n-k)) over the segment."""
-    ts = np.linspace(lo, hi, 17)
-    lam_ref = float(np.max(np.abs(lams))) if lams.size else 0.0
-    d = op.order
-    rate = 0.0
-    for k, a in enumerate(_coeff_segments(op, lo, hi)):
-        sup = float(np.max(np.abs(np.broadcast_to(np.asarray(a.evaluate(ts)), ts.shape))))
-        if k == 0:
-            sup += lam_ref
-        if sup > 0.0:
-            rate = max(rate, sup ** (1.0 / (d - k)))
-    return rate
+def _growth_rate(sups: tuple, lam_ref: float) -> float:
+    """Crude frequency scale: max_k sup|a_k|^(1/(2n-k)) over an interval, from
+    its plan's sups of |a_k| (_Interval), with lam_ref = max|lam| added to a_0's."""
+    sups = (sups[0] + lam_ref,) + sups[1:]
+    return max((sup ** (1.0 / (len(sups) - k)) for k, sup in enumerate(sups) if sup > 0.0),
+               default=0.0)
 
 
 def _over_budget(cells: float, earlier: int = 0) -> IntegrationError:
@@ -180,15 +178,16 @@ def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
     """Segment boundaries and frequency scale of each breakpoint interval,
     [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments and end
     matrices of more than MAX_BATCH_BYTES."""
-    bps = op.breakpoints()
-    rates = [_growth_rate(op, lo, hi, lams) for lo, hi in zip(bps[:-1], bps[1:])]
-    nsub = np.diff(bps) * np.array(rates) / _GROWTH_PER_SEGMENT
+    plan = _plan(op)
+    lam_ref = float(np.max(np.abs(lams))) if lams.size else 0.0
+    rates = [_growth_rate(interval.sups, lam_ref) for interval in plan.values()]
+    nsub = np.array([hi - lo for lo, hi in plan]) * np.array(rates) / _GROWTH_PER_SEGMENT
     if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
         raise _over_budget(nsub.sum())
     counts = [max(1, math.ceil(n)) for n in nsub]
     _check_bytes(lams, sum(counts), op.order)
     return [(lo, hi, np.linspace(lo, hi, count + 1), rate)
-            for lo, hi, count, rate in zip(bps[:-1], bps[1:], counts, rates)]
+            for (lo, hi), count, rate in zip(plan, counts, rates)]
 
 
 def _companion_rows(vals: list, lams: np.ndarray) -> np.ndarray:
@@ -258,43 +257,119 @@ def _magnus_polynomial(rows: np.ndarray, h: np.ndarray) -> tuple:
     return terms + (_commutator(x1, y1) / 240.0,) if rows.shape[-1] == 2 else terms
 
 
+def _values(coeffs: tuple, ts: np.ndarray) -> list:
+    """a_0, ..., a_{d-1} of the segments coeffs at the times ts, each of shape
+    ts.shape + (1,): one evaluation per coefficient serves a whole batch."""
+    return [np.broadcast_to(seg.evaluate(ts[..., None]), ts.shape + (1,)) for seg in coeffs]
+
+
+class _Interval:
+    """The lambda-free data of one breakpoint interval [lo, hi] of an
+    operator, in its plan (_plan): the segment of each coefficient, whether
+    all are constant, the sup of each |a_k| on 17 points (_growth_rate), a
+    constant interval's coefficient values at its midpoint (_Piece.sample),
+    and a non-constant one's cells (cells)."""
+
+    def __init__(self, op: LinearOperator, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        self.coeffs = tuple(op.coeff_segment_at(k, 0.5 * (lo + hi)) for k in range(op.order))
+        self.constant = all(seg.is_constant() for seg in self.coeffs)
+        self.sups = tuple(float(np.abs(v).max())
+                          for v in _values(self.coeffs, np.linspace(lo, hi, 17)))
+        self.mid = _values(self.coeffs, np.array(0.5 * (lo + hi))) if self.constant else None
+        self.kept = {}  # (segments, cells per segment) -> cells
+
+    def cells(self, nodes: np.ndarray, rate: float, used: int) -> tuple:
+        """The cells of the segments between the nodes, (t0, h, segment index)
+        in time order, then a_0, ..., a_{d-1} at their Gauss nodes, (3, C, 1)
+        each: a uniform count per segment from rate and DEFAULT_TOL, then
+        halvings of every cell whose coefficients the Gauss rule does not
+        resolve to DEFAULT_TOL times their largest value sampled on the
+        interval so far, checking the new halves only.  Made once per
+        (segment count, cells per segment) and kept read-only (_keep_last);
+        used cells count to MAX_CELLS."""
+        tol = DEFAULT_TOL
+        scale = max(rate, 1.0 / (self.hi - self.lo)) * (nodes[1] - nodes[0])
+        m = max(1, math.ceil(_CELLS_PER_RATE * scale * tol ** (-1.0 / 6.0)))
+        key = (len(nodes) - 1, m)
+        if key in self.kept:
+            if (total := used + len(self.kept[key][0])) > MAX_CELLS:
+                raise _over_budget(total, used)
+            return self.kept[key]
+        edges = nodes[:-1, None] + np.diff(nodes)[:, None] * (np.arange(m + 1) / m)
+        edges[:, -1] = nodes[1:]
+        t0, h = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
+        seg = np.repeat(np.arange(len(nodes) - 1), m)
+        check_tol = max(tol, 64 * np.finfo(float).eps)
+        sizes, kept = np.zeros(len(self.coeffs)), []
+        for _ in range(_MAX_SPLITS + 1):
+            if (total := used + sum(len(cells[0]) for cells in kept) + len(t0)) > MAX_CELLS:
+                raise _over_budget(total, used)
+            vals = _values(self.coeffs, t0 + h * _CHECK_NODES[:, None])
+            if not all(np.isfinite(v).all() for v in vals):
+                raise IntegrationError(f"coefficients not finite on [{self.lo:g}, {self.hi:g}]")
+            sizes = np.maximum(sizes, [np.abs(v).max(initial=0.0) for v in vals])
+            bad = _unresolved(vals, check_tol * sizes)
+            kept.append((t0[~bad], h[~bad], seg[~bad], *(v[:3, ~bad] for v in vals)))
+            if not bad.any():
+                break
+            h = np.repeat(h[bad] / 2, 2)
+            t0 = np.repeat(t0[bad], 2) + np.tile([0.0, 1.0], int(bad.sum())) * h
+            seg = np.repeat(seg[bad], 2)
+        else:
+            raise IntegrationError(f"coefficients not resolved on [{self.lo:g}, {self.hi:g}] "
+                                   f"after {_MAX_SPLITS} cell halvings")
+        t0, h, seg, *gauss = zip(*kept)
+        order = np.argsort(np.concatenate(t0), kind="stable")
+        cells = tuple(np.concatenate(part)[order] for part in (t0, h, seg)) + tuple(
+            np.concatenate(v, axis=1)[:, order] for v in gauss)
+        for part in cells:
+            part.flags.writeable = False
+        return _keep_last(self.kept, key, cells, 3 * len(order) * len(gauss))
+
+
+def _plan(op: LinearOperator) -> dict:
+    """op's integration plan, {(lo, hi): _Interval} over its breakpoint
+    intervals in order: made on op's first integration and kept on op
+    (operators.noted), so every lambda batch shares its samples."""
+    return noted(op, "_plan", lambda: {(lo, hi): _Interval(op, lo, hi)
+                                       for lo, hi in itertools.pairwise(op.breakpoints())})
+
+
 @dataclass(frozen=True)
 class _Piece:
-    """The coefficients of one breakpoint interval [lo, hi] for a lambda batch."""
+    """One breakpoint interval of an operator's plan (_Interval) for a lambda
+    batch: the companion rows and generators, which depend on lambda, live
+    as long as the call that made them."""
 
-    lo: float
-    hi: float
+    interval: _Interval
     lams: np.ndarray
-    constant: bool
-    coeffs: tuple   # the segment of each coefficient
 
     @classmethod
     def of(cls, op: LinearOperator, lo: float, hi: float, lams: np.ndarray) -> "_Piece":
-        return cls(lo, hi, lams, op.is_t_constant_on(lo, hi), tuple(_coeff_segments(op, lo, hi)))
+        return cls(_plan(op)[lo, hi], lams)
+
+    @property
+    def constant(self) -> bool:
+        return self.interval.constant
 
     @property
     def polynomial(self) -> bool:
         """Whether the generators are polynomials in lambda (_POLYNOMIAL_BATCH)."""
         return len(self.lams) > _POLYNOMIAL_BATCH and not self.constant
 
-    def values(self, ts: np.ndarray) -> list:
-        """a_0, ..., a_{d-1} at the times ts, each of shape ts.shape + (1,):
-        one evaluation per coefficient serves the whole batch."""
-        return [np.broadcast_to(seg.evaluate(ts[..., None]), ts.shape + (1,))
-                for seg in self.coeffs]
-
     def rows(self, vals: list) -> np.ndarray:
         """Companion rows of the samples, at lam = 0 for polynomial generators."""
         return _companion_rows(vals, 0.0 if self.polynomial else self.lams)
 
     def sample(self, t0: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Companion rows the generators of the steps [t0, t0 + h] need: at
-        the midpoint of a constant piece, else at every step's Gauss nodes."""
+        """Companion rows the generators of the steps [t0, t0 + h] need: the
+        plan's midpoint values of a constant piece, else samples at every
+        step's Gauss nodes."""
         if self.constant:
-            ts = np.array(0.5 * (self.lo + self.hi))
-        else:
-            ts = t0 + h * _GAUSS.reshape((3,) + (1,) * np.ndim(h))
-        return self.rows(self.values(ts))
+            return self.rows(self.interval.mid)
+        return self.rows(_values(self.interval.coeffs,
+                                 t0 + h * _GAUSS.reshape((3,) + (1,) * np.ndim(h))))
 
     def generators(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Omega of steps of width h (shape S) from their samples, S + (K, d, d)."""
@@ -308,46 +383,12 @@ class _Piece:
 
     def cells(self, nodes: np.ndarray, rate: float, used: int):
         """Cells (t0, h, segment index) of the segments between the nodes and
-        their companion rows: a uniform count per segment from rate and
-        DEFAULT_TOL, then halvings of every cell whose coefficients the Gauss
-        rule does not resolve to DEFAULT_TOL times their largest value sampled
-        on the piece so far, checking the new halves only; used cells count
-        to MAX_CELLS."""
-        tol = DEFAULT_TOL
-        nseg = len(nodes) - 1
+        their companion rows: one cell per segment of a constant piece, else
+        the interval's (_Interval.cells)."""
         if self.constant:
-            return nodes[:-1], np.diff(nodes), np.arange(nseg), self.sample(None, None)
-        scale = max(rate, 1.0 / (self.hi - self.lo)) * (nodes[1] - nodes[0])
-        m = max(1, math.ceil(_CELLS_PER_RATE * scale * tol ** (-1.0 / 6.0)))
-        edges = nodes[:-1, None] + np.diff(nodes)[:, None] * (np.arange(m + 1) / m)
-        edges[:, -1] = nodes[1:]
-        t0, h = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
-        seg = np.repeat(np.arange(nseg), m)
-        check_tol = max(tol, 64 * np.finfo(float).eps)
-        sizes, kept = np.zeros(len(self.coeffs)), []
-        for _ in range(_MAX_SPLITS + 1):
-            if (total := used + sum(len(cells[0]) for cells in kept) + len(t0)) > MAX_CELLS:
-                raise _over_budget(total, used)
-            vals = self.values(t0 + h * _CHECK_NODES[:, None])
-            if not all(np.isfinite(v).all() for v in vals):
-                raise IntegrationError(f"coefficients not finite on [{self.lo:g}, {self.hi:g}]")
-            sizes = np.maximum(sizes, [np.abs(v).max(initial=0.0) for v in vals])
-            bad = _unresolved(vals, check_tol * sizes)
-            if not (kept or bad.any()):  # no halving: the uniform cells as they are
-                return t0, h, seg, self.rows([v[:3] for v in vals])
-            kept.append((t0[~bad], h[~bad], seg[~bad], [v[:3, ~bad] for v in vals]))
-            if not bad.any():
-                break
-            h = np.repeat(h[bad] / 2, 2)
-            t0 = np.repeat(t0[bad], 2) + np.tile([0.0, 1.0], int(bad.sum())) * h
-            seg = np.repeat(seg[bad], 2)
-        else:
-            raise IntegrationError(f"coefficients not resolved on [{self.lo:g}, {self.hi:g}] "
-                                   f"after {_MAX_SPLITS} cell halvings")
-        t0, h, seg, gauss = zip(*kept)
-        order = np.argsort(np.concatenate(t0), kind="stable")
-        rows = self.rows([np.concatenate(v, axis=1)[:, order] for v in zip(*gauss)])
-        return tuple(np.concatenate(part)[order] for part in (t0, h, seg)) + (rows,)
+            return nodes[:-1], np.diff(nodes), np.arange(len(nodes) - 1), self.sample(None, None)
+        t0, h, seg, *gauss = self.interval.cells(nodes, rate, used)
+        return t0, h, seg, self.rows(gauss)
 
 
 # The most points (or grid values) a kept value may cover: a store holds at
@@ -360,7 +401,8 @@ def _keep_last(store: dict, key, value, size: int):
     (or grid values), where the eight latest stay: point sets repeat across
     grids, single points rarely, and a large grid is rarely asked for twice.
     Every store lives on one kernel or system, so a kernel source
-    (greens.kernel_source) and whatever it made are freed together."""
+    (greens.kernel_source) and whatever it made are freed together, or on
+    an operator's plan (_Interval), whose cells hold no lambda."""
     if 1 < size <= _KEEP_MOST:
         if len(store) >= 8:
             del store[next(iter(store))]
@@ -470,12 +512,20 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool
     blocks of cells for the generators and their exponentials, multiplied
     into each segment's end matrix (and, dense, its per-cell prefixes).  A
     segment with fewer cells than the most is padded with zero-width cells,
-    whose propagator is I.  Returns the end matrices (nseg, K, d, d), the
-    cell starts, the cell count of each segment and (dense, else None) the
-    prefixes of the cells in time order, (cells, K, d, d)."""
+    whose propagator is I.  A constant piece's segments are one cell each,
+    exponentiated once per distinct width.  Returns the end matrices
+    (nseg, K, d, d), the cell starts, the cell count of each segment and
+    (dense, else None) the prefixes of the cells in time order,
+    (cells, K, d, d)."""
     t0, h, seg, rows = cells
     nseg, K, d = len(nodes) - 1, len(piece.lams), rows.shape[-1]
     counts = np.bincount(seg, minlength=nseg)
+    cells = max(1, _BLOCK_MATRICES // K)
+    if piece.constant:
+        widths, which = np.unique(h, return_inverse=True)
+        ends = np.concatenate([expm(piece.generators(rows, widths[i:i + cells]))
+                               for i in range(0, len(widths), cells)])[which]
+        return ends, t0, counts, ends if dense else None
     first = np.cumsum(counts) - counts
     rank = np.arange(counts.max())
     pad = rank >= counts[:, None]
@@ -483,7 +533,6 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool
     width = np.where(pad, 0.0, h[table])
     ends = np.empty((nseg, K, d, d), dtype=np.result_type(rows, piece.lams))
     prefixes = np.empty((nseg, len(rank), K, d, d), dtype=ends.dtype) if dense else None
-    cells = max(1, _BLOCK_MATRICES // K)
     chunk = min(len(rank), cells)
     group = max(1, cells // chunk)
     for g0 in range(0, nseg, group):
@@ -491,8 +540,7 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool
         P = None
         for c0 in range(0, len(rank), chunk):
             span = slice(c0, c0 + chunk)
-            block = rows if piece.constant else rows[:, table[segs, span]]
-            E = expm(piece.generators(block, width[segs, span]))
+            E = expm(piece.generators(rows[:, table[segs, span]], width[segs, span]))
             for i in range(E.shape[1]):
                 P = E[:, i] if P is None else E[:, i] @ P
                 if dense:
@@ -616,7 +664,7 @@ def _rk_segment(op: LinearOperator, lo: float, hi: float, lams: np.ndarray,
     """The segment's end matrices (K, d, d) and its dense solution."""
     d = op.order
     K = len(lams)
-    closures = [seg.evaluate for seg in _coeff_segments(op, lo, hi)]
+    closures = [op.coeff_segment_at(k, 0.5 * (lo + hi)).evaluate for k in range(d)]
     lam_col = lams[:, None]
 
     def rhs(t, y):

@@ -12,12 +12,19 @@ nonvanishing coefficients jump there.  Coefficients are functions of ``t``
 only: the spectral parameter enters solely as the problem's shift of
 ``a_0`` (``ProblemSpec.lam``), so an expression that uses ``lambda`` is
 refused.
+
+An operator is immutable, so what it derives without lambda is made once
+and kept on the object (noted): its hash, its doubled extension and its
+reflection, the note of the copies of its root operator's interval that
+a derived operator is made of (mirror_of), and the integration plan
+(integrate._plan).  None of it is a field, so equality, hashing and
+pickles ignore it, and nothing that depends on lambda is kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,16 +100,11 @@ class LinearOperator:
 
     def __hash__(self) -> int:
         # the field hash walks every coefficient's expression tree, and operators
-        # key every kernel lookup (greens.kernel_source): computed once, not pickled
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = hash((self.n, self.length, self.coeffs))
-            return value
+        # key every kernel lookup (greens.kernel_source)
+        return noted(self, "_hash", lambda: hash((self.n, self.length, self.coeffs)))
 
     def __getstate__(self) -> dict:
-        return {key: value for key, value in self.__dict__.items()
-                if key not in ("_hash", "_mirror")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_exprs(cls, n: int, length: float, coeffs) -> "LinearOperator":
@@ -142,7 +144,7 @@ class LinearOperator:
 def extend_to_double(op: LinearOperator) -> LinearOperator:
     """Extend to [0, 2L]: even-index coefficients reflect evenly about L,
     odd-index ones oddly (value -a(2L - t) on the new half)."""
-    return _mirror(op, 2 * op.length, True)
+    return noted(op, "_double", lambda: _mirror(op, 2 * op.length, True))
 
 
 def extend_to_quadruple(op: LinearOperator) -> LinearOperator:
@@ -152,7 +154,7 @@ def extend_to_quadruple(op: LinearOperator) -> LinearOperator:
 
 def reflect(op: LinearOperator) -> LinearOperator:
     """Coefficient reflection: a_k(t) becomes (-1)^k a_k(L - t)."""
-    return _mirror(op, op.length, False)
+    return noted(op, "_reflected", lambda: _mirror(op, op.length, False))
 
 
 def _mirror(op: LinearOperator, about: float, keep: bool) -> LinearOperator:
@@ -171,6 +173,16 @@ def _mirror(op: LinearOperator, about: float, keep: bool) -> LinearOperator:
     out = LinearOperator(n=op.n, length=about, coeffs=coeffs)
     out.__dict__["_mirror"] = (root, (copies if keep else ()) + mirrored)
     return out
+
+
+def noted(op: LinearOperator, name: str, make):
+    """op's lambda-free value name, made by make() on first use and kept on
+    op outside its fields, so equality, hashing and pickles ignore it."""
+    try:
+        return op.__dict__[name]
+    except KeyError:
+        value = op.__dict__[name] = make()
+        return value
 
 
 def mirror_of(op: LinearOperator) -> tuple | None:

@@ -7,14 +7,16 @@ helpers build it from the products of the segment propagators, for the tests
 of the propagator's dense output and end matrices against closed forms.
 block_solve assembles the whole block system that greens reduces level by
 level and solves it with one dense LU.  solve_bvp_loop is the row-by-row
-form of comparison.solve_bvp's quadrature.
+form of comparison.solve_bvp's quadrature.  expm_stacked is the cell
+exponential as it was before it wrote its powers into one array and skipped
+scalings by one: integrate.expm must equal it bit for bit.
 """
 
 import numpy as np
 
 from greenbvp.expressions import compile_expr, parse_expression
 from greenbvp.greens import ProblemSpec, _boundary_coeffs
-from greenbvp.integrate import FundamentalSystem, IntegrationError
+from greenbvp.integrate import _TAYLOR, FundamentalSystem, IntegrationError, _frobenius
 
 _COND_LIMIT = 1e13
 
@@ -121,3 +123,37 @@ def solve_bvp_loop(G, sigma: str, m: int) -> np.ndarray:
                 total += _simpson_nodes(vals, xs)
         values[i] = total
     return values
+
+
+def expm_stacked(A: np.ndarray) -> np.ndarray:
+    """integrate.expm with every scaling applied, by one where a matrix needs
+    none, and its powers stacked after an identity broadcast to the stack."""
+    A = np.asarray(A)
+    norm = _frobenius(A)
+    if not np.all(np.isfinite(norm)):
+        raise IntegrationError("non-finite generator: a coefficient sample overflowed")
+    # first scale below 1 in norm, so the powers cannot overflow
+    first = np.maximum(np.frexp(norm)[1], 0)
+    X = A * np.exp2(-first)[..., None, None]
+    X2 = X @ X
+    X3 = X2 @ X
+    X4 = X2 @ X2
+    alpha = np.maximum(_frobenius(X3) ** (1.0 / 3.0), _frobenius(X4) ** 0.25) * np.exp2(first)
+    squarings = np.maximum(np.frexp(alpha)[1] + 3, 0)
+    undo = np.exp2(first - squarings)[..., None, None]
+    X = X * undo
+    X2 = X2 * undo ** 2
+    X4 = X4 * undo ** 4
+    eye = np.broadcast_to(np.eye(A.shape[-1]), X.shape)
+    powers = np.stack([eye, X, X2, X3 * undo ** 3])
+    blocks = (_TAYLOR @ powers.reshape(4, -1)).reshape((len(_TAYLOR),) + X.shape)
+    X = blocks[-1]
+    for block in blocks[-2::-1]:
+        X = X @ X4 + block
+    for j in range(int(squarings.max(initial=0))):
+        sel = squarings > j
+        if sel.all():
+            X = X @ X
+        else:
+            X[sel] = X[sel] @ X[sel]
+    return X

@@ -427,6 +427,17 @@ def test_boundary_norm_is_the_boundary_matrix_norm():
             assert _boundary_norm(kind, n) == np.linalg.norm(_boundary_coeffs(kind, n), 2)
 
 
+def test_boundary_coeffs_are_made_once_and_read_only():
+    # every kernel build, scan and eigenfunction reads the same matrix, which
+    # no caller can alter (_corner_problem changes a copy)
+    for kind in BCKind:
+        for n in (1, 2, 3):
+            C = _boundary_coeffs(kind, n)
+            assert _boundary_coeffs(kind, n) is C and not C.flags.writeable
+            with pytest.raises(ValueError):
+                C[0, 0] = 2.0
+
+
 def test_pointwise_call_makes_one_local_phi_call(monkeypatch, second_order_op):
     # G(t, s) locates both points with one local Phi evaluation and keeps
     # neither; a one-point set per axis would take two

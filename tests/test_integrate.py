@@ -17,9 +17,11 @@ from greenbvp import (
     integrate_fundamental_batch,
 )
 from greenbvp import integrate
+from greenbvp.expressions import parse_expression
 from greenbvp.integrate import MAX_CELLS, expm
+from greenbvp.operators import CoeffSegment
 
-from reference import boundary_matrix, cauchy_value, phi, phi_end, transition
+from reference import boundary_matrix, cauchy_value, expm_stacked, phi, phi_end, transition
 
 
 def test_double_integrator_fundamental(second_order_op):
@@ -367,3 +369,118 @@ def test_polynomial_generators_only_for_lambda_free_batches(monkeypatch, quartic
     assert not calls
     integrate_fundamental_batch(quartic_weight_op, lams)  # the control: a (t-2)^4 batch
     assert calls
+
+
+def _two_piece_op():
+    """u'''' + a_0 u, a_0 = (t-2)^4 on [0, 1] and 3 on [1, 2], built fresh."""
+    a0 = (CoeffSegment(0.0, 1.0, parse_expression("(t-2)^4")),
+          CoeffSegment(1.0, 2.0, parse_expression("3")))
+    zero = (CoeffSegment(0.0, 2.0, parse_expression("0")),)
+    return LinearOperator(n=2, length=2.0, coeffs=(a0, zero, zero, zero))
+
+
+def test_plan_samples_each_coefficient_once_per_operator(monkeypatch):
+    # lambda is only the shift of a_0, so an operator's coefficient samples
+    # serve every batch: the sups of the growth rate (17 points) and the
+    # midpoint of the constant piece are taken once per segment, and a batch
+    # that repeats its cell counts evaluates nothing.  Kept cells are
+    # read-only.  A pickle carries no plan, and the restored operator makes
+    # its own with the same results
+    import pickle
+
+    op = _two_piece_op()
+    shapes, evaluate = [], CoeffSegment.evaluate
+    monkeypatch.setattr(CoeffSegment, "evaluate",
+                        lambda self, t: shapes.append(np.shape(t)) or evaluate(self, t))
+    lams = np.linspace(-50.0, 10.0, 9)
+    first = integrate_fundamental_batch(op, lams)
+    assert shapes.count((17, 1)) == 8 and shapes.count((1,)) == 4
+    shapes.clear()
+    assert np.array_equal(integrate_fundamental_batch(op, lams).segments, first.segments)
+    assert not shapes
+    integrate_fundamental(op, 0.3)
+    integrate_fundamental_batch(op, lams + 1j)
+    assert shapes and (17, 1) not in shapes and (1,) not in shapes
+    shapes.clear()
+    kept = [cells for interval in op.__dict__["_plan"].values() for cells in interval.kept.values()]
+    assert kept and not any(part.flags.writeable for cells in kept for part in cells)
+    restored = pickle.loads(pickle.dumps(op))
+    assert "_plan" in op.__dict__ and "_plan" not in restored.__dict__
+    assert np.array_equal(integrate_fundamental_batch(restored, lams).segments, first.segments)
+    assert shapes.count((17, 1)) == 8
+
+
+_PLAN_OPERATORS = {
+    "quartic": (2, 2.0, ["(t-2)^4", "0", "0", "0"]),
+    "parabolic": (2, 1.5, ["t*(t-3)", "0", "0", "0"]),
+    "u4": (2, 1.0, ["0", "0", "0", "0"]),
+    "u4 T=1.5": (2, 1.5, ["0", "0", "0", "0"]),
+    "u2": (1, 1.0, ["0", "0"]),
+    "u2 - u": (1, 1.0, ["-1", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLAN_OPERATORS))
+def test_warm_plan_equals_a_fresh_operator(name):
+    # the oracle shares nothing: every integration of a warm plan (its cells
+    # kept from the same batches) equals that of a freshly built operator,
+    # segments and local Phi bit for bit
+    def make():
+        return LinearOperator.from_exprs(*_PLAN_OPERATORS[name])
+
+    batches = [np.array([0.7]), np.array([-3.0, 2.0 + 0.5j]), np.linspace(-60.0, 10.0, 401)]
+    warm = make()
+    for lams in batches:
+        integrate._integrate(warm, lams, True)
+    ts = np.linspace(0.0, warm.length, 7)
+    for lams in batches:
+        kept, fresh = integrate._integrate(warm, lams, True), integrate._integrate(make(), lams, True)
+        assert np.array_equal(kept.nodes, fresh.nodes)
+        assert np.array_equal(kept.segments, fresh.segments)
+        seg = kept.segment_index(ts)
+        assert np.array_equal(kept.local_phi(seg, ts), fresh.local_phi(seg, ts))
+
+
+def _generator_stack(d, lams, h, rng):
+    """Companion generators h (A - lam e_d e_1^T) with random last rows, (K, d, d)."""
+    A = np.zeros((len(lams), d, d), dtype=np.result_type(lams, float))
+    A[:, np.arange(d - 1), np.arange(1, d)] = 1.0
+    A[:, -1] = rng.normal(size=(len(lams), d))
+    A[:, -1, 0] -= lams
+    return h[:, None, None] * A
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_expm_equals_the_stacked_reference(d):
+    # the powers in one array and the scalings by one skipped change no bit:
+    # stacks that need no scaling, mixed ones, squarings and complex entries;
+    # and a matrix alone equals itself inside a mixed stack
+    rng = np.random.default_rng(d)
+    small = _generator_stack(d, np.linspace(-2.0, 2.0, 12), np.full(12, 0.05), rng)
+    assert integrate._frobenius(small).max() < 0.5  # neither scaled nor squared
+    mixed = _generator_stack(d, np.array([4e6, -1e3, 0.5, 0.0, -7.0]),
+                             np.array([0.067, 0.3, 0.05, 1e-3, 2.0]), rng)
+    squared = _generator_stack(d, np.array([1e6, -1e4]), np.array([0.05, 0.1]), rng)
+    complex_ = _generator_stack(d, np.array([3.0 + 4.0j, -1e5 + 2e3j, 0.1j]),
+                                np.array([0.01, 0.02, 0.5]), rng)
+    for stack in (small, mixed, squared, complex_, np.concatenate([small, mixed, squared])):
+        assert np.array_equal(expm(stack), expm_stacked(stack))
+    together = expm(np.concatenate([small, mixed]))
+    for k, X in enumerate(np.concatenate([small, mixed])):
+        assert np.array_equal(expm(X), together[k])
+
+
+def test_constant_piece_exponentiates_each_distinct_width_once(monkeypatch, second_order_op):
+    # u'' (the system of its Dirichlet kernel) at lambda = 4e6: 667 segments
+    # of 11 distinct widths, exponentiated in one block of 11 matrices, each
+    # end matrix bit for bit the exponential of its own segment
+    lam = 4e6
+    calls = []
+    monkeypatch.setattr(integrate, "expm", lambda A: calls.append(A.shape) or expm(A))
+    fs = integrate_fundamental(second_order_op, lam)
+    widths = np.diff(fs.nodes)
+    assert len(widths) == 667 and len(np.unique(widths)) == 11
+    assert calls == [(11, 1, 2, 2)]
+    A = np.array([[0.0, 1.0], [-lam, -0.0]])
+    for h, end in zip(widths, fs.segments[:, 0]):
+        assert np.array_equal(end, expm(h * A))

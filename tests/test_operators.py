@@ -116,14 +116,18 @@ def test_breakpoints_multiples_of_base(parabolic_weight_op):
     assert np.allclose(ext.breakpoints(), [0.0, 1.5, 3.0, 4.5, 6.0])
 
 
-def test_operator_hash_is_computed_once(monkeypatch, quartic_weight_op):
+def test_operator_hash_is_computed_once(monkeypatch):
     # operators key every kernel lookup; the field hash walks every expression
-    # tree, so it runs once per operator, and equal operators still hash equal
+    # tree, so it runs once per operator, and equal operators still hash equal.
+    # Each base is fresh: an extension is kept on its base, with its hash
     import pickle
 
     from greenbvp.operators import CoeffSegment
 
-    op = extend_to_quadruple(quartic_weight_op)
+    def fresh():
+        return LinearOperator.from_exprs(2, 2.0, ["(t-2)^4", "0", "0", "0"])
+
+    op = extend_to_quadruple(fresh())
     calls = []
     segment_hash = CoeffSegment.__hash__
     monkeypatch.setattr(CoeffSegment, "__hash__",
@@ -132,10 +136,29 @@ def test_operator_hash_is_computed_once(monkeypatch, quartic_weight_op):
     assert calls
     calls.clear()
     assert all(hash(op) == first for _ in range(5)) and not calls
-    twin = extend_to_quadruple(quartic_weight_op)
+    twin = extend_to_quadruple(fresh())
     assert twin == op and hash(twin) == first
     restored = pickle.loads(pickle.dumps(op))
     assert restored == op and hash(restored) == first
+
+
+def test_derived_operators_are_made_once_per_operator():
+    # the doubled extension and the reflection are kept on the operator they
+    # come from, outside its fields: asking again returns the same object,
+    # and a pickle carries the fields alone (no hash, plan or derived operator)
+    import pickle
+
+    from greenbvp import integrate_fundamental
+
+    op = LinearOperator.from_exprs(2, 2.0, ["(t-2)^4", "0", "0", "0"])
+    double, reflected = extend_to_double(op), reflect(op)
+    assert extend_to_double(op) is double and reflect(op) is reflected
+    assert extend_to_quadruple(op) is extend_to_double(double)
+    hash(op)
+    integrate_fundamental(op)
+    restored = pickle.loads(pickle.dumps(op))
+    assert set(restored.__dict__) == {"n", "length", "coeffs"}
+    assert extend_to_double(restored) == double and extend_to_double(restored) is not double
 
 
 def test_extensions_note_their_base_outside_equality_and_pickles(quartic_weight_op):
