@@ -16,7 +16,7 @@ import numpy as np
 
 from .comparison import MIN_SOLVE_GRID, HypothesisError, check_solution_comparison, solve_bvp
 from .expressions import ParseError, parse_expression
-from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, kernel_table
+from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, kernel_problem
 from .identities import ALL_TAGS, run_identities
 from .integrate import IntegrationError
 from .operators import LinearOperator, extend_to_double, extend_to_quadruple
@@ -218,11 +218,10 @@ def _write_solution_csv(path: str, op: LinearOperator, kernel, sigma1: str, sigm
     """Solutions of the four base problems of op, from the kernel source of
     the comparison check (greens.kernel_source): sigma1 drives the dominating
     problems (N, M2) and sigma2 the dominated ones (D, M1)."""
-    table = kernel_table(op)
     columns = {}
     for code, sigma in (("N", sigma1), ("D", sigma2), ("M1", sigma2), ("M2", sigma1)):
         try:
-            sol = solve_bvp(kernel(*table[code]), sigma, m)
+            sol = solve_bvp(kernel(*kernel_problem(op, code)), sigma, m)
             columns[code] = sol.values
             ts = sol.ts
         except ResonantProblemError:

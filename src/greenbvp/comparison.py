@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .expressions import ExprAst, compile_expr, parse_expression
-from .greens import BCKind, GreensEvaluator, kernel_source, kernel_table
+from .greens import KERNEL_CODES, BCKind, GreensEvaluator, kernel_problem, kernel_source
 from .operators import LinearOperator
 from .signscan import NONNEGATIVE, NONPOSITIVE, THEOREM_TAGS, ZERO_ON_GRID, _classify
 
@@ -142,18 +142,17 @@ def check_kernel_domination(op: LinearOperator, lam: float) -> list[DominationRo
     """The pointwise kernel dominations implied by a constant-sign premise:
     premise >= 0 gives A >= |B|, premise <= 0 gives A <= -|B| on the base
     square, for the pairs (N, D), (N, M1) and (M2, D)."""
-    table = kernel_table(op)
     kernel = kernel_source(lam)
     ts = np.linspace(0.0, op.length, DOMINATION_GRID)
     rows = []
     for tag, (premise, primary, secondary) in THEOREM_TAGS.items():
-        premise_class = _classify(kernel, *table[premise])[0]
-        name = f"{tag}: {table[premise][1].value}[2T] {premise_class}"
+        premise_class = _classify(kernel, *kernel_problem(op, premise))[0]
+        name = f"{tag}: {KERNEL_CODES[premise][1].value}[2T] {premise_class}"
         if premise_class not in (NONNEGATIVE, NONPOSITIVE):
             rows.append(DominationRow(name, premise_class, False, True, 0.0, (0.0, 0.0)))
             continue
-        A = kernel(*table[primary]).eval_grid(ts, ts)
-        B = kernel(*table[secondary]).eval_grid(ts, ts)
+        A = kernel(*kernel_problem(op, primary)).eval_grid(ts, ts)
+        B = kernel(*kernel_problem(op, secondary)).eval_grid(ts, ts)
         scale = max(np.abs(A).max(), np.abs(B).max())
         if premise_class == NONNEGATIVE:
             diff = A - np.abs(B)
@@ -224,16 +223,15 @@ def check_solution_comparison(tag: str, case: int, op: LinearOperator, lam: floa
     if not holds(s1, s2, htol):
         raise HypothesisError(f"case {case} needs {hypothesis} on the interval")
 
-    table = kernel_table(op)
     kernel = kernel_source(lam)
-    premise_class = _classify(kernel, *table[premise])[0]
+    premise_class = _classify(kernel, *kernel_problem(op, premise))[0]
     if premise_class not in (required, ZERO_ON_GRID):
         report = ComparisonReport(tag, case, False, premise_class, True, [])
         report.kernel = kernel
         return report
 
-    u1 = solve_bvp(kernel(*table[primary]), sigma1, m)
-    u2 = solve_bvp(kernel(*table[secondary]), sigma2, m)
+    u1 = solve_bvp(kernel(*kernel_problem(op, primary)), sigma1, m)
+    u2 = solve_bvp(kernel(*kernel_problem(op, secondary)), sigma2, m)
     scale = max(np.abs(u1.values).max(), np.abs(u2.values).max(), 1e-300)
     slack = SLACK_REL * scale
     rows = []

@@ -23,16 +23,16 @@ All boundary families of one operator and lambda solve the same equation:
 their kernels share one fundamental system, whose segment end matrices,
 grid factors (segment indices and local Phi of a point set) and impulse
 states x_s = Phi_local(s)^-1 e_d of a set of source points are computed
-once.  Only C, the block reduction and the margin are per family, and so
-are the node states of a set of source points and the grids themselves,
-which a kernel keeps for the requests that repeat them.  The extensions
-and the reflection of an operator derive their systems from its own in one
-step on every route (integrate.mirror_fundamental): kernel_source's share
-one integration, and every copy whose points map back onto the root's
-bitwise shares the root's local Phi (integrate._Cells).  Each store keeps
-its last eight point sets or grids of 2 to 65 536 points or values
-(integrate._keep_last) and lives as long as the kernel or system that
-holds it; kept grids and local Phi are handed out as copies and grid
+once.  Only C, the block reduction, the margin and the node states of the
+source points are per family, and a kernel keeps its grids for the
+requests that repeat them.  Every kernel comes from a kernel_source, and
+the extensions and the reflection of an operator derive their systems from
+its own in one step (integrate.mirror_fundamental): a kernel source's
+share one integration, and every copy whose points map back onto the
+root's bitwise shares the root's local Phi (integrate._Cells).  Each
+store keeps its last eight point sets or grids of 2 to 65 536 points or
+values (integrate._keep_last) and lives as long as the kernel or system
+that holds it; kept grids and local Phi are handed out as copies and grid
 factors are read-only, so a caller cannot alter what a store keeps.
 """
 
@@ -40,13 +40,11 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import (FundamentalSystem, _keep_last, _system, integrate_fundamental,
-                        integrate_fundamental_batch)
+from .integrate import FundamentalSystem, _keep_last, _system, integrate_fundamental_batch
 from .operators import LinearOperator, coeff_values, extend_to_double
 
 __all__ = [
@@ -56,7 +54,8 @@ __all__ = [
     "char_det_scan",
     "build_greens",
     "kernel_source",
-    "kernel_table",
+    "KERNEL_CODES",
+    "kernel_problem",
     "GreensEvaluator",
 ]
 
@@ -80,8 +79,9 @@ class BCKind(enum.Enum):
             raise ValueError(f"unknown boundary kind {name!r}; expected one of {valid}") from None
 
 
-# kernel code -> (multiple of the base interval, boundary family)
-_KERNEL_CODES = {
+# the paper's nine problems: kernel code -> (multiple of the base interval,
+# boundary family)
+KERNEL_CODES = {
     "N": (1, BCKind.NEUMANN),
     "D": (1, BCKind.DIRICHLET),
     "M1": (1, BCKind.MIXED1),
@@ -94,32 +94,17 @@ _KERNEL_CODES = {
 }
 
 
-class _KernelTable(Mapping):
-    """kernel code -> (operator on its interval, boundary family); each
-    interval's operator is built on first use and shared by its codes."""
-
-    def __init__(self, op: LinearOperator):
-        self._ops = {1: op}
-
-    def __getitem__(self, code: str) -> tuple[LinearOperator, BCKind]:
-        multiple, kind = _KERNEL_CODES[code]
-        while multiple not in self._ops:  # 2T from T, 4T from 2T
-            half = max(self._ops)
-            self._ops[2 * half] = extend_to_double(self._ops[half])
-        return self._ops[multiple], kind
-
-    def __iter__(self):
-        return iter(_KERNEL_CODES)
-
-    def __len__(self) -> int:
-        return len(_KERNEL_CODES)
-
-
-def kernel_table(op: LinearOperator) -> Mapping[str, tuple[LinearOperator, BCKind]]:
-    """The nine problems of the base operator: kernel code (N, D, M1, M2, P2T,
-    A2T, N2T, D2T, P4T) -> (operator on its interval, boundary family); the
-    codes of one interval share one operator, built on first use."""
-    return _KernelTable(op)
+def kernel_problem(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKind]:
+    """(operator on its interval, boundary family) of a kernel code of the
+    base operator op (KERNEL_CODES): 2T is extend_to_double(op) and 4T its
+    doubling, each built on first use and kept on the operator it doubles.
+    An unknown code is refused."""
+    if code not in KERNEL_CODES:
+        raise ValueError(f"unknown kernel code {code!r}")
+    multiple, kind = KERNEL_CODES[code]
+    while multiple > 1:  # 2T from T, 4T from 2T
+        op, multiple = extend_to_double(op), multiple // 2
+    return op, kind
 
 
 @dataclass(frozen=True)
@@ -432,7 +417,6 @@ class GreensEvaluator:
                                  if np.isfinite(Z).all() else 0.0)
         if self.resonance_margin < RESONANCE_THRESHOLD:
             raise ResonantProblemError(problem.kind, problem.lam, self.resonance_margin)
-        self._sources = {}  # (points, s_order) -> node states
         self._grids = {}    # (t points, s points, component, s_order) -> grid
 
     def _locate(self, pts) -> _GridFactor:
@@ -440,7 +424,7 @@ class GreensEvaluator:
         arrays are read-only, as a kept factor is shared."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         eps = 1e-12 * max(1.0, self.length)
-        if pts.size and (pts.min() < -eps or pts.max() > self.length + eps):
+        if pts.size and not (pts.min() >= -eps and pts.max() <= self.length + eps):
             raise ValueError("grid points outside the problem interval")
         pts = np.clip(pts, 0.0, self.length)
         seg = self.fs.segment_index(pts)
@@ -466,11 +450,8 @@ class GreensEvaluator:
     def _source(self, fsrc: _GridFactor, s_order: int) -> tuple[np.ndarray, np.ndarray]:
         """The impulse states x_s (d, ns) of the source points (or their
         s_order-th s-derivatives, see _grid), kept on the system for all its
-        kernels, and the node states (N+1, d, ns) they give, kept on the
-        kernel (_keep_last)."""
+        kernels (_keep_last), and the node states (N+1, d, ns) they give."""
         key = (fsrc.pts.tobytes(), s_order)
-        if key in self._sources:
-            return self._sources[key]
         impulses = self.fs.memo.setdefault("impulses", {})
         xs = impulses.get(key)
         if xs is None:
@@ -483,8 +464,7 @@ class GreensEvaluator:
                 e[:, -1] = 1.0
             xs = _keep_last(impulses, key, np.linalg.solve(fsrc.phi, e)[..., 0].T,
                             len(fsrc.pts))
-        return _keep_last(self._sources, key, (xs, self._node_states(fsrc.seg, xs)),
-                          len(fsrc.pts))
+        return xs, self._node_states(fsrc.seg, xs)
 
     def eval_grid(self, ts, ss, component: int = 0) -> np.ndarray:
         """Kernel values on the tensor grid, shape (len(ts), len(ss)).
@@ -544,10 +524,9 @@ class GreensEvaluator:
 
 
 def build_greens(problem: ProblemSpec) -> GreensEvaluator:
-    """Assemble the kernel of the problem; refuses resonant lambda values
-    (resonance margin below the resonance threshold)."""
-    fs = integrate_fundamental(problem.operator, problem.lam)
-    return GreensEvaluator(problem, fs)
+    """Assemble the kernel of the problem (kernel_source); refuses resonant
+    lambda values (resonance margin below the resonance threshold)."""
+    return kernel_source(problem.lam)(problem.operator, problem.kind)
 
 
 def kernel_source(lam: float):
@@ -555,7 +534,7 @@ def kernel_source(lam: float):
     requests; a resonant problem raises on every request.  Each distinct
     operator gets one fundamental system, on first use, shared by its
     kernels, and its extensions and reflection derive theirs from it
-    (integrate._system): the nine problems of kernel_table and the reflected
+    (integrate._system): the nine problems of kernel_problem and the reflected
     operator share one integration of the base operator."""
     systems, kernels = {}, {}
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_source, kernel_table
-from .operators import LinearOperator, reflect
+from .greens import BCKind, GreensEvaluator, ResonantProblemError, kernel_problem, kernel_source
+from .operators import LinearOperator, extend_to_double, reflect
 
 __all__ = [
     "IdentityReport",
@@ -222,14 +222,13 @@ def run_identities(op: LinearOperator, lam: float, tags=None,
     """
     _grid(op.length, m)  # refuses m < 2 before any kernel is built
     tags = list(tags) if tags else list(ALL_TAGS)
-    table = kernel_table(op)
-    op2 = table["P2T"][0]
+    op2 = extend_to_double(op)
     kernels = kernel_source(lam)
     reflected = {}  # the mixed problems of reflect(op), once mixed-reflection asks
 
     def kernel(code: str) -> GreensEvaluator | None:
         try:
-            G = kernels(*(reflected.get(code) or table[code]))
+            G = kernels(*(reflected.get(code) or kernel_problem(op, code)))
         except ResonantProblemError:
             return None
         return None if G.resonance_margin < SKIP_MARGIN else G

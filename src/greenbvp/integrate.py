@@ -15,16 +15,17 @@ tolerance and the segment's frequency scale, and cells whose coefficients
 the Gauss rule does not resolve are halved.  Everything is batched over a
 vector of lambda values (real or complex), which makes characteristic
 determinant scans cheap.  Lambda enters only as the shift of a_0 (no
-coefficient uses it), so the coefficients are sampled once per operator:
-its integration plan (_plan), kept on the operator object, holds per
-breakpoint interval the sups that set the segment count, a constant
-interval's coefficients and a non-constant one's cells with their
-Gauss-node samples, for every batch; the generators of larger batches are
+coefficient uses it), so the coefficients are sampled once per operator: its
+integration plan (_plan), kept on the operator object, holds one object per
+breakpoint interval (_Interval) with the sups that set the segment count, a
+constant interval's coefficients and a non-constant one's cells with their
+Gauss-node samples, for every batch; it forms a batch's companion rows and
+generators, which it does not keep, and the generators of larger batches are
 shared too (see _magnus_polynomial).  A constant interval's segments are
-exponentiated once per distinct width.  The extended and reflected
-operators are copies of a root operator's interval: every route (_system)
-derives their systems from the root's in one step, whose cells alone are
-integrated, to DEFAULT_TOL.  An adaptive Dormand-Prince 5(4) integration of one lambda
+exponentiated once per distinct width.  The extended and reflected operators
+are copies of a root operator's interval: every route (_system) derives
+their systems from the root's in one step, whose cells alone are integrated,
+to DEFAULT_TOL.  An adaptive Dormand-Prince 5(4) integration of one lambda
 (_rk_reference) is the tests' independent reference, which no route calls.
 It is the only user of scipy, which the package does not require:
 scipy.integrate is imported on the first call and comes with the test extra.
@@ -175,19 +176,19 @@ def _check_bytes(lams: np.ndarray, nseg: int, d: int):
 
 
 def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
-    """Segment boundaries and frequency scale of each breakpoint interval,
-    [(lo, hi, nodes, rate)]; refuses more than MAX_CELLS segments and end
-    matrices of more than MAX_BATCH_BYTES."""
-    plan = _plan(op)
+    """Each breakpoint interval of op's plan (_Interval) with its segment
+    boundaries and frequency scale, [(interval, nodes, rate)]; refuses more
+    than MAX_CELLS segments and end matrices of more than MAX_BATCH_BYTES."""
+    intervals = list(_plan(op).values())
     lam_ref = float(np.max(np.abs(lams))) if lams.size else 0.0
-    rates = [_growth_rate(interval.sups, lam_ref) for interval in plan.values()]
-    nsub = np.array([hi - lo for lo, hi in plan]) * np.array(rates) / _GROWTH_PER_SEGMENT
+    rates = [_growth_rate(interval.sups, lam_ref) for interval in intervals]
+    nsub = np.array([i.hi - i.lo for i in intervals]) * np.array(rates) / _GROWTH_PER_SEGMENT
     if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
         raise _over_budget(nsub.sum())
     counts = [max(1, math.ceil(n)) for n in nsub]
     _check_bytes(lams, sum(counts), op.order)
-    return [(lo, hi, np.linspace(lo, hi, count + 1), rate)
-            for (lo, hi), count, rate in zip(plan, counts, rates)]
+    return [(interval, np.linspace(interval.lo, interval.hi, count + 1), rate)
+            for interval, count, rate in zip(intervals, counts, rates)]
 
 
 def _companion_rows(vals: list, lams: np.ndarray) -> np.ndarray:
@@ -264,11 +265,13 @@ def _values(coeffs: tuple, ts: np.ndarray) -> list:
 
 
 class _Interval:
-    """The lambda-free data of one breakpoint interval [lo, hi] of an
-    operator, in its plan (_plan): the segment of each coefficient, whether
+    """One breakpoint interval [lo, hi] of an operator, in its plan (_plan).
+    It keeps the lambda-free data: the segment of each coefficient, whether
     all are constant, the sup of each |a_k| on 17 points (_growth_rate), a
-    constant interval's coefficient values at its midpoint (_Piece.sample),
-    and a non-constant one's cells (cells)."""
+    constant interval's coefficient values at its midpoint (sample), and a
+    non-constant one's cells (_gauss_cells).  The companion rows and
+    generators of a lambda batch, which its methods take, live as long as
+    the call that made them."""
 
     def __init__(self, op: LinearOperator, lo: float, hi: float):
         self.lo, self.hi = lo, hi
@@ -279,7 +282,43 @@ class _Interval:
         self.mid = _values(self.coeffs, np.array(0.5 * (lo + hi))) if self.constant else None
         self.kept = {}  # (segments, cells per segment) -> cells
 
-    def cells(self, nodes: np.ndarray, rate: float, used: int) -> tuple:
+    def polynomial(self, lams: np.ndarray) -> bool:
+        """Whether the generators of lams are polynomials in lambda (_POLYNOMIAL_BATCH)."""
+        return len(lams) > _POLYNOMIAL_BATCH and not self.constant
+
+    def rows(self, vals: list, lams: np.ndarray) -> np.ndarray:
+        """Companion rows of the samples, at lam = 0 for polynomial generators."""
+        return _companion_rows(vals, 0.0 if self.polynomial(lams) else lams)
+
+    def sample(self, t0: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Companion rows the generators of the steps [t0, t0 + h] need: the
+        midpoint values of a constant interval, else samples at every step's
+        Gauss nodes."""
+        if self.constant:
+            return self.rows(self.mid, lams)
+        return self.rows(_values(self.coeffs, t0 + h * _GAUSS.reshape((3,) + (1,) * np.ndim(h))),
+                         lams)
+
+    def generators(self, rows: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Omega of steps of width h (shape S) from their samples, S + (K, d, d)."""
+        if self.constant:
+            return h[..., None, None, None] * _companion(rows)
+        if self.polynomial(lams):
+            lam = lams[:, None, None]
+            o0, o1, *o2 = _magnus_polynomial(rows, h)
+            return ((o2[0] * lam + o1) if o2 else o1) * lam + o0
+        return _magnus_generator(rows, h)
+
+    def cells(self, nodes: np.ndarray, rate: float, used: int, lams: np.ndarray) -> tuple:
+        """Cells (t0, h, segment index) of the segments between the nodes and
+        their companion rows for lams: one cell per segment of a constant
+        interval, else the kept ones (_gauss_cells)."""
+        if self.constant:
+            return nodes[:-1], np.diff(nodes), np.arange(len(nodes) - 1), self.rows(self.mid, lams)
+        t0, h, seg, *gauss = self._gauss_cells(nodes, rate, used)
+        return t0, h, seg, self.rows(gauss, lams)
+
+    def _gauss_cells(self, nodes: np.ndarray, rate: float, used: int) -> tuple:
         """The cells of the segments between the nodes, (t0, h, segment index)
         in time order, then a_0, ..., a_{d-1} at their Gauss nodes, (3, C, 1)
         each: a uniform count per segment from rate and DEFAULT_TOL, then
@@ -336,61 +375,6 @@ def _plan(op: LinearOperator) -> dict:
                                        for lo, hi in itertools.pairwise(op.breakpoints())})
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """One breakpoint interval of an operator's plan (_Interval) for a lambda
-    batch: the companion rows and generators, which depend on lambda, live
-    as long as the call that made them."""
-
-    interval: _Interval
-    lams: np.ndarray
-
-    @classmethod
-    def of(cls, op: LinearOperator, lo: float, hi: float, lams: np.ndarray) -> "_Piece":
-        return cls(_plan(op)[lo, hi], lams)
-
-    @property
-    def constant(self) -> bool:
-        return self.interval.constant
-
-    @property
-    def polynomial(self) -> bool:
-        """Whether the generators are polynomials in lambda (_POLYNOMIAL_BATCH)."""
-        return len(self.lams) > _POLYNOMIAL_BATCH and not self.constant
-
-    def rows(self, vals: list) -> np.ndarray:
-        """Companion rows of the samples, at lam = 0 for polynomial generators."""
-        return _companion_rows(vals, 0.0 if self.polynomial else self.lams)
-
-    def sample(self, t0: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Companion rows the generators of the steps [t0, t0 + h] need: the
-        plan's midpoint values of a constant piece, else samples at every
-        step's Gauss nodes."""
-        if self.constant:
-            return self.rows(self.interval.mid)
-        return self.rows(_values(self.interval.coeffs,
-                                 t0 + h * _GAUSS.reshape((3,) + (1,) * np.ndim(h))))
-
-    def generators(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Omega of steps of width h (shape S) from their samples, S + (K, d, d)."""
-        if self.constant:
-            return h[..., None, None, None] * _companion(rows)
-        if self.polynomial:
-            lam = self.lams[:, None, None]
-            o0, o1, *o2 = _magnus_polynomial(rows, h)
-            return ((o2[0] * lam + o1) if o2 else o1) * lam + o0
-        return _magnus_generator(rows, h)
-
-    def cells(self, nodes: np.ndarray, rate: float, used: int):
-        """Cells (t0, h, segment index) of the segments between the nodes and
-        their companion rows: one cell per segment of a constant piece, else
-        the interval's (_Interval.cells)."""
-        if self.constant:
-            return nodes[:-1], np.diff(nodes), np.arange(len(nodes) - 1), self.sample(None, None)
-        t0, h, seg, *gauss = self.interval.cells(nodes, rate, used)
-        return t0, h, seg, self.rows(gauss)
-
-
 # The most points (or grid values) a kept value may cover: a store holds at
 # most eight such values, so a kernel's grid store at most 4 MiB of real values.
 _KEEP_MOST = 1 << 16
@@ -412,16 +396,18 @@ def _keep_last(store: dict, key, value, size: int):
 
 @dataclass(frozen=True)
 class _Cells:
-    """Dense output of a Magnus integration: the cells of every segment in
-    time order.  starts (C,) are the cell start times, first (N+1,) the index
-    of each segment's first cell (first[N] = C), piece (C,) the index into
-    pieces of each cell's piece, and prefixes (C, K, d, d) the propagator
-    from the segment start to the end of each cell."""
+    """Dense output of a Magnus integration of lams: the cells of every
+    segment in time order.  starts (C,) are the cell start times, first
+    (N+1,) the index of each segment's first cell (first[N] = C), piece (C,)
+    the index into pieces, the plan's intervals (_Interval), of each cell's
+    interval, and prefixes (C, K, d, d) the propagator from the segment
+    start to the end of each cell."""
 
     starts: np.ndarray
     first: np.ndarray
     piece: np.ndarray
     pieces: list
+    lams: np.ndarray
     prefixes: np.ndarray
     # (seg, ts) bytes -> local Phi, for this system and every copy of it
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -448,8 +434,9 @@ class _Cells:
         generators = np.empty((len(ts),) + self.prefixes.shape[1:], dtype=self.prefixes.dtype)
         for i in np.unique(piece_of):
             sel = piece_of == i
-            piece = self.pieces[i]
-            generators[sel] = piece.generators(piece.sample(t0[sel], h[sel]), h[sel])
+            interval = self.pieces[i]
+            rows = interval.sample(t0[sel], h[sel], self.lams)
+            generators[sel] = interval.generators(rows, h[sel], self.lams)
         out = expm(generators)
         inner = cell > self.first[seg]
         out[inner] = out[inner] @ self.prefixes[cell[inner] - 1]
@@ -507,23 +494,24 @@ def mirror_fundamental(op: LinearOperator, root: "FundamentalSystem",
     return FundamentalSystem(op=op, lams=root.lams, nodes=nodes, segments=segments, cells=cells)
 
 
-def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool) -> tuple:
-    """Propagate every segment of one piece over its cells (_Piece.cells):
-    blocks of cells for the generators and their exponentials, multiplied
-    into each segment's end matrix (and, dense, its per-cell prefixes).  A
-    segment with fewer cells than the most is padded with zero-width cells,
-    whose propagator is I.  A constant piece's segments are one cell each,
-    exponentiated once per distinct width.  Returns the end matrices
+def _magnus_segments(interval: _Interval, lams: np.ndarray, nodes: np.ndarray, cells: tuple,
+                     dense: bool) -> tuple:
+    """Propagate every segment of one interval over its cells for lams
+    (_Interval.cells): blocks of cells for the generators and their
+    exponentials, multiplied into each segment's end matrix (and, dense, its
+    per-cell prefixes).  A segment with fewer cells than the most is padded
+    with zero-width cells, whose propagator is I.  A constant interval's
+    segments are one cell each, exponentiated once per distinct width.  Returns the end matrices
     (nseg, K, d, d), the cell starts, the cell count of each segment and
     (dense, else None) the prefixes of the cells in time order,
     (cells, K, d, d)."""
     t0, h, seg, rows = cells
-    nseg, K, d = len(nodes) - 1, len(piece.lams), rows.shape[-1]
+    nseg, K, d = len(nodes) - 1, len(lams), rows.shape[-1]
     counts = np.bincount(seg, minlength=nseg)
     cells = max(1, _BLOCK_MATRICES // K)
-    if piece.constant:
+    if interval.constant:
         widths, which = np.unique(h, return_inverse=True)
-        ends = np.concatenate([expm(piece.generators(rows, widths[i:i + cells]))
+        ends = np.concatenate([expm(interval.generators(rows, widths[i:i + cells], lams))
                                for i in range(0, len(widths), cells)])[which]
         return ends, t0, counts, ends if dense else None
     first = np.cumsum(counts) - counts
@@ -531,7 +519,7 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool
     pad = rank >= counts[:, None]
     table = np.where(pad, first[:, None], first[:, None] + rank)
     width = np.where(pad, 0.0, h[table])
-    ends = np.empty((nseg, K, d, d), dtype=np.result_type(rows, piece.lams))
+    ends = np.empty((nseg, K, d, d), dtype=np.result_type(rows, lams))
     prefixes = np.empty((nseg, len(rank), K, d, d), dtype=ends.dtype) if dense else None
     chunk = min(len(rank), cells)
     group = max(1, cells // chunk)
@@ -540,7 +528,7 @@ def _magnus_segments(piece: _Piece, nodes: np.ndarray, cells: tuple, dense: bool
         P = None
         for c0 in range(0, len(rank), chunk):
             span = slice(c0, c0 + chunk)
-            E = expm(piece.generators(rows[:, table[segs, span]], width[segs, span]))
+            E = expm(interval.generators(rows[:, table[segs, span]], width[segs, span], lams))
             for i in range(E.shape[1]):
                 P = E[:, i] if P is None else E[:, i] @ P
                 if dense:
@@ -592,19 +580,18 @@ def _integrate(op: LinearOperator, lams: np.ndarray, dense: bool) -> Fundamental
     lams = np.asarray(lams)
     lams = lams.astype(np.result_type(lams, float))
     plan = _segment_nodes(op, lams)
-    pieces, planned = [], []
-    for lo, hi, nodes, rate in plan:
-        pieces.append(_Piece.of(op, lo, hi, lams))
-        planned.append(pieces[-1].cells(nodes, rate, sum(len(cells[0]) for cells in planned)))
+    planned = []
+    for interval, nodes, rate in plan:
+        planned.append(interval.cells(nodes, rate, sum(len(cells[0]) for cells in planned), lams))
     ends, starts, counts, prefixes = zip(*(
-        _magnus_segments(piece, nodes, cells, dense)
-        for piece, (_, _, nodes, _), cells in zip(pieces, plan, planned)))
-    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in plan])
+        _magnus_segments(interval, lams, nodes, cells, dense)
+        for (interval, nodes, _), cells in zip(plan, planned)))
+    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, nodes, _ in plan])
     cells = None
     if dense:
-        piece = np.repeat(np.arange(len(pieces)), [len(c) for c in starts])
+        piece = np.repeat(np.arange(len(plan)), [len(c) for c in starts])
         cells = _Cells(np.concatenate(starts), np.append(0, np.cumsum(np.concatenate(counts))),
-                       piece, pieces, np.concatenate(prefixes))
+                       piece, [interval for interval, _, _ in plan], lams, np.concatenate(prefixes))
     return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=np.concatenate(ends),
                              cells=cells)
 
@@ -701,7 +688,7 @@ def _rk_reference(op: LinearOperator, lam, tol: float) -> FundamentalSystem:
     of the Magnus propagator.  op is integrated as it is, noted or not."""
     lams = np.array([lam])
     lams = lams.astype(np.result_type(lams, float))
-    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, _, nodes, _ in _segment_nodes(op, lams)])
+    nodes = np.concatenate([[0.0]] + [nodes[1:] for _, nodes, _ in _segment_nodes(op, lams)])
     ends, sols = zip(*(_rk_segment(op, a, b, lams, tol) for a, b in zip(nodes[:-1], nodes[1:])))
     return FundamentalSystem(op=op, lams=lams, nodes=nodes, segments=np.stack(ends),
                              cells=_RkCells(sols, lams, op.order))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greens import BCKind, ProblemSpec, ResonantProblemError, build_greens, GreensEvaluator, \
-    _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_source, kernel_table
+    _boundary_coeffs, _char_dets, _corner_problem, _vanishing_ends, kernel_problem, kernel_source
 from .operators import LinearOperator
 from . import spectrum
 from .spectrum import _bracketed_roots, _refine_brackets, principal_eigenvalue
@@ -43,7 +43,6 @@ __all__ = [
     "verify_sign_corollary",
     "reproduce_counterexamples",
     "sweep_extrema",
-    "resolve_kernel",
 ]
 
 NONNEGATIVE = "nonnegative"
@@ -381,7 +380,7 @@ def sign_interval(op: LinearOperator, kind: BCKind, side: str, principal: float,
                               region, changed, bracket)
 
 
-# theorem tag -> kernel codes (greens.kernel_table) of the premise on the
+# theorem tag -> kernel codes (greens.KERNEL_CODES) of the premise on the
 #                doubled interval, the primary and the secondary problem
 THEOREM_TAGS = {
     "ND": ("P2T", "N", "D"),
@@ -395,26 +394,17 @@ _COROLLARY_CASES = [(f"{premise}{rel}0 => {primary}{rel}0", premise, sign, prima
                     for sign, rel in ((NONPOSITIVE, "<="), (NONNEGATIVE, ">="))]
 
 
-def resolve_kernel(op: LinearOperator, code: str) -> tuple[LinearOperator, BCKind]:
-    """One entry of greens.kernel_table; an unknown code is refused."""
-    table = kernel_table(op)
-    if code not in table:
-        raise ValueError(f"unknown kernel code {code!r}")
-    return table[code]
-
-
 def verify_sign_corollary(op: LinearOperator, lam_samples) -> list[dict]:
     """For each lambda and theorem (THEOREM_TAGS) whose premise kernel has a
     constant sign, assert that sign of its primary kernel (_COROLLARY_CASES);
     violating rows carry the location of the offending extremum."""
     rows = []
-    table = kernel_table(op)
     for lam in lam_samples:
         kernel = kernel_source(lam)
 
         @functools.cache
         def classify(code):
-            return _classify(kernel, *table[code])
+            return _classify(kernel, *kernel_problem(op, code))
 
         for tag, premise_code, premise_sign, conclusion_code in _COROLLARY_CASES:
             premise = classify(premise_code)[0]
@@ -480,7 +470,7 @@ def reproduce_counterexamples(fixtures: dict | None = None,
         lam = float(scenario["lambda"])
         kernel = sources.setdefault(lam, kernel_source(lam))
         for code, expected in scenario["expected"].items():
-            observed = _classify(kernel, *resolve_kernel(op, code), m=m)[0]
+            observed = _classify(kernel, *kernel_problem(op, code), m=m)[0]
             report.rows.append({
                 "scenario": scenario["name"],
                 "lambda": lam,
@@ -493,7 +483,7 @@ def reproduce_counterexamples(fixtures: dict | None = None,
     principals = {}
     for row in data.get("thresholds", []):
         op = _operator_from_fixture(row["operator"])
-        o, kind = resolve_kernel(op, row["kernel"])
+        o, kind = kernel_problem(op, row["kernel"])
         expected = float(row["value"])
         rel_tol = float(row.get("rel_tol", 1e-2))
         key = (o, kind, tuple(row["principal_window"]))

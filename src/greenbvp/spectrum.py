@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import (BCKind, _BlockReduction, _boundary_coeffs, _boundary_norm, char_det_scan,
-                     kernel_table)
+from .greens import (KERNEL_CODES, BCKind, _BlockReduction, _boundary_coeffs, _boundary_norm,
+                     char_det_scan, kernel_problem)
 from .integrate import integrate_fundamental
 from .operators import LinearOperator, coeff_values, reflect
 
@@ -449,7 +449,7 @@ def verify_spectrum_unions(op: LinearOperator, window) -> list[UnionCheck]:
     def lams(o, kind):
         return find_eigenvalues(o, kind, window).lams()
 
-    found = {code: lams(*problem) for code, problem in kernel_table(op).items()}
+    found = {code: lams(*kernel_problem(op, code)) for code in KERNEL_CODES}
     N, D, M1, M2 = found["N"], found["D"], found["M1"], found["M2"]
     M1r, M2r = lams(opr, BCKind.MIXED1), lams(opr, BCKind.MIXED2)
 
@@ -499,7 +499,8 @@ def verify_first_eigenvalue_relations(op: LinearOperator, window) -> FirstEigenv
     {M1[T], M2[T]}.  The strict-order directions are reported only.
     """
     principals = {}
-    for code, (o, kind) in kernel_table(op).items():
+    for code in KERNEL_CODES:
+        o, kind = kernel_problem(op, code)
         # the key names the code's interval: N -> N[T], P2T -> P[2T]
         key = f"{code[:-2]}[{code[-2:]}]" if code.endswith("T") else f"{code}[T]"
         principals[key] = principal_eigenvalue(o, kind, window)

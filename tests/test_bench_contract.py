@@ -11,6 +11,7 @@ from pathlib import Path
 
 from greenbvp import BCKind, LinearOperator
 from greenbvp import integrate, signscan, spectrum
+from greenbvp.greens import kernel_problem
 
 
 def _load(name):
@@ -70,7 +71,7 @@ def test_trace_recorder_counts_the_interval_probes():
     recorder.install()
     try:
         op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
-        o, kind = signscan.resolve_kernel(op, "P4T")
+        o, kind = kernel_problem(op, "P4T")
         principal = spectrum.principal_eigenvalue(o, kind, (-60.0, 10.0))
         res = signscan.sign_interval(o, kind, "neg", principal)
     finally:

@@ -9,10 +9,8 @@ from greenbvp import (
     build_greens,
     check_kernel_domination,
     check_solution_comparison,
-    extend_to_double,
     solve_bvp,
 )
-from greenbvp import greens as greens_module
 from greenbvp import operators as operators_module
 
 from reference import solve_bvp_loop
@@ -177,14 +175,11 @@ def test_unknown_tag_and_case(quartic_weight_op):
 
 def test_kernel_domination_builds_no_quadruple_interval(quartic_weight_op, monkeypatch):
     # the comparison premises live on the doubled interval; only the
-    # identities need the quadrupled one
-    calls = []
-
-    def counted(op):
-        calls.append(op.length)
-        return extend_to_double(op)
-
-    for module in (greens_module, operators_module):
-        monkeypatch.setattr(module, "extend_to_double", counted)
-    check_kernel_domination(quartic_weight_op, -2.0)
-    assert calls == [quartic_weight_op.length]
+    # identities need the quadrupled one.  A fresh operator holds no doubling
+    # yet, so each interval's operator is built (operators._mirror) once
+    op = LinearOperator(quartic_weight_op.n, quartic_weight_op.length, quartic_weight_op.coeffs)
+    built, mirror = [], operators_module._mirror
+    monkeypatch.setattr(operators_module, "_mirror",
+                        lambda *args: built.append(args[1]) or mirror(*args))
+    check_kernel_domination(op, -2.0)
+    assert built == [2 * op.length]

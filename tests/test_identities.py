@@ -21,7 +21,7 @@ from greenbvp import (
     reflect,
     run_identities,
 )
-from greenbvp.greens import kernel_source, kernel_table
+from greenbvp.greens import kernel_problem, kernel_source
 from greenbvp.identities import DEFAULT_TOLERANCE, SELF_TOLERANCE
 
 
@@ -219,8 +219,9 @@ def test_identity_bars_scale_with_the_kernels_near_a_mixed_eigenvalue(const_four
     scaled = [r for r in reports if r.residual > SELF_TOLERANCE]
     assert len(scaled) == 13 and min(r.residual for r in scaled) > 1e-5
     # a wrong combination still fails: M2 is not M1's half of A[2T]
-    kernels, table = kernel_source(lam), kernel_table(const_fourth_op)
-    wrong = check_decomposition("M1-A2T", kernels(*table["M2"]), kernels(*table["A2T"]), m=41)
+    kernels = kernel_source(lam)
+    wrong = check_decomposition("M1-A2T", kernels(*kernel_problem(const_fourth_op, "M2")),
+                                kernels(*kernel_problem(const_fourth_op, "A2T")), m=41)
     assert not wrong.passed and wrong.residual > 1e5
 
 
@@ -313,6 +314,7 @@ def test_run_identities_computes_each_grid_and_root_local_phi_once(monkeypatch,
 
     kernels, grids, phi_requests, phi_computed = [], [], [], []
     init, evaluate = greens.GreensEvaluator.__init__, greens.GreensEvaluator._evaluate
+    source, owners, shared = greens.GreensEvaluator._source, {}, []
     local_phi, compute_phi = integrate._Cells.local_phi, integrate._Cells._local_phi
 
     def counted_init(self, *args):
@@ -322,6 +324,18 @@ def test_run_identities_computes_each_grid_and_root_local_phi_once(monkeypatch,
     def counted_evaluate(self, ft, fsrc, component, s_order):
         grids.append((id(self), ft.pts.tobytes(), fsrc.pts.tobytes(), component, s_order))
         return evaluate(self, ft, fsrc, component, s_order)
+
+    def counted_source(self, fsrc, s_order):
+        # a hit of the system's impulse store returns the kept state itself
+        key = (id(self.fs), fsrc.pts.tobytes(), s_order)
+        kept = self.fs.memo.get("impulses", {}).get(key[1:])
+        xs, Y = source(self, fsrc, s_order)
+        if kept is None:
+            owners.setdefault(key, self)
+        elif owners[key] is not self:
+            assert xs is kept
+            shared.append(key)
+        return xs, Y
 
     def phi_key(cells, seg, ts):
         return id(cells), seg.tobytes(), ts.tobytes()
@@ -336,6 +350,7 @@ def test_run_identities_computes_each_grid_and_root_local_phi_once(monkeypatch,
 
     monkeypatch.setattr(greens.GreensEvaluator, "__init__", counted_init)
     monkeypatch.setattr(greens.GreensEvaluator, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(greens.GreensEvaluator, "_source", counted_source)
     monkeypatch.setattr(integrate._Cells, "local_phi", counted_local_phi)
     monkeypatch.setattr(integrate._Cells, "_local_phi", counted_compute_phi)
     eval_grid_calls = []
@@ -347,13 +362,7 @@ def test_run_identities_computes_each_grid_and_root_local_phi_once(monkeypatch,
     assert len(grids) == len(set(grids)) < len(eval_grid_calls)
     distinct_phi = {key for _, key in phi_requests}
     assert len(phi_computed) == len(set(phi_computed)) == len(distinct_phi) < len(phi_requests)
-    shared = 0
-    for G in kernels:
-        impulses = G.fs.memo.get("impulses", {})
-        for key, (xs, _) in G._sources.items():
-            assert xs is impulses[key]
-            shared += 1
-    assert shared > len({id(G.fs) for G in kernels})
+    assert len(shared) > len({id(G.fs) for G in kernels})
 
 
 def test_shared_stores_equal_a_fresh_store_free_source_per_check(monkeypatch, quartic_weight_op):
@@ -367,19 +376,22 @@ def test_shared_stores_equal_a_fresh_store_free_source_per_check(monkeypatch, qu
     reports = run_identities(op, lam, m=m)
     for module in (greens, integrate):
         monkeypatch.setattr(module, "_keep_last", lambda store, key, value, size: value)
-    table, ref = kernel_table(op), reflect(op)
+    ref = reflect(op)
+
+    def table(code):
+        return kernel_problem(op, code)
 
     def fresh(*problems):
         kernels = kernel_source(lam)
         return [kernels(*problem) for problem in problems]
 
-    oracle = [check_decomposition(tag, *fresh(table[base], table[big]), m)
+    oracle = [check_decomposition(tag, *fresh(table(base), table(big)), m)
               for tag, (base, big, _) in DECOMPOSITION_TAGS.items()]
-    oracle += [check_connecting(tag, fresh(*(table[c] for c in pair)), *fresh(table[big]), m)
+    oracle += [check_connecting(tag, fresh(*(table(c) for c in pair)), *fresh(table(big)), m)
                for tag, (big, pair, _) in CONNECTING_TAGS.items()]
-    oracle += [check_symmetry(*fresh(table[code]), m) for code in ("P2T", "A2T", "N2T", "D2T")]
-    oracle += [check_mixed_reflection(*fresh(table["M1"], (ref, BCKind.MIXED2)), m),
-               check_mixed_reflection(*fresh(table["M2"], (ref, BCKind.MIXED1)), m)]
+    oracle += [check_symmetry(*fresh(table(code)), m) for code in ("P2T", "A2T", "N2T", "D2T")]
+    oracle += [check_mixed_reflection(*fresh(table("M1"), (ref, BCKind.MIXED2)), m),
+               check_mixed_reflection(*fresh(table("M2"), (ref, BCKind.MIXED1)), m)]
     assert reports[-1].tag == "slope-one" and reports[-1].skipped
     assert reports[:-1] == oracle
 

@@ -323,12 +323,12 @@ def _members_on_batch_cells(op, lams):
     """Segment propagators of each lambda of a batch integrated alone, on the
     segments and cells the whole batch uses, shape (N, K, d, d)."""
     ends = []
-    for lo, hi, nodes, rate in integrate._segment_nodes(op, lams):
-        members = [integrate._Piece.of(op, lo, hi, lams[k:k + 1]) for k in range(len(lams))]
-        assert integrate._Piece.of(op, lo, hi, lams).polynomial and not members[0].polynomial
+    for interval, nodes, rate in integrate._segment_nodes(op, lams):
+        members = [lams[k:k + 1] for k in range(len(lams))]
+        assert interval.polynomial(lams) and not interval.polynomial(members[0])
         ends.append(np.concatenate([
-            integrate._magnus_segments(member, nodes, member.cells(nodes, rate, 0),
-                                       False)[0]
+            integrate._magnus_segments(interval, member, nodes,
+                                       interval.cells(nodes, rate, 0, member), False)[0]
             for member in members], axis=1))
     return np.concatenate(ends)
 
@@ -358,13 +358,12 @@ def test_polynomial_generators_only_for_lambda_free_batches(monkeypatch, quartic
     monkeypatch.setattr(integrate, "_magnus_polynomial",
                         lambda rows, h: calls.append(h) or polynomial(rows, h))
     for op, batch in cases:
-        for lo, hi, nodes, rate in integrate._segment_nodes(op, batch):
-            piece = integrate._Piece.of(op, lo, hi, batch)
-            assert not piece.polynomial
-            _, h, _, rows = piece.cells(nodes, rate, 0)
-            direct = (h[:, None, None, None] * integrate._companion(rows) if piece.constant
+        for interval, nodes, rate in integrate._segment_nodes(op, batch):
+            assert not interval.polynomial(batch)
+            _, h, _, rows = interval.cells(nodes, rate, 0, batch)
+            direct = (h[:, None, None, None] * integrate._companion(rows) if interval.constant
                       else integrate._magnus_generator(rows, h))
-            assert np.array_equal(piece.generators(rows, h), direct)
+            assert np.array_equal(interval.generators(rows, h, batch), direct)
         integrate._integrate(op, batch, True).local_phi(0, [0.3])
     assert not calls
     integrate_fundamental_batch(quartic_weight_op, lams)  # the control: a (t-2)^4 batch

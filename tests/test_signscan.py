@@ -12,6 +12,7 @@ from greenbvp import (
     classify_problem,
     classify_sign,
     extend_to_double,
+    extend_to_quadruple,
     principal_eigenvalue,
     reproduce_counterexamples,
     sign_interval,
@@ -20,12 +21,13 @@ from greenbvp import (
 )
 from greenbvp import greens as greens_module
 from greenbvp import integrate as integrate_module
+from greenbvp import operators as operators_module
 from greenbvp import signscan as signscan_module
 from greenbvp import spectrum as spectrum_module
-from greenbvp.greens import GreensEvaluator
+from greenbvp.greens import KERNEL_CODES, GreensEvaluator, kernel_problem
 from greenbvp.integrate import FundamentalSystem
 from greenbvp.signscan import EIGEN_TOL, NONNEGATIVE, NONPOSITIVE, SIGN_CHANGING, THRESHOLD_TOL, \
-    ZERO_BAND, SignSearchError, _load_fixtures, _operator_from_fixture, resolve_kernel
+    ZERO_BAND, SignSearchError, _load_fixtures, _operator_from_fixture
 
 
 def test_string_kernel_is_nonpositive(second_order_op):
@@ -182,14 +184,27 @@ def test_sign_interval_stops_at_the_end_of_its_window(const_fourth_op):
     assert res.flip is None and res.changed_row is None and res.bracket is None
 
 
-def test_resolve_kernel_codes(quartic_weight_op):
-    op2, kind = resolve_kernel(quartic_weight_op, "P2T")
-    assert kind is BCKind.PERIODIC
-    assert op2.length == 4.0
-    op4, kind = resolve_kernel(quartic_weight_op, "P4T")
-    assert op4.length == 8.0
-    with pytest.raises(ValueError):
-        resolve_kernel(quartic_weight_op, "Q")
+def test_resolve_kernel_codes(quartic_weight_op, monkeypatch):
+    # the base codes give the operator itself, the 2T codes its kept doubling
+    # and P4T that doubling's: the nine codes of a fresh operator build two
+    # operators, and an unknown code is refused by name
+    op = quartic_weight_op
+    for code in ("N", "D", "M1", "M2"):
+        assert kernel_problem(op, code)[0] is op
+    for code in ("P2T", "A2T", "N2T", "D2T"):
+        assert kernel_problem(op, code)[0] is extend_to_double(op)
+    op4, kind = kernel_problem(op, "P4T")
+    assert op4 is extend_to_quadruple(op) and op4.length == 8.0 and kind is BCKind.PERIODIC
+    built, mirror = [], operators_module._mirror
+    monkeypatch.setattr(operators_module, "_mirror",
+                        lambda *args: built.append(args[1]) or mirror(*args))
+    fresh = LinearOperator(op.n, op.length, op.coeffs)
+    problems = {code: kernel_problem(fresh, code) for code in KERNEL_CODES}
+    assert built == [4.0, 8.0]
+    assert {code: (o.length, kind) for code, (o, kind) in problems.items()} == {
+        code: (2.0 * multiple, kind) for code, (multiple, kind) in KERNEL_CODES.items()}
+    with pytest.raises(ValueError, match="unknown kernel code 'Q'"):
+        kernel_problem(op, "Q")
 
 
 def test_sweep_extrema_rows(const_fourth_op):
@@ -265,7 +280,7 @@ def test_periodic_changed_problems_are_k_sectioned_once(monkeypatch):
     # changed problems are not scanned at all and the tracker ends it, at
     # the false-position point of its final bracket
     op = LinearOperator.from_exprs(2, 1.5, ["t*(t-3)", "0", "0", "0"])
-    o, kind = resolve_kernel(op, "P4T")
+    o, kind = kernel_problem(op, "P4T")
     calls, integrations = [], []
     original = signscan_module.classify_problem
     integrate = integrate_module._integrate
@@ -293,7 +308,7 @@ def test_tracker_ends_near_the_zoomed_root(monkeypatch):
     # threshold lies within 1e-5 of the root of the zoomed local minimum,
     # -1.4316964286, in at most 20 classifications
     op = LinearOperator.from_exprs(2, 2.0, ["(t-2)^4", "0", "0", "0"])
-    o, kind = resolve_kernel(op, "P4T")
+    o, kind = kernel_problem(op, "P4T")
     calls = []
     original = signscan_module.classify_problem
     monkeypatch.setattr(signscan_module, "classify_problem",
@@ -312,7 +327,7 @@ def test_classification_rows_integrate_each_operator_and_lambda_once(monkeypatch
     # base operator's: one integration per distinct (base operator, lambda)
     fixtures = _load_fixtures()
     scenarios = fixtures["classification_scenarios"]
-    pairs = {(resolve_kernel(_operator_from_fixture(s["operator"]), code)[0], s["lambda"])
+    pairs = {(kernel_problem(_operator_from_fixture(s["operator"]), code)[0], s["lambda"])
              for s in scenarios for code in s["expected"]}
     bases = {(_operator_from_fixture(s["operator"]), s["lambda"]) for s in scenarios}
     calls = []
@@ -356,7 +371,7 @@ def test_neumann_threshold_rows_flip_at_a_corner(name):
 def _fixture_problem(name):
     """(operator, kind, side, principal window) of a threshold row."""
     [row] = [r for r in _load_fixtures()["thresholds"] if r["name"] == name]
-    op, kind = resolve_kernel(_operator_from_fixture(row["operator"]), row["kernel"])
+    op, kind = kernel_problem(_operator_from_fixture(row["operator"]), row["kernel"])
     side = "neg" if row["type"] == "nonpositive" else "pos"
     return op, kind, side, tuple(row["principal_window"])
 
@@ -501,10 +516,10 @@ def test_resolving_a_base_code_builds_no_extension(quartic_weight_op, monkeypatc
         return extend_to_double(op)
 
     monkeypatch.setattr(greens_module, "extend_to_double", counted)
-    assert resolve_kernel(quartic_weight_op, "N") == (quartic_weight_op, BCKind.NEUMANN)
-    assert resolve_kernel(quartic_weight_op, "M2") == (quartic_weight_op, BCKind.MIXED2)
+    assert kernel_problem(quartic_weight_op, "N") == (quartic_weight_op, BCKind.NEUMANN)
+    assert kernel_problem(quartic_weight_op, "M2") == (quartic_weight_op, BCKind.MIXED2)
     assert not calls
-    op4, _ = resolve_kernel(quartic_weight_op, "P4T")
+    op4, _ = kernel_problem(quartic_weight_op, "P4T")
     assert op4.length == 8.0 and len(calls) == 2
 
 
