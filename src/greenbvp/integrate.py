@@ -179,12 +179,13 @@ def _segment_nodes(op: LinearOperator, lams: np.ndarray) -> list:
     """Each breakpoint interval of op's plan (_Interval) with its segment
     boundaries and frequency scale, [(interval, nodes, rate)]; refuses more
     than MAX_CELLS segments and end matrices of more than MAX_BATCH_BYTES."""
-    intervals = list(_plan(op).values())
+    intervals = _plan(op)
     lam_ref = float(np.max(np.abs(lams))) if lams.size else 0.0
     rates = [_growth_rate(interval.sups, lam_ref) for interval in intervals]
-    nsub = np.array([i.hi - i.lo for i in intervals]) * np.array(rates) / _GROWTH_PER_SEGMENT
-    if not nsub.sum() <= MAX_CELLS:  # also catches a non-finite rate
-        raise _over_budget(nsub.sum())
+    # Python floats, which overflow to inf without a warning
+    nsub = [float(i.hi - i.lo) * rate / _GROWTH_PER_SEGMENT for i, rate in zip(intervals, rates)]
+    if not sum(nsub) <= MAX_CELLS:  # also catches a non-finite rate
+        raise _over_budget(sum(nsub))
     counts = [max(1, math.ceil(n)) for n in nsub]
     _check_bytes(lams, sum(counts), op.order)
     return [(interval, np.linspace(interval.lo, interval.hi, count + 1), rate)
@@ -367,12 +368,12 @@ class _Interval:
         return _keep_last(self.kept, key, cells, 3 * len(order) * len(gauss))
 
 
-def _plan(op: LinearOperator) -> dict:
-    """op's integration plan, {(lo, hi): _Interval} over its breakpoint
-    intervals in order: made on op's first integration and kept on op
-    (operators.noted), so every lambda batch shares its samples."""
-    return noted(op, "_plan", lambda: {(lo, hi): _Interval(op, lo, hi)
-                                       for lo, hi in itertools.pairwise(op.breakpoints())})
+def _plan(op: LinearOperator) -> tuple:
+    """op's integration plan, one _Interval per breakpoint interval in order:
+    made on op's first integration and kept on op (operators.noted), so
+    every lambda batch shares its samples."""
+    return noted(op, "_plan", lambda: tuple(_Interval(op, lo, hi)
+                                            for lo, hi in itertools.pairwise(op.breakpoints())))
 
 
 # The most points (or grid values) a kept value may cover: a store holds at

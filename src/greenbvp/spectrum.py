@@ -54,14 +54,6 @@ SIGN_FLOOR = 1e-6
 # delta times the maximum.
 SIGN_ANGLE_TOL = 1e-5
 
-# The characteristic function is det(C W) / ||C||_2^d on an orthonormal
-# solution-graph basis W: its magnitude is bounded by the smallest singular
-# value, which is at most one, for every problem and lambda (no exponential
-# growth or decay with |lambda|), so exact hits and resonant endpoints use
-# absolute thresholds.
-EXACT_HIT_TOL = 1e-9      # scan value counted as sitting exactly on a root
-ENDPOINT_TOL = 1e-6       # endpoint treated as nearly resonant
-
 # Intervals of the half perimeter of a root-count box, first and at most.
 COUNT_NODES = 32
 COUNT_NODES_MAX = 2048
@@ -242,8 +234,9 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     bracket simple (odd-multiplicity) roots.  A dip cell, a local minimum of
     |det| between two scan points of its sign, holds an even number of roots
     (counted by the argument principle, see _dip_roots): it yields brackets
-    or roots flagged as suspected even multiplicity.  Resonant window
-    endpoints are shrunk inward with a warning.
+    or roots flagged as suspected even multiplicity.  Nothing else decides:
+    a scan point where det is exactly 0.0 (as constant coefficients give at
+    lambda = 0) is a root of width 0, a window end included.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -261,31 +254,21 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     dets = char_det_scan(op, kind, grid)
     absdet = np.abs(dets)
 
-    # nearly resonant endpoints: drop them (shrinking the window) and warn
-    start, stop = 0, len(grid)
-    if absdet[0] <= ENDPOINT_TOL:
-        warnings.warn(f"window endpoint {grid[0]:.6g} is nearly resonant; shrinking")
-        start = 1
-    if absdet[-1] <= ENDPOINT_TOL:
-        warnings.warn(f"window endpoint {grid[-1]:.6g} is nearly resonant; shrinking")
-        stop = len(grid) - 1
-    grid, dets, absdet = grid[start:stop], dets[start:stop], absdet[start:stop]
-
     def det_batch(xs):
         return char_det_scan(op, kind, xs)
 
     roots: list[tuple[float, float, bool]] = []  # (lam, bracket_width, even_mult)
     signs = np.sign(dets)
-    exact = absdet <= EXACT_HIT_TOL
+    exact = dets == 0
     for i in np.nonzero(exact)[0]:
         even = 0 < i < len(dets) - 1 and signs[i - 1] == signs[i + 1]
         roots.append((float(grid[i]), 0.0, bool(even)))
 
-    cut = np.nonzero((signs[:-1] * signs[1:] < 0) & ~exact[:-1] & ~exact[1:])[0]
+    # an exact hit has sign 0, so it ends no bracket and makes no dip
+    cut = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     brackets = list(zip(grid[cut], grid[cut + 1], dets[cut], dets[cut + 1]))
     dip = 1 + np.nonzero((absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:])
-                         & (signs[:-2] == signs[1:-1]) & (signs[1:-1] == signs[2:])
-                         & ~(exact[:-2] | exact[1:-1] | exact[2:]))[0]
+                         & (signs[:-2] == signs[1:-1]) & (signs[1:-1] == signs[2:]))[0]
     if dip.size:
         zoomed, doubles = _dip_roots(det_batch, grid[dip - 1], grid[dip + 1],
                                      dets[dip - 1], dets[dip + 1], lam_tol)

@@ -122,10 +122,14 @@ def test_green_resonant_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"n": 1, "coefficients": ["0", "0"], "kind": "dirichlet", "lambda": 1e12},
     {"coefficients": ["exp(exp(5*t))", "0", "0", "0"]},
-], ids=["lambda-1e12", "exp-exp"])
+    {"n": 1, "T": 4, "coefficients": ["0.0", "t^0 / 2.2250738585072014e-308"],
+     "kind": "neumann"},
+], ids=["lambda-1e12", "exp-exp", "overflowing-estimate"])
 def test_green_over_segment_budget_exits_3(tmp_path, capsys, overrides):
-    # both need far more segments than the integration budget (MAX_CELLS):
-    # refused before any allocation, in bounded time
+    # all need far more segments than the integration budget (MAX_CELLS):
+    # refused before any allocation, in bounded time.  The last one's segment
+    # estimate overflows to inf, with no numpy warning (the suite makes a
+    # RuntimeWarning an error)
     config = write_config(tmp_path, **overrides)
     out = tmp_path / "grid.csv"
     t0 = time.perf_counter()

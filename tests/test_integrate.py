@@ -401,7 +401,7 @@ def test_plan_samples_each_coefficient_once_per_operator(monkeypatch):
     integrate_fundamental_batch(op, lams + 1j)
     assert shapes and (17, 1) not in shapes and (1,) not in shapes
     shapes.clear()
-    kept = [cells for interval in op.__dict__["_plan"].values() for cells in interval.kept.values()]
+    kept = [cells for interval in op.__dict__["_plan"] for cells in interval.kept.values()]
     assert kept and not any(part.flags.writeable for cells in kept for part in cells)
     restored = pickle.loads(pickle.dumps(op))
     assert "_plan" in op.__dict__ and "_plan" not in restored.__dict__

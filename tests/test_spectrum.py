@@ -275,12 +275,16 @@ def test_principal_missing_in_window(const_fourth_op):
         principal_eigenvalue(const_fourth_op, BCKind.DIRICHLET, (-10.0, 1.0))
 
 
-def test_resonant_window_endpoint_shrinks_and_warns(const_fourth_op):
-    # lambda = 0 is a Neumann eigenvalue; using it as a window endpoint
-    # triggers the shrink-and-warn path without losing interior roots
-    with pytest.warns(UserWarning, match="nearly resonant"):
+def test_eigenvalue_on_the_window_end_is_reported(const_fourth_op):
+    # lambda = 0 is a Neumann eigenvalue, and the window is closed: its end
+    # is an ordinary scan point where det is exactly 0.0, a root of width 0,
+    # reported next to -pi^4 with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         spec = find_eigenvalues(const_fourth_op, BCKind.NEUMANN, (-100.0, 0.0))
-    assert any(abs(e.lam + math.pi ** 4) < 1e-4 for e in spec.eigenvalues)
+    low, end = spec.eigenvalues
+    assert abs(low.lam + math.pi ** 4) < 1e-6
+    assert (end.lam, end.bracket_width) == (0.0, 0.0)
 
 
 def test_refine_brackets_k_section_rounds():
