@@ -3,9 +3,11 @@
 Eigenvalues are the zeros of the characteristic function det(C W) of
 char_det_scan: the boundary functionals C on an orthonormal basis W of the
 solution graph, the same matrix whose smallest singular value is a kernel's
-resonance margin.  A scan over a lambda window finds sign-change brackets,
-narrowed by the safeguarded regula falsi that sign_interval shares and read
-at the false-position point of the final bracket.  Where |det| dips between
+resonance margin.  A scan over a lambda window, uniform in the frequency
+variable mu in which the eigenvalues of order 2n lie about evenly spaced,
+finds sign-change brackets.  They are narrowed by the safeguarded secant
+and regula falsi steps of the solver that sign_interval shares, and read at
+the false-position point of the final bracket.  Where |det| dips between
 scan points of one sign, the roots near the dip are counted by the argument
 principle (det is entire in lambda): the dip is zoomed, SECTIONS uniform
 cells a round, until it shows a sign change or closes on a root of even
@@ -64,10 +66,17 @@ COUNT_NODES_MAX = 2048
 LAM_TOL = 1e-6
 MATCH_TOL = 10 * LAM_TOL
 
-# The most lambda points one scan may take.  The scan integrates them as one
-# batch whose memory grows as points times segments (integrate.MAX_BATCH_BYTES
-# bounds that product): at this bound u'' on [0, 1] over (0, 50) takes about
-# 100 MB, and u'''' + (t-2)^4 u on [0, 2] over (-50, 0) about 240 MB.
+# Scan points per pi / L of the frequency variable mu (see _scan_grid): the
+# eigenvalues of order 2n on [0, L] lie about pi / L apart in mu.
+SCAN_DENSITY = 16
+
+# The most lambda points one scan may take, checked before anything is
+# integrated.  The scan integrates them as one batch whose memory grows as
+# points times segments (integrate.MAX_BATCH_BYTES bounds that product): at
+# this bound u'' on [0, 1] over (0, 50) takes about 100 MB, and u'''' +
+# (t-2)^4 u on [0, 2] over (-50, 0) about 240 MB.  The default grid of u'' D
+# over (0, 1e7) has 16 107 points, refused at 544 MB by MAX_BATCH_BYTES, and
+# over (0, 1e9) 161 054, refused here.
 MAX_SCAN_POINTS = 100_000
 
 # Uniform cells per round of the dip zoom and of sign_interval's
@@ -118,24 +127,32 @@ def splittable(a, b, lam_tol):
 
 def _bracketed_roots(probe, a, b, fa, fb, tol):
     """Roots of f in brackets (a, b) with ends on its two sides and values
-    fa, fb there (NaN where unknown), narrowed in lockstep to width tol by
-    Illinois regula falsi, which bisects where an end value is unknown or two
-    rounds did not halve the bracket and never proposes a point within tol / 2
-    of an end (Dekker).  probe(x) returns points (k, p) about the proposals,
-    f there and whether each lies on a's side; the bracket becomes the first
-    cell from a whose right end does not.  Returns the false-position points
-    of the final brackets from unhalved end values (else midpoints), a and b."""
+    fa, fb there (NaN where unknown), narrowed in lockstep to width tol.
+    Each round proposes the secant through the outer two points of the
+    bracket's last probe where that falls inside the bracket, else the
+    Illinois regula falsi point; it bisects where neither is defined or two
+    rounds did not halve the bracket, and never proposes a point within
+    tol / 2 of an end (Dekker; Brent 1973, ch. 4).  probe(x) returns points
+    (k, p) about the proposals, f there and whether each lies on a's side;
+    the bracket becomes the first cell from a whose right end does not.  A
+    one-point probe has no secant.  Returns the false-position points of the
+    final brackets from unhalved end values (else midpoints), a and b."""
     ends, f = np.array([a, b], dtype=float).T, np.array([fa, fb], dtype=float).T
     g, moved = f.copy(), np.zeros(ends.shape, bool)  # Illinois-halved f, ends moved last
     last = np.full((2, len(ends)), np.inf)  # bracket widths one and two rounds ago
+    secant = np.full(len(ends), np.nan)
     while (live := splittable(*ends.T, tol)).any():
         (A, B), (ga, gb) = ends[live].T, g[live].T
         lo, hi, mid = np.minimum(A, B), np.maximum(A, B), 0.5 * (A + B)
         with np.errstate(all="ignore"):
             x = B - gb * (B - A) / (gb - ga)
+        x = np.where((lo < secant[live]) & (secant[live] < hi), secant[live], x)
         x = np.where((hi - lo <= last[1, live] / 2) & (lo < x) & (x < hi), x, mid)
         last[:, live] = hi - lo, last[0, live]
         pts, fp, near = probe(np.clip(x, lo + tol / 2, hi - tol / 2))
+        (x0, x1), (f0, f1) = pts[:, [0, -1]].T, fp[:, [0, -1]].T
+        with np.errstate(all="ignore"):  # NaN where a probe has one point
+            secant[live] = x1 - f1 * (x1 - x0) / (f1 - f0)
         # the points in order from a; the next bracket ends at the first off a's side
         rows, order = np.arange(len(A))[:, None], np.argsort(abs(pts - A[:, None]), axis=1)
         xs = np.concatenate([A[:, None], pts[rows, order], B[:, None]], axis=1)
@@ -226,13 +243,40 @@ def _dip_roots(det_batch, a, b, fa, fb, lam_tol):
                       for lo, hi, c in zip(a, b, counts) if c]
 
 
+def _scan_grid(op: LinearOperator, lo: float, hi: float, scan_step) -> np.ndarray:
+    """At least 5 points from lo to hi: scan_step apart, or by default
+    SCAN_DENSITY per pi / L of mu = sign(lam + abar) |lam + abar|^(1 / 2n),
+    abar the mean of a_0, in which the eigenvalues of order 2n on [0, L] lie
+    asymptotically pi / L apart (Naimark, Linear Differential Operators I,
+    1967, sec. 4), exactly so for constant a_0.  Refuses more than
+    MAX_SCAN_POINTS."""
+    abar, power, step = 0.0, 1, scan_step  # uniform in lambda
+    if scan_step is None:
+        abar = float(np.mean(coeff_values(op, 0, np.linspace(0.0, op.length, 257))))
+        power, step = op.order, np.pi / (op.length * SCAN_DENSITY)
+    elif not scan_step > 0:
+        raise ValueError("scan_step must be positive")
+    ends = np.array([lo, hi]) + abar
+    ends = np.sign(ends) * np.abs(ends) ** (1 / power)
+    cells = np.ceil((ends[1] - ends[0]) / step)
+    if not cells < MAX_SCAN_POINTS:
+        raise ValueError(f"the scan needs {cells + 1:.3g} points, more than "
+                         f"MAX_SCAN_POINTS = {MAX_SCAN_POINTS}")
+    mu = np.linspace(*ends, max(5, int(cells) + 1))
+    grid = np.sign(mu) * np.abs(mu) ** power - abar
+    grid[[0, -1]] = lo, hi
+    return grid
+
+
 def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float | None = None,
                      lam_tol: float = LAM_TOL) -> Spectrum:
     """All eigenvalues in the window located to lam_tol.
 
     Sign changes of the characteristic function det(C W) (char_det_scan)
-    bracket simple (odd-multiplicity) roots.  A dip cell, a local minimum of
-    |det| between two scan points of its sign, holds an even number of roots
+    between the scan points (_scan_grid: uniform in the frequency variable
+    unless scan_step is given) bracket simple (odd-multiplicity) roots,
+    narrowed by _bracketed_roots.  A dip cell, a local minimum of |det|
+    between two scan points of its sign, holds an even number of roots
     (counted by the argument principle, see _dip_roots): it yields brackets
     or roots flagged as suspected even multiplicity.  Nothing else decides:
     a scan point where det is exactly 0.0 (as constant coefficients give at
@@ -241,16 +285,7 @@ def find_eigenvalues(op: LinearOperator, kind: BCKind, window, scan_step: float 
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
-    width = hi - lo
-    step = width / 400.0 if scan_step is None else float(scan_step)
-    if not step > 0:
-        raise ValueError("scan_step must be positive")
-    cells = np.ceil(width / step)
-    if not cells < MAX_SCAN_POINTS:
-        raise ValueError(f"the scan needs {cells + 1:.3g} points, more than "
-                         f"MAX_SCAN_POINTS = {MAX_SCAN_POINTS}")
-    npts = max(5, int(cells) + 1)
-    grid = np.linspace(lo, hi, npts)
+    grid = _scan_grid(op, lo, hi, scan_step)
     dets = char_det_scan(op, kind, grid)
     absdet = np.abs(dets)
 

@@ -276,6 +276,32 @@ def test_size_inputs_above_their_bound_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_spectrum_default_scan_over_its_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # u'' D over (0, 1e9) needs 161 054 points of the frequency scan: refused
+    # before anything is integrated, not cut to a partial list
+    def integrate(*args, **kwargs):
+        raise AssertionError("a scan over MAX_SCAN_POINTS was integrated")
+
+    monkeypatch.setattr(integrate_module, "_integrate", integrate)
+    config = write_config(tmp_path, n=1, coefficients=["0", "0"], kind="dirichlet")
+    code = main(["spectrum", "--config", config, "--window", "0", "1e9"])
+    assert code == EXIT_CONFIG
+    assert "MAX_SCAN_POINTS" in capsys.readouterr().err
+
+
+def test_spectrum_default_scan_over_the_memory_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # over (0, 1e7) the frequency scan has 16 107 points, whose end matrices
+    # would take 544 MB: refused by MAX_BATCH_BYTES before any cell is propagated
+    def propagate(*args, **kwargs):
+        raise AssertionError("a batch over MAX_BATCH_BYTES reached the propagator")
+
+    monkeypatch.setattr(integrate_module, "_magnus_segments", propagate)
+    config = write_config(tmp_path, n=1, coefficients=["0", "0"], kind="dirichlet")
+    code = main(["spectrum", "--config", config, "--window", "0", "1e7"])
+    assert code == EXIT_NUMERICAL
+    assert "MAX_BATCH_BYTES" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["green", "--grid", "-3", "--out", "unused.csv"], "--grid -3 is below"),
     (["verify", "--grid", "0"], "--grid 0 is below"),

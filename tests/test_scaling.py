@@ -2,7 +2,8 @@
 u'''' + a(t) u + lam u on [0, T] becomes v'''' + c^4 a(c tau) v + c^4 lam v on
 [0, T / c], and every boundary family maps to itself, so the eigenvalues
 scale by c^4.  The law needs no reference value; at large |lam| the same
-searches are checked against the closed forms of constant operators."""
+searches are checked against the closed forms of constant operators, and on
+wide windows against the root counts that the frequency scan finds."""
 
 import math
 import warnings
@@ -10,7 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from greenbvp import BCKind, LinearOperator, extend_to_double, find_eigenvalues
+from greenbvp import BCKind, LinearOperator, extend_to_double, find_eigenvalues, \
+    verify_spectrum_unions
+from greenbvp.greens import kernel_problem
 from greenbvp.spectrum import LAM_TOL
 
 
@@ -63,3 +66,53 @@ def test_u6_dirichlet_has_no_root_far_out():
     # though det M is below 1e-9 at lam = -1e5
     op = LinearOperator.from_exprs(3, 1.0, ["0"] * 6)
     assert _search(op, BCKind.DIRICHLET, (-1e5, 100.0)).eigenvalues == []
+
+
+def test_u2_dirichlet_wide_window_finds_every_root():
+    # (k pi)^2 for k = 1..100: a scan uniform in lambda puts several of the
+    # low ones in one cell, the scan in mu = sqrt(lam) one per 16 cells
+    op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
+    lams = np.array(_search(op, BCKind.DIRICHLET, (0.0, 1e5)).lams())
+    np.testing.assert_allclose(lams, (np.pi * np.arange(1, 101)) ** 2, rtol=1e-9, atol=0)
+
+
+def test_u4_dirichlet_far_out_finds_all_ten_roots():
+    # the window of test_u4_dirichlet_roots_far_out_are_closed_forms: in
+    # mu = -|lam|^(1/4) the pair -pi^4, -16 pi^4 is as far apart as any other
+    op = LinearOperator.from_exprs(2, 1.0, ["0", "0", "0", "0"])
+    lams = np.array(_search(op, BCKind.DIRICHLET, (-1e6, 10.0)).lams())
+    np.testing.assert_allclose(lams, -(np.pi * np.arange(10, 0, -1)) ** 4, rtol=1e-9, atol=0)
+
+
+def test_u6_quadrupled_periodic_double_root_near_zero():
+    # u^(6) on [0, 4], periodic: (pi/2)^6 = 15.02 is a double root next to the
+    # simple root 0
+    op = LinearOperator.from_exprs(3, 1.0, ["0"] * 6)
+    spec = _search(*kernel_problem(op, "P4T"), (-3000.0, 3000.0))
+    assert any(e.even_multiplicity and abs(e.lam - (math.pi / 2) ** 6) <= LAM_TOL
+               for e in spec.eigenvalues)
+
+
+def test_u8_cosine_doubled_neumann_finds_three_roots():
+    # -38.0 and -0.84 shared one cell of the 401-point grid uniform in lambda
+    op = LinearOperator.from_exprs(4, 1.0, ["cos(t)"] + ["0"] * 7)
+    lams = _search(*kernel_problem(op, "N2T"), (-2e4, 2e4)).lams()
+    assert len(lams) == 3
+
+
+def test_wide_window_campaign_case_finds_nineteen_roots():
+    # a self-adjoint Dirichlet problem: its k-th eigenfunction has k - 1
+    # interior sign changes, so the 19 found are the 19 lowest
+    op = LinearOperator.from_exprs(1, 1.0, ["-7.81+4.28*t+17.86*t^2", "0"])
+    spec = _search(op, BCKind.DIRICHLET, (-26068.0, 3763.0))
+    assert [e.sign_changes for e in spec.eigenvalues] == list(range(19))
+
+
+@pytest.mark.parametrize("n, a0, window", [(3, "0", (-3000.0, 3000.0)),
+                                           (4, "cos(t)", (-2e4, 2e4))], ids=["u6", "u8-cos"])
+def test_spectrum_unions_on_wide_windows(n, a0, window):
+    op = LinearOperator.from_exprs(n, 1.0, [a0] + ["0"] * (2 * n - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        checks = verify_spectrum_unions(op, window)
+    assert [c.tag for c in checks if not c.passed] == []

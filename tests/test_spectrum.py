@@ -19,7 +19,7 @@ from greenbvp import (
 )
 from greenbvp.expressions import parse_expression
 from greenbvp.operators import CoeffSegment
-from greenbvp.spectrum import COUNT_NODES, _refine_brackets, _root_counts
+from greenbvp.spectrum import COUNT_NODES, _bracketed_roots, _refine_brackets, _root_counts
 
 
 def test_second_order_dirichlet_eigenvalues():
@@ -412,3 +412,59 @@ def test_scan_over_the_memory_bound_is_refused_before_integrating(monkeypatch):
     op = LinearOperator.from_exprs(1, 1.0, ["0", "0"])
     with pytest.raises(IntegrationError, match="MAX_BATCH_BYTES"):
         find_eigenvalues(op, BCKind.DIRICHLET, (0.0, 1e7), scan_step=200.0)
+
+
+def _count_integrations(monkeypatch):
+    """(calls, lambdas) of every integration from now on."""
+    from greenbvp import integrate
+
+    calls, lams = [], []
+    original = integrate._integrate
+
+    def counted(op, batch, *args):
+        calls.append(1)
+        lams.append(np.size(batch))
+        return original(op, batch, *args)
+
+    monkeypatch.setattr(integrate, "_integrate", counted)
+    return calls, lams
+
+
+def test_principal_search_takes_five_integrations(monkeypatch, const_fourth_op):
+    # the scan, three solver rounds and the eigenfunction: from the scan's
+    # bracket the secant of each round's three points closes on the root
+    calls, _ = _count_integrations(monkeypatch)
+    lam = principal_eigenvalue(const_fourth_op, BCKind.MIXED2, (-10.0, 2.0))
+    assert lam == pytest.approx(-6.088068189625154, rel=1e-9)
+    assert len(calls) <= 5
+
+
+def test_reproduce_work_counts(monkeypatch):
+    # every threshold row starts with a principal search; 142 integrations of
+    # 2 848 lambdas with a scan uniform in lambda and no secant step
+    from greenbvp import reproduce_counterexamples
+
+    calls, lams = _count_integrations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert reproduce_counterexamples().all_passed
+    assert len(calls) <= 142
+    assert sum(lams) <= 700
+
+
+def test_one_point_probe_closes_its_bracket():
+    # a probe of one point, as sign_interval's tracker makes, has no secant:
+    # the first end value is unknown, so the first step is the midpoint, and
+    # the next are regula falsi points
+    proposals = []
+
+    def probe(x):
+        proposals.append(float(x[0]))
+        f = x ** 3 - 2.0
+        return x[:, None], f[:, None], (f < 0)[:, None]
+
+    [root], [a], [b] = _bracketed_roots(probe, [0.0], [3.0], [np.nan], [25.0], 1e-6)
+    assert a < 2 ** (1 / 3) < b and b - a <= 1e-6
+    assert root == pytest.approx(2 ** (1 / 3), abs=1e-12)
+    assert proposals[:3] == [1.5, 0.75, pytest.approx(1.5 - 1.375 * 0.75 / (1.375 + 1.578125))]
+    assert len(proposals) <= 9
